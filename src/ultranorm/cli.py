@@ -35,6 +35,7 @@ from .spaces import (Lattice, NormedSpace, PreconditionError, dual_norm,
                      quotient_norm)
 
 log = logging.getLogger("ultranorm")
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 # ----------------------------------------------------------------------
@@ -446,7 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(level=os.environ.get("ULTRANORM_LOG", "WARNING"))
+    level = (os.environ.get("ULTRANORM_LOG") or "WARNING").upper()
+    if level not in LOG_LEVELS:
+        print(json.dumps({"error": "config", "path": "",
+                          "message": f"ULTRANORM_LOG must be one of "
+                                     f"{', '.join(LOG_LEVELS)} (any case)"}),
+              file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level)
     args = build_parser().parse_args(argv)
     if args.format is None:
         args.format = "csv" if args.command in ("sigma-sample",

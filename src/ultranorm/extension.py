@@ -26,7 +26,7 @@ from .fields import LaurentRationals, Magnitude, RationalFunction, ValuedField, 
 from .metrics import QuotientMetric
 from .sections import Section, Subvariety, evaluation_matrix, monomial_basis, restriction_kernel
 from .spaces import (NormedSpace, PreconditionError, distance_to_subspace,
-                     orthogonalize_flag, scalar_extension)
+                     lift_constant, orthogonalize_flag, scalar_extension)
 
 
 class DegreeTooSmall(PreconditionError):
@@ -157,7 +157,7 @@ def extend_trivial_via_laurent(P: ExtensionProblem, n: int) -> Tuple[Section, Ma
     s0 = _initial_extension(P, n)
     ker = restriction_kernel(P.Y, n)
     s0_L = [RationalFunction.constant(x) for x in s0]
-    ker_L = [[RationalFunction.constant(x) for x in v] for v in ker]
+    ker_L = lift_constant(ker)
     dist, minimizer = distance_to_subspace(NL, s0_L, ker_L)
     s_prime = [a - b for a, b in zip(s0_L, minimizer)]
 
@@ -172,10 +172,10 @@ def extend_trivial_via_laurent(P: ExtensionProblem, n: int) -> Tuple[Section, Ma
                 break
     g, g_norms, _ = orthogonalize_flag(N, flag)
     d = len(ker)
-    # expand s' in the g basis over the extension
-    g_matrix_L = [[RationalFunction.constant(g[j][i]) for j in range(dim)]
-                  for i in range(dim)]
-    coords = linalg.mat_vec(linalg.invert(g_matrix_L), s_prime)
+    # expand s' in the g basis over the extension; the frame is rational,
+    # so its inverse is taken over Q and lifted
+    g_inverse = linalg.invert([[g[j][i] for j in range(dim)] for i in range(dim)])
+    coords = linalg.mat_vec(lift_constant(g_inverse), s_prime)
     vec = [field.zero()] * dim
     for i in range(d, dim):
         c = coords[i]

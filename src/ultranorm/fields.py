@@ -242,34 +242,69 @@ def _poly_gcd(a, b):
     return a
 
 
+_ONE = (Fraction(1),)
+
+
+def _constant_value(x) -> Optional[Fraction]:
+    """x as a Fraction when it is a rational or a constant of Q(T), else None."""
+    if isinstance(x, RationalFunction):
+        if len(x.num) <= 1 and len(x.den) == 1:
+            return x.num[0] if x.num else Fraction(0)
+        return None
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    return None
+
+
 class RationalFunction:
     """Reduced ratio of polynomials in T with rational coefficients.
 
     Coefficient tuples run from the constant term upward; the denominator
-    is normalized monic.  Supports the field operations and T-adic order.
+    is normalized monic and coprime to the numerator, and zero is stored
+    as ``((), (1,))``.  A constant therefore always has ``den == (1,)``
+    and at most one numerator coefficient, so two constants combine by
+    plain Fraction arithmetic on ``num[0]``; the field operations take
+    that path whenever both operands are constants.  Supports the field
+    operations and T-adic order.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=(Fraction(1),), *, _reduced=False):
+    def __init__(self, num, den=_ONE, *, _reduced=False):
         num = _poly_trim(tuple(_as_fraction(c) for c in num))
         den = _poly_trim(tuple(_as_fraction(c) for c in den))
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if not _reduced and num:
+        if not num:
+            self.num, self.den = (), _ONE
+            return
+        if len(den) == 1:
+            # a constant denominator divides out; the gcd is 1
+            if den[0] != 1:
+                num = tuple(c / den[0] for c in num)
+            self.num, self.den = num, _ONE
+            return
+        if not _reduced and len(num) > 1:
             g = _poly_gcd(num, den)
             if len(g) > 1:
                 num = _poly_divmod(num, g)[0]
                 den = _poly_divmod(den, g)[0]
-        if num:
-            lead = den[-1]
-            if lead != 1:
-                num = tuple(c / lead for c in num)
-                den = tuple(c / lead for c in den)
-        else:
-            den = (Fraction(1),)
+        lead = den[-1]
+        if lead != 1:
+            num = tuple(c / lead for c in num)
+            den = tuple(c / lead for c in den)
         self.num = num
         self.den = den
+
+    @classmethod
+    def _of_constant(cls, x: Fraction) -> "RationalFunction":
+        """The constant x, built without re-normalizing."""
+        f = object.__new__(cls)
+        f.num = (x,) if x else ()
+        f.den = _ONE
+        return f
 
     @classmethod
     def constant(cls, x) -> "RationalFunction":
@@ -292,7 +327,7 @@ class RationalFunction:
             raise ValueError(f"{self!r} is not constant")
         if self.is_zero:
             return Fraction(0)
-        return self.num[0] / self.den[0]
+        return self.num[0]
 
     def order(self) -> int:
         """T-adic order ord_T(num) - ord_T(den); undefined for zero."""
@@ -308,25 +343,42 @@ class RationalFunction:
         return trailing(self.num) - trailing(self.den)
 
     def __add__(self, other):
+        a, b = _constant_value(self), _constant_value(other)
+        if a is not None and b is not None:
+            return RationalFunction._of_constant(a + b)
         other = self._coerce(other)
         num = _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den))
         return RationalFunction(num, _poly_mul(self.den, other.den))
 
     def __sub__(self, other):
+        a, b = _constant_value(self), _constant_value(other)
+        if a is not None and b is not None:
+            return RationalFunction._of_constant(a - b)
         other = self._coerce(other)
         num = _poly_add(_poly_mul(self.num, other.den),
                         _poly_neg(_poly_mul(other.num, self.den)))
         return RationalFunction(num, _poly_mul(self.den, other.den))
 
     def __neg__(self):
+        a = _constant_value(self)
+        if a is not None:
+            return RationalFunction._of_constant(-a)
         return RationalFunction(_poly_neg(self.num), self.den, _reduced=True)
 
     def __mul__(self, other):
+        a, b = _constant_value(self), _constant_value(other)
+        if a is not None and b is not None:
+            return RationalFunction._of_constant(a * b)
         other = self._coerce(other)
         return RationalFunction(_poly_mul(self.num, other.num),
                                 _poly_mul(self.den, other.den))
 
     def __truediv__(self, other):
+        a, b = _constant_value(self), _constant_value(other)
+        if a is not None and b is not None:
+            if b == 0:
+                raise ZeroDivisionError("division by zero rational function")
+            return RationalFunction._of_constant(a / b)
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
@@ -365,7 +417,7 @@ class RationalFunction:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = RationalFunction.constant(other)
+            return self.is_constant() and self.constant_value() == other
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den

@@ -252,12 +252,6 @@ def section_from_json(data: Dict[str, Any], field: ValuedField) -> Section:
     return Section(field, num_vars, degree, coeffs)
 
 
-def subvariety_to_json(Y: Subvariety) -> Dict[str, Any]:
-    if Y.points is not None:
-        return {"points": matrix_to_json(Y.points)}
-    return {"linear": matrix_to_json(Y.linear_forms)}
-
-
 def subvariety_from_json(data: Dict[str, Any], field: ValuedField,
                          num_vars: int) -> Subvariety:
     if "points" in data:

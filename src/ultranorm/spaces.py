@@ -302,9 +302,16 @@ def scalar_extension(space: NormedSpace, target: ValuedField) -> NormedSpace:
         raise PreconditionError("scalar extension implemented from the trivial valuation")
     if target.kind != "laurent":
         raise PreconditionError("scalar extension target must be a Laurent field")
-    basis = [[RationalFunction.constant(x) for x in row] for row in space.basis]
     weights = [Magnitude(target.rho, w.q, 0) for w in space.weights]
-    return NormedSpace(target, basis, weights)
+    extended = NormedSpace(target, lift_constant(space.basis), weights)
+    # the inverse of a constant matrix is the constant lift of its inverse
+    extended._inverse = lift_constant(space.basis_inverse())
+    return extended
+
+
+def lift_constant(matrix: Sequence[Sequence[Fraction]]) -> List[list]:
+    """A rational matrix as a matrix of constants of Q(T)."""
+    return [[RationalFunction.constant(x) for x in row] for row in matrix]
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ultranorm
 from ultranorm.cli import main
 
 F = Fraction
@@ -156,6 +161,30 @@ class TestErrors:
                                          "bogus": 1})
         code, _, err = run(capsys, ["dual", "--config", cfg])
         assert code == 2
+
+    def test_log_level_is_case_insensitive(self, tmp_path):
+        # a fresh interpreter: logging.basicConfig only parses the level
+        # while the root logger has no handlers, as in a plain CLI run
+        cfg = write(tmp_path, "c.json", {"space": norm_json()})
+        src = str(Path(ultranorm.__file__).resolve().parents[1])
+        env = dict(os.environ, ULTRANORM_LOG="debug",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "ultranorm.cli", "dual",
+                               "--config", cfg], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)
+
+    def test_unknown_log_level_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ULTRANORM_LOG", "loud")
+        cfg = write(tmp_path, "c.json", {"space": norm_json()})
+        code, out, err = run(capsys, ["dual", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "config"
+        assert "ULTRANORM_LOG" in obj["message"]
 
     def test_precondition_failure_exit_3(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.json", {

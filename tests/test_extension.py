@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from ultranorm import NormedSpace, PadicRationals, TrivialRationals
+from ultranorm import (LaurentRationals, NormedSpace, PadicRationals,
+                       TrivialRationals, choose_laurent_base, linalg)
 from ultranorm.extension import (DegreeTooSmall, ExtensionProblem,
                                  check_extension_theorem,
                                  extend_trivial_via_laurent, lambda_estimate,
@@ -15,7 +16,7 @@ from ultranorm.extension import (DegreeTooSmall, ExtensionProblem,
                                  subadditivity_check)
 from ultranorm.metrics import QuotientMetric
 from ultranorm.sections import Section, Subvariety
-from ultranorm.spaces import PreconditionError
+from ultranorm.spaces import PreconditionError, scalar_extension
 
 F = Fraction
 
@@ -34,6 +35,32 @@ def p1_problem(field, weights, points, rep_coeffs):
     rep = Section.from_vector(field, 1, 1,
                               [field.element(c) for c in rep_coeffs])
     return ExtensionProblem(h, Y, rep)
+
+
+def random_trivial_problem(rng, num_vars):
+    """Trivially valued problem on P^(num_vars - 1) whose norm has a random
+    non-diagonal orthogonal basis."""
+    K = TrivialRationals()
+    while True:
+        basis = [[F(rng.randint(-2, 2)) for _ in range(num_vars)]
+                 for _ in range(num_vars)]
+        if linalg.rank(basis) == num_vars:
+            break
+    weights = [K.magnitude(rng.choice([F(1), F(2), F(1, 2), F(3), F(5, 3)]))
+               for _ in range(num_vars)]
+    h = QuotientMetric(NormedSpace(K, basis, weights))
+    npoints = rng.randint(1, num_vars + 1)
+    affine = set()
+    while len(affine) < npoints:
+        affine.add(tuple(rng.randint(-3, 3) for _ in range(num_vars - 1)))
+    pts = [[F(1)] + [F(a) for a in pt] for pt in sorted(affine)]
+    while True:
+        rep = Section.from_vector(K, num_vars - 1, 1,
+                                  [F(rng.randint(-3, 3))
+                                   for _ in range(num_vars)])
+        if any(rep.evaluate(pt) != 0 for pt in pts):
+            break
+    return ExtensionProblem(h, Subvariety(K, num_vars, points=pts), rep)
 
 
 class TestMinNormLift:
@@ -124,6 +151,24 @@ class TestLaurentPath:
             assert isinstance(c, Fraction)  # no residual uniformizer terms
         _, direct = min_norm_lift(P, 2)
         assert ratio == direct
+
+    @pytest.mark.parametrize("num_vars", [2, 3])
+    def test_non_diagonal_bases(self, num_vars):
+        rng = random.Random(80 + num_vars)
+        for n in range(1, 5):
+            P = random_trivial_problem(rng, num_vars)
+            section, ratio = extend_trivial_via_laurent(P, n)
+            _, direct = min_norm_lift(P, n)
+            assert ratio == direct
+            for c in section.coeffs.values():
+                assert isinstance(c, Fraction)
+            for pt in P.Y.points:
+                assert section.evaluate(pt) == P.representative.evaluate(pt) ** n
+            # the extended space carries the lifted inverse of the base one
+            N = P.metric.gauss_space(n)
+            prime = choose_laurent_base(N.norm_value_set())
+            NL = scalar_extension(N, LaurentRationals(prime))
+            assert NL.basis_inverse() == linalg.invert(NL.basis)
 
 
 class TestTheoremCheck:

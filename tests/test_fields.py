@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,43 @@ from hypothesis import strategies as st
 from ultranorm import (LaurentRationals, Magnitude, PadicRationals,
                        RationalFunction, TrivialRationals, ValuedField,
                        choose_laurent_base)
+from ultranorm.fields import _poly_gcd
+
+SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# enough points that, after dropping the roots of the (degree <= 3)
+# denominators and of a divisor, several remain to compare at
+POINTS = [Fraction(t) for t in range(-4, 6)] + [
+    Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7), Fraction(-7, 4),
+    Fraction(9, 5), Fraction(-11, 6)]
+OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def poly_at(coeffs, t):
+    return sum((c * t ** i for i, c in enumerate(coeffs)), Fraction(0))
+
+
+@st.composite
+def rf_operands(draw):
+    """(num, den) coefficient lists of a constant, a polynomial or a
+    proper ratio, unreduced."""
+    kind = draw(st.sampled_from(["constant", "polynomial", "rational"]))
+    if kind == "constant":
+        return [draw(SMALL)], [draw(SMALL.filter(bool))]
+    num = draw(st.lists(SMALL, max_size=4))
+    if kind == "polynomial":
+        return num, [Fraction(1)]
+    den = draw(st.lists(SMALL, min_size=2, max_size=4)
+               .filter(lambda d: d[-1] != 0))
+    return num, den
+
+
+def assert_canonical(f):
+    assert not f.num or f.num[-1] != 0
+    assert f.den[-1] == 1
+    if f.is_zero:
+        assert f.den == (Fraction(1),)
+    else:
+        assert _poly_gcd(f.num, f.den) == (Fraction(1),)
 
 
 class TestMagnitude:
@@ -116,6 +154,52 @@ class TestRationalFunction:
         assert f * g == g * f
         assert f + g == g + f
         assert f * (g + g) == f * g + f * g
+
+
+    @given(rf_operands(), rf_operands(), st.sampled_from(OPS))
+    @settings(max_examples=400)
+    def test_arithmetic_matches_pointwise_values(self, f, g, op):
+        lhs, rhs = RationalFunction(*f), RationalFunction(*g)
+        assert_canonical(lhs)
+        assert_canonical(rhs)
+        if op is operator.truediv and rhs.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                op(lhs, rhs)
+            return
+        result = op(lhs, rhs)
+        assert_canonical(result)
+        checked = 0
+        for t in POINTS:
+            df, dg, dr = (poly_at(f[1], t), poly_at(g[1], t),
+                          poly_at(result.den, t))
+            if 0 in (df, dg, dr):
+                continue
+            gt = poly_at(g[0], t) / dg
+            if op is operator.truediv and gt == 0:
+                continue
+            assert poly_at(result.num, t) / dr == op(poly_at(f[0], t) / df, gt)
+            checked += 1
+        assert checked >= 3
+
+    @given(rf_operands(), SMALL, st.sampled_from(OPS))
+    @settings(max_examples=200)
+    def test_mixed_rational_operands(self, f, c, op):
+        x = RationalFunction(*f)
+        for a, b in ((x, c), (c, x)):
+            lifted = [RationalFunction.constant(v) if v is c else v
+                      for v in (a, b)]
+            if op is operator.truediv and lifted[1].is_zero:
+                continue
+            assert op(a, b) == op(*lifted)
+        assert -x == RationalFunction.constant(0) - x
+
+    @given(SMALL, SMALL.filter(bool))
+    def test_constant_constructions_agree(self, a, b):
+        f = RationalFunction((a,), (b,))
+        g = RationalFunction.constant(a / b)
+        assert f == g and hash(f) == hash(g)
+        assert f.num == g.num and f.den == (Fraction(1),)
+        assert f == a / b and f.constant_value() == a / b
 
 
 class TestChooseLaurentBase:
