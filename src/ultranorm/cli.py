@@ -27,7 +27,6 @@ from .adelic import (AdelicSpace, NormedLattice, finite_unit_lattice,
 from .extension import (ExtensionProblem, check_extension_theorem,
                         extend_trivial_via_laurent, min_norm_lift,
                         ratio_sequence)
-from .fields import ValuedField
 from .metrics import QuotientMetric, sigma
 from .sections import Section, Subvariety
 from .spaces import (Lattice, NormedSpace, PreconditionError, dual_norm,
@@ -167,7 +166,7 @@ LAMBDA_CONFIG_SCHEMA = {
 
 
 def _metric_from_config(data: Dict[str, Any]) -> QuotientMetric:
-    space = ser.space_from_json(data["space"])
+    space = ser.space_from_json(data["space"], "/space")
     return QuotientMetric(space)
 
 
@@ -188,7 +187,7 @@ def _problem_from_config(data: Dict[str, Any]) -> ExtensionProblem:
 
 def cmd_orthogonalize(args) -> str:
     data = _load_config(args.config, ORTHOGONALIZE_SCHEMA)
-    space = ser.space_from_json(data["space"])
+    space = ser.space_from_json(data["space"], "/space")
     vectors = ser.matrix_from_json(data["vectors"])
     g, norms, pivots = orthogonalize_flag(space, vectors)
     out = {
@@ -201,7 +200,7 @@ def cmd_orthogonalize(args) -> str:
 
 def cmd_quotient(args) -> str:
     data = _load_config(args.config, QUOTIENT_SCHEMA)
-    space = ser.space_from_json(data["space"])
+    space = ser.space_from_json(data["space"], "/space")
     surjection = ser.matrix_from_json(data["surjection"])
     quo, lifts = quotient_norm(space, surjection)
     out = {
@@ -213,18 +212,18 @@ def cmd_quotient(args) -> str:
 
 def cmd_dual(args) -> str:
     data = _load_config(args.config, DUAL_SCHEMA)
-    space = ser.space_from_json(data["space"])
+    space = ser.space_from_json(data["space"], "/space")
     return _json_text({"dual": ser.space_to_json(dual_norm(space))})
 
 
 def cmd_lattice(args) -> str:
     data = _load_config(args.config, LATTICE_SCHEMA)
     if "space" in data:
-        space = ser.space_from_json(data["space"])
+        space = ser.space_from_json(data["space"], "/space")
         lat = lattice_from_norm(space)
         return _json_text({"columns": ser.matrix_to_json(lat.columns())})
     if "field" in data and "lattice" in data:
-        field = ValuedField.from_json(data["field"])
+        field = ser.field_from_json(data["field"], "/field")
         cols = ser.matrix_from_json(data["lattice"]["columns"])
         lat = Lattice.from_columns(field, cols)
         space = norm_from_lattice(lat)
@@ -326,7 +325,7 @@ def _lattice_from_args(args) -> NormedLattice:
     if args.config:
         data = _load_config(args.config, LAMBDA_CONFIG_SCHEMA)
         if "adelic" in data:
-            A = _adelic_from_json(data["adelic"])
+            A = _adelic_from_json(data["adelic"], "/adelic")
             return finite_unit_lattice(A)
         if "lattice" in data and "norm" in data:
             cols = ser.matrix_from_json(data["lattice"]["columns"])
@@ -353,10 +352,11 @@ def _normed_lattice(cols: List[List[Fraction]],
     return NormedLattice(basis, funcs)
 
 
-def _adelic_from_json(data: Dict[str, Any]) -> AdelicSpace:
+def _adelic_from_json(data: Dict[str, Any], pointer: str) -> AdelicSpace:
     places = {}
     for key, place_json in data.get("places", {}).items():
-        places[int(key)] = ser.space_from_json(place_json)
+        places[int(key)] = ser.space_from_json(place_json,
+                                               f"{pointer}/places/{key}")
     funcs = ser.matrix_from_json(data["arch_functionals"])
     return AdelicSpace(int(data["dim"]), places, funcs)
 
@@ -374,7 +374,8 @@ def cmd_lambda(args) -> str:
 
 def cmd_nakai(args) -> str:
     data = _load_config(args.config, ser.GRADED_SCHEMA)
-    degrees = {int(k): _adelic_from_json(v) for k, v in data["degrees"].items()}
+    degrees = {int(k): _adelic_from_json(v, f"/degrees/{k}")
+               for k, v in data["degrees"].items()}
     n_max = args.max_degree if args.max_degree is not None else max(degrees)
 
     def work(n):
@@ -467,7 +468,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         text = COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, ser.SchemaViolation) as exc:
         print(json.dumps({"error": "schema", "path": exc.path,
                           "message": exc.message}, sort_keys=True),
               file=sys.stderr)

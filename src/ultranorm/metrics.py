@@ -3,9 +3,11 @@
 A metric is induced by a normed space on the degree-1 sections: at each
 rational point the fiber carries the quotient norm.  Pointwise values
 come from an exact closed formula; sup norms are weighted Gauss norms
-after an exact change of variables into the orthogonal basis.  The sigma
-and mu diagnostics compare those against an independently computed
-quotient (coset-minimization) metric.
+after an exact change of variables into the orthogonal basis (one
+helper, _change_frame, does every such substitution).  The sigma and mu
+diagnostics compare those against the quotient metric, whose fibre norm
+is the dual-norm closed form 1 / max_i |e_i(x~)| / w_i over an orthogonal
+basis; the coset elimination it replaced is the oracle in the tests.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from . import linalg
 from .fields import FieldElement, Magnitude, ValuedField, magnitude_max
 from .sections import (Exponent, Section, Subvariety, monomial_basis,
                        normalize_point)
-from .spaces import (NormedSpace, PreconditionError, distance_to_subspace,
-                     orthogonalize_flag)
+from .spaces import NormedSpace, PreconditionError, orthogonalize_flag
 
 
 def _is_zero_elem(x) -> bool:
@@ -40,9 +41,11 @@ class QuotientMetric:
     base: NormedSpace
 
     def __post_init__(self):
-        self._subst: Optional[List[Section]] = None
+        self._frame = _linear_forms(self.field, linalg.transpose(self.base.basis))
+        # x = (B^T)^{-1} u; inverting here also rejects a singular basis
+        self._subst = _linear_forms(
+            self.field, linalg.transpose(self.base.basis_inverse()))
         self._gauss_cache: Dict[int, NormedSpace] = {}
-        self._frame_cache: Dict[int, List[Section]] = {}
 
     @property
     def field(self) -> ValuedField:
@@ -60,48 +63,17 @@ class QuotientMetric:
 
     def frame_forms(self) -> List[Section]:
         """The orthogonal basis vectors of ``base`` as degree-1 sections."""
-        if 1 not in self._frame_cache:
-            nv = self.num_vars
-            self._frame_cache[1] = [
-                Section(self.field, nv, 1,
-                        {tuple(1 if j == k else 0 for k in range(nv)):
-                         self.base.basis[j][i]
-                         for j in range(nv)})
-                for i in range(nv)
-            ]
-        return self._frame_cache[1]
+        return self._frame
 
     def substitution(self) -> List[Section]:
         """Degree-1 sections u_i -> expression of x_j in the frame
         coordinates: x = (B^T)^{-1} u where columns of B are the frame."""
-        if self._subst is None:
-            inv_t = linalg.invert(linalg.transpose(self.base.basis))
-            nv = self.num_vars
-            self._subst = [
-                Section(self.field, nv, 1,
-                        {tuple(1 if k == i else 0 for k in range(nv)):
-                         inv_t[j][i]
-                         for i in range(nv)})
-                for j in range(nv)
-            ]
         return self._subst
 
     def to_frame_coordinates(self, s: Section) -> Section:
         """Rewrite s as a polynomial in the frame linear forms: returns a
         section whose variables are the frame coordinates u_i."""
-        subst = self.substitution()
-        nv = self.num_vars
-        powers: List[List[Section]] = [[Section.monomial(self.field, (0,) * nv)]
-                                       for _ in range(nv)]
-        out = Section.zero(self.field, nv, s.degree)
-        for e, c in s.coeffs.items():
-            term = Section.monomial(self.field, (0,) * nv, c)
-            for j, k in enumerate(e):
-                while len(powers[j]) <= k:
-                    powers[j].append(powers[j][-1] * subst[j])
-                term = term * powers[j][k]
-            out = out + term
-        return out
+        return _change_frame(self._subst, [s])[0]
 
     # -- pointwise metric ---------------------------------------------------
 
@@ -152,25 +124,7 @@ class QuotientMetric:
         vectors over monomial_basis(m, n): orthogonal basis = products of
         frame forms, weights = products of frame weights."""
         if n not in self._gauss_cache:
-            exps = monomial_basis(self.m, n)
-            frame = self.frame_forms()
-            cols = []
-            weights = []
-            pow_cache: List[List[Section]] = [
-                [Section.monomial(self.field, (0,) * self.num_vars)]
-                for _ in range(self.num_vars)]
-            for e in exps:
-                prod = Section.monomial(self.field, (0,) * self.num_vars)
-                w = self.field.one_magnitude()
-                for i, k in enumerate(e):
-                    while len(pow_cache[i]) <= k:
-                        pow_cache[i].append(pow_cache[i][-1] * frame[i])
-                    prod = prod * pow_cache[i][k]
-                    w = w * self.base.weights[i] ** k
-                cols.append(prod.to_vector())
-                weights.append(w)
-            basis = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))]
-            self._gauss_cache[n] = NormedSpace(self.field, basis, weights)
+            self._gauss_cache[n] = _GaussSpace(self, n)
         return self._gauss_cache[n]
 
     # -- restricted sup norms -------------------------------------------------
@@ -192,25 +146,8 @@ class QuotientMetric:
                 if len(flag) == nv:
                     break
         g, norms, _ = orthogonalize_flag(self.base, flag)
-        # rewrite s in the g-coordinates: x = (G^T)^{-1} u
-        g_matrix = [[g[j][i] for j in range(nv)] for i in range(nv)]  # columns g_j
-        inv_t = linalg.invert(linalg.transpose(g_matrix))
-        subst = [
-            Section(self.field, nv, 1,
-                    {tuple(1 if t == i else 0 for t in range(nv)): inv_t[j][i]
-                     for i in range(nv)})
-            for j in range(nv)
-        ]
-        powers: List[List[Section]] = [[Section.monomial(self.field, (0,) * nv)]
-                                       for _ in range(nv)]
-        u = Section.zero(self.field, nv, s.degree)
-        for e, c in s.coeffs.items():
-            term = Section.monomial(self.field, (0,) * nv, c)
-            for j, kk in enumerate(e):
-                while len(powers[j]) <= kk:
-                    powers[j].append(powers[j][-1] * subst[j])
-                term = term * powers[j][kk]
-            u = u + term
+        # rewrite s in the g-coordinates: x = (G^T)^{-1} u, G^T has rows g_j
+        u = _change_frame(_linear_forms(self.field, linalg.invert(g)), [s])[0]
         # on Y the first k frame coordinates vanish; Gauss norm of the rest
         best = self.field.zero_magnitude()
         for e, c in u.coeffs.items():
@@ -222,6 +159,65 @@ class QuotientMetric:
             if mag > best:
                 best = mag
         return best
+
+
+class _GaussSpace(NormedSpace):
+    """The degree-n sup norm of a QuotientMetric (see gauss_space).
+
+    The basis inverse is Sym^n of the frame inverse: column k is x^{e_k}
+    rewritten in the frame coordinates.  It is built on first use, since
+    the quotient fibre norm (sigma) never needs it.
+    """
+
+    def __init__(self, metric: QuotientMetric, n: int):
+        exps = monomial_basis(metric.m, n)
+        self._monomials = [Section.monomial(metric.field, e) for e in exps]
+        self._subst = metric.substitution()
+        cols = [f.to_vector()
+                for f in _change_frame(metric.frame_forms(), self._monomials)]
+        weights = []
+        for e in exps:
+            w = metric.field.one_magnitude()
+            for wi, k in zip(metric.base.weights, e):
+                w = w * wi ** k
+            weights.append(w)
+        super().__init__(metric.field, linalg.transpose(cols), weights)
+
+    def basis_inverse(self) -> List[list]:
+        if self._inverse is None:
+            self._inverse = linalg.transpose(
+                [u.to_vector() for u in _change_frame(self._subst, self._monomials)])
+        return self._inverse
+
+
+def _linear_forms(field: ValuedField, rows: Sequence[Sequence]) -> List[Section]:
+    """The degree-1 sections sum_i row[i] x_i, one per row."""
+    nv = len(rows)
+    return [Section(field, nv, 1,
+                    {tuple(1 if k == i else 0 for k in range(nv)): row[i]
+                     for i in range(nv)})
+            for row in rows]
+
+
+def _change_frame(forms: Sequence[Section], sections: Sequence[Section]) -> List[Section]:
+    """Each section with its variable x_j replaced by the degree-1 form
+    forms[j]; the powers of the forms are computed once for all sections."""
+    field, nv = forms[0].field, len(forms)
+    one = Section.monomial(field, (0,) * nv)
+    powers: List[List[Section]] = [[one] for _ in range(nv)]
+    out = []
+    for s in sections:
+        total = Section.zero(field, nv, s.degree)
+        for e, c in s.coeffs.items():
+            term = one.scale(c)
+            for j, k in enumerate(e):
+                while len(powers[j]) <= k:
+                    powers[j].append(powers[j][-1] * forms[j])
+                if k:
+                    term = term * powers[j][k]
+            total = total + term
+        out.append(total)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -244,20 +240,29 @@ def _evaluation_row(field: ValuedField, m: int, n: int, point: Sequence) -> list
 def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
                         point: Sequence) -> Magnitude:
     """|1|^quot at the point for the norm N on degree-n sections: the
-    minimum of N over {s : s(x~) = 1}, computed by exact elimination
-    (distance from one such s to the kernel of evaluation)."""
+    minimum of N over {s : s(x~) = 1}.
+
+    With the orthogonal basis e_i of N and weights w_i this is the dual
+    norm of evaluation, 1 / max_i |e_i(x~)| / w_i (Bosch-Guentzer-Remmert,
+    Non-Archimedean Analysis): no s does better by the ultrametric
+    inequality, and s = e_k / e_k(x~) at the maximizing k attains it.
+    Exact elimination (distance from one solution to the kernel of
+    evaluation) gives the same value and is kept as the test oracle.
+    """
     row = _evaluation_row(field, m, n, point)
-    # one solution of <row, s> = 1: scale the first nonzero entry
-    s0 = [field.zero()] * len(row)
-    for i, x in enumerate(row):
-        if not _is_zero_elem(x):
-            s0[i] = field.one() / x
-            break
-    else:
+    best = field.zero_magnitude()
+    for i, w in enumerate(N.weights):
+        val = field.zero()
+        for x, b in zip(row, N.basis):
+            if not (_is_zero_elem(x) or _is_zero_elem(b[i])):
+                val = val + x * b[i]
+        if not _is_zero_elem(val):
+            mag = field.abs(val) / w
+            if mag > best:
+                best = mag
+    if best.is_zero:
         raise PreconditionError("evaluation functional vanishes identically")
-    ker = linalg.kernel_basis([row])
-    dist, _ = distance_to_subspace(N, s0, ker)
-    return dist
+    return field.one_magnitude() / best
 
 
 def metric_gap(N: NormedSpace, h: QuotientMetric, n: int, point: Sequence) -> Magnitude:

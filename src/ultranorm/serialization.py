@@ -216,10 +216,28 @@ def space_to_json(space: NormedSpace) -> Dict[str, Any]:
     }
 
 
-def space_from_json(data: Dict[str, Any]) -> NormedSpace:
-    field = ValuedField.from_json(data["field"])
+def field_from_json(data: Dict[str, Any], pointer: str = "") -> ValuedField:
+    """Decode a validated field; a non-prime p, which the schema cannot
+    see, is a SchemaViolation at ``pointer`` (where ``data`` sits)."""
+    try:
+        return ValuedField.from_json(data)
+    except ValueError as exc:
+        key = "base_prime" if data["type"] == "laurent" else "p"
+        raise SchemaViolation(f"{pointer}/{key}", str(exc)) from exc
+
+
+def space_from_json(data: Dict[str, Any], pointer: str = "") -> NormedSpace:
+    """Decode a validated norm; a bad field or a negative weight is a
+    SchemaViolation at a path below ``pointer`` (where ``data`` sits)."""
+    field = field_from_json(data["field"], pointer + "/field")
     basis = matrix_from_json(data["basis"])
-    weights = [magnitude_from_json(w, field) for w in data["weights"]]
+    weights = []
+    for i, w in enumerate(data["weights"]):
+        try:
+            weights.append(magnitude_from_json(w, field))
+        except ValueError as exc:
+            key = "q" if w["q"].startswith("-") else "n"
+            raise SchemaViolation(f"{pointer}/weights/{i}/{key}", str(exc)) from exc
     return NormedSpace(field, basis, weights)
 
 

@@ -69,7 +69,10 @@ class NormedSpace:
 
     def basis_inverse(self) -> List[list]:
         if self._inverse is None:
-            self._inverse = linalg.invert(self.basis)
+            try:
+                self._inverse = linalg.invert(self.basis)
+            except ValueError as exc:
+                raise PreconditionError(f"basis is not invertible ({exc})") from exc
         return self._inverse
 
     def column(self, i: int) -> list:

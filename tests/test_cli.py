@@ -196,6 +196,37 @@ class TestErrors:
         obj = json.loads(err)
         assert obj["error"] == "precondition"
 
+    @pytest.mark.parametrize("command,extra", [
+        ("sigma-sample", {}),
+        ("extension-table", {
+            "subvariety": {"points": [["1", "0"]]},
+            "representative": {"degree": 1, "variables": 2,
+                               "coeffs": {"1,0": "1"}}}),
+        ("orthogonalize", {"vectors": [["1", "0"]]}),
+    ])
+    def test_singular_basis_exit_3(self, tmp_path, capsys, command, extra):
+        space = norm_json()
+        space["basis"] = [["1", "2"], ["2", "4"]]
+        cfg = write(tmp_path, "c.json", {"space": space, **extra})
+        code, out, err = run(capsys, [command, "--config", cfg,
+                                      "--max-degree", "2"])
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "precondition"
+
+    @pytest.mark.parametrize("space,path", [
+        (norm_json(p=4), "/space/field/p"),
+        (norm_json(weights=("1/1", "-1")), "/space/weights/1/q"),
+    ])
+    def test_bad_field_or_weight_exit_2(self, tmp_path, capsys, space, path):
+        cfg = write(tmp_path, "c.json", {"space": space})
+        code, out, err = run(capsys, ["dual", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "schema"
+        assert obj["path"] == path
+
 
 class TestDeterminism:
     def test_byte_identical_across_jobs(self, tmp_path, capsys):

@@ -5,11 +5,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ultranorm import NormedSpace, PadicRationals, TrivialRationals
-from ultranorm.metrics import (MetricFamily, QuotientMetric,
+import pytest
+
+from ultranorm import (NormedSpace, PadicRationals, PreconditionError,
+                       TrivialRationals, linalg)
+from ultranorm.metrics import (MetricFamily, QuotientMetric, _evaluation_row,
                                gauss_attainment_point, metric_gap,
-                               mu_estimate, sigma)
-from ultranorm.sections import Section, Subvariety
+                               mu_estimate, quotient_fiber_norm, sigma)
+from ultranorm.sections import Section, Subvariety, monomial_basis
+from ultranorm.spaces import distance_to_subspace
 
 F = Fraction
 
@@ -21,6 +25,28 @@ def diag_metric(field, weights):
     space = NormedSpace(field, basis,
                         [field.magnitude(w) for w in weights])
     return QuotientMetric(space)
+
+
+def random_space(rng, field, dim):
+    """A norm with a random invertible, generally non-diagonal basis."""
+    while True:
+        basis = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
+                 for _ in range(dim)]
+        if linalg.rank(basis) == dim:
+            break
+    weights = [field.magnitude(rng.choice([F(1), F(2), F(1, 3), F(6), F(5, 4)]))
+               for _ in range(dim)]
+    return NormedSpace(field, basis, weights)
+
+
+def random_point(rng, nv):
+    while True:
+        pt = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nv)]
+        if any(pt):
+            return pt
+
+
+FIELDS = [PadicRationals(2), PadicRationals(3), TrivialRationals()]
 
 
 class TestPointMetric:
@@ -127,6 +153,59 @@ class TestSigma:
         Q2 = PadicRationals(2)
         h = diag_metric(Q2, [F(2), F(2)])
         assert sigma(h, 2, [F(1), F(3)]).value() == 1
+
+
+class TestQuotientFiberNorm:
+    @staticmethod
+    def elimination(N, field, m, n, pt):
+        """The coset minimization: distance from one solution of
+        s(x~) = 1 to the kernel of evaluation."""
+        row = _evaluation_row(field, m, n, pt)
+        i = next(i for i, x in enumerate(row) if x != 0)
+        s0 = [field.zero()] * len(row)
+        s0[i] = field.one() / row[i]
+        return distance_to_subspace(N, s0, linalg.kernel_basis([row]))[0]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda K: K.kind + str(K.prime))
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_closed_form_equals_elimination(self, field, m):
+        rng = random.Random(31 * m + (field.prime or 0))
+        for n in (1, 2, 3):
+            dim = len(monomial_basis(m, n))
+            h = QuotientMetric(random_space(rng, field, m + 1))
+            spaces = [h.gauss_space(n), random_space(rng, field, dim)]
+            for N in spaces:
+                for _ in range(3):
+                    pt = random_point(rng, m + 1)
+                    assert (quotient_fiber_norm(N, field, m, n, pt)
+                            == self.elimination(N, field, m, n, pt))
+
+    def test_vanishing_evaluation_is_a_precondition(self):
+        Q2 = PadicRationals(2)
+        # every basis vector lies in the kernel of evaluation at (1 : 0)
+        N = NormedSpace(Q2, [[F(0), F(0)], [F(1), F(2)]],
+                        [Q2.one_magnitude()] * 2)
+        with pytest.raises(PreconditionError):
+            quotient_fiber_norm(N, Q2, 1, 1, [F(1), F(0)])
+
+
+class TestGaussSpaceInverse:
+    @pytest.mark.parametrize("field", [PadicRationals(3), TrivialRationals()],
+                             ids=lambda K: K.kind)
+    @pytest.mark.parametrize("m,n_max", [(1, 8), (2, 5)])
+    def test_sym_inverse_equals_dense_inverse(self, field, m, n_max):
+        rng = random.Random(7 * m + n_max)
+        h = QuotientMetric(random_space(rng, field, m + 1))
+        for n in range(1, n_max + 1):
+            N = h.gauss_space(n)
+            assert N.basis_inverse() == linalg.invert(N.basis)
+
+    def test_singular_base_frame_is_rejected(self):
+        Q2 = PadicRationals(2)
+        base = NormedSpace(Q2, [[F(1), F(2)], [F(2), F(4)]],
+                           [Q2.one_magnitude()] * 2)
+        with pytest.raises(PreconditionError):
+            QuotientMetric(base)
 
 
 class TestMuEstimate:
