@@ -4,15 +4,18 @@ An adelic space carries a p-adic norm at finitely many primes (all other
 primes standard orthonormal) plus an archimedean polyhedral norm given
 by finitely many rational linear functionals.  The finite places cut out
 a Z-lattice; lambda_Q / lambda_Z are the smallest archimedean bounds
-admitting a Q-basis inside the lattice / a Z-basis of the lattice, both
-computed by exact enumeration.  On top sits the graded basis search for
-free bases of archimedean norm < 1.
+admitting a Q-basis inside the lattice / a Z-basis of the lattice.  Both
+read one exact result per lattice: an LLL reduction on the Gram matrix of
+the functionals, then one integer enumeration of the short vectors up to
+the largest norm in the reduced basis.  On top sits the graded basis
+search for free bases of archimedean norm < 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product as iter_product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -182,6 +185,25 @@ class NormedLattice:
     basis_columns: List[List[Fraction]]  # canonical, full rank
     arch_functionals: List[List[Fraction]]
 
+    def __post_init__(self):
+        if any(len(f) != self.dim for f in self.arch_functionals):
+            raise PreconditionError("functional length differs from the dimension")
+        # the functionals in lattice coordinates
+        self._phi = [[sum(a * x for a, x in zip(f, col)) for col in self.basis_columns]
+                     for f in self.arch_functionals]
+        if self.rank and linalg.rank(self._phi) < self.rank:
+            raise PreconditionError("archimedean functionals do not span the lattice's dual")
+
+    @cached_property
+    def _short_vectors(self) -> List[Tuple[Fraction, Tuple[int, ...]]]:
+        """``_enumerate`` of this lattice, computed on first use and read
+        by both lambda_Q and lambda_Z."""
+        if self.rank > RANK_BOUND:
+            raise PreconditionError(
+                f"rank {self.rank} exceeds the exact enumeration bound {RANK_BOUND}; "
+                "use the labeled upper-bound heuristic instead")
+        return _enumerate(self._phi)
+
     @property
     def rank(self) -> int:
         return len(self.basis_columns)
@@ -320,23 +342,22 @@ def check_localization(A: AdelicSpace, M: NormedLattice, p: int) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _lll_rows(rows: List[List[int]],
-              dot: "callable") -> List[List[int]]:
-    """Exact LLL reduction (delta = 3/4) of integer rows under the given
-    positive-definite inner product; returns a unimodular transform of
-    the input rows."""
-    b = [list(row) for row in rows]
-    n = len(b)
+def _lll(gram: List[List[Fraction]]) -> List[List[int]]:
+    """Exact LLL reduction (delta = 3/4) of Z^r under a positive-definite
+    rational Gram matrix; returns the unimodular transform whose rows are
+    the reduced basis.  The Gram matrix follows each row operation in
+    place, so no inner product is ever recomputed."""
+    n = len(gram)
+    g = [list(row) for row in gram]
+    b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def gso():
         mu = [[Fraction(0)] * n for _ in range(n)]
         norms = [Fraction(0)] * n
-        # Gram-Schmidt norms via the Gram matrix only (no rational vectors)
-        gram = [[dot(b[i], b[j]) for j in range(n)] for i in range(n)]
         for i in range(n):
-            norms[i] = gram[i][i]
+            norms[i] = g[i][i]
             for j in range(i):
-                mu[i][j] = gram[i][j]
+                mu[i][j] = g[i][j]
                 for k in range(j):
                     mu[i][j] -= mu[i][k] * mu[j][k] * norms[k]
                 mu[i][j] /= norms[j]
@@ -349,49 +370,42 @@ def _lll_rows(rows: List[List[int]],
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q != 0:
+                # b_k <- b_k - q b_j: row k, then column k, of G
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                g[k] = [x - q * y for x, y in zip(g[k], g[j])]
+                for i in range(n):
+                    g[i][k] = g[k][i] if i != k else g[k][k] - q * g[k][j]
                 mu, norms = gso()
         if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
+            g[k], g[k - 1] = g[k - 1], g[k]
+            for row in g:
+                row[k], row[k - 1] = row[k - 1], row[k]
             mu, norms = gso()
             k = max(k - 1, 1)
     return b
 
 
-def _reduced_coordinate_basis(phi: List[List[Fraction]], r: int) -> List[List[int]]:
-    """A unimodular change of lattice coordinates making the functional
-    values small (LLL under sum-of-squares of functional values)."""
-    def dot(x: Sequence[int], y: Sequence[int]) -> Fraction:
-        s = Fraction(0)
-        for row in phi:
-            s += (sum(a * c for a, c in zip(row, x))
-                  * sum(a * c for a, c in zip(row, y)))
-        return s
-
-    rows = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    return _lll_rows(rows, dot)
-
-
-def _short_vectors(M: NormedLattice, bound: Fraction) -> List[Tuple[Fraction, Tuple[int, ...]]]:
+def _enumerate(phi0: List[List[Fraction]]) -> List[Tuple[Fraction, Tuple[int, ...]]]:
     """All nonzero lattice coordinate vectors (one per +-pair) with
-    archimedean norm <= bound, as sorted (norm, coords) pairs."""
-    r = M.rank
-    # functionals in lattice coordinates
-    phi0 = [[sum(f[i] * M.basis_columns[j][i] for i in range(M.dim))
-             for j in range(r)] for f in M.arch_functionals]
+    archimedean norm <= lambda_0, as sorted (norm, coords) pairs, where
+    phi0 holds the functionals in lattice coordinates and lambda_0 is the
+    largest norm in an LLL-reduced basis (so the list holds a Z-basis)."""
+    r = len(phi0[0])
     # enumerate in LLL-reduced coordinates (smaller boxes), convert back
-    red = _reduced_coordinate_basis(phi0, r) if r > 1 else [[1]]
+    gram = [[sum(row[i] * row[j] for row in phi0) for j in range(r)]
+            for i in range(r)]
+    red = _lll(gram)
     phi = [[sum(row[j] * red[k][j] for j in range(r)) for k in range(r)]
            for row in phi0]
+    bound = max(abs(x) for row in phi for x in row)
     # choose an invertible row subset giving the smallest enumeration box
     best_box = None
-    idxs = list(range(len(phi)))
-    for subset in combinations(idxs, r):
-        mat = [phi[i] for i in subset]
+    for subset in combinations(range(len(phi)), r):
         try:
-            inv = linalg.invert(mat)
+            inv = linalg.invert([phi[i] for i in subset])
         except ValueError:
             continue
         box = [bound * sum(abs(inv[i][j]) for j in range(r)) for i in range(r)]
@@ -400,47 +414,38 @@ def _short_vectors(M: NormedLattice, bound: Fraction) -> List[Tuple[Fraction, Tu
             size *= 2 * int(b) + 1
         if best_box is None or size < best_box[0]:
             best_box = (size, box)
-    if best_box is None:
-        raise PreconditionError("archimedean functionals do not span")
-    box = best_box[1]
-    ranges = [range(-int(b), int(b) + 1) for b in box]
+    ranges = [range(-int(b), int(b) + 1) for b in best_box[1]]
+    # exact integer test: D*phi is integral and |D*phi.c| <= D*bound
+    den = 1
+    for row in phi:
+        for x in row:
+            den = _lcm(den, x.denominator)
+    iphi = [[int(x * den) for x in row] for row in phi]
+    ibound = int(bound * den)
     out: List[Tuple[Fraction, Tuple[int, ...]]] = []
     for coords in iter_product(*ranges):
         # one representative per +-pair
         nz = next((c for c in coords if c != 0), 0)
         if nz <= 0:
             continue
-        val = Fraction(0)
-        ok = True
-        for row in phi:
+        val = 0
+        for row in iphi:
             t = abs(sum(a * c for a, c in zip(row, coords)))
-            if t > bound:
-                ok = False
+            if t > ibound:
                 break
             if t > val:
                 val = t
-        if ok:
+        else:
             orig = [sum(c * red[k][j] for k, c in enumerate(coords))
                     for j in range(r)]
             # canonical sign: first nonzero original coordinate positive
             lead = next((c for c in orig if c != 0), 0)
             if lead < 0:
                 orig = [-c for c in orig]
-            out.append((val, tuple(orig)))
+            out.append((Fraction(val, den), tuple(orig)))
     # ties broken toward sparser/smaller coordinate vectors
     out.sort(key=lambda t: (t[0], sum(abs(c) for c in t[1]), t[1]))
     return out
-
-
-def _initial_bound(M: NormedLattice) -> Fraction:
-    """Norm bound attained by some Z-basis of M (LLL-reduced), hence an
-    upper bound for both lambda invariants."""
-    r = M.rank
-    phi = [[sum(f[i] * M.basis_columns[j][i] for i in range(M.dim))
-            for j in range(r)] for f in M.arch_functionals]
-    red = _reduced_coordinate_basis(phi, r) if r > 1 else [[1]]
-    return max(max(abs(sum(a * c for a, c in zip(row, vec))) for row in phi)
-               for vec in red)
 
 
 def lambda_Q(M: NormedLattice) -> Fraction:
@@ -448,15 +453,9 @@ def lambda_Q(M: NormedLattice) -> Fraction:
     norms <= lambda."""
     if M.rank == 0:
         return Fraction(0)
-    if M.rank > RANK_BOUND:
-        raise PreconditionError(
-            f"rank {M.rank} exceeds the exact enumeration bound {RANK_BOUND}; "
-            "use the labeled upper-bound heuristic instead")
-    lam0 = _initial_bound(M)
-    vectors = _short_vectors(M, lam0)
     chosen: List[list] = []
     lam = Fraction(0)
-    for val, coords in vectors:
+    for val, coords in M._short_vectors:
         row = [Fraction(c) for c in coords]
         if linalg.rank(chosen + [row]) > len(chosen):
             chosen.append(row)
@@ -498,12 +497,7 @@ def lambda_Z(M: NormedLattice, want_basis: bool = False):
     <= lambda; optionally also returns one such basis (ambient vectors)."""
     if M.rank == 0:
         return (Fraction(0), []) if want_basis else Fraction(0)
-    if M.rank > RANK_BOUND:
-        raise PreconditionError(
-            f"rank {M.rank} exceeds the exact enumeration bound {RANK_BOUND}; "
-            "use the labeled upper-bound heuristic instead")
-    lam0 = _initial_bound(M)
-    vectors = _short_vectors(M, lam0)
+    vectors = M._short_vectors
     values = sorted({val for val, _ in vectors})
     # binary search the smallest attained value admitting a Z-basis
     lo, hi = 0, len(values) - 1

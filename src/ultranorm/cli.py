@@ -348,6 +348,9 @@ def _lattice_from_args(args) -> NormedLattice:
 def _normed_lattice(cols: List[List[Fraction]],
                     funcs: List[List[Fraction]]) -> NormedLattice:
     from .adelic import _rational_hnf
+    from .linalg import rank
+    if rank(cols) != len(cols[0]):
+        raise PreconditionError("lattice columns are linearly dependent")
     basis = _rational_hnf([[row[j] for row in cols] for j in range(len(cols[0]))])
     return NormedLattice(basis, funcs)
 

@@ -227,8 +227,9 @@ def field_from_json(data: Dict[str, Any], pointer: str = "") -> ValuedField:
 
 
 def space_from_json(data: Dict[str, Any], pointer: str = "") -> NormedSpace:
-    """Decode a validated norm; a bad field or a negative weight is a
-    SchemaViolation at a path below ``pointer`` (where ``data`` sits)."""
+    """Decode a validated norm; a bad field or a weight that is not
+    positive is a SchemaViolation at a path below ``pointer`` (where
+    ``data`` sits)."""
     field = field_from_json(data["field"], pointer + "/field")
     basis = matrix_from_json(data["basis"])
     weights = []
@@ -238,6 +239,8 @@ def space_from_json(data: Dict[str, Any], pointer: str = "") -> NormedSpace:
         except ValueError as exc:
             key = "q" if w["q"].startswith("-") else "n"
             raise SchemaViolation(f"{pointer}/weights/{i}/{key}", str(exc)) from exc
+        if weights[-1].q == 0:
+            raise SchemaViolation(f"{pointer}/weights/{i}/q", "weights must be positive")
     return NormedSpace(field, basis, weights)
 
 

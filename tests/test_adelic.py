@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from ultranorm import NormedSpace, PadicRationals
-from ultranorm.adelic import (AdelicSpace, NormedLattice, arch_norm,
+from ultranorm.adelic import (AdelicSpace, NormedLattice, _lll,
+                              _rational_hnf, arch_norm,
                               check_localization, finite_unit_lattice,
                               graded_lambda_table, lambda_Q, lambda_Z,
                               lambda_upper_bound, nakai_basis_search,
@@ -30,6 +31,71 @@ def diag_space(p, weights):
 
 
 SUP2 = [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]]
+
+
+def dot_lll(rows, dot):
+    """Reference LLL for ``_lll``, with the same delta and loop order:
+    the whole Gram-Schmidt data are rebuilt from the inner product
+    ``dot`` after every size reduction and every swap."""
+    b = [list(row) for row in rows]
+    n = len(b)
+
+    def gso():
+        mu = [[F(0)] * n for _ in range(n)]
+        norms = [F(0)] * n
+        gram = [[dot(b[i], b[j]) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            norms[i] = gram[i][i]
+            for j in range(i):
+                mu[i][j] = gram[i][j]
+                for k in range(j):
+                    mu[i][j] -= mu[i][k] * mu[j][k] * norms[k]
+                mu[i][j] /= norms[j]
+                norms[i] -= mu[i][j] ** 2 * norms[j]
+        return mu, norms
+
+    mu, norms = gso()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q != 0:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu, norms = gso()
+        if norms[k] >= (F(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, norms = gso()
+            k = max(k - 1, 1)
+    return b
+
+
+def det(m):
+    """Integer determinant by Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def box_oracle(M, funcs, radius):
+    """(lambda_Q, lambda_Z) straight from their definitions over the
+    coordinate box [-radius, radius]^r: the least t such that the box
+    vectors of norm <= t span Q^r, resp. contain a Z-basis."""
+    r = M.rank
+    vals = {}
+    for c in itertools.product(range(-radius, radius + 1), repeat=r):
+        if next((x for x in c if x != 0), 0) > 0:  # one per +-pair
+            vals[c] = arch_norm(funcs, M.vector(c))
+    lq = lz = None
+    for t in sorted(set(vals.values())):
+        short = [c for c, v in vals.items() if v <= t]
+        if lq is None and lg.rank([list(map(F, c)) for c in short]) == r:
+            lq = t
+        if any(abs(det(trio)) == 1
+               for trio in itertools.combinations(short, r)):
+            return lq, t
 
 
 class TestFiniteUnitLattice:
@@ -164,6 +230,57 @@ class TestLambda:
                     if best_z is None or cand < best_z:
                         best_z = cand
             assert lz == best_z
+
+    def test_brute_force_oracle_rank_three(self):
+        # the box is sized so that it holds every coordinate vector of
+        # norm <= lambda_upper_bound(M) >= lambda_Z(M) >= lambda_Q(M)
+        # the l^1 norm on Z^3 + Z(1/2, 1/2, 1/2): lambda_Q = 1 < lambda_Z = 3/2
+        cases = [([[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(1, 2)] * 3],
+                  [[F(1), F(1), F(1)], [F(1), F(1), F(-1)],
+                   [F(1), F(-1), F(1)], [F(-1), F(1), F(1)]])]
+        rng = random.Random(23)
+        while len(cases) < 7:
+            funcs = [[F(rng.randint(-2, 2)) for _ in range(3)]
+                     for _ in range(rng.choice((3, 4)))]
+            cols = [[F(rng.randint(-2, 2), rng.choice((1, 1, 2)))
+                     for _ in range(3)] for _ in range(3)]
+            if lg.rank(funcs) == 3 and lg.rank(cols) == 3:
+                cases.append((cols, funcs))
+        for cols, funcs in cases:
+            M = NormedLattice(_rational_hnf(cols), funcs)
+            phi = [[sum(a * x for a, x in zip(f, c)) for c in M.basis_columns]
+                   for f in funcs]
+            spread = min(max(sum(abs(x) for x in row) for row in lg.invert(sub))
+                         for sub in itertools.combinations(phi, 3)
+                         if lg.rank(list(sub)) == 3)
+            radius = int(lambda_upper_bound(M) * spread)
+            assert (lambda_Q(M), lambda_Z(M)) == box_oracle(M, funcs, radius)
+
+    def test_gram_lll_matches_dot_lll(self):
+        rng = random.Random(29)
+        for r in range(2, 7):
+            for _ in range(6):
+                while True:
+                    phi = [[F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                            for _ in range(r)] for _ in range(r + rng.randint(0, 2))]
+                    if lg.rank(phi) == r:
+                        break
+
+                def dot(x, y):
+                    return sum(sum(a * c for a, c in zip(row, x))
+                               * sum(a * c for a, c in zip(row, y)) for row in phi)
+
+                eye = [[int(i == j) for j in range(r)] for i in range(r)]
+                gram = [[dot(x, y) for y in eye] for x in eye]
+                assert _lll(gram) == dot_lll(eye, dot)
+
+    def test_non_spanning_functionals_rejected(self):
+        eye = [[F(int(i == j)) for j in range(3)] for i in range(3)]
+        funcs = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(1), F(1), F(0)]]
+        with pytest.raises(PreconditionError):
+            NormedLattice(eye, funcs)
+        with pytest.raises(PreconditionError):
+            NormedLattice(eye, [[F(1), F(0)], [F(0), F(1)]])
 
     def test_rank_bound_refusal(self):
         cols = [[F(1) if i == j else F(0) for j in range(9)]

@@ -217,6 +217,7 @@ class TestErrors:
     @pytest.mark.parametrize("space,path", [
         (norm_json(p=4), "/space/field/p"),
         (norm_json(weights=("1/1", "-1")), "/space/weights/1/q"),
+        (norm_json(weights=("1/1", "0")), "/space/weights/1/q"),
     ])
     def test_bad_field_or_weight_exit_2(self, tmp_path, capsys, space, path):
         cfg = write(tmp_path, "c.json", {"space": space})
@@ -226,6 +227,26 @@ class TestErrors:
         obj = json.loads(err)
         assert obj["error"] == "schema"
         assert obj["path"] == path
+
+    @pytest.mark.parametrize("columns,functionals", [
+        # functionals of rank 2 on Z^3
+        ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+         [["1", "0", "0"], ["0", "1", "0"], ["1", "1", "0"]]),
+        # dependent lattice columns
+        ([["1", "2"], ["2", "4"]], [["1", "0"], ["0", "1"]]),
+        # functionals shorter than the lattice's ambient dimension
+        ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+         [["1", "0"], ["0", "1"]]),
+    ])
+    def test_degenerate_lambda_exit_3(self, tmp_path, capsys, columns,
+                                      functionals):
+        lat = write(tmp_path, "lat.json", {"columns": columns})
+        nrm = write(tmp_path, "nrm.json", {"functionals": functionals})
+        code, out, err = run(capsys, ["lambda", "--lattice", lat,
+                                      "--norm", nrm])
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "precondition"
 
 
 class TestDeterminism:
