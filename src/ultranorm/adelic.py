@@ -17,30 +17,19 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as iter_product
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fields import PadicRationals, ValuedField
+from .fields import PadicRationals, _prime_support, _vp
 from .spaces import NormedSpace, PreconditionError, quotient_norm
 
 RANK_BOUND = 8
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def _vp(x: Fraction, p: int) -> int:
-    e = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        e += 1
-    while den % p == 0:
-        den //= p
-        e -= 1
-    return e
+def _common_denominator(xs: Iterable[Fraction]) -> int:
+    """The least D > 0 with D * x integral for every x."""
+    return lcm(*(x.denominator for x in xs))
 
 
 # ----------------------------------------------------------------------
@@ -234,11 +223,7 @@ class NormedLattice:
 
 def _rational_hnf(cols: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     """Canonical Z-basis of the lattice spanned by rational columns."""
-    cols = [list(c) for c in cols]
-    d = 1
-    for c in cols:
-        for x in c:
-            d = _lcm(d, Fraction(x).denominator)
+    d = _common_denominator(x for c in cols for x in c)
     int_cols = [[int(x * d) for x in c] for c in cols]
     hnf = linalg.hnf_column_basis(int_cols)
     return [[Fraction(x, d) for x in c] for c in hnf]
@@ -246,11 +231,7 @@ def _rational_hnf(cols: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
 
 def _rational_intersection(a: Sequence[Sequence[Fraction]],
                            b: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    d = 1
-    for cols in (a, b):
-        for c in cols:
-            for x in c:
-                d = _lcm(d, Fraction(x).denominator)
+    d = _common_denominator(x for cols in (a, b) for c in cols for x in c)
     ai = [[int(x * d) for x in c] for c in a]
     bi = [[int(x * d) for x in c] for c in b]
     inter = linalg.lattice_intersection(ai, bi)
@@ -271,13 +252,9 @@ def _globalized_place_lattice(p: int, space: NormedSpace,
         # same Z_(p)-span, but q-integral for every other prime q
         v = min(_vp(x, p) for x in col if x != 0)
         reduced = [x / Fraction(p) ** v for x in col]
-        den = 1
-        for x in reduced:
-            den = _lcm(den, x.denominator)
+        den = _common_denominator(reduced)
         ints = [int(x * den) for x in reduced]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
+        g = gcd(*ints)
         cols.append([Fraction(p) ** v * Fraction(x, g) for x in ints])
     # a large p-power multiple of U sits inside the unit ball
     inv = linalg.invert([[lat.basis[i][j] for j in range(r)] for i in range(r)])
@@ -416,10 +393,7 @@ def _enumerate(phi0: List[List[Fraction]]) -> List[Tuple[Fraction, Tuple[int, ..
             best_box = (size, box)
     ranges = [range(-int(b), int(b) + 1) for b in best_box[1]]
     # exact integer test: D*phi is integral and |D*phi.c| <= D*bound
-    den = 1
-    for row in phi:
-        for x in row:
-            den = _lcm(den, x.denominator)
+    den = _common_denominator(x for row in phi for x in row)
     iphi = [[int(x * den) for x in row] for row in phi]
     ibound = int(bound * den)
     out: List[Tuple[Fraction, Tuple[int, ...]]] = []
@@ -557,17 +531,7 @@ def quotient_adelic(A: AdelicSpace, f: Sequence[Sequence[Fraction]]) -> AdelicSp
     extra: set = set(A.finite_places)
     for col in image:
         for x in col:
-            for n in (x.numerator, x.denominator):
-                n = abs(n)
-                d = 2
-                while d * d <= n:
-                    if n % d == 0:
-                        extra.add(d)
-                        while n % d == 0:
-                            n //= d
-                    d += 1
-                if n > 1:
-                    extra.add(n)
+            extra |= _prime_support(x)
     places: Dict[int, NormedSpace] = {}
     for p in sorted(extra):
         src = A.place(p)

@@ -1,9 +1,10 @@
 """Command-line interface: config ingestion, dispatch, CSV/JSON emission.
 
 All outputs are exact (rationals as "num/den" strings, magnitudes as
-(q, n) pairs) and byte-identical across runs and ``--jobs`` settings;
-work is farmed out in deterministic order.  Exit codes: 2 for config or
-schema violations, 3 for mathematical precondition failures.
+(q, n) pairs) and byte-identical across runs.  Every command runs its
+tasks in order in one thread; ``--jobs`` is still accepted and checked
+(>= 1) but never changes the work or the output.  Exit codes: 2 for
+config or schema violations, 3 for mathematical precondition failures.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -103,18 +103,6 @@ def _parse_epsilon(text: str) -> Fraction:
     return eps
 
 
-def _pmap(jobs: int, fn, items: Sequence) -> List:
-    """Order-preserving map; parallel workers never change the output."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def _mag_json(m) -> Dict[str, Any]:
-    return ser.magnitude_to_json(m)
-
-
 def _point_str(point: Sequence[Fraction]) -> str:
     return ":".join(ser.rational_to_str(Fraction(x)) for x in point)
 
@@ -192,7 +180,7 @@ def cmd_orthogonalize(args) -> str:
     g, norms, pivots = orthogonalize_flag(space, vectors)
     out = {
         "vectors": ser.matrix_to_json(g),
-        "norms": [_mag_json(w) for w in norms],
+        "norms": [ser.magnitude_to_json(w) for w in norms],
         "pivots": list(pivots),
     }
     return _json_text(out)
@@ -262,12 +250,7 @@ def cmd_sigma_sample(args) -> str:
     n_max = args.max_degree if args.max_degree is not None else 4
     points = _sample_points(args, metric.num_vars)
     tasks = [(n, p) for n in range(1, n_max + 1) for p in points]
-
-    def work(task):
-        n, point = task
-        return sigma(metric, n, point)
-
-    values = _pmap(args.jobs, work, tasks)
+    values = [sigma(metric, n, point) for n, point in tasks]
     rows = []
     for (n, point), val in zip(tasks, values):
         rows.append([n, _point_str(point), val.q.numerator, val.q.denominator,
@@ -281,14 +264,13 @@ def cmd_sigma_sample(args) -> str:
 
 
 def cmd_extension_table(args) -> str:
+    eps = _parse_epsilon(args.epsilon) if args.epsilon else None
     data = _load_config(args.config, ser.METRIC_SCHEMA)
     problem = _problem_from_config(data)
     n_max = args.max_degree if args.max_degree is not None else 8
-    ratios = _pmap(args.jobs, lambda n: min_norm_lift(problem, n)[1],
-                   range(1, n_max + 1))
+    ratios = [min_norm_lift(problem, n)[1] for n in range(1, n_max + 1)]
     eps_flags: Optional[List[bool]] = None
-    if args.epsilon:
-        eps = _parse_epsilon(args.epsilon)
+    if eps is not None:
         report = check_extension_theorem(problem, eps, n_max)
         eps_flags = [not ok for ok in report["holds"]]
     rows = []
@@ -317,7 +299,7 @@ def cmd_extend_trivial(args) -> str:
     return _json_text({
         "degree": n,
         "section": ser.section_to_json(section),
-        "ratio": _mag_json(ratio),
+        "ratio": ser.magnitude_to_json(ratio),
     })
 
 
@@ -388,7 +370,7 @@ def cmd_nakai(args) -> str:
         lz, basis = lambda_Z(M, want_basis=True)
         return M, lambda_Q(M), lz, basis
 
-    results = _pmap(args.jobs, work, range(1, n_max + 1))
+    results = [work(n) for n in range(1, n_max + 1)]
     rows = []
     first_success = None
     for i, (M, lq, lz, basis) in enumerate(results):
@@ -440,7 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", help="positive rational NUM/DEN")
         p.add_argument("--points", help="JSON file with sample points")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker count; never changes the output")
+                       help="accepted for compatibility (must be >= 1); work "
+                            "runs in one thread and the value never changes "
+                            "the output")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for generated sample points")
         p.add_argument("--format", choices=["csv", "json"], default=None)

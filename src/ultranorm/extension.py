@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import mpmath
-
 from . import linalg
-from .fields import LaurentRationals, Magnitude, RationalFunction, ValuedField, choose_laurent_base
+from .fields import (LaurentRationals, Magnitude, RationalFunction, ValuedField,
+                     _fekete_running_min, choose_laurent_base)
 from .metrics import QuotientMetric
 from .sections import Section, Subvariety, evaluation_matrix, monomial_basis, restriction_kernel
 from .spaces import (NormedSpace, PreconditionError, distance_to_subspace,
@@ -122,13 +121,7 @@ def lambda_estimate(P: ExtensionProblem, n_max: int) -> Tuple[
     the final entry exponentiates an upper bound for the obstruction
     index."""
     ratios = ratio_sequence(P, n_max)
-    running: List[Tuple[Magnitude, int]] = []
-    best: Optional[Tuple[Magnitude, int]] = None
-    for n, r in enumerate(ratios, start=1):
-        if best is None or r ** best[1] < best[0] ** n:
-            best = (r, n)
-        running.append(best)
-    return ratios, running
+    return ratios, _fekete_running_min(ratios)
 
 
 def extend_trivial_via_laurent(P: ExtensionProblem, n: int) -> Tuple[Section, Magnitude]:
@@ -194,25 +187,30 @@ def extend_trivial_via_laurent(P: ExtensionProblem, n: int) -> Tuple[Section, Ma
 
 def _exceeds_exp(value: Fraction, bound: Fraction) -> bool:
     """Exact decision of value > e^bound for positive rational value and
-    rational bound; never ambiguous since log(value) = bound has no
-    solution with both rational and nonzero."""
+    rational bound, by a Fraction-only certificate.
+
+    For b > 0 the Taylor partial sums L_K = sum_{k <= K} b^k / k! obey
+    L_K < e^b < L_K + t / (1 - b/(K+2)) with t = b^(K+1) / (K+1)! once
+    K + 2 > b, since the tail is dominated by a geometric series of ratio
+    b/(K+2).  K grows until value falls outside that bracket, which ends
+    because e^b is irrational for rational b != 0.  A negative bound
+    compares 1/value with e^-bound.
+    """
     if value <= 0:
         raise PreconditionError("value must be positive")
     if bound == 0:
         return value > 1
-    if value == 1:
-        return bound < 0
-    prec = 64
-    while True:
-        with mpmath.workprec(prec):
-            lhs = (mpmath.log(value.numerator) - mpmath.log(value.denominator))
-            gap = lhs - mpmath.mpf(bound.numerator) / bound.denominator
-            err = mpmath.mpf(2) ** (8 - prec) * (abs(lhs) + abs(gap) + 1)
-            if abs(gap) > err:
-                return gap > 0
-        prec *= 2
-        if prec > 1 << 16:
-            raise RuntimeError("could not separate log(value) from bound")
+    if bound < 0:
+        return not _exceeds_exp(1 / value, -bound)
+    partial = term = Fraction(1)
+    k = 0
+    while value > partial:
+        term = term * bound / (k + 1)
+        if k + 2 > bound and value > partial + term / (1 - bound / (k + 2)):
+            return True
+        partial += term
+        k += 1
+    return False
 
 
 def check_extension_theorem(P: ExtensionProblem, epsilon: Fraction,

@@ -30,17 +30,26 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _prime_factor_out(q: Fraction, p: int) -> tuple[Fraction, int]:
-    """Write q = p^e * q' with q' carrying no factor of p; return (q', e)."""
+def _is_zero(x) -> bool:
+    """Zero test for a field element: a rational or a RationalFunction."""
+    if isinstance(x, (int, Fraction)):
+        return x == 0
+    return x.is_zero
+
+
+def _vp(x: Fraction, p: int) -> int:
+    """The p-adic valuation of a nonzero rational."""
+    if x == 0:
+        raise ValueError("zero has no finite valuation")
     e = 0
-    num, den = q.numerator, q.denominator
+    num, den = x.numerator, x.denominator
     while num % p == 0:
         num //= p
         e += 1
     while den % p == 0:
         den //= p
         e -= 1
-    return Fraction(num, den), e
+    return e
 
 
 class Magnitude:
@@ -68,7 +77,9 @@ class Magnitude:
                     raise ValueError("trivial valuation admits no uniformizer power")
             else:
                 p = rho.denominator  # rho = 1/p with p prime
-                q, e = _prime_factor_out(q, p)
+                e = _vp(q, p)
+                if e:
+                    q = q / Fraction(p) ** e
                 n = n - e
             self.q = q
             self.n = n
@@ -160,11 +171,6 @@ class Magnitude:
             return f"Magnitude({self.q})"
         return f"Magnitude({self.q}*({self.rho})^{self.n})"
 
-    def to_json(self) -> dict:
-        if self.is_zero:
-            return {"q": "0", "n": 0}
-        return {"q": f"{self.q.numerator}/{self.q.denominator}", "n": self.n}
-
 
 def magnitude_max(values: Iterable[Magnitude]) -> Magnitude:
     """Maximum of a non-empty iterable of magnitudes."""
@@ -175,6 +181,18 @@ def magnitude_max(values: Iterable[Magnitude]) -> Magnitude:
     if best is None:
         raise ValueError("max of empty magnitude collection")
     return best
+
+
+def _fekete_running_min(ratios) -> list:
+    """Running minimum of r_n^{1/n} over r_1, r_2, ... (magnitudes), kept
+    symbolic as (r_n, n) pairs compared exactly via r_n^m < r_m^n."""
+    running = []
+    best = None
+    for n, r in enumerate(ratios, start=1):
+        if best is None or r ** best[1] < best[0] ** n:
+            best = (r, n)
+        running.append(best)
+    return running
 
 
 # ----------------------------------------------------------------------
@@ -545,8 +563,7 @@ class ValuedField:
             return Magnitude.zero(self.rho)
         if self.kind == "trivial":
             return Magnitude.one(None)
-        _, e = _prime_factor_out(abs(x), self.prime)
-        return Magnitude(self.rho, 1, e)
+        return Magnitude(self.rho, 1, _vp(x, self.prime))
 
     def magnitude(self, q, n: int = 0) -> Magnitude:
         return Magnitude(self.rho, q, n)

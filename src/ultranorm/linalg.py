@@ -16,13 +16,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, List, Optional, Sequence
 
+from .fields import _is_zero
+
 Matrix = List[list]
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero
 
 
 def mat_copy(m: Sequence[Sequence]) -> Matrix:

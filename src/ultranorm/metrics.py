@@ -15,19 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from . import linalg
-from .fields import FieldElement, Magnitude, ValuedField, magnitude_max
+from .fields import (Magnitude, ValuedField, _fekete_running_min, _is_zero,
+                     magnitude_max)
 from .sections import (Exponent, Section, Subvariety, monomial_basis,
                        normalize_point)
 from .spaces import NormedSpace, PreconditionError, orthogonalize_flag
-
-
-def _is_zero_elem(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero
 
 
 @dataclass
@@ -84,7 +79,7 @@ class QuotientMetric:
         best = self.field.zero_magnitude()
         for form, w in zip(self.frame_forms(), self.base.weights):
             val = form.evaluate(pt)
-            if _is_zero_elem(val):
+            if _is_zero(val):
                 continue
             mag = self.field.abs(val) / w
             if mag > best:
@@ -97,7 +92,7 @@ class QuotientMetric:
             raise PreconditionError("section/metric dimension mismatch")
         pt = normalize_point(self.field, point)
         value = s.evaluate(pt)
-        if _is_zero_elem(value):
+        if _is_zero(value):
             return self.field.zero_magnitude()
         d = self.local_frame_value(pt)
         return self.field.abs(value) / d ** s.degree
@@ -254,9 +249,9 @@ def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
     for i, w in enumerate(N.weights):
         val = field.zero()
         for x, b in zip(row, N.basis):
-            if not (_is_zero_elem(x) or _is_zero_elem(b[i])):
+            if not (_is_zero(x) or _is_zero(b[i])):
                 val = val + x * b[i]
-        if not _is_zero_elem(val):
+        if not _is_zero(val):
             mag = field.abs(val) / w
             if mag > best:
                 best = mag
@@ -326,16 +321,8 @@ def mu_estimate(F: MetricFamily, h_ref: QuotientMetric, point: Sequence,
                 n_max: int) -> tuple[List[Magnitude], List[tuple[Magnitude, int]]]:
     """Per-degree gap ratios r_n and the running minimum of r_n^{1/n},
     kept symbolic as (r_n, n) pairs compared exactly via r_n^m vs r_m^n."""
-    ratios: List[Magnitude] = []
-    running: List[tuple[Magnitude, int]] = []
-    best: Optional[tuple[Magnitude, int]] = None
-    for n in range(1, n_max + 1):
-        r = metric_gap(F.space(n), h_ref, n, point)
-        ratios.append(r)
-        if best is None or r ** best[1] < best[0] ** n:
-            best = (r, n)
-        running.append(best)
-    return ratios, running
+    ratios = [metric_gap(F.space(n), h_ref, n, point) for n in range(1, n_max + 1)]
+    return ratios, _fekete_running_min(ratios)
 
 
 # ----------------------------------------------------------------------

@@ -10,12 +10,11 @@ computed by exact linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fields import FieldElement, Magnitude, ValuedField
+from .fields import FieldElement, Magnitude, ValuedField, _is_zero
 from .spaces import PreconditionError
 
 Exponent = Tuple[int, ...]
@@ -54,7 +53,7 @@ class Section:
             e = tuple(int(x) for x in e)
             if len(e) != self.num_vars or sum(e) != self.degree or any(x < 0 for x in e):
                 raise PreconditionError(f"bad exponent {e} for degree {self.degree}")
-            if not _is_zero_elem(c):
+            if not _is_zero(c):
                 clean[e] = c
         self.coeffs = clean
 
@@ -165,12 +164,6 @@ class Section:
         return "Section(" + " + ".join(terms) + ")"
 
 
-def _is_zero_elem(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero
-
-
 # ----------------------------------------------------------------------
 # Subvarieties: rational point sets and linear subspaces
 # ----------------------------------------------------------------------
@@ -270,7 +263,7 @@ def restriction_kernel(Y: Subvariety, n: int) -> List[List[FieldElement]]:
             vec = [zero] * len(basis_n)
             for var in range(m + 1):
                 c = form[var]
-                if _is_zero_elem(c):
+                if _is_zero(c):
                     continue
                 e2 = list(e)
                 e2[var] += 1

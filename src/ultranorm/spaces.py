@@ -15,18 +15,11 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import linalg
-from .fields import (FieldElement, Magnitude, RationalFunction, ValuedField,
-                     magnitude_max)
+from .fields import Magnitude, RationalFunction, ValuedField, _is_zero, _vp
 
 
 class PreconditionError(ValueError):
     """A mathematical precondition of an operation was violated."""
-
-
-def _elem_is_zero(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero
 
 
 @dataclass
@@ -82,10 +75,13 @@ class NormedSpace:
         return linalg.mat_vec(self.basis_inverse(), list(v))
 
     def norm(self, v: Sequence) -> Magnitude:
-        coords = self.coordinates(v)
+        return self._coordinate_norm(self.coordinates(v))
+
+    def _coordinate_norm(self, coords: Sequence) -> Magnitude:
+        """max_i |a_i| * w_i over the orthogonal coordinates a."""
         best = self.field.zero_magnitude()
         for a, w in zip(coords, self.weights):
-            if _elem_is_zero(a):
+            if _is_zero(a):
                 continue
             m = self.field.abs(a) * w
             if m > best:
@@ -123,6 +119,47 @@ class NormedSpace:
 # ----------------------------------------------------------------------
 
 
+def _eliminate(space: NormedSpace, rows: List[list]) -> tuple[List[int], List[Magnitude]]:
+    """Orthogonal elimination of coordinate rows, in place and in order.
+
+    Row i takes as pivot the coordinate j, not yet a pivot, where
+    |row_i[j]| * w_j is largest (the first such j on ties); every later
+    row then loses the multiple of row i that clears its coordinate j.
+    Returns the pivots and the pivot values |row_i[pivot_i]| * w_pivot_i,
+    which are the norms of the final rows.
+    """
+    field = space.field
+    pivots: List[int] = []
+    norms: List[Magnitude] = []
+    for i in range(len(rows)):
+        row = rows[i]
+        best_j = None
+        best_val = field.zero_magnitude()
+        for j in range(space.dim):
+            if j in pivots or _is_zero(row[j]):
+                continue
+            val = field.abs(row[j]) * space.weights[j]
+            if best_j is None or val > best_val:
+                best_j, best_val = j, val
+        if best_j is None:
+            raise PreconditionError(
+                f"flag vectors are linearly dependent at position {i}")
+        pivots.append(best_j)
+        norms.append(best_val)
+        for k in range(i + 1, len(rows)):
+            rows[k] = _clear(rows[k], row, best_j)
+    return pivots, norms
+
+
+def _clear(target: list, row: list, j: int) -> list:
+    """target minus the multiple of row that vanishes at coordinate j."""
+    c = target[j]
+    if _is_zero(c):
+        return target
+    f = c / row[j]
+    return [a - f * b for a, b in zip(target, row)]
+
+
 def orthogonalize_flag(space: NormedSpace, vectors: Sequence[Sequence]) -> tuple[
         List[list], List[Magnitude], List[int]]:
     """Orthogonalize vectors compatibly with the flag they generate.
@@ -137,39 +174,9 @@ def orthogonalize_flag(space: NormedSpace, vectors: Sequence[Sequence]) -> tuple
     norm on a pivot coordinate at which all later g_k vanish exactly and
     all earlier g_j (in any combination realizing the max) are dominated.
     """
-    field = space.field
-    t = len(vectors)
-    # rows of `work` are the flag vectors in the orthogonal coordinates
     work = [space.coordinates(v) for v in vectors]
-    dim = space.dim
-    pivots: List[int] = []
-    norms: List[Magnitude] = []
-    for i in range(t):
-        row = work[i]
-        best_j = None
-        best_val = field.zero_magnitude()
-        for j in range(dim):
-            if j in pivots or _elem_is_zero(row[j]):
-                continue
-            val = field.abs(row[j]) * space.weights[j]
-            if best_j is None or val > best_val:
-                best_j, best_val = j, val
-        if best_j is None:
-            raise PreconditionError(
-                f"flag vectors are linearly dependent at position {i}")
-        pivots.append(best_j)
-        norms.append(best_val)
-        inv_pivot = field.one() / row[best_j] if not isinstance(row[best_j], (int, Fraction)) \
-            else Fraction(1) / row[best_j]
-        for k in range(i + 1, t):
-            c = work[k][best_j]
-            if _elem_is_zero(c):
-                continue
-            f = c * inv_pivot
-            work[k] = [x - f * y for x, y in zip(work[k], row)]
-    # map back to ambient vectors
-    out = [linalg.mat_vec(space.basis, row) for row in work]
-    return out, norms, pivots
+    pivots, norms = _eliminate(space, work)
+    return [linalg.mat_vec(space.basis, row) for row in work], norms, pivots
 
 
 def distance_to_subspace(space: NormedSpace, x: Sequence,
@@ -177,51 +184,20 @@ def distance_to_subspace(space: NormedSpace, x: Sequence,
     """Exact distance from x to span(subspace_vectors) and a minimizer.
 
     Returns (dist, w) with w in the subspace and norm(x - w) = dist,
-    which is the least value of norm(x - w') over the subspace.
+    which is the least value of norm(x - w') over the subspace.  The
+    subspace vectors are orthogonalized as a flag; the residual of x
+    after clearing every pivot coordinate is orthogonal to them.
     """
-    field = space.field
     if not subspace_vectors:
-        return space.norm(x), [field.zero()] * space.dim
-    coords_x = space.coordinates(x)
+        return space.norm(x), [space.field.zero()] * space.dim
+    residual = space.coordinates(x)
     work = [space.coordinates(v) for v in subspace_vectors]
-    dim = space.dim
-    pivots: List[int] = []
-    residual = list(coords_x)
-    for i in range(len(work)):
-        row = work[i]
-        best_j = None
-        best_val = field.zero_magnitude()
-        for j in range(dim):
-            if j in pivots or _elem_is_zero(row[j]):
-                continue
-            val = field.abs(row[j]) * space.weights[j]
-            if best_j is None or val > best_val:
-                best_j, best_val = j, val
-        if best_j is None:
-            raise PreconditionError("subspace vectors are linearly dependent")
-        pivots.append(best_j)
-        inv_pivot = row[best_j]
-        inv_pivot = (Fraction(1) / inv_pivot if isinstance(inv_pivot, (int, Fraction))
-                     else field.one() / inv_pivot)
-        for k in range(i + 1, len(work)):
-            c = work[k][best_j]
-            if not _elem_is_zero(c):
-                f = c * inv_pivot
-                work[k] = [a - f * b for a, b in zip(work[k], row)]
-        c = residual[best_j]
-        if not _elem_is_zero(c):
-            f = c * inv_pivot
-            residual = [a - f * b for a, b in zip(residual, row)]
-    dist = field.zero_magnitude()
-    for a, w in zip(residual, space.weights):
-        if _elem_is_zero(a):
-            continue
-        m = field.abs(a) * w
-        if m > dist:
-            dist = m
+    pivots, _ = _eliminate(space, work)
+    for row, j in zip(work, pivots):
+        residual = _clear(residual, row, j)
+    dist = space._coordinate_norm(residual)
     g = linalg.mat_vec(space.basis, residual)
-    minimizer = [a - b for a, b in zip(x, g)]
-    return dist, minimizer
+    return dist, [a - b for a, b in zip(x, g)]
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +249,7 @@ def norm_attaining_lift(space: NormedSpace, surjection: Sequence[Sequence],
     field = space.field
     out = [field.zero()] * space.dim
     for c, g in zip(coords, lifts):
-        if _elem_is_zero(c):
+        if _is_zero(c):
             continue
         out = [a + c * b for a, b in zip(out, g)]
     return out
@@ -320,20 +296,6 @@ def lift_constant(matrix: Sequence[Sequence[Fraction]]) -> List[list]:
 # ----------------------------------------------------------------------
 # Lattices over the valuation ring of a p-adic field
 # ----------------------------------------------------------------------
-
-
-def _vp(x: Fraction, p: int) -> int:
-    if x == 0:
-        raise ValueError("zero has no finite valuation")
-    e = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        e += 1
-    while den % p == 0:
-        den //= p
-        e -= 1
-    return e
 
 
 @dataclass

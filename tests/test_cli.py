@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ultranorm
+from ultranorm import cli
 from ultranorm.cli import main
 
 F = Fraction
@@ -185,6 +186,32 @@ class TestErrors:
         obj = json.loads(err)
         assert obj["error"] == "config"
         assert "ULTRANORM_LOG" in obj["message"]
+
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.json", {"space": norm_json()})
+        code, out, err = run(capsys, ["dual", "--config", cfg, "--jobs", "0"])
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("epsilon", ["abc", "0", "1/0", "-1/2"])
+    def test_bad_epsilon_exits_before_the_table(self, tmp_path, capsys,
+                                                monkeypatch, epsilon):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the table was computed before --epsilon was read")
+
+        monkeypatch.setattr(cli, "min_norm_lift", no_table)
+        cfg = write(tmp_path, "c.json", {
+            "space": norm_json(),
+            "subvariety": {"points": [["1", "0"]]},
+            "representative": {"degree": 1, "variables": 2,
+                               "coeffs": {"1,0": "1"}},
+        })
+        code, out, err = run(capsys, ["extension-table", "--config", cfg,
+                                      f"--epsilon={epsilon}"])
+        assert code == 2
+        assert out == ""
+        assert "--epsilon" in json.loads(err)["message"]
 
     def test_precondition_failure_exit_3(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.json", {

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from ultranorm import (LaurentRationals, NormedSpace, PadicRationals,
                        TrivialRationals, choose_laurent_base, linalg)
 from ultranorm.extension import (DegreeTooSmall, ExtensionProblem,
-                                 check_extension_theorem,
+                                 _exceeds_exp, check_extension_theorem,
                                  extend_trivial_via_laurent, lambda_estimate,
                                  min_norm_lift, ratio_sequence,
                                  subadditivity_check)
@@ -185,3 +187,61 @@ class TestTheoremCheck:
                        [[F(1), F(1)], [F(1), F(-1)]], [F(1), F(3)])
         report = check_extension_theorem(P, F(1, 100), 4)
         assert report["holds"][0] is False  # ratio 2 > e^{1/100}
+
+
+def exp_decimal(bound):
+    """e^bound to 80 significant digits (Decimal.exp rounds correctly)."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        return (Decimal(bound.numerator) / Decimal(bound.denominator)).exp()
+
+
+def exceeds_exp_oracle(value, bound):
+    e = exp_decimal(bound)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        v = Decimal(value.numerator) / Decimal(value.denominator)
+        # both sides carry a relative error near 1e-80; this margin makes
+        # the decimal comparison exact
+        assert abs(v - e) > e * Decimal(10) ** -60
+        return v > e
+
+
+class TestExceedsExp:
+    def test_random_pairs_against_decimal(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            value = F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 4))
+            if rng.random() < 0.5:
+                # near log(value), where the decision is delicate
+                bound = F(round(math.log(value) * 1000) + rng.randint(-20, 20), 1000)
+            else:
+                bound = F(rng.randint(-4000, 4000), rng.randint(1, 100))
+            assert _exceeds_exp(value, bound) == exceeds_exp_oracle(value, bound)
+
+    @pytest.mark.parametrize("value,bound", [
+        # convergents of e, and their reciprocals against e^-1
+        (F(2721, 1001), F(1)), (F(1264, 465), F(1)),
+        (F(1001, 2721), F(-1)), (F(465, 1264), F(-1)),
+    ])
+    def test_convergents_of_e(self, value, bound):
+        assert _exceeds_exp(value, bound) == exceeds_exp_oracle(value, bound)
+
+    @pytest.mark.parametrize("bound", [F(1, 2), F(-3, 7)])
+    @pytest.mark.parametrize("digits", [12, 30])
+    def test_rationals_just_either_side(self, bound, digits):
+        with localcontext() as ctx:
+            ctx.prec = 80
+            below = F(int(exp_decimal(bound).scaleb(digits)), 10 ** digits)
+        above = below + F(1, 10 ** digits)
+        assert not _exceeds_exp(below, bound)
+        assert _exceeds_exp(above, bound)
+        assert not exceeds_exp_oracle(below, bound)
+        assert exceeds_exp_oracle(above, bound)
+
+    def test_unit_value_and_zero_bound(self):
+        assert not _exceeds_exp(F(1), F(0))
+        assert _exceeds_exp(F(1), F(-1, 3))
+        assert not _exceeds_exp(F(1), F(1, 3))
+        assert _exceeds_exp(F(3, 2), F(0))
+        assert not _exceeds_exp(F(2, 3), F(0))

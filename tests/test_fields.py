@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from ultranorm import (LaurentRationals, Magnitude, PadicRationals,
                        RationalFunction, TrivialRationals, ValuedField,
                        choose_laurent_base)
-from ultranorm.fields import _poly_gcd
+from ultranorm.fields import _poly_gcd, _vp
 
 SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 # enough points that, after dropping the roots of the (degree <= 3)
@@ -101,6 +102,25 @@ class TestMagnitude:
     def test_multiplicative_property(self, x, y):
         Q3 = PadicRationals(3)
         assert Q3.abs(x * y).value() == (Q3.abs(x) * Q3.abs(y)).value()
+
+
+class TestValuation:
+    def test_zero_has_no_valuation(self):
+        with pytest.raises(ValueError):
+            _vp(Fraction(0), 2)
+
+    def test_matches_constructed_exponent(self):
+        # x = +-p^k * a/b with a, b prime to p has valuation exactly k
+        rng = random.Random(23)
+        for _ in range(400):
+            p = rng.choice([2, 3, 5, 7, 11])
+            a, b = rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)
+            if a % p == 0 or b % p == 0:
+                continue
+            k = rng.randint(-8, 8)
+            x = rng.choice([1, -1]) * Fraction(a, b) * Fraction(p) ** k
+            assert _vp(x, p) == k
+            assert PadicRationals(p).abs(x).value() == Fraction(p) ** -k
 
 
 class TestValuedField:

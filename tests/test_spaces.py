@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from ultranorm import (Lattice, NormedSpace, PadicRationals, PreconditionError,
-                       TrivialRationals, choose_laurent_base,
-                       distance_to_subspace, dual_norm, lattice_from_norm,
-                       norm_attaining_lift, norm_from_lattice,
-                       orthogonalize_flag, quotient_norm, scalar_extension)
+from ultranorm import (LaurentRationals, Lattice, NormedSpace, PadicRationals,
+                       PreconditionError, RationalFunction, TrivialRationals,
+                       choose_laurent_base, distance_to_subspace, dual_norm,
+                       lattice_from_norm, linalg, norm_attaining_lift,
+                       norm_from_lattice, orthogonalize_flag, quotient_norm,
+                       scalar_extension)
 
 
 def F(x, y=1):
@@ -121,6 +122,61 @@ class TestDistance:
         assert coords is not None
         diff = [a - b for a, b in zip(x, closest)]
         assert space.norm(diff) == dist
+
+
+def random_element(rng, field):
+    if field.kind == "laurent":
+        return RationalFunction([F(rng.randint(-3, 3)) for _ in range(3)])
+    return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def random_space(rng, field, dim):
+    """A non-diagonal orthogonal basis with random weights."""
+    while True:
+        basis = [[random_element(rng, field) for _ in range(dim)]
+                 for _ in range(dim)]
+        try:
+            linalg.invert(basis)
+        except ValueError:
+            continue
+        if field.kind == "trivial":
+            weights = [field.magnitude(F(rng.randint(1, 9), rng.randint(1, 4)))
+                       for _ in range(dim)]
+        else:
+            weights = [field.magnitude(rng.randint(1, 5), rng.randint(-2, 2))
+                       for _ in range(dim)]
+        return NormedSpace(field, basis, weights)
+
+
+class TestOrthogonalizeAgainstDistance:
+    """The norm of the last orthogonalized flag vector g_{t+1} is the
+    distance from v_{t+1} to span(v_1..v_t): two routes through the
+    orthogonal elimination that must agree."""
+
+    @pytest.mark.parametrize("field", [
+        PadicRationals(2), PadicRationals(3), TrivialRationals(),
+        LaurentRationals(5)], ids=lambda f: f"{f.kind}{f.prime or ''}")
+    def test_last_flag_norm_is_distance(self, field):
+        rng = random.Random(17)
+        dim_max = 3 if field.kind == "laurent" else 4
+        checked = 0
+        for _ in range(25):
+            dim = rng.randint(1, dim_max)
+            space = random_space(rng, field, dim)
+            t = rng.randint(0, dim - 1)
+            vecs = [[random_element(rng, field) for _ in range(dim)]
+                    for _ in range(t + 1)]
+            if linalg.rank(vecs) < t + 1:
+                continue
+            g, norms, _ = orthogonalize_flag(space, vecs)
+            dist, w = distance_to_subspace(space, vecs[t], vecs[:t])
+            assert dist == norms[t] == space.norm(g[t])
+            # w lies in the subspace and attains the distance
+            if t:
+                assert linalg.rank(vecs[:t] + [w]) == t
+            assert space.norm([a - b for a, b in zip(vecs[t], w)]) == dist
+            checked += 1
+        assert checked >= 15
 
 
 class TestQuotient:
