@@ -407,52 +407,63 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ConfigError: exit 2 with JSON, not usage text."""
+
+    def error(self, message):
+        raise ConfigError("", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ultranorm",
         description="Exact computations with ultrametric norms, quotient "
                     "metrics, extension obstructions, and adelic lattice "
                     "invariants.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--max-degree", type=int, default=None)
-        p.add_argument("--epsilon", help="positive rational NUM/DEN")
-        p.add_argument("--points", help="JSON file with sample points")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility (must be >= 1); work "
-                            "runs in one thread and the value never changes "
-                            "the output")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for generated sample points")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
-        if name == "lambda":
-            p.add_argument("--lattice", help="JSON file with lattice columns")
-            p.add_argument("--norm", help="JSON file with norm functionals")
+    parser.add_argument("command", choices=list(COMMANDS))
+    parser.add_argument("--config", help="JSON configuration file")
+    parser.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument("--max-degree", type=int, default=None)
+    parser.add_argument("--epsilon", help="positive rational NUM/DEN")
+    parser.add_argument("--points", help="JSON file with sample points")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility (must be >= 1); work "
+                             "runs in one thread and the value never changes "
+                             "the output")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for generated sample points")
+    parser.add_argument("--format", choices=["csv", "json"], default=None)
+    parser.add_argument("--lattice", help="lambda: JSON lattice columns")
+    parser.add_argument("--norm", help="lambda: JSON norm functionals")
     return parser
+
+
+def _config_error(message: str) -> int:
+    print(json.dumps({"error": "config", "path": "", "message": message}),
+          file=sys.stderr)
+    return 2
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     level = (os.environ.get("ULTRANORM_LOG") or "WARNING").upper()
     if level not in LOG_LEVELS:
-        print(json.dumps({"error": "config", "path": "",
-                          "message": f"ULTRANORM_LOG must be one of "
-                                     f"{', '.join(LOG_LEVELS)} (any case)"}),
-              file=sys.stderr)
-        return 2
+        return _config_error(f"ULTRANORM_LOG must be one of "
+                             f"{', '.join(LOG_LEVELS)} (any case)")
     logging.basicConfig(level=level)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        if args.command != "lambda" and (args.lattice is not None
+                                         or args.norm is not None):
+            parser.error("--lattice and --norm belong to the lambda command")
+        if args.jobs < 1:
+            parser.error("--jobs must be >= 1")
+    except ConfigError as exc:
+        return _config_error(exc.message)
     if args.format is None:
         args.format = "csv" if args.command in ("sigma-sample",
                                                 "extension-table",
                                                 "nakai") else "json"
-    if args.jobs < 1:
-        print(json.dumps({"error": "config", "path": "",
-                          "message": "--jobs must be >= 1"}),
-              file=sys.stderr)
-        return 2
     try:
         text = COMMANDS[args.command](args)
     except (ConfigError, ser.SchemaViolation) as exc:

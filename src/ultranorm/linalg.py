@@ -13,7 +13,7 @@ Matrices are lists of rows throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, List, Optional, Sequence
 
 from .fields import _is_zero
@@ -58,7 +58,15 @@ def transpose(a: Sequence[Sequence]) -> Matrix:
 
 
 def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form; returns (rref matrix, pivot columns)."""
+    """Reduced row-echelon form; returns (rref matrix, pivot columns).
+    Rational matrices (ints and Fractions) come back as Fractions."""
+    if all(isinstance(x, (int, Fraction)) for row in m for x in row):
+        return _rref_integer(m)
+    return _rref_field(m)
+
+
+def _rref_field(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
+    """Gauss-Jordan elimination over any exact field."""
     a = mat_copy(m)
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -86,6 +94,51 @@ def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     return a, pivots
 
 
+def _rref_integer(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
+    """``_rref_field`` fraction-free (Bareiss, Math. Comp. 22, 1968): each
+    row is kept a primitive integer multiple of its ``_rref_field`` row, so
+    pivots and swaps agree, and is divided by its pivot only at the end."""
+    a = []
+    for row in m:
+        d = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (d // x.denominator) for x in row])
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        for pivot in range(r, rows):
+            if a[pivot][c]:
+                break
+        else:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        top, p = a[r], a[r][c]
+        for i in range(rows):
+            f = a[i][c]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(a[i], top)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    zero = Fraction(0)
+    return ([[Fraction(x, row[c]) if x else zero for x in row]
+             for row, c in zip(a, pivots)]
+            + [[zero] * cols for _ in range(rows - r)], pivots)
+
+
+def _one(m: Sequence[Sequence]):
+    """The field's one (a Fraction for ints, not ``x / x``); None if m is 0."""
+    for row in m:
+        for x in row:
+            if not _is_zero(x):
+                return Fraction(1) if isinstance(x, int) else x / x
+    return None
+
+
 def rank(m: Sequence[Sequence]) -> int:
     return len(rref(m)[1])
 
@@ -98,15 +151,8 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Optional[list]:
     red, pivots = rref(aug)
     if cols in pivots:
         return None
-    zero = None
-    for row in a:
-        for x in row:
-            zero = x - x
-            break
-        if zero is not None:
-            break
-    if zero is None:
-        zero = b[0] - b[0] if b else Fraction(0)
+    one = _one([*a, b])
+    zero = Fraction(0) if one is None else one - one
     x = [zero] * cols
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
@@ -116,14 +162,7 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Optional[list]:
 def invert(a: Sequence[Sequence]) -> Matrix:
     """Inverse of a square matrix; raises ValueError if singular."""
     n = len(a)
-    one = None
-    for row in a:
-        for x in row:
-            if not _is_zero(x):
-                one = x / x
-                break
-        if one is not None:
-            break
+    one = _one(a)
     if one is None:
         raise ValueError("singular matrix (zero)")
     zero = one - one
@@ -136,21 +175,11 @@ def invert(a: Sequence[Sequence]) -> Matrix:
 
 def kernel_basis(m: Sequence[Sequence]) -> Matrix:
     """Basis (list of vectors) of the right kernel of m."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if rows == 0:
-        return identity(cols)
-    red, pivots = rref(m)
-    one = None
-    for row in m:
-        for x in row:
-            if not _is_zero(x):
-                one = x / x
-                break
-        if one is not None:
-            break
+    cols = len(m[0]) if m else 0
+    one = _one(m)
     if one is None:
         return identity(cols)
+    red, pivots = rref(m)
     zero = one - one
     free = [c for c in range(cols) if c not in pivots]
     basis = []

@@ -298,3 +298,66 @@ class TestDeterminism:
                                    "--max-degree", "1", "--seed", "2"])
         assert out_a == out_b
         assert out_a != out_c
+
+
+class TestArguments:
+    """One flat parser for every command; argument errors keep the CLI's
+    exit-2 contract."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bogus"],
+        ["dual", "--bogus"],
+        ["dual", "--lattice", "x.json"],
+        ["orthogonalize", "--norm", "x.json"],
+        ["sigma-sample", "--max-degree", "abc"],
+        [],
+    ], ids=["unknown-command", "unknown-flag", "lattice-outside-lambda",
+            "norm-outside-lambda", "non-integer-max-degree", "no-command"])
+    def test_argument_error_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "config"
+        assert obj["path"] == ""
+        assert obj["message"]
+
+    def test_help_exits_0_on_stdout(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: ultranorm")
+        assert captured.err == ""
+
+    # written from the namespaces of the former one-subparser-per-command
+    # parser; only lambda had --lattice and --norm there
+    FULL = {"config": "c.json", "out": "o.txt", "max_degree": 3,
+            "epsilon": "1/7", "points": "p.json", "jobs": 2, "seed": 5,
+            "format": "json"}
+    DEFAULT = {"config": None, "out": None, "max_degree": None,
+               "epsilon": None, "points": None, "jobs": 1, "seed": 0,
+               "format": None}
+    FLAGS = ["--config", "c.json", "--out", "o.txt", "--max-degree", "3",
+             "--epsilon", "1/7", "--points", "p.json", "--jobs", "2",
+             "--seed", "5", "--format", "json"]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_namespace_matches_former_parser(self, command):
+        full = {"command": command, **self.FULL}
+        default = {"command": command, **self.DEFAULT,
+                   "lattice": None, "norm": None}
+        flags = list(self.FLAGS)
+        if command == "lambda":
+            full.update(lattice="l.json", norm="n.json")
+            flags += ["--lattice", "l.json", "--norm", "n.json"]
+        else:
+            full.update(lattice=None, norm=None)
+
+        def typed(d):
+            return {k: (type(v), v) for k, v in d.items()}
+
+        parse = cli.build_parser().parse_args
+        assert typed(vars(parse([command] + flags))) == typed(full)
+        assert typed(vars(parse(flags + [command]))) == typed(full)
+        assert typed(vars(parse([command]))) == typed(default)

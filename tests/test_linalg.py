@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +38,114 @@ class TestRationalRoutines:
     def test_rank(self):
         assert lg.rank(frac_matrix([[1, 2], [2, 4]])) == 1
         assert lg.rank(frac_matrix([[1, 0], [0, 1]])) == 2
+
+
+class TestIntInput:
+    """Python ints are rationals too: ``x / x`` on them gives a float, so
+    the elimination routines must not take the field's one from there."""
+
+    def test_rank(self):
+        assert lg.rank([[1, 2], [3, 4]]) == 2
+        assert lg.rank([[1, 2], [2, 4]]) == 1
+
+    def test_invert_returns_fractions(self):
+        inv = lg.invert([[1, 0], [0, 1]])
+        assert inv == [[1, 0], [0, 1]]
+        assert all(type(x) is Fraction for row in inv for x in row)
+        inv = lg.invert([[2, 1], [1, 1]])
+        assert inv == frac_matrix([[1, -1], [-1, 2]])
+        assert all(type(x) is Fraction for row in inv for x in row)
+
+    def test_solve(self):
+        x = lg.solve([[2, 1], [1, 1]], [3, 2])
+        assert x == [1, 1] and all(type(c) is Fraction for c in x)
+        x = lg.solve([[1, 1, 0]], [2])
+        assert x == [2, 0, 0] and all(type(c) is Fraction for c in x)
+        assert lg.solve([[1, 1], [2, 2]], [1, 3]) is None
+
+    def test_kernel_basis(self):
+        ker = lg.kernel_basis([[1, 1, 0], [0, 0, 1]])
+        assert ker == [[-1, 1, 0]]
+        assert all(type(x) is Fraction for v in ker for x in v)
+
+    def test_normed_space_on_int_basis(self):
+        from ultranorm import NormedSpace, PadicRationals
+        Q2 = PadicRationals(2)
+        space = NormedSpace(Q2, [[1, 1], [0, 2]],
+                            [Q2.one_magnitude(), Q2.one_magnitude()])
+        # columns (1,0) and (1,2); (0,1) = -1/2*(1,0) + 1/2*(1,2)
+        assert space.norm([0, 1]).value() == 2
+        assert space.norm([1, 0]).value() == 1
+
+
+def _random_matrix(rng, rows, cols, kind):
+    """A random Fraction matrix of the given kind: 'dense', 'sparse'
+    (mostly zeros, so row swaps are needed), 'deficient' (rank below
+    min(rows, cols)), 'zero_rows' or 'huge' (numerators above 2^64)."""
+    def entry():
+        if kind == "huge":
+            return Fraction(rng.randint(-2 ** 80, 2 ** 80), rng.randint(1, 2 ** 70))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    if kind == "deficient":
+        k = rng.randint(0, max(min(rows, cols) - 1, 0))
+        left = [[entry() for _ in range(k)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(k)]
+        return [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
+                 for j in range(cols)] for i in range(rows)]
+    m = [[entry() if kind != "sparse" or rng.random() < 0.3 else Fraction(0)
+          for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero_rows":
+        for i in rng.sample(range(rows), rng.randint(1, rows)):
+            m[i] = [Fraction(0)] * cols
+    return m
+
+
+SHAPES = [(1, 1), (1, 5), (5, 1), (3, 3), (4, 4), (6, 6), (2, 5), (3, 7),
+          (5, 2), (7, 3)]
+KINDS = ["dense", "sparse", "deficient", "zero_rows", "huge"]
+
+
+class TestRrefIntegerKernel:
+    """``rref`` on rationals runs the fraction-free kernel; the field loop
+    ``_rref_field`` is its oracle, in the matrix and in the pivots."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_field_elimination(self, shape, kind):
+        rng = random.Random(f"{shape}-{kind}")
+        for _ in range(8):
+            m = _random_matrix(rng, *shape, kind)
+            assert lg.rref(m) == lg._rref_field(m)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_zero_matrix(self, shape):
+        rows, cols = shape
+        m = [[Fraction(0)] * cols for _ in range(rows)]
+        assert lg.rref(m) == lg._rref_field(m) == (m, [])
+
+    def test_result_is_fractions(self):
+        red, pivots = lg.rref([[0, 2, 4], [3, 0, 1], [0, 0, 0]])
+        assert pivots == [0, 1]
+        assert red == frac_matrix([[1, 0, Fraction(1, 3)], [0, 1, 2],
+                                   [0, 0, 0]])
+        assert all(type(x) is Fraction for row in red for x in row)
+
+    def test_empty(self):
+        assert lg.rref([]) == ([], [])
+        assert lg.rref([[]]) == ([[]], [])
+
+    @pytest.mark.parametrize("kind", ["dense", "huge"])
+    def test_invert_is_inverse(self, kind):
+        rng = random.Random(kind)
+        for n in range(1, 7):
+            m = _random_matrix(rng, n, n, kind)
+            try:
+                inv = lg.invert(m)
+            except ValueError:
+                assert lg.rank(m) < n
+                continue
+            assert lg.mat_mul(m, inv) == lg.identity(n)
 
 
 class TestIntegerRoutines:
