@@ -27,6 +27,7 @@ from .adelic import (AdelicSpace, NormedLattice, finite_unit_lattice,
 from .extension import (ExtensionProblem, check_extension_theorem,
                         extend_trivial_via_laurent, min_norm_lift,
                         ratio_sequence)
+from .fields import PadicRationals
 from .metrics import QuotientMetric, sigma
 from .sections import Section, Subvariety
 from .spaces import (Lattice, NormedSpace, PreconditionError, dual_norm,
@@ -340,6 +341,10 @@ def _normed_lattice(cols: List[List[Fraction]],
 def _adelic_from_json(data: Dict[str, Any], pointer: str) -> AdelicSpace:
     places = {}
     for key, place_json in data.get("places", {}).items():
+        try:
+            PadicRationals(int(key))
+        except ValueError as exc:
+            raise ser.SchemaViolation(f"{pointer}/places/{key}", str(exc)) from exc
         places[int(key)] = ser.space_from_json(place_json,
                                                f"{pointer}/places/{key}")
     funcs = ser.matrix_from_json(data["arch_functionals"])
@@ -458,6 +463,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("--lattice and --norm belong to the lambda command")
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
+        if args.max_degree is not None and args.max_degree < 0:
+            parser.error("--max-degree must be >= 0")
     except ConfigError as exc:
         return _config_error(exc.message)
     if args.format is None:

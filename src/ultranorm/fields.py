@@ -88,12 +88,20 @@ class Magnitude:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _normalized(cls, rho: Optional[Fraction], q: Fraction, n: int) -> "Magnitude":
+        """q * rho^n for a pair that is already normalized (q a Fraction
+        free of p, or zero with n = 0), built without re-checking."""
+        m = object.__new__(cls)
+        m.rho, m.q, m.n, m._value = rho, q, n, None
+        return m
+
+    @classmethod
     def zero(cls, rho: Optional[Fraction] = None) -> "Magnitude":
-        return cls(rho, 0)
+        return cls._normalized(rho, Fraction(0), 0)
 
     @classmethod
     def one(cls, rho: Optional[Fraction] = None) -> "Magnitude":
-        return cls(rho, 1)
+        return cls._normalized(rho, Fraction(1), 0)
 
     # -- predicates ----------------------------------------------------
 
@@ -118,11 +126,13 @@ class Magnitude:
         if self.rho != other.rho:
             raise ValueError("magnitudes over different field profiles")
 
+    # products, quotients and powers of p-free rationals are p-free
+
     def __mul__(self, other: "Magnitude") -> "Magnitude":
         self._check_compat(other)
         if self.is_zero or other.is_zero:
             return Magnitude.zero(self.rho)
-        return Magnitude(self.rho, self.q * other.q, self.n + other.n)
+        return Magnitude._normalized(self.rho, self.q * other.q, self.n + other.n)
 
     def __truediv__(self, other: "Magnitude") -> "Magnitude":
         self._check_compat(other)
@@ -130,14 +140,14 @@ class Magnitude:
             raise ZeroDivisionError("division by zero magnitude")
         if self.is_zero:
             return Magnitude.zero(self.rho)
-        return Magnitude(self.rho, self.q / other.q, self.n - other.n)
+        return Magnitude._normalized(self.rho, self.q / other.q, self.n - other.n)
 
     def __pow__(self, m: int) -> "Magnitude":
         if self.is_zero:
             if m <= 0:
                 raise ZeroDivisionError("zero magnitude to a non-positive power")
             return Magnitude.zero(self.rho)
-        return Magnitude(self.rho, self.q ** m, self.n * m)
+        return Magnitude._normalized(self.rho, self.q ** m, self.n * m)
 
     # -- comparisons (total order on the denoted values) ---------------
 
@@ -150,13 +160,26 @@ class Magnitude:
     def __hash__(self):
         return hash((self.rho, self.q, self.n))
 
-    def __lt__(self, other: "Magnitude") -> bool:
+    def _cross(self, other: "Magnitude") -> tuple[int, int]:
+        """Integers a, b in the order of the two values: with rho = 1/p
+        and M = max(n1, n2), q1 rho^n1 < q2 rho^n2 exactly when
+        num1 den2 p^(M - n1) < num2 den1 p^(M - n2)."""
         self._check_compat(other)
-        return self.value() < other.value()
+        a = self.q.numerator * other.q.denominator
+        b = other.q.numerator * self.q.denominator
+        if self.n < other.n:
+            a *= self.rho.denominator ** (other.n - self.n)
+        elif self.n > other.n:
+            b *= self.rho.denominator ** (self.n - other.n)
+        return a, b
+
+    def __lt__(self, other: "Magnitude") -> bool:
+        a, b = self._cross(other)
+        return a < b
 
     def __le__(self, other: "Magnitude") -> bool:
-        self._check_compat(other)
-        return self.value() <= other.value()
+        a, b = self._cross(other)
+        return a <= b
 
     def __gt__(self, other: "Magnitude") -> bool:
         return other < self
@@ -557,13 +580,13 @@ class ValuedField:
                 x = RationalFunction.constant(_as_fraction(x))
             if x.is_zero:
                 return Magnitude.zero(self.rho)
-            return Magnitude(self.rho, 1, x.order())
+            return Magnitude._normalized(self.rho, Fraction(1), x.order())
         x = _as_fraction(x)
         if x == 0:
             return Magnitude.zero(self.rho)
         if self.kind == "trivial":
             return Magnitude.one(None)
-        return Magnitude(self.rho, 1, _vp(x, self.prime))
+        return Magnitude._normalized(self.rho, Fraction(1), _vp(x, self.prime))
 
     def magnitude(self, q, n: int = 0) -> Magnitude:
         return Magnitude(self.rho, q, n)

@@ -44,12 +44,33 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
+    """a v; rational input (ints and Fractions) comes back as Fractions."""
+    if (all(isinstance(x, (int, Fraction)) for x in v)
+            and all(isinstance(x, (int, Fraction)) for row in a for x in row)):
+        return _mat_vec_integer(a, v)
     out = []
     for row in a:
         acc = row[0] * v[0]
         for k in range(1, len(v)):
             acc = acc + row[k] * v[k]
         out.append(acc)
+    return out
+
+
+def _mat_vec_integer(a: Sequence[Sequence], v: Sequence) -> list:
+    """``mat_vec`` fraction-free: v and each row are scaled to integers by
+    the lcm of their denominators, the row sums run over nonzero integer
+    products, and each row builds one Fraction."""
+    d_v = lcm(*(x.denominator for x in v))
+    w = [x.numerator * (d_v // x.denominator) for x in v]
+    out = []
+    for row in a:
+        d = lcm(*(x.denominator for x in row))
+        acc = 0
+        for x, y in zip(row, w):
+            if x and y:
+                acc += x.numerator * (d // x.denominator) * y
+        out.append(Fraction(acc, d * d_v))
     return out
 
 

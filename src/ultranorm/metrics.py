@@ -245,12 +245,9 @@ def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
     evaluation) gives the same value and is kept as the test oracle.
     """
     row = _evaluation_row(field, m, n, point)
+    values = linalg.mat_vec(linalg.transpose(N.basis), row)  # e_i(x~)
     best = field.zero_magnitude()
-    for i, w in enumerate(N.weights):
-        val = field.zero()
-        for x, b in zip(row, N.basis):
-            if not (_is_zero(x) or _is_zero(b[i])):
-                val = val + x * b[i]
+    for val, w in zip(values, N.weights):
         if not _is_zero(val):
             mag = field.abs(val) / w
             if mag > best:

@@ -60,6 +60,16 @@ class Section:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _trusted(cls, field: ValuedField, num_vars: int, degree: int,
+                 coeffs: Dict[Exponent, FieldElement]) -> "Section":
+        """A section whose exponents are valid by construction (sums,
+        products and multiples of sections); only zeros are dropped."""
+        s = object.__new__(cls)
+        s.field, s.num_vars, s.degree = field, num_vars, degree
+        s.coeffs = {e: c for e, c in coeffs.items() if not _is_zero(c)}
+        return s
+
+    @classmethod
     def zero(cls, field: ValuedField, num_vars: int, degree: int) -> "Section":
         return cls(field, num_vars, degree, {})
 
@@ -90,19 +100,19 @@ class Section:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, self.field.zero()) + c
-        return Section(self.field, self.num_vars, self.degree, out)
+        return Section._trusted(self.field, self.num_vars, self.degree, out)
 
     def __sub__(self, other: "Section") -> "Section":
         self._check(other, same_degree=True)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, self.field.zero()) - c
-        return Section(self.field, self.num_vars, self.degree, out)
+        return Section._trusted(self.field, self.num_vars, self.degree, out)
 
     def scale(self, c) -> "Section":
         c = self.field.element(c)
-        return Section(self.field, self.num_vars, self.degree,
-                       {e: c * x for e, x in self.coeffs.items()})
+        return Section._trusted(self.field, self.num_vars, self.degree,
+                                {e: c * x for e, x in self.coeffs.items()})
 
     def __mul__(self, other: "Section") -> "Section":
         self._check(other, same_degree=False)
@@ -115,7 +125,8 @@ class Section:
                     out[e] = out[e] + prod
                 else:
                     out[e] = prod
-        return Section(self.field, self.num_vars, self.degree + other.degree, out)
+        return Section._trusted(self.field, self.num_vars,
+                                self.degree + other.degree, out)
 
     def __pow__(self, d: int) -> "Section":
         if d < 0:

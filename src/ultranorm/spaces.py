@@ -72,6 +72,9 @@ class NormedSpace:
         return [row[i] for row in self.basis]
 
     def coordinates(self, v: Sequence) -> list:
+        if len(v) != self.dim:
+            raise PreconditionError(
+                f"vector has {len(v)} entries, the space has dimension {self.dim}")
         return linalg.mat_vec(self.basis_inverse(), list(v))
 
     def norm(self, v: Sequence) -> Magnitude:
@@ -216,6 +219,11 @@ def quotient_norm(space: NormedSpace, surjection: Sequence[Sequence]) -> tuple[
     field = space.field
     s = len(surjection)
     r = space.dim
+    for i, row in enumerate(surjection):
+        if len(row) != r:
+            raise PreconditionError(
+                f"surjection row {i} has {len(row)} entries, the space has "
+                f"dimension {r}")
     if linalg.rank(surjection) != s:
         raise PreconditionError("map is not surjective")
     ker = linalg.kernel_basis(surjection)

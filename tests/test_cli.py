@@ -276,6 +276,73 @@ class TestErrors:
         assert json.loads(err)["error"] == "precondition"
 
 
+class TestMalformedShapes:
+    """Wrong lengths, non-prime place keys and negative degrees exit 2 or 3
+    with JSON on stderr, never a traceback or an answer for another input."""
+
+    @pytest.mark.parametrize("vector", [["1"], ["1", "2", "3"]])
+    def test_orthogonalize_wrong_length_exit_3(self, tmp_path, capsys, vector):
+        cfg = write(tmp_path, "c.json", {"space": norm_json(),
+                                         "vectors": [vector]})
+        code, out, err = run(capsys, ["orthogonalize", "--config", cfg])
+        assert code == 3
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "precondition"
+        assert f"{len(vector)} entries" in obj["message"]
+
+    @pytest.mark.parametrize("row", [["1"], ["1", "1", "1"]])
+    def test_quotient_wrong_row_length_exit_3(self, tmp_path, capsys, row):
+        cfg = write(tmp_path, "c.json", {"space": norm_json(),
+                                         "surjection": [row]})
+        code, out, err = run(capsys, ["quotient", "--config", cfg])
+        assert code == 3
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "precondition"
+        assert f"{len(row)} entries" in obj["message"]
+
+    @pytest.mark.parametrize("command,path", [
+        ("lambda", "/adelic/places/4"),
+        ("nakai", "/degrees/1/places/4"),
+    ])
+    def test_non_prime_place_exit_2(self, tmp_path, capsys, command, path):
+        adelic = {"dim": 1, "arch_functionals": [["1"]],
+                  "places": {"4": norm_json(weights=("1/1",))}}
+        cfg = write(tmp_path, "c.json", {"adelic": adelic} if command == "lambda"
+                    else {"degrees": {"1": adelic}})
+        code, out, err = run(capsys, [command, "--config", cfg])
+        assert code == 2
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "schema"
+        assert obj["path"] == path
+
+    @pytest.mark.parametrize("command,field", [
+        ("sigma-sample", "padic"),
+        ("extension-table", "padic"),
+        ("extend-trivial", "trivial"),
+    ])
+    def test_negative_max_degree_exit_2(self, tmp_path, capsys, command,
+                                        field):
+        space = norm_json()
+        space["field"] = ({"type": "trivial"} if field == "trivial"
+                          else space["field"])
+        cfg = write(tmp_path, "c.json", {
+            "space": space,
+            "subvariety": {"points": [["1", "0"]]},
+            "representative": {"degree": 1, "variables": 2,
+                               "coeffs": {"1,0": "1"}},
+        })
+        code, out, err = run(capsys, [command, "--config", cfg,
+                                      "--max-degree", "-1"])
+        assert code == 2
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "config"
+        assert "--max-degree" in obj["message"]
+
+
 class TestDeterminism:
     def test_byte_identical_across_jobs(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.json", {"space": norm_json()})

@@ -104,6 +104,86 @@ class TestMagnitude:
         assert Q3.abs(x * y).value() == (Q3.abs(x) * Q3.abs(y)).value()
 
 
+FIELDS = [PadicRationals(2), PadicRationals(3), TrivialRationals(),
+          LaurentRationals(5)]
+
+
+@st.composite
+def magnitude_pairs(draw):
+    """Two magnitudes of one field, built by the public constructor from
+    an unnormalized (q, n): q may carry powers of p, and may be zero."""
+    field = draw(st.sampled_from(FIELDS))
+
+    def one():
+        q = draw(st.one_of(
+            st.just(Fraction(0)),
+            st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 4),
+            st.builds(lambda a, b, k: Fraction(a, b) * Fraction(6) ** k,
+                      st.integers(1, 10 ** 30), st.integers(1, 10 ** 20),
+                      st.integers(-6, 6))))
+        n = 0 if field.rho is None else draw(st.integers(-40, 40))
+        return Magnitude(field.rho, q, n)
+
+    return one(), one()
+
+
+def assert_same(m, ref):
+    assert (m.rho, m.q, m.n) == (ref.rho, ref.q, ref.n)
+    assert type(m.q) is Fraction
+
+
+class TestMagnitudeFastPaths:
+    """Products, quotients and powers skip re-normalizing and the order is
+    decided in integers; the public constructor and ``value()`` are the
+    oracles."""
+
+    @given(magnitude_pairs())
+    @settings(max_examples=400)
+    def test_order_matches_values(self, pair):
+        a, b = pair
+        assert (a < b) == (a.value() < b.value())
+        assert (a <= b) == (a.value() <= b.value())
+        assert (a > b) == (a.value() > b.value())
+        assert (a >= b) == (a.value() >= b.value())
+
+    @given(magnitude_pairs(), st.integers(-4, 4))
+    @settings(max_examples=400)
+    def test_arithmetic_matches_public_constructor(self, pair, m):
+        a, b = pair
+        rho = a.rho
+        prod = a * b
+        assert_same(prod, Magnitude(rho, a.q * b.q, a.n + b.n))
+        assert prod.value() == a.value() * b.value()
+        if not b.is_zero:
+            quot = a / b
+            assert_same(quot, Magnitude(rho, a.q / b.q, a.n - b.n))
+            assert quot.value() == a.value() / b.value()
+        if not a.is_zero or m > 0:
+            power = a ** m
+            assert_same(power, Magnitude(rho, a.q ** m, a.n * m))
+            assert power.value() == a.value() ** m
+
+    @given(st.sampled_from(FIELDS),
+           st.fractions(min_value=-10 ** 6, max_value=10 ** 6))
+    @settings(max_examples=200)
+    def test_abs_matches_public_constructor(self, field, x):
+        if field.kind == "laurent":
+            T = RationalFunction.variable()
+            x = x * T ** 3 / (1 + T)
+        m = field.abs(x)
+        if field.kind == "trivial":
+            ref = Magnitude(None, 0 if x == 0 else 1)
+        elif field.kind == "laurent":
+            ref = Magnitude(field.rho, 0 if x.is_zero else 1,
+                            0 if x.is_zero else 3)
+        else:
+            ref = Magnitude(field.rho, 0 if x == 0 else 1,
+                            0 if x == 0 else _vp(x, field.prime))
+        assert_same(m, ref)
+        assert_same(field.zero_magnitude(), Magnitude(field.rho, 0))
+        assert_same(field.one_magnitude(), Magnitude(field.rho, 1))
+
+
 class TestValuation:
     def test_zero_has_no_valuation(self):
         with pytest.raises(ValueError):

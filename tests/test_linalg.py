@@ -148,6 +148,70 @@ class TestRrefIntegerKernel:
             assert lg.mat_mul(m, inv) == lg.identity(n)
 
 
+def _loop_mat_vec(a, v):
+    """The field loop that ``mat_vec`` runs on non-rational entries."""
+    out = []
+    for row in a:
+        acc = row[0] * v[0]
+        for k in range(1, len(v)):
+            acc = acc + row[k] * v[k]
+        out.append(acc)
+    return out
+
+
+def _random_vector(rng, n, kind):
+    if kind == "zero":
+        return [Fraction(0)] * n
+    if kind == "huge":
+        return [Fraction(rng.randint(-2 ** 80, 2 ** 80), rng.randint(1, 2 ** 70))
+                for _ in range(n)]
+    if kind == "sparse":
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                if rng.random() < 0.3 else Fraction(0) for _ in range(n)]
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+
+
+class TestMatVecIntegerKernel:
+    """``mat_vec`` on rationals runs the fraction-free kernel; the field
+    loop is its oracle."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_field_loop(self, shape, kind):
+        rng = random.Random(f"{shape}-{kind}")
+        for vkind in ("dense", "sparse", "zero", "huge") * 4:
+            a = _random_matrix(rng, *shape, kind)
+            v = _random_vector(rng, shape[1], vkind)
+            out = lg.mat_vec(a, v)
+            assert out == _loop_mat_vec(a, v)
+            assert all(type(x) is Fraction for x in out)
+
+    def test_int_and_mixed_entries(self):
+        a = [[1, Fraction(1, 2), 0], [Fraction(-2, 3), 4, 5]]
+        v = [3, Fraction(4, 5), Fraction(-1, 7)]
+        out = lg.mat_vec(a, v)
+        assert out == _loop_mat_vec(a, v)
+        assert out == [Fraction(17, 5), Fraction(17, 35)]
+        assert lg.mat_vec([[1, 2], [3, 4]], [5, 6]) == [17, 39]
+
+    def test_rational_functions_take_the_field_loop(self):
+        from ultranorm.fields import RationalFunction
+        rng = random.Random("rf")
+        T = RationalFunction.variable()
+        for n in range(1, 5):
+            a = [[RationalFunction.constant(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                  + T ** rng.randint(0, 2) * Fraction(rng.randint(-3, 3))
+                  for _ in range(n)] for _ in range(n)]
+            v = _random_vector(rng, n, "dense")
+            out = lg.mat_vec(a, v)
+            assert out == _loop_mat_vec(a, v)
+            assert all(isinstance(x, RationalFunction) for x in out)
+            consts = [[RationalFunction.constant(x) for x in row]
+                      for row in _random_matrix(rng, n, n, "dense")]
+            rational = [[x.constant_value() for x in row] for row in consts]
+            assert lg.mat_vec(consts, v) == lg.mat_vec(rational, v)
+
+
 class TestIntegerRoutines:
     def test_hnf_column_basis(self):
         cols = [[2, 0], [0, 3], [2, 3]]
@@ -210,3 +274,46 @@ class TestIntegerRoutines:
                 coords = lg.solve(mat, w)
                 assert coords is not None
                 assert all(c.denominator == 1 for c in coords)
+
+
+class TestSympyOracles:
+    """Sympy's normal forms as independent oracles: the Hermite normal form
+    is canonical for the lattice spanned by the columns, so ours and the
+    input span the same lattice exactly when sympy's forms agree."""
+
+    @staticmethod
+    def _int_matrix(rng, rows, cols, rank):
+        left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rows)]
+        right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rank)]
+        return [[sum(left[i][t] * right[t][j] for t in range(rank))
+                 for j in range(cols)] for i in range(rows)]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 3), (3, 5), (4, 2),
+                                       (4, 6)])
+    def test_hnf_column_basis(self, shape):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import hermite_normal_form
+        rng = random.Random(f"hnf-{shape}")
+        n, k = shape  # k columns in Z^n
+        for _ in range(25):
+            cols = [list(c) for c in zip(*self._int_matrix(
+                rng, n, k, rng.randint(0, min(n, k))))]
+            basis = lg.hnf_column_basis(cols)
+            spanned = sympy.Matrix(n, k, lambda i, j: cols[j][i])
+            assert len(basis) == spanned.rank()
+            if not basis:
+                continue
+            ours = sympy.Matrix(n, len(basis), lambda i, j: basis[j][i])
+            assert hermite_normal_form(ours) == hermite_normal_form(spanned)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 4), (3, 3), (4, 3),
+                                       (4, 4)])
+    def test_smith_diagonal(self, shape):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+        rng = random.Random(f"smith-{shape}")
+        for _ in range(25):
+            m = self._int_matrix(rng, *shape, rng.randint(0, min(shape)))
+            want = [abs(int(d)) for d in
+                    invariant_factors(sympy.Matrix(m), domain=sympy.ZZ) if d]
+            assert lg.smith_diagonal(m) == want

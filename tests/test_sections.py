@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from ultranorm import PadicRationals, TrivialRationals
+from ultranorm import LaurentRationals, PadicRationals, TrivialRationals
+from ultranorm.fields import _is_zero
 from ultranorm.sections import (Section, Subvariety, monomial_basis,
                                 normalize_point, restriction_kernel)
 from ultranorm.spaces import PreconditionError
@@ -58,6 +60,62 @@ class TestSection:
         vec = [F(1), F(-3), F(1, 2)]
         s = Section.from_vector(Q2, 1, 2, vec)
         assert s.to_vector() == vec
+
+
+def _random_section(rng, field, nv, degree):
+    """Sparse, with small coefficients so that sums and products cancel."""
+    coeffs = {}
+    for e in monomial_basis(nv - 1, degree):
+        if rng.random() < 0.6:
+            coeffs[e] = field.element(F(rng.randint(-2, 2), rng.randint(1, 2)))
+    return Section(field, nv, degree, coeffs)
+
+
+class TestSectionAlgebraOracle:
+    """``+``, ``-``, ``*`` and ``scale`` skip the exponent checks; the
+    validating constructor, fed the coefficient sums directly, is the
+    oracle, and no zero coefficient is kept."""
+
+    @pytest.mark.parametrize("field", [PadicRationals(2), TrivialRationals(),
+                                       LaurentRationals(3)])
+    def test_matches_validating_constructor(self, field):
+        rng = random.Random(field.kind)
+        zero = field.zero()
+        for _ in range(60):
+            nv, d1, d2 = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 3)
+            s = _random_section(rng, field, nv, d1)
+            t = _random_section(rng, field, nv, d1)
+            u = _random_section(rng, field, nv, d2)
+            c = field.element(F(rng.randint(-2, 2), rng.randint(1, 3)))
+            keys = set(s.coeffs) | set(t.coeffs)
+            cases = [
+                (s + t, Section(field, nv, d1, {e: s.coeffs.get(e, zero)
+                                                + t.coeffs.get(e, zero)
+                                                for e in keys})),
+                (s - t, Section(field, nv, d1, {e: s.coeffs.get(e, zero)
+                                                - t.coeffs.get(e, zero)
+                                                for e in keys})),
+                (s.scale(c), Section(field, nv, d1, {e: c * x for e, x
+                                                     in s.coeffs.items()})),
+            ]
+            prod = {}
+            for e1, x in s.coeffs.items():
+                for e2, y in u.coeffs.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    prod[e] = prod.get(e, zero) + x * y
+            cases.append((s * u, Section(field, nv, d1 + d2, prod)))
+            for got, want in cases:
+                assert got == want
+                assert (got.num_vars, got.degree) == (want.num_vars, want.degree)
+                assert not any(_is_zero(x) for x in got.coeffs.values())
+            assert (s - s).coeffs == {}
+            assert s.scale(0).coeffs == {}
+
+    def test_public_constructor_still_checks_exponents(self):
+        Q2 = PadicRationals(2)
+        for e in [(1, 1, 0), (2,), (3, -1)]:
+            with pytest.raises(PreconditionError):
+                Section(Q2, 2, 2, {e: F(1)})
 
 
 class TestSubvariety:
