@@ -13,12 +13,12 @@ search for free bases of archimedean norm < 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as iter_product
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .fields import PadicRationals, _prime_support, _vp
@@ -152,6 +152,11 @@ class AdelicSpace:
                 raise PreconditionError(f"place {p} carries a wrong-field norm")
             if space.dim != self.dim:
                 raise PreconditionError("finite-place dimension mismatch")
+        for i, f in enumerate(self.arch_functionals):
+            if len(f) != self.dim:
+                raise PreconditionError(
+                    f"arch functional {i} has {len(f)} entries, the dimension "
+                    f"is {self.dim}")
         funcs = [[Fraction(x) for x in f] for f in self.arch_functionals]
         if linalg.rank(funcs) < self.dim:
             raise PreconditionError("archimedean functionals must span the dual")
@@ -427,15 +432,11 @@ def lambda_Q(M: NormedLattice) -> Fraction:
     norms <= lambda."""
     if M.rank == 0:
         return Fraction(0)
-    chosen: List[list] = []
-    lam = Fraction(0)
-    for val, coords in M._short_vectors:
-        row = [Fraction(c) for c in coords]
-        if linalg.rank(chosen + [row]) > len(chosen):
-            chosen.append(row)
-            lam = max(lam, val)
-            if len(chosen) == M.rank:
-                return lam
+    vectors = M._short_vectors
+    kept = linalg.extend_basis([], [c for _, c in vectors], M.rank)
+    if len(kept) == M.rank:
+        # the vectors are sorted by value, so the last one kept is the largest
+        return vectors[kept[-1]][0]
     raise PreconditionError("enumeration failed to find a basis (internal error)")
 
 
@@ -500,15 +501,6 @@ def lambda_upper_bound(M: NormedLattice) -> Fraction:
     return max(M.arch(c) for c in M.basis_columns)
 
 
-def support_unit(primes: Sequence[int]) -> Fraction:
-    """A rational with positive valuation exactly at the given primes
-    (over Q simply their product)."""
-    out = Fraction(1)
-    for p in primes:
-        out *= p
-    return out
-
-
 # ----------------------------------------------------------------------
 # Quotients of adelic spaces
 # ----------------------------------------------------------------------
@@ -558,36 +550,20 @@ def quotient_adelic(A: AdelicSpace, f: Sequence[Sequence[Fraction]]) -> AdelicSp
 
 
 # ----------------------------------------------------------------------
-# Graded structures: lambda tables and the basis search
+# Graded structures: per-degree minima and the basis search
 # ----------------------------------------------------------------------
 
 
-def graded_lambda_table(G: Dict[int, AdelicSpace], n_max: int) -> dict:
-    """Per-degree (lambda_Q, lambda_Z, rank) plus a floating least
-    squares decay fit of log lambda_Z against n (diagnostic only)."""
-    rows = []
+def graded_minima(G: Dict[int, AdelicSpace],
+                  n_max: int) -> Iterator[Tuple[int, NormedLattice, Fraction, list]]:
+    """(n, M, lambda_Z(M), a Z-basis attaining it) for n = 1..n_max, where
+    M is the finite-part lattice of degree n."""
     for n in range(1, n_max + 1):
         if n not in G:
             raise PreconditionError(f"graded family missing degree {n}")
         M = finite_unit_lattice(G[n])
-        lq = lambda_Q(M)
-        lz = lambda_Z(M)
-        rows.append({"n": n, "lambda_Q": lq, "lambda_Z": lz, "rank": M.rank})
-    import math
-    pts = [(row["n"], math.log(row["lambda_Z"])) for row in rows
-           if row["lambda_Z"] > 0]
-    fit = None
-    if len(pts) >= 2:
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        n = len(pts)
-        xbar, ybar = sum(xs) / n, sum(ys) / n
-        denom = sum((x - xbar) ** 2 for x in xs)
-        if denom > 0:
-            slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / denom
-            fit = {"slope": slope, "intercept": ybar - slope * xbar,
-                   "note": "diagnostic least-squares fit; floating point"}
-    return {"rows": rows, "log_fit": fit}
+        lz, basis = lambda_Z(M, want_basis=True)
+        yield n, M, lz, basis
 
 
 def nakai_basis_search(G: Dict[int, AdelicSpace], n: int):
@@ -602,10 +578,7 @@ def nakai_basis_search(G: Dict[int, AdelicSpace], n: int):
 
 def nakai_first_success(G: Dict[int, AdelicSpace], n_max: int):
     """(first degree with a norm-<1 free basis, that basis), or (None, None)."""
-    for n in range(1, n_max + 1):
-        if n not in G:
-            raise PreconditionError(f"graded family missing degree {n}")
-        basis = nakai_basis_search(G, n)
-        if basis is not None:
+    for n, _, lz, basis in graded_minima(G, n_max):
+        if lz < 1:
             return n, basis
     return None, None

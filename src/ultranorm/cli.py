@@ -23,18 +23,14 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from . import serialization as ser
 from .adelic import (AdelicSpace, NormedLattice, finite_unit_lattice,
-                     lambda_Q, lambda_Z)
+                     graded_minima, lambda_Q, lambda_Z)
 from .extension import (ExtensionProblem, check_extension_theorem,
-                        extend_trivial_via_laurent, min_norm_lift,
-                        ratio_sequence)
+                        extend_trivial_via_laurent, min_norm_lift)
 from .fields import PadicRationals
 from .metrics import QuotientMetric, sigma
-from .sections import Section, Subvariety
-from .spaces import (Lattice, NormedSpace, PreconditionError, dual_norm,
-                     lattice_from_norm, norm_from_lattice, orthogonalize_flag,
-                     quotient_norm)
+from .spaces import (Lattice, PreconditionError, dual_norm, lattice_from_norm,
+                     norm_from_lattice, orthogonalize_flag, quotient_norm)
 
-log = logging.getLogger("ultranorm")
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
@@ -165,7 +161,8 @@ def _problem_from_config(data: Dict[str, Any]) -> ExtensionProblem:
         raise ConfigError("", "config requires 'subvariety' and 'representative'")
     Y = ser.subvariety_from_json(data["subvariety"], metric.field,
                                  metric.num_vars)
-    rep = ser.section_from_json(data["representative"], metric.field)
+    rep = ser.section_from_json(data["representative"], metric.field,
+                                "/representative")
     return ExtensionProblem(metric, Y, rep)
 
 
@@ -332,6 +329,10 @@ def _normed_lattice(cols: List[List[Fraction]],
                     funcs: List[List[Fraction]]) -> NormedLattice:
     from .adelic import _rational_hnf
     from .linalg import rank
+    for i, row in enumerate(cols):
+        if len(row) != len(cols[0]):
+            raise PreconditionError(
+                f"lattice row {i} has {len(row)} entries, row 0 has {len(cols[0])}")
     if rank(cols) != len(cols[0]):
         raise PreconditionError("lattice columns are linearly dependent")
     basis = _rational_hnf([[row[j] for row in cols] for j in range(len(cols[0]))])
@@ -367,19 +368,9 @@ def cmd_nakai(args) -> str:
     degrees = {int(k): _adelic_from_json(v, f"/degrees/{k}")
                for k, v in data["degrees"].items()}
     n_max = args.max_degree if args.max_degree is not None else max(degrees)
-
-    def work(n):
-        if n not in degrees:
-            raise PreconditionError(f"graded family missing degree {n}")
-        M = finite_unit_lattice(degrees[n])
-        lz, basis = lambda_Z(M, want_basis=True)
-        return M, lambda_Q(M), lz, basis
-
-    results = [work(n) for n in range(1, n_max + 1)]
     rows = []
     first_success = None
-    for i, (M, lq, lz, basis) in enumerate(results):
-        n = i + 1
+    for n, M, lz, basis in graded_minima(degrees, n_max):
         success = lz < 1
         if success and first_success is None:
             first_success = n
@@ -388,8 +379,9 @@ def cmd_nakai(args) -> str:
             basis_str = ";".join(
                 ",".join(ser.rational_to_str(x) for x in vec)
                 for vec in sorted(basis))
-        rows.append([n, ser.rational_to_str(lq), ser.rational_to_str(lz),
-                     M.rank, "yes" if success else "no", basis_str])
+        rows.append([n, ser.rational_to_str(lambda_Q(M)),
+                     ser.rational_to_str(lz), M.rank,
+                     "yes" if success else "no", basis_str])
     header = ["n", "lambda_Q", "lambda_Z", "rank", "basis_found", "basis"]
     if args.format == "json":
         return _json_text({

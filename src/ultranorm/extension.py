@@ -17,15 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .fields import (LaurentRationals, Magnitude, RationalFunction, ValuedField,
                      _fekete_running_min, choose_laurent_base)
 from .metrics import QuotientMetric
-from .sections import Section, Subvariety, evaluation_matrix, monomial_basis, restriction_kernel
-from .spaces import (NormedSpace, PreconditionError, distance_to_subspace,
-                     lift_constant, orthogonalize_flag, scalar_extension)
+from .sections import Section, Subvariety, evaluation_matrix, restriction_kernel
+from .spaces import (PreconditionError, distance_to_subspace, lift_constant,
+                     orthogonalize_flag, scalar_extension)
 
 
 class DegreeTooSmall(PreconditionError):
@@ -62,7 +62,6 @@ class ExtensionProblem:
 
 def _initial_extension(P: ExtensionProblem, n: int) -> List:
     """Coefficient vector of one degree-n section restricting to l^n."""
-    field = P.field
     target = P.representative ** n
     if P.Y.kind == "linear":
         return target.to_vector()
@@ -155,14 +154,9 @@ def extend_trivial_via_laurent(P: ExtensionProblem, n: int) -> Tuple[Section, Ma
     s_prime = [a - b for a, b in zip(s0_L, minimizer)]
 
     # orthogonal basis of the base space adapted to the kernel (kernel first)
-    flag: List[list] = [list(v) for v in ker]
     dim = N.dim
-    for j in range(dim):
-        e = [field.one() if i == j else field.zero() for i in range(dim)]
-        if linalg.rank(flag + [e]) > len(flag):
-            flag.append(e)
-            if len(flag) == dim:
-                break
+    std = linalg.identity(dim, field.one(), field.zero())
+    flag = ker + [std[j] for j in linalg.extend_basis(ker, std, dim)]
     g, g_norms, _ = orthogonalize_flag(N, flag)
     d = len(ker)
     # expand s' in the g basis over the extension; the frame is rational,

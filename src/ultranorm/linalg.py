@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .fields import _is_zero
 
@@ -27,20 +27,6 @@ def mat_copy(m: Sequence[Sequence]) -> Matrix:
 
 def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
@@ -164,6 +150,22 @@ def rank(m: Sequence[Sequence]) -> int:
     return len(rref(m)[1])
 
 
+def extend_basis(base: Sequence[Sequence], candidates: Sequence[Sequence],
+                 size: int) -> List[int]:
+    """Greedy basis completion: the indices of the candidates, scanned in
+    order, that raise the rank of the independent rows ``base`` plus those
+    kept so far, until ``size`` rows are kept in all."""
+    rows = list(base)
+    kept: List[int] = []
+    for i, v in enumerate(candidates):
+        if len(rows) >= size:
+            break
+        if rank(rows + [v]) > len(rows):
+            rows.append(v)
+            kept.append(i)
+    return kept
+
+
 def solve(a: Sequence[Sequence], b: Sequence) -> Optional[list]:
     """One solution x of a x = b, or None if inconsistent."""
     rows = len(a)
@@ -276,29 +278,15 @@ def hnf_column_basis(cols: Sequence[Sequence[int]]) -> List[list[int]]:
 
 
 def integer_kernel(m: Sequence[Sequence[int]]) -> List[list[int]]:
-    """Z-basis of the full integer kernel {x in Z^cols : m x = 0},
-    computed by unimodular column reduction with an identity tracker."""
+    """Z-basis of the full integer kernel {x in Z^cols : m x = 0}: the
+    column HNF of the vectors (m e_j ; e_j) is in staircase form, so the
+    kernel is spanned by the tails of its basis vectors with zero head."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    work = [[m[i][j] for i in range(rows)] +
-            [1 if k == j else 0 for k in range(cols)]
-            for j in range(cols)]
-    active = list(range(cols))
-    for r in range(rows):
-        while True:
-            nz = [j for j in active if work[j][r] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda j: abs(work[j][r]))
-            a, b = work[nz[0]], work[nz[1]]
-            q = b[r] // a[r]
-            for i in range(rows + cols):
-                b[i] -= q * a[i]
-        nz = [j for j in active if work[j][r] != 0]
-        if nz:
-            active.remove(nz[0])
-    ker = [work[j][rows:] for j in active]
-    return hnf_column_basis(ker) if ker else []
+    hnf = _int_col_reduce([[m[i][j] for i in range(rows)] +
+                           [1 if k == j else 0 for k in range(cols)]
+                           for j in range(cols)])
+    return hnf_column_basis([b[rows:] for b in hnf if not any(b[:rows])])
 
 
 def lattice_intersection(a_cols: Sequence[Sequence[int]],

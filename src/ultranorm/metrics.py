@@ -12,7 +12,7 @@ basis; the coset elimination it replaced is the oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Dict, List, Sequence
@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence
 from . import linalg
 from .fields import (Magnitude, ValuedField, _fekete_running_min, _is_zero,
                      magnitude_max)
-from .sections import (Exponent, Section, Subvariety, monomial_basis,
+from .sections import (Section, Subvariety, evaluation_row, monomial_basis,
                        normalize_point)
 from .spaces import NormedSpace, PreconditionError, orthogonalize_flag
 
@@ -133,13 +133,8 @@ class QuotientMetric:
         k = len(forms)
         nv = self.num_vars
         # complete the forms (as vectors in the degree-1 space) to a flag
-        flag: List[list] = [list(f) for f in forms]
-        for j in range(nv):
-            e = [self.field.one() if i == j else self.field.zero() for i in range(nv)]
-            if linalg.rank(flag + [e]) > len(flag):
-                flag.append(e)
-                if len(flag) == nv:
-                    break
+        std = linalg.identity(nv, self.field.one(), self.field.zero())
+        flag = forms + [std[j] for j in linalg.extend_basis(forms, std, nv)]
         g, norms, _ = orthogonalize_flag(self.base, flag)
         # rewrite s in the g-coordinates: x = (G^T)^{-1} u, G^T has rows g_j
         u = _change_frame(_linear_forms(self.field, linalg.invert(g)), [s])[0]
@@ -220,18 +215,6 @@ def _change_frame(forms: Sequence[Section], sections: Sequence[Section]) -> List
 # ----------------------------------------------------------------------
 
 
-def _evaluation_row(field: ValuedField, m: int, n: int, point: Sequence) -> list:
-    pt = normalize_point(field, point)
-    row = []
-    for e in monomial_basis(m, n):
-        term = field.one()
-        for x, k in zip(pt, e):
-            for _ in range(k):
-                term = term * x
-        row.append(term)
-    return row
-
-
 def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
                         point: Sequence) -> Magnitude:
     """|1|^quot at the point for the norm N on degree-n sections: the
@@ -244,7 +227,7 @@ def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
     Exact elimination (distance from one solution to the kernel of
     evaluation) gives the same value and is kept as the test oracle.
     """
-    row = _evaluation_row(field, m, n, point)
+    row = evaluation_row(field, m, n, normalize_point(field, point))
     values = linalg.mat_vec(linalg.transpose(N.basis), row)  # e_i(x~)
     best = field.zero_magnitude()
     for val, w in zip(values, N.weights):

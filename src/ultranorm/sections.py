@@ -10,7 +10,6 @@ computed by exact linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -236,21 +235,22 @@ class Subvariety:
         return "points" if self.points is not None else "linear"
 
 
+def evaluation_row(field: ValuedField, m: int, n: int, point: Sequence) -> list:
+    """The degree-n monomials of monomial_basis(m, n) evaluated at point."""
+    row = []
+    for e in monomial_basis(m, n):
+        term = field.one()
+        for x, k in zip(point, e):
+            for _ in range(k):
+                term = term * x
+        row.append(term)
+    return row
+
+
 def evaluation_matrix(Y: Subvariety, n: int) -> List[list]:
     """Rows: points of Y; columns: degree-n monomials evaluated there."""
     assert Y.points is not None
-    basis = monomial_basis(Y.num_vars - 1, n)
-    rows = []
-    for pt in Y.points:
-        row = []
-        for e in basis:
-            term = Y.field.one()
-            for x, k in zip(pt, e):
-                for _ in range(k):
-                    term = term * x
-            row.append(term)
-        rows.append(row)
-    return rows
+    return [evaluation_row(Y.field, Y.num_vars - 1, n, pt) for pt in Y.points]
 
 
 def restriction_kernel(Y: Subvariety, n: int) -> List[List[FieldElement]]:
@@ -281,8 +281,4 @@ def restriction_kernel(Y: Subvariety, n: int) -> List[List[FieldElement]]:
                 vec[index[tuple(e2)]] = vec[index[tuple(e2)]] + c
             vectors.append(vec)
     # column-reduce to an independent basis (deterministic selection)
-    out: List[List[FieldElement]] = []
-    for v in vectors:
-        if linalg.rank(out + [v]) > len(out):
-            out.append(v)
-    return out
+    return [vectors[i] for i in linalg.extend_basis([], vectors, len(basis_n))]

@@ -257,17 +257,21 @@ def section_to_json(s: Section) -> Dict[str, Any]:
     return {"degree": s.degree, "variables": s.num_vars, "coeffs": coeffs}
 
 
-def section_from_json(data: Dict[str, Any], field: ValuedField) -> Section:
+def section_from_json(data: Dict[str, Any], field: ValuedField,
+                      pointer: str = "") -> Section:
+    """Decode a validated section; an exponent of the wrong arity or
+    degree is a SchemaViolation at ``pointer``/coeffs/KEY (where ``data``
+    sits)."""
     num_vars = int(data["variables"])
     degree = int(data["degree"])
     coeffs = {}
     for key, val in data["coeffs"].items():
         exp = tuple(int(e) for e in key.split(","))
         if len(exp) != num_vars:
-            raise SchemaViolation(f"/coeffs/{key}",
+            raise SchemaViolation(f"{pointer}/coeffs/{key}",
                                   f"exponent arity {len(exp)} != {num_vars}")
         if sum(exp) != degree:
-            raise SchemaViolation(f"/coeffs/{key}",
+            raise SchemaViolation(f"{pointer}/coeffs/{key}",
                                   f"exponent degree {sum(exp)} != {degree}")
         coeffs[exp] = field.from_rational(rational_from_str(val))
     return Section(field, num_vars, degree, coeffs)

@@ -228,16 +228,9 @@ def quotient_norm(space: NormedSpace, surjection: Sequence[Sequence]) -> tuple[
         raise PreconditionError("map is not surjective")
     ker = linalg.kernel_basis(surjection)
     d = len(ker)  # = r - s
-    # pick r - d = s vectors completing the kernel to a basis of the source
-    chosen: List[list] = list(ker)
-    complements: List[list] = []
-    for j in range(r):
-        e = [field.one() if i == j else field.zero() for i in range(r)]
-        if linalg.rank(chosen + [e]) > len(chosen):
-            chosen.append(e)
-            complements.append(e)
-            if len(chosen) == r:
-                break
+    # pick r - d = s standard vectors completing the kernel to a basis
+    std = linalg.identity(r, field.one(), field.zero())
+    complements = [std[j] for j in linalg.extend_basis(ker, std, r)]
     g, norms, _ = orthogonalize_flag(space, list(ker) + complements)
     lifts = g[d:]
     quot_basis_cols = [linalg.mat_vec(surjection, v) for v in lifts]
@@ -322,6 +315,11 @@ class Lattice:
 
     @classmethod
     def from_columns(cls, field: ValuedField, cols: Sequence[Sequence[Fraction]]) -> "Lattice":
+        for i, col in enumerate(cols):
+            if len(col) != len(cols[0]):
+                raise PreconditionError(
+                    f"lattice column {i} has {len(col)} entries, column 0 has "
+                    f"{len(cols[0])}")
         canon = canonical_lattice_columns(field.prime, [list(c) for c in cols])
         basis = [[canon[j][i] for j in range(len(canon))] for i in range(len(canon[0]))]
         return cls(field, basis)

@@ -12,10 +12,9 @@ from ultranorm import NormedSpace, PadicRationals
 from ultranorm.adelic import (AdelicSpace, NormedLattice, _lll,
                               _rational_hnf, arch_norm,
                               check_localization, finite_unit_lattice,
-                              graded_lambda_table, lambda_Q, lambda_Z,
+                              graded_minima, lambda_Q, lambda_Z,
                               lambda_upper_bound, nakai_basis_search,
-                              nakai_first_success, quotient_adelic,
-                              support_unit)
+                              nakai_first_success, quotient_adelic)
 from ultranorm.spaces import PreconditionError
 import ultranorm.linalg as lg
 
@@ -293,13 +292,6 @@ class TestLambda:
         assert lambda_upper_bound(M) == 1
 
 
-class TestSupportUnit:
-    def test_products(self):
-        assert support_unit([2, 3]) == 6
-        assert support_unit([]) == 1
-        assert support_unit([5]) == 5
-
-
 class TestQuotient:
     def test_frozen_quotient(self):
         space = diag_space(2, [F(1), F(1, 4)])
@@ -357,7 +349,17 @@ class TestNakai:
         assert nakai_basis_search(G, 1) is None
 
     def test_graded_table(self):
-        table = graded_lambda_table(self.family(F(1)), 3)
-        assert [row["lambda_Z"] for row in table["rows"]] == [
-            F(1, 2), F(1, 4), F(1, 8)]
-        assert table["log_fit"] is not None
+        rows = list(graded_minima(self.family(F(1)), 3))
+        assert [n for n, _, _, _ in rows] == [1, 2, 3]
+        assert [lz for _, _, lz, _ in rows] == [F(1, 2), F(1, 4), F(1, 8)]
+        for n, M, lz, basis in rows:
+            assert M.rank == n + 1
+            assert max(M.arch(v) for v in basis) == lz
+
+    def test_graded_minima_missing_degree(self):
+        G = self.family(F(1))
+        del G[2]
+        rows = graded_minima(G, 3)
+        assert next(rows)[0] == 1
+        with pytest.raises(PreconditionError, match="missing degree 2"):
+            next(rows)

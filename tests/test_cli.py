@@ -342,6 +342,63 @@ class TestMalformedShapes:
         assert obj["error"] == "config"
         assert "--max-degree" in obj["message"]
 
+    def ragged_exit_3(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "precondition"
+        assert obj["message"] == message
+
+    def test_ragged_lattice_config_exit_3(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.json", {
+            "lattice": {"columns": [["1", "0"], ["0"]]},
+            "norm": {"functionals": [["1", "0"], ["0", "1"]]}})
+        self.ragged_exit_3(capsys, ["lambda", "--config", cfg],
+                           "lattice row 1 has 1 entries, row 0 has 2")
+
+    def test_ragged_lattice_file_exit_3(self, tmp_path, capsys):
+        lat = write(tmp_path, "lat.json", {"columns": [["1", "0"], ["0"]]})
+        nrm = write(tmp_path, "nrm.json",
+                    {"functionals": [["1", "0"], ["0", "1"]]})
+        self.ragged_exit_3(capsys, ["lambda", "--lattice", lat, "--norm", nrm],
+                           "lattice row 1 has 1 entries, row 0 has 2")
+
+    @pytest.mark.parametrize("command", ["lambda", "nakai"])
+    def test_short_arch_functional_exit_3(self, tmp_path, capsys, command):
+        adelic = {"dim": 2, "arch_functionals": [["1", "0"], ["1"]]}
+        cfg = write(tmp_path, "c.json", {"adelic": adelic} if command == "lambda"
+                    else {"degrees": {"1": adelic}})
+        self.ragged_exit_3(capsys, [command, "--config", cfg],
+                           "arch functional 1 has 1 entries, the dimension is 2")
+
+    def test_ragged_field_lattice_exit_3(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.json", {
+            "field": {"type": "padic", "p": 2},
+            "lattice": {"columns": [["1", "0"], ["1"]]}})
+        self.ragged_exit_3(capsys, ["lattice", "--config", cfg],
+                           "lattice column 1 has 1 entries, column 0 has 2")
+
+    @pytest.mark.parametrize("coeffs,message", [
+        ({"1,0,0": "1"}, "exponent arity 3 != 2"),
+        ({"2,0": "1"}, "exponent degree 2 != 1"),
+    ], ids=["arity", "degree"])
+    def test_representative_error_path(self, tmp_path, capsys, coeffs,
+                                       message):
+        key = next(iter(coeffs))
+        cfg = write(tmp_path, "c.json", {
+            "space": norm_json(),
+            "subvariety": {"points": [["1", "0"]]},
+            "representative": {"degree": 1, "variables": 2, "coeffs": coeffs},
+        })
+        code, out, err = run(capsys, ["extension-table", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "schema"
+        assert obj["path"] == f"/representative/coeffs/{key}"
+        assert obj["message"] == message
+
 
 class TestDeterminism:
     def test_byte_identical_across_jobs(self, tmp_path, capsys):

@@ -22,7 +22,8 @@ class TestRationalRoutines:
         x = lg.solve(A, [Fraction(3), Fraction(2)])
         assert x == [Fraction(1), Fraction(1)]
         inv = lg.invert(A)
-        assert lg.mat_mul(A, inv) == frac_matrix([[1, 0], [0, 1]])
+        for j, col in enumerate(lg.transpose(inv)):
+            assert lg.mat_vec(A, col) == lg.identity(2)[j]
 
     def test_solve_inconsistent_returns_none(self):
         A = frac_matrix([[1, 1], [2, 2]])
@@ -145,7 +146,8 @@ class TestRrefIntegerKernel:
             except ValueError:
                 assert lg.rank(m) < n
                 continue
-            assert lg.mat_mul(m, inv) == lg.identity(n)
+            for j, col in enumerate(lg.transpose(inv)):
+                assert lg.mat_vec(m, col) == lg.identity(n)[j]
 
 
 def _loop_mat_vec(a, v):
@@ -317,3 +319,148 @@ class TestSympyOracles:
             want = [abs(int(d)) for d in
                     invariant_factors(sympy.Matrix(m), domain=sympy.ZZ) if d]
             assert lg.smith_diagonal(m) == want
+
+
+def _greedy_completion(base, candidates, size):
+    """The greedy loop that ``extend_basis`` replaced in five modules: keep
+    a candidate when it raises the rank, stop at ``size`` rows."""
+    rows = list(base)
+    kept = []
+    for i, v in enumerate(candidates):
+        if lg.rank(rows + [v]) > len(rows):
+            rows.append(v)
+            kept.append(i)
+            if len(rows) == size:
+                break
+    return kept
+
+
+class TestExtendBasis:
+    """``extend_basis`` against the greedy loop it replaced."""
+
+    @staticmethod
+    def _problem(rng, n, kind):
+        """Independent base rows and candidates with dependent ones (zero,
+        repeated, combinations of earlier rows) mixed in."""
+        while True:
+            base = _random_matrix(rng, rng.randint(0, n), n, kind)
+            if lg.rank(base) == len(base):
+                break
+        pool = base + _random_matrix(rng, rng.randint(1, n + 2), n, kind)
+        candidates = []
+        for _ in range(rng.randint(1, 2 * n + 2)):
+            pick = rng.random()
+            if pick < 0.2:
+                candidates.append([Fraction(0)] * n)
+            elif pick < 0.5:
+                a, b = rng.choice(pool), rng.choice(pool)
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                candidates.append([x + c * y for x, y in zip(a, b)])
+            else:
+                candidates.append(rng.choice(pool))
+        return base, candidates
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "huge"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_matches_greedy_loop(self, n, kind):
+        rng = random.Random(f"extend-{n}-{kind}")
+        for _ in range(15):
+            base, candidates = self._problem(rng, n, kind)
+            assert lg.extend_basis(base, candidates, len(base)) == []
+            for size in range(len(base) + 1, n + 1):
+                kept = lg.extend_basis(base, candidates, size)
+                assert kept == _greedy_completion(base, candidates, size)
+                rows = base + [candidates[i] for i in kept]
+                assert lg.rank(rows) == len(rows)
+                assert len(rows) == min(size, lg.rank(base + candidates))
+
+    def test_spanning_base_keeps_nothing(self):
+        rng = random.Random("span")
+        for n in range(1, 5):
+            base = lg.identity(n)
+            candidates = _random_matrix(rng, 2 * n, n, "dense")
+            assert lg.extend_basis(base, candidates, n) == []
+            assert _greedy_completion(base, candidates, n) == []
+
+    def test_constant_rational_functions(self):
+        from ultranorm.fields import RationalFunction
+        rng = random.Random("rf-extend")
+        for n in (2, 3, 4):
+            base, candidates = self._problem(rng, n, "dense")
+            lift = [[RationalFunction.constant(x) for x in v] for v in candidates]
+            lifted_base = [[RationalFunction.constant(x) for x in v] for v in base]
+            assert (lg.extend_basis(lifted_base, lift, n)
+                    == lg.extend_basis(base, candidates, n)
+                    == _greedy_completion(lifted_base, lift, n))
+
+    def test_int_tuples(self):
+        rng = random.Random("tuples")
+        for n in (1, 2, 3, 4):
+            tuples = [tuple(rng.randint(-3, 3) for _ in range(n))
+                      for _ in range(3 * n)]
+            fractions = [[Fraction(x) for x in t] for t in tuples]
+            assert (lg.extend_basis([], tuples, n)
+                    == lg.extend_basis([], fractions, n)
+                    == _greedy_completion([], fractions, n))
+
+    def test_greedy_is_not_the_pivot_complement(self):
+        # the kernel (1, 1) is completed by e_0, while its rref pivot is
+        # column 0, whose complement would be e_1
+        one, zero = Fraction(1), Fraction(0)
+        assert lg.extend_basis([[one, one]], lg.identity(2), 2) == [0]
+        assert lg.rref([[one, one]])[1] == [0]
+
+
+def _tracked_integer_kernel(m):
+    """The unimodular column reduction with an identity tracker that
+    ``integer_kernel`` ran before it shared ``_int_col_reduce``."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    work = [[m[i][j] for i in range(rows)] +
+            [1 if k == j else 0 for k in range(cols)] for j in range(cols)]
+    active = list(range(cols))
+    for r in range(rows):
+        while True:
+            nz = [j for j in active if work[j][r] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda j: abs(work[j][r]))
+            a, b = work[nz[0]], work[nz[1]]
+            q = b[r] // a[r]
+            for i in range(rows + cols):
+                b[i] -= q * a[i]
+        nz = [j for j in active if work[j][r] != 0]
+        if nz:
+            active.remove(nz[0])
+    ker = [work[j][rows:] for j in active]
+    return lg.hnf_column_basis(ker) if ker else []
+
+
+class TestIntegerKernel:
+    """``integer_kernel``: kernel vectors, the right count, a saturated
+    lattice, and the same canonical basis as the tracker it replaced."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (2, 3), (3, 3), (3, 5),
+                                       (4, 2), (4, 6)])
+    def test_random_matrices(self, shape):
+        rng = random.Random(f"kernel-{shape}")
+        rows, cols = shape
+        for trial in range(30):
+            m = TestSympyOracles._int_matrix(rng, rows, cols,
+                                             rng.randint(0, min(shape)))
+            if trial % 3 == 0:
+                for i in rng.sample(range(rows), rng.randint(1, rows)):
+                    m[i] = [0] * cols
+            ker = lg.integer_kernel(m)
+            for x in ker:
+                assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in m)
+            assert len(ker) == cols - lg.rank(m)
+            if ker:
+                assert lg.smith_diagonal(ker) == [1] * len(ker)
+            assert ker == _tracked_integer_kernel(m)
+
+    def test_degenerate(self):
+        assert lg.integer_kernel([]) == []
+        assert lg.integer_kernel([[0, 0]]) == [[1, 0], [0, 1]]
+        assert lg.integer_kernel([[2, 3]]) == _tracked_integer_kernel([[2, 3]])
+        assert lg.integer_kernel([[1, 0], [0, 1]]) == []

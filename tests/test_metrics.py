@@ -9,10 +9,11 @@ import pytest
 
 from ultranorm import (NormedSpace, PadicRationals, PreconditionError,
                        TrivialRationals, linalg)
-from ultranorm.metrics import (MetricFamily, QuotientMetric, _evaluation_row,
+from ultranorm.metrics import (MetricFamily, QuotientMetric,
                                gauss_attainment_point, metric_gap,
                                mu_estimate, quotient_fiber_norm, sigma)
-from ultranorm.sections import Section, Subvariety, monomial_basis
+from ultranorm.sections import (Section, Subvariety, evaluation_row,
+                                monomial_basis, normalize_point)
 from ultranorm.spaces import distance_to_subspace
 
 F = Fraction
@@ -160,7 +161,7 @@ class TestQuotientFiberNorm:
     def elimination(N, field, m, n, pt):
         """The coset minimization: distance from one solution of
         s(x~) = 1 to the kernel of evaluation."""
-        row = _evaluation_row(field, m, n, pt)
+        row = evaluation_row(field, m, n, normalize_point(field, pt))
         i = next(i for i, x in enumerate(row) if x != 0)
         s0 = [field.zero()] * len(row)
         s0[i] = field.one() / row[i]
