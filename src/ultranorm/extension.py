@@ -21,15 +21,12 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .fields import (LaurentRationals, Magnitude, RationalFunction, ValuedField,
-                     _fekete_running_min, choose_laurent_base)
+                     _fekete_running_min, choose_laurent_base, magnitude_max)
 from .metrics import QuotientMetric
 from .sections import Section, Subvariety, evaluation_matrix, restriction_kernel
-from .spaces import (PreconditionError, distance_to_subspace, lift_constant,
-                     orthogonalize_flag, scalar_extension)
-
-
-class DegreeTooSmall(PreconditionError):
-    """The restricted section does not extend at this degree."""
+from .spaces import (NormedSpace, PreconditionError, _eliminate,
+                     distance_to_subspace, lift_constant, orthogonalize_flag,
+                     scalar_extension)
 
 
 @dataclass
@@ -60,34 +57,65 @@ class ExtensionProblem:
         return self._restricted_norm
 
 
-def _initial_extension(P: ExtensionProblem, n: int) -> List:
-    """Coefficient vector of one degree-n section restricting to l^n."""
-    target = P.representative ** n
-    if P.Y.kind == "linear":
-        return target.to_vector()
-    rows = evaluation_matrix(P.Y, n)
-    values = [target.evaluate(pt) for pt in P.Y.points]
-    sol = linalg.solve(rows, values)
-    if sol is None:
-        raise DegreeTooSmall(f"l^{n} does not extend at degree {n}")
-    return sol
-
-
 def min_norm_lift(P: ExtensionProblem, n: int) -> Tuple[Section, Magnitude]:
     """The minimal-norm degree-n extension of l^n and the exact ratio
-    ||s||_{h^n} / ||l||_{Y,h}^n."""
+    ||s||_{h^n} / ||l||_{Y,h}^n.
+
+    A point set Y is handled on the dual side (``_dual_lift``); a linear
+    Y by the distance from l^n to the restriction kernel.
+    """
     if n < 1:
         raise PreconditionError("degree must be >= 1")
-    field = P.field
-    s0 = _initial_extension(P, n)
-    ker = restriction_kernel(P.Y, n)
+    restricted = P.restricted_norm()
     N = P.metric.gauss_space(n)
-    dist, minimizer = distance_to_subspace(N, s0, ker)
-    vec = [a - b for a, b in zip(s0, minimizer)]
-    s = Section.from_vector(field, P.metric.m, n, vec)
-    ratio = dist / P.restricted_norm() ** n
+    if P.Y.kind == "points":
+        dist, vec = _dual_lift(P, N, n)
+    else:
+        s0 = (P.representative ** n).to_vector()
+        dist, minimizer = distance_to_subspace(N, s0, restriction_kernel(P.Y, n))
+        vec = [a - b for a, b in zip(s0, minimizer)]
+    s = Section.from_vector(P.field, P.metric.m, n, vec)
+    ratio = dist / restricted ** n
     P._ratio_cache[n] = ratio
     return s, ratio
+
+
+def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, list]:
+    """The distance from l^n to the degree-n sections vanishing on the
+    points x~_i of Y, and a section restricting to l^n that attains it.
+
+    In the orthogonal coordinates of N (the gauss space), l^n has the
+    coordinates a of l^n rewritten in the frame, and the sections vanishing
+    on Y are the common kernel W of psi_i with psi_i[j] = e_j(x~_i).  The
+    quotient norm on the coordinates modulo W is the dual of the dual norm
+    (weights 1/w_j) on W^perp = span(psi_i) (Bosch-Guentzer-Remmert,
+    Non-Archimedean Analysis).  Orthogonal elimination of the independent
+    psi_i under the dual weights gives rows psi'_i with pivots p_i, and
+
+        dist = max_i |psi'_i(a)| / ||psi'_i||*.
+
+    Row i vanishes at the pivots of the rows before it, so c supported on
+    the pivots with psi'_i(c) = psi'_i(a) comes from one back-substitution;
+    it is the combination of the dual basis of the psi'_i, so its norm is
+    dist.  The lift is N.basis c.
+    """
+    field = P.field
+    a = (P.metric.to_frame_coordinates(P.representative) ** n).to_vector()
+    rows = evaluation_matrix(P.Y, n)
+    # k points can impose fewer than k conditions (k > dim at low degree)
+    psi = [linalg.mat_vec(N.columns(), rows[i])
+           for i in linalg.extend_basis([], rows, N.dim)]
+    dual_weights = [field.one_magnitude() / w for w in N.weights]
+    pivots, norms = _eliminate(field, dual_weights, psi)
+    targets = linalg.mat_vec(psi, a)
+    dist = magnitude_max(field.abs(t) / norm for t, norm in zip(targets, norms))
+    c = [field.zero()] * N.dim
+    for i in reversed(range(len(psi))):
+        acc = targets[i]
+        for j in pivots[i + 1:]:
+            acc = acc - psi[i][j] * c[j]
+        c[pivots[i]] = acc / psi[i][pivots[i]]
+    return dist, linalg.mat_vec(N.basis, c)
 
 
 def ratio_sequence(P: ExtensionProblem, n_max: int) -> List[Magnitude]:
@@ -146,7 +174,7 @@ def extend_trivial_via_laurent(P: ExtensionProblem, n: int) -> Tuple[Section, Ma
     ext_field = LaurentRationals(prime)
     NL = scalar_extension(N, ext_field)
 
-    s0 = _initial_extension(P, n)
+    s0 = (P.representative ** n).to_vector()
     ker = restriction_kernel(P.Y, n)
     s0_L = [RationalFunction.constant(x) for x in s0]
     ker_L = lift_constant(ker)

@@ -123,7 +123,8 @@ class Magnitude:
     # -- arithmetic ----------------------------------------------------
 
     def _check_compat(self, other: "Magnitude") -> None:
-        if self.rho != other.rho:
+        # magnitudes of one field share its rho object
+        if self.rho is not other.rho and self.rho != other.rho:
             raise ValueError("magnitudes over different field profiles")
 
     # products, quotients and powers of p-free rationals are p-free
@@ -512,6 +513,9 @@ class ValuedField:
 
     ``kind`` is one of "padic", "trivial", "laurent"; ``prime`` is the
     residue prime p (padic) or the chosen base prime P (laurent).
+    ``rho`` is the uniformizer magnitude 1/prime (None for the trivial
+    valuation), built once; it is not a dataclass field, so equality and
+    hashing see only ``kind`` and ``prime``.
     """
 
     kind: str
@@ -526,15 +530,10 @@ class ValuedField:
                 raise ValueError("trivial valuation takes no prime")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        object.__setattr__(self, "rho", None if self.kind == "trivial"
+                           else Fraction(1, self.prime))
 
     # -- structure ------------------------------------------------------
-
-    @property
-    def rho(self) -> Optional[Fraction]:
-        """Uniformizer magnitude (None for the trivial valuation)."""
-        if self.kind == "trivial":
-            return None
-        return Fraction(1, self.prime)
 
     @property
     def is_discrete_nontrivial(self) -> bool:

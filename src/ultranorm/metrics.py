@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
+from operator import add
 from typing import Dict, List, Sequence
 
 from . import linalg
@@ -41,6 +43,7 @@ class QuotientMetric:
         self._subst = _linear_forms(
             self.field, linalg.transpose(self.base.basis_inverse()))
         self._gauss_cache: Dict[int, NormedSpace] = {}
+        self._frame_values: Dict[tuple, Magnitude] = {}
 
     @property
     def field(self) -> ValuedField:
@@ -74,16 +77,20 @@ class QuotientMetric:
 
     def local_frame_value(self, point: Sequence) -> Magnitude:
         """D(x) = max_i |e_i(x~)| / ||e_i|| at the normalized representative;
-        the degree-1 metric is |s|_h(x) = |s(x~)| / D(x)."""
-        pt = normalize_point(self.field, point)
-        best = self.field.zero_magnitude()
-        for form, w in zip(self.frame_forms(), self.base.weights):
-            val = form.evaluate(pt)
-            if _is_zero(val):
-                continue
-            mag = self.field.abs(val) / w
-            if mag > best:
-                best = mag
+        the degree-1 metric is |s|_h(x) = |s(x~)| / D(x).  Kept per
+        normalized point, since sigma reads it at every degree."""
+        pt = tuple(normalize_point(self.field, point))
+        best = self._frame_values.get(pt)
+        if best is None:
+            best = self.field.zero_magnitude()
+            for form, w in zip(self.frame_forms(), self.base.weights):
+                val = form.evaluate(pt)
+                if _is_zero(val):
+                    continue
+                mag = self.field.abs(val) / w
+                if mag > best:
+                    best = mag
+            self._frame_values[pt] = best
         return best
 
     def point_metric(self, s: Section, point: Sequence) -> Magnitude:
@@ -191,7 +198,66 @@ def _linear_forms(field: ValuedField, rows: Sequence[Sequence]) -> List[Section]
 
 def _change_frame(forms: Sequence[Section], sections: Sequence[Section]) -> List[Section]:
     """Each section with its variable x_j replaced by the degree-1 form
-    forms[j]; the powers of the forms are computed once for all sections."""
+    forms[j]; the powers of the forms are computed once for all sections.
+
+    Rational input runs fraction-free: form j is F_j / d_j with F_j an
+    integer form (d_j the lcm of its denominators), the powers F_j^k are
+    integer polynomials over d_j^k, and each section is summed over one
+    common denominator, so each output coefficient builds one Fraction.
+    Other coefficients (elements of Q(T)) take Section products.
+    """
+    if not all(isinstance(c, (int, Fraction))
+               for s in (*forms, *sections) for c in s.coeffs.values()):
+        return _change_frame_products(forms, sections)
+    field, nv = forms[0].field, len(forms)
+    dens = [lcm(*(c.denominator for c in f.coeffs.values())) for f in forms]
+    scaled = [{e: c.numerator * (d // c.denominator) for e, c in f.coeffs.items()}
+              for f, d in zip(forms, dens)]
+    powers: List[List[Dict[tuple, int]]] = [[{(0,) * nv: 1}] for _ in range(nv)]
+    out = []
+    for s in sections:
+        terms = []  # (exponent, numerator, denominator of c_e / prod_j d_j^e_j)
+        for e, c in s.coeffs.items():
+            den = c.denominator
+            for d, k in zip(dens, e):
+                if k:
+                    den *= d ** k
+            terms.append((e, c.numerator, den))
+        common = lcm(*(den for _, _, den in terms))
+        acc: Dict[tuple, int] = {}
+        for e, num, den in terms:
+            poly = None
+            for j, k in enumerate(e):
+                if not k:
+                    continue
+                while len(powers[j]) <= k:
+                    powers[j].append(_integer_product(powers[j][-1], scaled[j]))
+                poly = (powers[j][k] if poly is None
+                        else _integer_product(poly, powers[j][k]))
+            if poly is None:  # degree 0
+                poly = powers[0][0]
+            f = num * (common // den)
+            for mono, v in poly.items():
+                acc[mono] = acc.get(mono, 0) + f * v
+        out.append(Section._trusted(
+            field, nv, s.degree, {e: Fraction(v, common) for e, v in acc.items() if v}))
+    return out
+
+
+def _integer_product(a: Dict[tuple, int], b: Dict[tuple, int]) -> Dict[tuple, int]:
+    """The product of two polynomials with integer coefficients, stored as
+    exponent tuple -> int."""
+    out: Dict[tuple, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _change_frame_products(forms: Sequence[Section],
+                           sections: Sequence[Section]) -> List[Section]:
+    """``_change_frame`` by Section products, for any coefficient field."""
     field, nv = forms[0].field, len(forms)
     one = Section.monomial(field, (0,) * nv)
     powers: List[List[Section]] = [[one] for _ in range(nv)]
@@ -224,11 +290,14 @@ def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
     norm of evaluation, 1 / max_i |e_i(x~)| / w_i (Bosch-Guentzer-Remmert,
     Non-Archimedean Analysis): no s does better by the ultrametric
     inequality, and s = e_k / e_k(x~) at the maximizing k attains it.
-    Exact elimination (distance from one solution to the kernel of
-    evaluation) gives the same value and is kept as the test oracle.
+    This is the one-point case of ``extension._dual_lift``: one functional
+    psi = (e_i(x~))_i needs no elimination, and max_i |e_i(x~)| / w_i is
+    its dual norm.  Exact elimination (distance from one solution to the
+    kernel of evaluation) gives the same value and is kept as the test
+    oracle.
     """
     row = evaluation_row(field, m, n, normalize_point(field, point))
-    values = linalg.mat_vec(linalg.transpose(N.basis), row)  # e_i(x~)
+    values = linalg.mat_vec(N.columns(), row)  # e_i(x~)
     best = field.zero_magnitude()
     for val, w in zip(values, N.weights):
         if not _is_zero(val):

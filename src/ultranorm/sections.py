@@ -216,6 +216,10 @@ class Subvariety:
         if (self.points is None) == (self.linear_forms is None):
             raise PreconditionError("exactly one of points/linear_forms required")
         if self.points is not None:
+            for i, p in enumerate(self.points):
+                if len(p) != self.num_vars:
+                    raise PreconditionError(
+                        f"point {i} has {len(p)} coordinates, need {self.num_vars}")
             norm_pts = [normalize_point(self.field, p) for p in self.points]
             for i in range(len(norm_pts)):
                 for j in range(i + 1, len(norm_pts)):

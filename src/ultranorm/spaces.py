@@ -44,6 +44,7 @@ class NormedSpace:
         if any(w.is_zero for w in self.weights):
             raise PreconditionError("weights must be positive")
         self._inverse = None
+        self._columns = None
 
     # -- constructors ----------------------------------------------------
 
@@ -70,6 +71,13 @@ class NormedSpace:
 
     def column(self, i: int) -> list:
         return [row[i] for row in self.basis]
+
+    def columns(self) -> List[list]:
+        """The orthogonal basis vectors (the transposed basis), built once;
+        row i of ``mat_vec(columns(), phi)`` is phi(e_i)."""
+        if self._columns is None:
+            self._columns = linalg.transpose(self.basis)
+        return self._columns
 
     def coordinates(self, v: Sequence) -> list:
         if len(v) != self.dim:
@@ -122,8 +130,10 @@ class NormedSpace:
 # ----------------------------------------------------------------------
 
 
-def _eliminate(space: NormedSpace, rows: List[list]) -> tuple[List[int], List[Magnitude]]:
-    """Orthogonal elimination of coordinate rows, in place and in order.
+def _eliminate(field: ValuedField, weights: Sequence[Magnitude],
+               rows: List[list]) -> tuple[List[int], List[Magnitude]]:
+    """Orthogonal elimination of coordinate rows under the weighted sup
+    norm max_j |row[j]| * weights[j], in place and in order.
 
     Row i takes as pivot the coordinate j, not yet a pivot, where
     |row_i[j]| * w_j is largest (the first such j on ties); every later
@@ -131,17 +141,16 @@ def _eliminate(space: NormedSpace, rows: List[list]) -> tuple[List[int], List[Ma
     Returns the pivots and the pivot values |row_i[pivot_i]| * w_pivot_i,
     which are the norms of the final rows.
     """
-    field = space.field
     pivots: List[int] = []
     norms: List[Magnitude] = []
     for i in range(len(rows)):
         row = rows[i]
         best_j = None
         best_val = field.zero_magnitude()
-        for j in range(space.dim):
+        for j, w in enumerate(weights):
             if j in pivots or _is_zero(row[j]):
                 continue
-            val = field.abs(row[j]) * space.weights[j]
+            val = field.abs(row[j]) * w
             if best_j is None or val > best_val:
                 best_j, best_val = j, val
         if best_j is None:
@@ -178,7 +187,7 @@ def orthogonalize_flag(space: NormedSpace, vectors: Sequence[Sequence]) -> tuple
     all earlier g_j (in any combination realizing the max) are dominated.
     """
     work = [space.coordinates(v) for v in vectors]
-    pivots, norms = _eliminate(space, work)
+    pivots, norms = _eliminate(space.field, space.weights, work)
     return [linalg.mat_vec(space.basis, row) for row in work], norms, pivots
 
 
@@ -195,7 +204,7 @@ def distance_to_subspace(space: NormedSpace, x: Sequence,
         return space.norm(x), [space.field.zero()] * space.dim
     residual = space.coordinates(x)
     work = [space.coordinates(v) for v in subspace_vectors]
-    pivots, _ = _eliminate(space, work)
+    pivots, _ = _eliminate(space.field, space.weights, work)
     for row, j in zip(work, pivots):
         residual = _clear(residual, row, j)
     dist = space._coordinate_norm(residual)

@@ -379,6 +379,18 @@ class TestMalformedShapes:
         self.ragged_exit_3(capsys, ["lattice", "--config", cfg],
                            "lattice column 1 has 1 entries, column 0 has 2")
 
+    @pytest.mark.parametrize("point", [["1", "0", "1"], ["1"]],
+                             ids=["long", "short"])
+    def test_subvariety_point_length_exit_3(self, tmp_path, capsys, point):
+        cfg = write(tmp_path, "c.json", {
+            "space": norm_json(),
+            "subvariety": {"points": [["0", "1"], point]},
+            "representative": {"degree": 1, "variables": 2,
+                               "coeffs": {"1,0": "1"}},
+        })
+        self.ragged_exit_3(capsys, ["extension-table", "--config", cfg],
+                           f"point 1 has {len(point)} coordinates, need 2")
+
     @pytest.mark.parametrize("coeffs,message", [
         ({"1,0,0": "1"}, "exponent arity 3 != 2"),
         ({"2,0": "1"}, "exponent degree 2 != 1"),

@@ -11,14 +11,15 @@ import pytest
 
 from ultranorm import (LaurentRationals, NormedSpace, PadicRationals,
                        TrivialRationals, choose_laurent_base, linalg)
-from ultranorm.extension import (DegreeTooSmall, ExtensionProblem,
+from ultranorm.extension import (ExtensionProblem,
                                  _exceeds_exp, check_extension_theorem,
                                  extend_trivial_via_laurent, lambda_estimate,
                                  min_norm_lift, ratio_sequence,
                                  subadditivity_check)
 from ultranorm.metrics import QuotientMetric
-from ultranorm.sections import Section, Subvariety
-from ultranorm.spaces import PreconditionError, scalar_extension
+from ultranorm.sections import Section, Subvariety, restriction_kernel
+from ultranorm.spaces import (PreconditionError, distance_to_subspace,
+                              scalar_extension)
 
 F = Fraction
 
@@ -103,6 +104,69 @@ class TestMinNormLift:
             for pt in P.Y.points:
                 want = P.representative.evaluate(pt) ** n
                 assert section.evaluate(pt) == want
+
+
+def random_point_problem(rng, field, num_vars, npoints):
+    """A problem on P^(num_vars - 1) with a random non-diagonal norm and
+    npoints distinct points (possibly more than the degree-1 dimension)."""
+    while True:
+        basis = [[F(rng.randint(-3, 3), rng.randint(1, 3))
+                  for _ in range(num_vars)] for _ in range(num_vars)]
+        if linalg.rank(basis) == num_vars:
+            break
+    weights = [field.magnitude(rng.choice([F(1), F(2), F(1, 3), F(5, 4)]),
+                               rng.randint(-2, 2) if field.rho else 0)
+               for _ in range(num_vars)]
+    h = QuotientMetric(NormedSpace(field, basis, weights))
+    pts = []
+    while len(pts) < npoints:
+        pt = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(num_vars)]
+        if not any(pt):
+            continue
+        try:
+            Y = Subvariety(field, num_vars, points=pts + [pt])
+        except PreconditionError:  # proportional to an earlier point
+            continue
+        pts.append(pt)
+    while True:
+        rep = Section.from_vector(field, num_vars - 1, 1,
+                                  [F(rng.randint(-3, 3)) for _ in range(num_vars)])
+        if any(rep.evaluate(pt) != 0 for pt in Y.points):
+            return ExtensionProblem(h, Y, rep)
+
+
+class TestDualLift:
+    """The dual-side lift for point sets against the primal oracle: the
+    distance from one lift of l^n to the restriction kernel."""
+
+    @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(3),
+                                       TrivialRationals()],
+                             ids=lambda f: f"{f.kind}{f.prime or ''}")
+    def test_ratio_and_lift_match_primal_oracle(self, field):
+        rng = random.Random(f"dual-lift/{field.kind}{field.prime}")
+        cases = [(2, k, n) for k in (1, 3, 5) for n in (1, 2, 4)]
+        cases += [(3, k, n) for k in (2, 4, 5) for n in (1, 2)]
+        for num_vars, npoints, n in cases:
+            P = random_point_problem(rng, field, num_vars, npoints)
+            N = P.metric.gauss_space(n)
+            s0 = (P.representative ** n).to_vector()
+            dist, _ = distance_to_subspace(N, s0, restriction_kernel(P.Y, n))
+            section, ratio = min_norm_lift(P, n)
+            assert ratio == dist / P.restricted_norm() ** n
+            # minimizers are not unique: check what defines one
+            assert N.norm(section.to_vector()) == dist
+            for pt in P.Y.points:
+                assert section.evaluate(pt) == P.representative.evaluate(pt) ** n
+
+    def test_more_points_than_degree_one_sections(self):
+        # five points on P^1 impose only two conditions in degree 1: l
+        # itself is the only lift, and the ratio is ||l|| / ||l||_Y
+        Q2 = PadicRationals(2)
+        P = p1_problem(Q2, [F(1), F(2)],
+                       [[F(1), F(a)] for a in range(5)], [F(1), F(3)])
+        section, ratio = min_norm_lift(P, 1)
+        assert section == P.representative
+        assert ratio == P.metric.sup_norm(P.representative) / P.restricted_norm()
 
 
 class TestRatioSequence:

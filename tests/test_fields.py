@@ -213,6 +213,17 @@ class TestValuedField:
         assert PadicRationals(7).rho == Fraction(1, 7)
         assert TrivialRationals().rho is None
 
+    def test_rho_built_once_and_outside_equality(self):
+        K, L = PadicRationals(5), PadicRationals(5)
+        assert K.rho is K.rho and K.rho is not L.rho
+        assert K == L and hash(K) == hash(L) and K != LaurentRationals(5)
+        assert repr(K) == "ValuedField(kind='padic', prime=5)"
+        # magnitudes of equal fields built apart stay comparable
+        assert K.magnitude(2, 1) * L.magnitude(3) == K.magnitude(6, 1)
+        assert K.magnitude(1, 1) < L.magnitude(1)
+        with pytest.raises(ValueError):
+            K.magnitude(1) < PadicRationals(3).magnitude(1)
+
     def test_composite_prime_rejected(self):
         with pytest.raises(Exception):
             PadicRationals(6)

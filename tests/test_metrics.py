@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from ultranorm import (NormedSpace, PadicRationals, PreconditionError,
-                       TrivialRationals, linalg)
-from ultranorm.metrics import (MetricFamily, QuotientMetric,
-                               gauss_attainment_point, metric_gap,
-                               mu_estimate, quotient_fiber_norm, sigma)
+from ultranorm import (LaurentRationals, NormedSpace, PadicRationals,
+                       PreconditionError, TrivialRationals, linalg)
+from ultranorm.metrics import (MetricFamily, QuotientMetric, _change_frame,
+                               _change_frame_products, gauss_attainment_point,
+                               metric_gap, mu_estimate, quotient_fiber_norm,
+                               sigma)
 from ultranorm.sections import (Section, Subvariety, evaluation_row,
                                 monomial_basis, normalize_point)
 from ultranorm.spaces import distance_to_subspace
@@ -67,6 +68,67 @@ class TestPointMetric:
         a = h.point_metric(s, [F(1), F(2)])
         b = h.point_metric(s, [F(3), F(6)])
         assert a == b
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda K: f"{K.kind}{K.prime or ''}")
+    def test_frame_value_of_scaled_representatives(self, field):
+        rng = random.Random(f"frame-value/{field.kind}{field.prime}")
+        space = random_space(rng, field, 3)
+        h = QuotientMetric(space)
+        for _ in range(10):
+            pt = random_point(rng, 3)
+            scale = F(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
+            first = h.local_frame_value(pt)
+            # the second call on the same metric reads the kept value
+            assert h.local_frame_value([scale * x for x in pt]) == first
+            assert QuotientMetric(space).local_frame_value(
+                [scale * x for x in pt]) == first
+
+
+class TestChangeFrame:
+    """The fraction-free change of frame against the Section-product loop
+    it replaced, which still serves coefficients in Q(T)."""
+
+    @staticmethod
+    def random_form(rng, field, nv, big):
+        coeffs = {}
+        for i in range(nv):
+            if rng.random() < 0.3:
+                continue  # a zero coefficient
+            den = rng.randint(1, 10 ** 12) if big else rng.randint(1, 6)
+            coeffs[tuple(int(k == i) for k in range(nv))] = F(
+                rng.randint(-10 ** 9, 10 ** 9) if big else rng.randint(-5, 5), den)
+        return Section(field, nv, 1, coeffs)
+
+    @pytest.mark.parametrize("big", [False, True], ids=["small", "large_denominators"])
+    @pytest.mark.parametrize("nv", [2, 3])
+    def test_equals_section_products(self, nv, big):
+        Q3 = PadicRationals(3)
+        rng = random.Random(f"change-frame/{nv}/{big}")
+        for _ in range(6):
+            forms = [self.random_form(rng, Q3, nv, big) for _ in range(nv)]
+            sections = [Section.zero(Q3, nv, 2), Section.zero(Q3, nv, 0),
+                        Section.monomial(Q3, (0,) * nv, F(-7, 4))]
+            for n in (1, 2, 3):
+                exps = monomial_basis(nv - 1, n)
+                sections.append(Section(Q3, nv, n, {
+                    e: F(rng.randint(-4, 4), rng.randint(1, 9))
+                    for e in rng.sample(exps, min(len(exps), 4))}))
+                sections += [Section.monomial(Q3, e) for e in exps]
+            got = _change_frame(forms, sections)
+            assert got == _change_frame_products(forms, sections)
+            assert all(s.degree == t.degree for s, t in zip(got, sections))
+
+    def test_laurent_constants_match_rationals(self):
+        # a Laurent-field config keeps rational frames but lifts section
+        # coefficients to Q(T): those take the product loop
+        K = LaurentRationals(3)
+        rng = random.Random("change-frame/laurent")
+        forms = [self.random_form(rng, K, 2, False) for _ in range(2)]
+        rational = Section(K, 2, 2, {(2, 0): F(1, 2), (1, 1): F(-3), (0, 2): F(5, 7)})
+        lifted = Section(K, 2, 2, {e: K.element(c) for e, c in rational.coeffs.items()})
+        want = _change_frame(forms, [rational])[0]
+        got = _change_frame(forms, [lifted])[0]
+        assert {e: c.constant_value() for e, c in got.coeffs.items()} == want.coeffs
 
 
 class TestGaussNorm:
