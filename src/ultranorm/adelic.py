@@ -25,6 +25,7 @@ from .fields import PadicRationals, _prime_support, _vp
 from .spaces import NormedSpace, PreconditionError, quotient_norm
 
 RANK_BOUND = 8
+BOX_BOUND = 10 ** 5  # lattice points: about 5 s for lambda_Q and lambda_Z at rank 2
 
 
 def _common_denominator(xs: Iterable[Fraction]) -> int:
@@ -396,6 +397,10 @@ def _enumerate(phi0: List[List[Fraction]]) -> List[Tuple[Fraction, Tuple[int, ..
             size *= 2 * int(b) + 1
         if best_box is None or size < best_box[0]:
             best_box = (size, box)
+    if best_box[0] > BOX_BOUND:
+        raise PreconditionError(
+            f"the enumeration box holds {best_box[0]} points, more than the "
+            f"exact enumeration bound {BOX_BOUND}")
     ranges = [range(-int(b), int(b) + 1) for b in best_box[1]]
     # exact integer test: D*phi is integral and |D*phi.c| <= D*bound
     den = _common_denominator(x for row in phi for x in row)

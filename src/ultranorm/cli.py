@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import logging
 import math
 import os
 import random
@@ -446,7 +445,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if level not in LOG_LEVELS:
         return _config_error(f"ULTRANORM_LOG must be one of "
                              f"{', '.join(LOG_LEVELS)} (any case)")
-    logging.basicConfig(level=level)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

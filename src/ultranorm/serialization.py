@@ -7,10 +7,10 @@ JSON-pointer path.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence
-
-import jsonschema
+from numbers import Number
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from .fields import Magnitude, ValuedField
 from .sections import Section, Subvariety
@@ -161,15 +161,99 @@ class SchemaViolation(Exception):
 
 
 def validate(instance: Any, schema: Dict[str, Any]) -> None:
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(instance),
-                    key=lambda e: list(map(str, e.absolute_path)))
-    if errors:
-        err = errors[0]
-        pointer = "/" + "/".join(str(part) for part in err.absolute_path)
-        if pointer == "/":
-            pointer = ""
-        raise SchemaViolation(pointer, err.message)
+    """Raise SchemaViolation for the error that JSON Schema Draft 2020-12
+    reports first once sorted by path, with jsonschema 4.26's message."""
+    err = min(_errors(instance, schema, ()), default=None,
+              key=lambda e: list(map(str, e[0])))
+    if err is not None:
+        pointer = "/" + "/".join(str(part) for part in err[0])
+        raise SchemaViolation("" if pointer == "/" else pointer, err[1])
+
+
+def _is_type(instance: Any, name: str) -> bool:
+    if name == "integer":  # 2.0 is an integer, True is not
+        return (isinstance(instance, int) and not isinstance(instance, bool)
+                or isinstance(instance, float) and instance.is_integer())
+    return isinstance(instance, {"object": dict, "array": list, "string": str}[name])
+
+
+def _equal(a: Any, b: Any) -> bool:
+    """JSON equality: True is not 1, also inside arrays and objects."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(v, b[k]) for k, v in a.items())
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _errors(instance: Any, schema: Dict[str, Any],
+            path: Tuple) -> Iterator[Tuple[Tuple, str]]:
+    """Every (path, message) that Draft 2020-12 yields, keywords in dict
+    order; a keyword outside the configs' subset raises, not passes."""
+    is_object, is_array = isinstance(instance, dict), isinstance(instance, list)
+    for key, value in schema.items():
+        if key not in {"type", "pattern", "enum", "const", "minimum", "minItems",
+                       "minProperties", "maxProperties", "required", "properties",
+                       "patternProperties", "additionalProperties", "items",
+                       "allOf", "if", "then"} or (
+                key == "additionalProperties" and value is not False):
+            raise ValueError(f"validate does not interpret {key!r}: {value!r}")
+        if key == "type" and not _is_type(instance, value):
+            yield path, f"{instance!r} is not of type {value!r}"
+        elif (key == "pattern" and isinstance(instance, str)
+              and not re.search(value, instance)):
+            yield path, f"{instance!r} does not match {value!r}"
+        elif key == "enum" and not any(_equal(each, instance) for each in value):
+            yield path, f"{instance!r} is not one of {value!r}"
+        elif key == "const" and not _equal(instance, value):
+            yield path, f"{value!r} was expected"
+        elif (key == "minimum" and isinstance(instance, Number)
+              and not isinstance(instance, bool) and instance < value):
+            yield path, f"{instance!r} is less than the minimum of {value!r}"
+        elif key == "minItems" and is_array and len(instance) < value:
+            yield path, f"{instance!r} " + ("should be non-empty" if value == 1
+                                            else "is too short")
+        elif key == "minProperties" and is_object and len(instance) < value:
+            yield path, f"{instance!r} " + ("should be non-empty" if value == 1
+                                            else "does not have enough properties")
+        elif key == "maxProperties" and is_object and len(instance) > value:
+            yield path, f"{instance!r} " + ("is expected to be empty" if value == 0
+                                            else "has too many properties")
+        elif key == "required" and is_object:
+            for name in value:
+                if name not in instance:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties" and is_object:
+            for name, sub in value.items():
+                if name in instance:
+                    yield from _errors(instance[name], sub, path + (name,))
+        elif key == "patternProperties" and is_object:
+            for regex, sub in value.items():
+                for name, item in instance.items():
+                    if re.search(regex, name):
+                        yield from _errors(item, sub, path + (name,))
+        elif key == "additionalProperties" and is_object:
+            joined = "|".join(schema.get("patternProperties", {}))
+            extras = sorted(k for k in instance if k not in schema.get("properties", {})
+                            and not (joined and re.search(joined, k)))
+            names, one = ", ".join(map(repr, extras)), len(extras) == 1
+            if extras and "patternProperties" in schema:
+                regexes = ", ".join(map(repr, sorted(schema["patternProperties"])))
+                yield path, (f"{names} {'does' if one else 'do'} not match any "
+                             f"of the regexes: {regexes}")
+            elif extras:
+                yield path, (f"Additional properties are not allowed ({names} "
+                             f"{'was' if one else 'were'} unexpected)")
+        elif key == "items" and is_array:
+            for index, item in enumerate(instance):
+                yield from _errors(item, value, path + (index,))
+        elif key == "allOf":
+            for sub in value:
+                yield from _errors(instance, sub, path)
+        elif key == "if" and next(_errors(instance, value, path), None) is None:
+            yield from _errors(instance, schema.get("then", {}), path)
 
 
 # ----------------------------------------------------------------------

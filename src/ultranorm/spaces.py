@@ -324,6 +324,8 @@ class Lattice:
 
     @classmethod
     def from_columns(cls, field: ValuedField, cols: Sequence[Sequence[Fraction]]) -> "Lattice":
+        if field.kind != "padic":  # checked before field.prime is read
+            raise PreconditionError("lattices require a p-adic base field")
         for i, col in enumerate(cols):
             if len(col) != len(cols[0]):
                 raise PreconditionError(

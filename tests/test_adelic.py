@@ -291,6 +291,14 @@ class TestLambda:
             lambda_Z(M)
         assert lambda_upper_bound(M) == 1
 
+    def test_box_bound_refusal(self):
+        # for lambda_0 = s the enumeration box holds (2s + 1) * 3 points
+        eye = [[F(1), F(0)], [F(0), F(1)]]
+        assert lambda_Z(NormedLattice(eye, [[F(100), F(0)], [F(0), F(1)]])) == 100
+        M = NormedLattice(eye, [[F(10 ** 6), F(0)], [F(0), F(1)]])
+        with pytest.raises(PreconditionError, match="enumeration bound"):
+            lambda_Z(M)
+
 
 class TestQuotient:
     def test_frozen_quotient(self):

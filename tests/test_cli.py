@@ -164,8 +164,8 @@ class TestErrors:
         assert code == 2
 
     def test_log_level_is_case_insensitive(self, tmp_path):
-        # a fresh interpreter: logging.basicConfig only parses the level
-        # while the root logger has no handlers, as in a plain CLI run
+        # a fresh interpreter, as in a plain CLI run: main reads
+        # ULTRANORM_LOG from the environment before anything else
         cfg = write(tmp_path, "c.json", {"space": norm_json()})
         src = str(Path(ultranorm.__file__).resolve().parents[1])
         env = dict(os.environ, ULTRANORM_LOG="debug",
@@ -378,6 +378,22 @@ class TestMalformedShapes:
             "lattice": {"columns": [["1", "0"], ["1"]]}})
         self.ragged_exit_3(capsys, ["lattice", "--config", cfg],
                            "lattice column 1 has 1 entries, column 0 has 2")
+
+    @pytest.mark.parametrize("field", [{"type": "trivial"},
+                                       {"type": "laurent", "base_prime": 3}])
+    def test_lattice_over_non_padic_field_exit_3(self, tmp_path, capsys, field):
+        cfg = write(tmp_path, "c.json", {
+            "field": field, "lattice": {"columns": [["1", "0"], ["0", "2"]]}})
+        self.ragged_exit_3(capsys, ["lattice", "--config", cfg],
+                           "lattices require a p-adic base field")
+
+    def test_oversized_enumeration_box_exit_3(self, tmp_path, capsys):
+        lat = write(tmp_path, "lat.json", {"columns": [["1", "0"], ["0", "1"]]})
+        nrm = write(tmp_path, "nrm.json", {
+            "functionals": [["99999999999999999999/7", "0"], ["0", "1"]]})
+        code, out, err = run(capsys, ["lambda", "--lattice", lat, "--norm", nrm])
+        assert (code, out) == (3, "")
+        assert "enumeration bound" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("point", [["1", "0", "1"], ["1"]],
                              ids=["long", "short"])
