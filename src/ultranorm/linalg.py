@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import List, Optional, Sequence
 
 from .fields import _is_zero
@@ -31,8 +32,7 @@ def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
     """a v; rational input (ints and Fractions) comes back as Fractions."""
-    if (all(isinstance(x, (int, Fraction)) for x in v)
-            and all(isinstance(x, (int, Fraction)) for row in a for x in row)):
+    if _is_rational(v) and all(map(_is_rational, a)):
         return _mat_vec_integer(a, v)
     out = []
     for row in a:
@@ -45,19 +45,26 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
 
 def _mat_vec_integer(a: Sequence[Sequence], v: Sequence) -> list:
     """``mat_vec`` fraction-free: v and each row are scaled to integers by
-    the lcm of their denominators, the row sums run over nonzero integer
-    products, and each row builds one Fraction."""
-    d_v = lcm(*(x.denominator for x in v))
-    w = [x.numerator * (d_v // x.denominator) for x in v]
+    the lcm of their denominators (``_integer_row``), the row sums are
+    integer dot products, and each row builds one Fraction."""
+    w, d_v = _integer_row(v)
     out = []
     for row in a:
-        d = lcm(*(x.denominator for x in row))
-        acc = 0
-        for x, y in zip(row, w):
-            if x and y:
-                acc += x.numerator * (d // x.denominator) * y
-        out.append(Fraction(acc, d * d_v))
+        ints, d = _integer_row(row)
+        out.append(Fraction(sum(map(mul, ints, w)), d * d_v))
     return out
+
+
+def _is_rational(values) -> bool:
+    return all(isinstance(x, (int, Fraction)) for x in values)
+
+
+def _integer_row(row: Sequence) -> tuple[list, int]:
+    """A rational row as (integers, d) with row = integers / d, where d is
+    the lcm of its denominators."""
+    dens = [x.denominator for x in row]
+    d = lcm(*dens)
+    return [x.numerator * (d // e) for x, e in zip(row, dens)], d
 
 
 def transpose(a: Sequence[Sequence]) -> Matrix:
@@ -67,7 +74,7 @@ def transpose(a: Sequence[Sequence]) -> Matrix:
 def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form; returns (rref matrix, pivot columns).
     Rational matrices (ints and Fractions) come back as Fractions."""
-    if all(isinstance(x, (int, Fraction)) for row in m for x in row):
+    if all(map(_is_rational, m)):
         return _rref_integer(m)
     return _rref_field(m)
 

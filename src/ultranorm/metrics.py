@@ -14,15 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iter_product
 from math import lcm
-from operator import add
+from operator import mul
 from typing import Dict, List, Sequence
 
 from . import linalg
 from .fields import (Magnitude, ValuedField, _fekete_running_min, _is_zero,
                      magnitude_max)
-from .sections import (Section, Subvariety, evaluation_row, monomial_basis,
+from .sections import (Section, Subvariety, _integer_coeffs, _polynomial_product,
+                       evaluation_row, integer_evaluation_row, monomial_basis,
                        normalize_point)
 from .spaces import NormedSpace, PreconditionError, orthogonalize_flag
 
@@ -77,19 +79,17 @@ class QuotientMetric:
 
     def local_frame_value(self, point: Sequence) -> Magnitude:
         """D(x) = max_i |e_i(x~)| / ||e_i|| at the normalized representative;
-        the degree-1 metric is |s|_h(x) = |s(x~)| / D(x).  Kept per
-        normalized point, since sigma reads it at every degree."""
-        pt = tuple(normalize_point(self.field, point))
+        the degree-1 metric is |s|_h(x) = |s(x~)| / D(x)."""
+        return self._frame_value(normalize_point(self.field, point))
+
+    def _frame_value(self, normalized: Sequence) -> Magnitude:
+        """D(x) at a normalized representative, kept per point, since
+        sigma reads it at every degree."""
+        pt = tuple(normalized)
         best = self._frame_values.get(pt)
         if best is None:
-            best = self.field.zero_magnitude()
-            for form, w in zip(self.frame_forms(), self.base.weights):
-                val = form.evaluate(pt)
-                if _is_zero(val):
-                    continue
-                mag = self.field.abs(val) / w
-                if mag > best:
-                    best = mag
+            best = magnitude_max([self.field.abs(form.evaluate(pt)) / w for form, w in
+                                  zip(self.frame_forms(), self.base.weights)])
             self._frame_values[pt] = best
         return best
 
@@ -101,7 +101,7 @@ class QuotientMetric:
         value = s.evaluate(pt)
         if _is_zero(value):
             return self.field.zero_magnitude()
-        d = self.local_frame_value(pt)
+        d = self._frame_value(pt)
         return self.field.abs(value) / d ** s.degree
 
     # -- sup norms (weighted Gauss) ------------------------------------------
@@ -109,17 +109,7 @@ class QuotientMetric:
     def sup_norm(self, s: Section) -> Magnitude:
         """Sup of |s|_{h^n} over the projective space: the weighted Gauss
         norm of s written in the orthogonal frame coordinates."""
-        if s.is_zero:
-            return self.field.zero_magnitude()
-        u = self.to_frame_coordinates(s)
-        best = self.field.zero_magnitude()
-        for e, c in u.coeffs.items():
-            mag = self.field.abs(c)
-            for w, k in zip(self.base.weights, e):
-                mag = mag * w ** k
-            if mag > best:
-                best = mag
-        return best
+        return _gauss_norm(self.field, self.to_frame_coordinates(s), self.base.weights)
 
     def gauss_space(self, n: int) -> NormedSpace:
         """The degree-n sup norm as a NormedSpace on the coefficient
@@ -137,7 +127,6 @@ class QuotientMetric:
             vals = [self.point_metric(s, pt) for pt in Y.points]
             return magnitude_max(vals) if vals else self.field.zero_magnitude()
         forms = Y.linear_forms
-        k = len(forms)
         nv = self.num_vars
         # complete the forms (as vectors in the degree-1 space) to a flag
         std = linalg.identity(nv, self.field.one(), self.field.zero())
@@ -146,16 +135,7 @@ class QuotientMetric:
         # rewrite s in the g-coordinates: x = (G^T)^{-1} u, G^T has rows g_j
         u = _change_frame(_linear_forms(self.field, linalg.invert(g)), [s])[0]
         # on Y the first k frame coordinates vanish; Gauss norm of the rest
-        best = self.field.zero_magnitude()
-        for e, c in u.coeffs.items():
-            if any(e[i] > 0 for i in range(k)):
-                continue
-            mag = self.field.abs(c)
-            for i in range(k, nv):
-                mag = mag * norms[i] ** e[i]
-            if mag > best:
-                best = mag
-        return best
+        return _gauss_norm(self.field, u, norms, vanishing=len(forms))
 
 
 class _GaussSpace(NormedSpace):
@@ -172,12 +152,8 @@ class _GaussSpace(NormedSpace):
         self._subst = metric.substitution()
         cols = [f.to_vector()
                 for f in _change_frame(metric.frame_forms(), self._monomials)]
-        weights = []
-        for e in exps:
-            w = metric.field.one_magnitude()
-            for wi, k in zip(metric.base.weights, e):
-                w = w * wi ** k
-            weights.append(w)
+        one = metric.field.one_magnitude()
+        weights = [reduce(mul, map(pow, metric.base.weights, e), one) for e in exps]
         super().__init__(metric.field, linalg.transpose(cols), weights)
 
     def basis_inverse(self) -> List[list]:
@@ -185,6 +161,15 @@ class _GaussSpace(NormedSpace):
             self._inverse = linalg.transpose(
                 [u.to_vector() for u in _change_frame(self._subst, self._monomials)])
         return self._inverse
+
+
+def _gauss_norm(field: ValuedField, u: Section, weights: Sequence[Magnitude],
+                vanishing: int = 0) -> Magnitude:
+    """The weighted Gauss norm max_e |u_e| prod_j weights_j^e_j over the
+    terms of u free of the first ``vanishing`` variables."""
+    return magnitude_max([field.zero_magnitude()] + [
+        reduce(mul, map(pow, weights, e), field.abs(c))
+        for e, c in u.coeffs.items() if not any(e[:vanishing])])
 
 
 def _linear_forms(field: ValuedField, rows: Sequence[Sequence]) -> List[Section]:
@@ -206,13 +191,10 @@ def _change_frame(forms: Sequence[Section], sections: Sequence[Section]) -> List
     common denominator, so each output coefficient builds one Fraction.
     Other coefficients (elements of Q(T)) take Section products.
     """
-    if not all(isinstance(c, (int, Fraction))
-               for s in (*forms, *sections) for c in s.coeffs.values()):
+    if not all(linalg._is_rational(s.coeffs.values()) for s in (*forms, *sections)):
         return _change_frame_products(forms, sections)
     field, nv = forms[0].field, len(forms)
-    dens = [lcm(*(c.denominator for c in f.coeffs.values())) for f in forms]
-    scaled = [{e: c.numerator * (d // c.denominator) for e, c in f.coeffs.items()}
-              for f, d in zip(forms, dens)]
+    scaled, dens = zip(*(_integer_coeffs(f.coeffs) for f in forms))
     powers: List[List[Dict[tuple, int]]] = [[{(0,) * nv: 1}] for _ in range(nv)]
     out = []
     for s in sections:
@@ -231,9 +213,9 @@ def _change_frame(forms: Sequence[Section], sections: Sequence[Section]) -> List
                 if not k:
                     continue
                 while len(powers[j]) <= k:
-                    powers[j].append(_integer_product(powers[j][-1], scaled[j]))
+                    powers[j].append(_polynomial_product(powers[j][-1], scaled[j]))
                 poly = (powers[j][k] if poly is None
-                        else _integer_product(poly, powers[j][k]))
+                        else _polynomial_product(poly, powers[j][k]))
             if poly is None:  # degree 0
                 poly = powers[0][0]
             f = num * (common // den)
@@ -241,17 +223,6 @@ def _change_frame(forms: Sequence[Section], sections: Sequence[Section]) -> List
                 acc[mono] = acc.get(mono, 0) + f * v
         out.append(Section._trusted(
             field, nv, s.degree, {e: Fraction(v, common) for e, v in acc.items() if v}))
-    return out
-
-
-def _integer_product(a: Dict[tuple, int], b: Dict[tuple, int]) -> Dict[tuple, int]:
-    """The product of two polynomials with integer coefficients, stored as
-    exponent tuple -> int."""
-    out: Dict[tuple, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
     return out
 
 
@@ -295,9 +266,20 @@ def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
     its dual norm.  Exact elimination (distance from one solution to the
     kernel of evaluation) gives the same value and is kept as the test
     oracle.
+
+    ``point`` must be the normalized representative x~
+    (``normalize_point``): the value depends on the representative.  On
+    rational input each e_i(x~) is one integer dot product of column i of
+    ``N.integer_columns()`` with ``integer_evaluation_row``, over the
+    product of their denominators; Q(T) takes ``mat_vec``.
     """
-    row = evaluation_row(field, m, n, normalize_point(field, point))
-    values = linalg.mat_vec(N.columns(), row)  # e_i(x~)
+    cols = N.integer_columns()
+    scaled = integer_evaluation_row(n, point) if cols is not None else None
+    if scaled is None:
+        values = linalg.mat_vec(N.columns(), evaluation_row(field, m, n, point))
+    else:
+        nums, den = scaled
+        values = [Fraction(sum(map(mul, c, nums)), d * den) for c, d in cols]
     best = field.zero_magnitude()
     for val, w in zip(values, N.weights):
         if not _is_zero(val):
@@ -315,7 +297,7 @@ def metric_gap(N: NormedSpace, h: QuotientMetric, n: int, point: Sequence) -> Ma
     pt = normalize_point(field, point)
     quot_of_one = quotient_fiber_norm(N, field, h.m, n, pt)
     # the h^n fiber norm of the fiber element 1 is D(x)^{-n}
-    d = h.local_frame_value(pt)
+    d = h._frame_value(pt)
     return quot_of_one * d ** n
 
 
@@ -396,9 +378,7 @@ def gauss_attainment_point(h: QuotientMetric, s: Section) -> List[Fraction]:
     if p <= n:
         raise PreconditionError("need residue characteristic p > degree")
     nv = h.num_vars
-    ident = [[field.one() if i == j else field.zero() for j in range(nv)]
-             for i in range(nv)]
-    if h.base.basis != ident:
+    if h.base.basis != linalg.identity(nv, field.one(), field.zero()):
         raise PreconditionError("attainment certificates require a diagonal metric")
     exps = []
     for w in h.base.weights:
@@ -413,11 +393,7 @@ def gauss_attainment_point(h: QuotientMetric, s: Section) -> List[Fraction]:
     t = Section(field, nv, n, scaled)
     gauss = magnitude_max(field.abs(c) for c in t.coeffs.values())
     # normalize t to unit Gauss norm: divide by a coefficient attaining it
-    unit = None
-    for c in t.coeffs.values():
-        if field.abs(c) == gauss:
-            unit = c
-            break
+    unit = next(c for c in t.coeffs.values() if field.abs(c) == gauss)
     t = t.scale(field.one() / unit)
     # residues of the coefficients: all in Z_(p), at least one a unit
     def residue(x: Fraction) -> int:

@@ -10,6 +10,9 @@ computed by exact linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from itertools import accumulate
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -114,16 +117,16 @@ class Section:
                                 {e: c * x for e, x in self.coeffs.items()})
 
     def __mul__(self, other: "Section") -> "Section":
+        """Rational coefficients run fraction-free: each factor is an integer
+        polynomial over the lcm of its denominators, and each product
+        coefficient builds one Fraction.  Q(T) multiplies field elements."""
         self._check(other, same_degree=False)
-        out: Dict[Exponent, FieldElement] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if e in out:
-                    out[e] = out[e] + prod
-                else:
-                    out[e] = prod
+        a, b = self.coeffs, other.coeffs
+        if linalg._is_rational(a.values()) and linalg._is_rational(b.values()):
+            (a, da), (b, db) = _integer_coeffs(a), _integer_coeffs(b)
+            out = {e: Fraction(v, da * db) for e, v in _polynomial_product(a, b).items()}
+        else:
+            out = _polynomial_product(a, b)
         return Section._trusted(self.field, self.num_vars,
                                 self.degree + other.degree, out)
 
@@ -172,6 +175,25 @@ class Section:
         for e in sorted(self.coeffs, reverse=True):
             terms.append(f"{self.coeffs[e]}*x^{e}")
         return "Section(" + " + ".join(terms) + ")"
+
+
+def _integer_coeffs(coeffs: Dict[Exponent, FieldElement]) -> tuple[dict, int]:
+    """Rational coefficients as (integer polynomial, d) with
+    coeffs = polynomial / d, d the lcm of the denominators."""
+    ints, d = linalg._integer_row(list(coeffs.values()))
+    return dict(zip(coeffs, ints)), d
+
+
+def _polynomial_product(a: Dict[Exponent, FieldElement],
+                        b: Dict[Exponent, FieldElement]) -> dict:
+    """The product of two polynomials stored as exponent tuple ->
+    coefficient (integers, or any field elements); sums may be zero."""
+    out: Dict[Exponent, FieldElement] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -240,15 +262,35 @@ class Subvariety:
 
 
 def evaluation_row(field: ValuedField, m: int, n: int, point: Sequence) -> list:
-    """The degree-n monomials of monomial_basis(m, n) evaluated at point."""
-    row = []
-    for e in monomial_basis(m, n):
-        term = field.one()
-        for x, k in zip(point, e):
-            for _ in range(k):
-                term = term * x
-        row.append(term)
-    return row
+    """The degree-n monomials of monomial_basis(m, n) evaluated at point;
+    one Fraction per monomial at a rational point, field products in Q(T)."""
+    scaled = integer_evaluation_row(n, point)
+    if scaled is None:
+        return _evaluation_row_products(field, m, n, point)
+    return [Fraction(v, scaled[1]) for v in scaled[0]]
+
+
+def integer_evaluation_row(n: int, point: Sequence) -> Optional[tuple[list, int]]:
+    """The degree-n monomials at a rational point x = a / D (D the lcm of
+    its denominators) as (a^e for each e in monomial_basis, D^n), from
+    integer powers of the a_j; None when a coordinate is not rational."""
+    if not linalg._is_rational(point):
+        return None
+    a, den = linalg._integer_row(point)
+    # tails[r]: the degree-r monomials in the variables seen so far (from
+    # the last), in monomial_basis order; the first variable needs r = n
+    tails = [[1]] + [[]] * n
+    for j, x in reversed(list(enumerate(a))):
+        pw = list(accumulate([x] * n, mul, initial=1))
+        tails = [[pw[k] * v for k in range(r, -1, -1) for v in tails[r - k]]
+                 if j or r == n else [] for r in range(n + 1)]
+    return tails[n], den ** n
+
+
+def _evaluation_row_products(field: ValuedField, m: int, n: int,
+                             point: Sequence) -> list:
+    """``evaluation_row`` by repeated field products (the Q(T) path)."""
+    return [Section.monomial(field, e).evaluate(point) for e in monomial_basis(m, n)]
 
 
 def evaluation_matrix(Y: Subvariety, n: int) -> List[list]:

@@ -20,7 +20,9 @@ RATIONAL = {"type": "string", "pattern": r"^-?[0-9]+(/[1-9][0-9]*)?$"}
 
 MAGNITUDE_SCHEMA = {
     "type": "object",
-    "properties": {"q": RATIONAL, "n": {"type": "integer"}},
+    # |n| is bounded so that rho^n stays printable and fast to form
+    "properties": {"q": RATIONAL,
+                   "n": {"type": "integer", "minimum": -4096, "maximum": 4096}},
     "required": ["q", "n"],
     "additionalProperties": False,
 }
@@ -194,10 +196,10 @@ def _errors(instance: Any, schema: Dict[str, Any],
     order; a keyword outside the configs' subset raises, not passes."""
     is_object, is_array = isinstance(instance, dict), isinstance(instance, list)
     for key, value in schema.items():
-        if key not in {"type", "pattern", "enum", "const", "minimum", "minItems",
-                       "minProperties", "maxProperties", "required", "properties",
-                       "patternProperties", "additionalProperties", "items",
-                       "allOf", "if", "then"} or (
+        if key not in {"type", "pattern", "enum", "const", "minimum", "maximum",
+                       "minItems", "minProperties", "maxProperties", "required",
+                       "properties", "patternProperties", "additionalProperties",
+                       "items", "allOf", "if", "then"} or (
                 key == "additionalProperties" and value is not False):
             raise ValueError(f"validate does not interpret {key!r}: {value!r}")
         if key == "type" and not _is_type(instance, value):
@@ -212,6 +214,9 @@ def _errors(instance: Any, schema: Dict[str, Any],
         elif (key == "minimum" and isinstance(instance, Number)
               and not isinstance(instance, bool) and instance < value):
             yield path, f"{instance!r} is less than the minimum of {value!r}"
+        elif (key == "maximum" and isinstance(instance, Number)
+              and not isinstance(instance, bool) and instance > value):
+            yield path, f"{instance!r} is greater than the maximum of {value!r}"
         elif key == "minItems" and is_array and len(instance) < value:
             yield path, f"{instance!r} " + ("should be non-empty" if value == 1
                                             else "is too short")
@@ -263,7 +268,11 @@ def _errors(instance: Any, schema: Dict[str, Any],
 
 def rational_to_str(x: Fraction) -> str:
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:  # beyond Python's int-to-str digit limit
+        raise PreconditionError("result too large to print: an integer exceeds "
+                                "the interpreter's decimal digit limit") from exc
 
 
 def rational_from_str(s: str) -> Fraction:

@@ -45,6 +45,7 @@ class NormedSpace:
             raise PreconditionError("weights must be positive")
         self._inverse = None
         self._columns = None
+        self._integer_columns = None
 
     # -- constructors ----------------------------------------------------
 
@@ -78,6 +79,16 @@ class NormedSpace:
         if self._columns is None:
             self._columns = linalg.transpose(self.basis)
         return self._columns
+
+    def integer_columns(self) -> Optional[List[tuple]]:
+        """Column i of a rational basis as (integers, d_i), where d_i is the
+        lcm of its denominators and column i = integers / d_i; built once,
+        None for a basis over Q(T)."""
+        if self._integer_columns is None:
+            rational = all(map(linalg._is_rational, self.basis))
+            self._integer_columns = rational and list(map(linalg._integer_row,
+                                                          self.columns()))
+        return self._integer_columns or None
 
     def coordinates(self, v: Sequence) -> list:
         if len(v) != self.dim:
@@ -437,17 +448,14 @@ def lattice_from_norm(space: NormedSpace) -> Lattice:
     p = field.prime
     cols = []
     for i, w in enumerate(space.weights):
-        # need smallest m with (1/p)^m * w <= 1  <=>  p^m >= w
-        wv = w.value()
-        m = 0
-        if wv > 1:
-            while Fraction(p) ** m < wv:
-                m += 1
-        else:
-            while Fraction(p) ** (m - 1) >= wv:
-                m -= 1
-        col = [x * Fraction(p) ** m for x in space.column(i)]
-        cols.append(col)
+        # the smallest m with (1/p)^m * w <= 1 is k - n for w = q p^(-n),
+        # where k is the smallest integer with p^k >= q: no loop over n
+        k = 0
+        while Fraction(p) ** k < w.q:
+            k += 1
+        while Fraction(p) ** (k - 1) >= w.q:
+            k -= 1
+        cols.append([x * Fraction(p) ** (k - w.n) for x in space.column(i)])
     return Lattice.from_columns(field, cols)
 
 

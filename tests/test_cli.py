@@ -395,6 +395,42 @@ class TestMalformedShapes:
         assert (code, out) == (3, "")
         assert "enumeration bound" in json.loads(err)["message"]
 
+    @staticmethod
+    def exponent_space(p, n):
+        return {"field": {"type": "padic", "p": p},
+                "basis": [["1", "0"], ["0", "1"]],
+                "weights": [{"q": "1", "n": n}, {"q": "1", "n": 0}]}
+
+    @pytest.mark.parametrize("command,n,extra", [
+        ("orthogonalize", 10 ** 20, {"vectors": [["1", "0"]]}),
+        ("lattice", 10 ** 5, {}),
+        ("dual", -4097, {}),
+    ], ids=["orthogonalize-1e20", "lattice-1e5", "dual-below"])
+    def test_weight_exponent_out_of_range_exit_2(self, tmp_path, capsys,
+                                                 command, n, extra):
+        cfg = write(tmp_path, "c.json", {"space": self.exponent_space(2, n), **extra})
+        code, out, err = run(capsys, [command, "--config", cfg])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "schema", "path": "/space/weights/0/n",
+            "message": f"{n} is {'greater' if n > 0 else 'less'} than the "
+                       f"{'maximum' if n > 0 else 'minimum'} of "
+                       f"{4096 if n > 0 else -4096}"}
+
+    def test_unprintable_lattice_exit_3(self, tmp_path, capsys):
+        # 1000003^4096 has about 24,600 decimal digits
+        cfg = write(tmp_path, "c.json", {"space": self.exponent_space(1000003, -4096)})
+        code, out, err = run(capsys, ["lattice", "--config", cfg])
+        assert (code, out) == (3, "")
+        assert json.loads(err)["message"].startswith("result too large to print")
+
+    def test_exponent_bound_is_inclusive(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.json", {"space": self.exponent_space(2, 4096)})
+        code, out, err = run(capsys, ["lattice", "--config", cfg])
+        assert (code, err) == (0, "")
+        # weight 2^-4096: the unit ball is spanned by 2^-4096 e_0
+        assert json.loads(out)["columns"][0][0] == f"1/{2 ** 4096}"
+
     @pytest.mark.parametrize("point", [["1", "0", "1"], ["1"]],
                              ids=["long", "short"])
     def test_subvariety_point_length_exit_3(self, tmp_path, capsys, point):

@@ -13,9 +13,10 @@ from ultranorm.metrics import (MetricFamily, QuotientMetric, _change_frame,
                                _change_frame_products, gauss_attainment_point,
                                metric_gap, mu_estimate, quotient_fiber_norm,
                                sigma)
-from ultranorm.sections import (Section, Subvariety, evaluation_row,
-                                monomial_basis, normalize_point)
-from ultranorm.spaces import distance_to_subspace
+from ultranorm.fields import RationalFunction
+from ultranorm.sections import (Section, Subvariety, _evaluation_row_products,
+                                evaluation_row, monomial_basis, normalize_point)
+from ultranorm.spaces import distance_to_subspace, scalar_extension
 
 F = Fraction
 
@@ -37,6 +38,19 @@ def random_space(rng, field, dim):
         if linalg.rank(basis) == dim:
             break
     weights = [field.magnitude(rng.choice([F(1), F(2), F(1, 3), F(6), F(5, 4)]))
+               for _ in range(dim)]
+    return NormedSpace(field, basis, weights)
+
+
+def wide_space(rng, field, dim):
+    """A non-diagonal norm whose basis has zeros and denominators above
+    2^64."""
+    while True:
+        basis = [[F(rng.randint(-3, 3), rng.choice([1, 2, 3, 2 ** 64 + rng.randint(1, 9)]))
+                  for _ in range(dim)] for _ in range(dim)]
+        if linalg.rank(basis) == dim:
+            break
+    weights = [field.magnitude(rng.choice([F(1), F(2), F(1, 3), F(6)]))
                for _ in range(dim)]
     return NormedSpace(field, basis, weights)
 
@@ -240,8 +254,68 @@ class TestQuotientFiberNorm:
             for N in spaces:
                 for _ in range(3):
                     pt = random_point(rng, m + 1)
-                    assert (quotient_fiber_norm(N, field, m, n, pt)
+                    assert (quotient_fiber_norm(N, field, m, n,
+                                                normalize_point(field, pt))
                             == self.elimination(N, field, m, n, pt))
+
+    @staticmethod
+    def mat_vec_route(N, field, m, n, pt):
+        """1 / max_i |e_i(x~)| / w_i with e_i(x~) from the Fraction row and
+        ``mat_vec`` over the basis columns."""
+        values = linalg.mat_vec(N.columns(), _evaluation_row_products(field, m, n, pt))
+        return field.one_magnitude() / max(
+            field.abs(v) / w for v, w in zip(values, N.weights) if v != 0)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda K: K.kind + str(K.prime))
+    def test_integer_columns_equal_mat_vec_route(self, field):
+        rng = random.Random(f"integer-columns/{field.kind}{field.prime}")
+        big = 2 ** 64
+        for m in (1, 2):
+            for n in (1, 2, 3):
+                dim = len(monomial_basis(m, n))
+                h = QuotientMetric(wide_space(rng, field, m + 1))
+                for N in (h.gauss_space(n), wide_space(rng, field, dim)):
+                    assert [[F(x, d) for x in ints] for ints, d in
+                            N.integer_columns()] == N.columns()
+                    for _ in range(4):
+                        pt = random_point(rng, m + 1)
+                        pt[rng.randrange(m + 1)] = F(0)  # a zero coordinate
+                        if not any(pt):
+                            pt[0] = F(rng.randint(1, 9), big + rng.randint(1, 9))
+                        x = normalize_point(field, pt)
+                        assert (quotient_fiber_norm(N, field, m, n, x)
+                                == self.mat_vec_route(N, field, m, n, x)
+                                == self.elimination(N, field, m, n, pt))
+
+    def test_laurent_space_takes_mat_vec(self):
+        rng = random.Random("laurent-fiber")
+        K = LaurentRationals(5)
+        for n in (1, 2):
+            N = scalar_extension(random_space(rng, TrivialRationals(), n + 1), K)
+            assert N.integer_columns() is None
+            for _ in range(3):
+                pt = [RationalFunction.constant(x) for x in random_point(rng, 2)]
+                x = normalize_point(K, pt)
+                assert (quotient_fiber_norm(N, K, 1, n, x)
+                        == self.mat_vec_route(N, K, 1, n, x)
+                        == self.elimination(N, K, 1, n, pt))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda K: K.kind + str(K.prime))
+    def test_sigma_and_metric_gap_at_scaled_points(self, field):
+        rng = random.Random(f"scaled/{field.kind}{field.prime}")
+        h = QuotientMetric(random_space(rng, field, 3))
+        scalars = [F(-1), F(2), F(1, 3), F(-12, 5), F(2 ** 70 + 1, 7)]
+        for n in (1, 2, 3):
+            N = wide_space(rng, field, len(monomial_basis(2, n)))
+            for _ in range(3):
+                pt = random_point(rng, 3)
+                want_sigma, want_gap = sigma(h, n, pt), metric_gap(N, h, n, pt)
+                for lam in scalars:
+                    scaled = [lam * x for x in pt]
+                    assert sigma(h, n, scaled) == want_sigma
+                    assert metric_gap(N, h, n, scaled) == want_gap
+                    assert metric_gap(N, h, n, scaled) == metric_gap(
+                        N, QuotientMetric(h.base), n, scaled)
 
     def test_vanishing_evaluation_is_a_precondition(self):
         Q2 = PadicRationals(2)

@@ -53,10 +53,10 @@ VALID = {
                                  {"lattice": LATTICE, "norm": FUNCTIONALS}],
 }
 
-WALKER_KEYWORDS = {"type", "pattern", "enum", "const", "minimum", "minItems",
-                   "minProperties", "maxProperties", "required", "properties",
-                   "patternProperties", "additionalProperties", "items",
-                   "allOf", "if", "then"}
+WALKER_KEYWORDS = {"type", "pattern", "enum", "const", "minimum", "maximum",
+                   "minItems", "minProperties", "maxProperties", "required",
+                   "properties", "patternProperties", "additionalProperties",
+                   "items", "allOf", "if", "then"}
 
 # what a mutation may put in place of a node or under a new key
 JUNK = (None, True, False, 0, 1, -1, 2, 2.0, 1.5, "", "x", [], {}, ["1"],
@@ -101,7 +101,8 @@ def _variant(draw, node):
         shapes = [[], node[:-1], node + node[-1:], node + [draw(st.sampled_from(JUNK))]]
         return copy.deepcopy(draw(st.sampled_from(shapes)))
     if isinstance(node, (int, float)):  # bools included
-        return draw(st.sampled_from([True, False, float(node), node - 3, -1]))
+        return draw(st.sampled_from([True, False, float(node), node - 3, -1,
+                                     node + 4097]))
     return draw(st.sampled_from(RATIONAL_EDGES))
 
 
@@ -201,6 +202,11 @@ def test_unknown_keyword_raises(schema, instance):
 
 @pytest.mark.parametrize("instance,schema,message", [
     (2.0, {"type": "integer", "minimum": 3}, "2.0 is less than the minimum of 3"),
+    (4097, {"type": "integer", "minimum": -4096, "maximum": 4096},
+     "4097 is greater than the maximum of 4096"),
+    (1e30, {"type": "integer", "maximum": 4096},
+     "1e+30 is greater than the maximum of 4096"),
+    (True, {"maximum": 0}, None),
     (True, {"type": "integer", "minimum": 3}, "True is not of type 'integer'"),
     (1, {"const": True}, "True was expected"),
     (True, {"enum": [1]}, "True is not one of [1]"),
@@ -216,7 +222,8 @@ def test_unknown_keyword_raises(schema, instance):
      "'a', 'b' do not match any of the regexes: '^c', '^x'"),
     ({"type": "laurent"}, {"if": {"required": ["p"]}, "then": {"type": "array"}},
      None),
-], ids=["integral-float", "bool", "const-bool", "enum-bool", "search",
+], ids=["integral-float", "maximum", "integral-float-maximum", "bool-maximum",
+        "bool", "const-bool", "enum-bool", "search",
         "non-empty-items", "short", "non-empty-object", "empty-object",
         "extras", "extras-regexes", "if-false"])
 def test_message_traps(instance, schema, message):

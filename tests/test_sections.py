@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from ultranorm import LaurentRationals, PadicRationals, TrivialRationals
-from ultranorm.fields import _is_zero
-from ultranorm.sections import (Section, Subvariety, monomial_basis,
+from ultranorm.fields import RationalFunction, _is_zero
+from ultranorm.sections import (Section, Subvariety, _evaluation_row_products,
+                                _polynomial_product, evaluation_row,
+                                integer_evaluation_row, monomial_basis,
                                 normalize_point, restriction_kernel)
 from ultranorm.spaces import PreconditionError
 
@@ -116,6 +118,103 @@ class TestSectionAlgebraOracle:
         for e in [(1, 1, 0), (2,), (3, -1)]:
             with pytest.raises(PreconditionError):
                 Section(Q2, 2, 2, {e: F(1)})
+
+
+BIG = 2 ** 64
+
+
+def _wide_rational(rng):
+    """Zero a third of the time; otherwise a denominator up to above 2^64."""
+    if rng.random() < 0.3:
+        return F(0)
+    return F(rng.randint(-9, 9) or 1, rng.choice([1, 2, 3, 12, BIG + rng.randint(1, 99)]))
+
+
+def _wide_section(rng, nv, degree):
+    coeffs = {e: _wide_rational(rng) for e in monomial_basis(nv - 1, degree)}
+    return Section(PadicRationals(3), nv, degree, coeffs)
+
+
+def _lift(s, field):
+    """A rational section with its coefficients as constants of Q(T)."""
+    return Section(field, s.num_vars, s.degree,
+                   {e: RationalFunction.constant(c) for e, c in s.coeffs.items()})
+
+
+class TestFractionFreeKernels:
+    """The integer product, power and evaluation row against the
+    field-operation loops they replaced, which still serve Q(T): the
+    product loop run on the Fraction coefficients, and the
+    repeated-product row."""
+
+    @pytest.mark.parametrize("field", [PadicRationals(3), TrivialRationals()],
+                             ids=lambda K: K.kind)
+    def test_product_and_power_equal_fraction_loop(self, field):
+        rng = random.Random(f"product/{field.kind}")
+        for _ in range(40):
+            nv, d1, d2 = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 2)
+            s = Section(field, nv, d1, _wide_section(rng, nv, d1).coeffs)
+            t = Section(field, nv, d2, _wide_section(rng, nv, d2).coeffs)
+            want = Section(field, nv, d1 + d2, _polynomial_product(s.coeffs, t.coeffs))
+            assert s * t == want
+            assert all(isinstance(c, F) and c for c in (s * t).coeffs.values())
+            k = rng.randint(0, 4)
+            power = Section.monomial(field, (0,) * nv)
+            for _ in range(k):
+                power = Section(field, nv, power.degree + d2,
+                                _polynomial_product(power.coeffs, t.coeffs))
+            assert t ** k == power
+        zero = Section.zero(field, 2, 1)
+        assert (zero * Section.monomial(field, (1, 0))).is_zero
+        assert (zero ** 3).is_zero and (zero ** 0) == Section.monomial(field, (0, 0))
+
+    def test_laurent_product_takes_the_loop(self):
+        K = LaurentRationals(5)
+        rng = random.Random("product/laurent")
+        for _ in range(20):
+            nv, d1, d2 = rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 2)
+            s, t = _wide_section(rng, nv, d1), _wide_section(rng, nv, d2)
+            got = _lift(s, K) * _lift(t, K)
+            assert all(isinstance(c, RationalFunction) for c in got.coeffs.values())
+            assert got == _lift(s * t, K)
+            assert _lift(t, K) ** 3 == _lift(t ** 3, K)
+        # T is not a constant: the loop, not the integer kernel
+        x = Section(K, 2, 1, {(1, 0): RationalFunction((F(0), F(1))),
+                              (0, 1): RationalFunction.constant(F(1, BIG + 1))})
+        assert x * x == Section(K, 2, 2, _polynomial_product(x.coeffs, x.coeffs))
+
+    @pytest.mark.parametrize("field", [PadicRationals(3), TrivialRationals()],
+                             ids=lambda K: K.kind)
+    def test_evaluation_row_equals_repeated_products(self, field):
+        rng = random.Random(f"row/{field.kind}")
+        for m in range(4):
+            for n in range(5):
+                for _ in range(6):
+                    pt = [_wide_rational(rng) for _ in range(m + 1)]
+                    if not any(pt):
+                        continue
+                    for point in (pt, normalize_point(field, pt)):
+                        row = evaluation_row(field, m, n, point)
+                        assert row == _evaluation_row_products(field, m, n, point)
+                        assert len(row) == len(monomial_basis(m, n))
+                        assert all(isinstance(x, F) for x in row)
+
+    def test_integer_row_is_over_the_common_denominator_power(self):
+        odd = BIG + 1
+        nums, den = integer_evaluation_row(3, [F(1, 2), F(0), F(5, odd)])
+        assert den == (2 * odd) ** 3
+        # x0^3, x0^2 x1 and x2^3 with x0 = odd / (2 odd), x2 = 10 / (2 odd)
+        assert (nums[0], nums[1], nums[-1]) == (odd ** 3, 0, 1000)
+
+    def test_laurent_row_takes_the_loop(self):
+        K = LaurentRationals(5)
+        point = [RationalFunction.constant(F(1, 3)), RationalFunction((F(0), F(1)))]
+        assert integer_evaluation_row(2, point) is None
+        assert evaluation_row(K, 1, 2, point) == _evaluation_row_products(K, 1, 2, point)
+        const = [F(1, 3), F(0), F(7, BIG)]
+        lifted = [RationalFunction.constant(x) for x in const]
+        assert evaluation_row(K, 2, 3, lifted) == [
+            RationalFunction.constant(x) for x in evaluation_row(K, 2, 3, const)]
 
 
 class TestSubvariety:

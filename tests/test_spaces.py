@@ -248,6 +248,37 @@ class TestLattice:
         back = norm_from_lattice(lat)
         assert [w.value() for w in back.weights] == [F(1), F(1)]
 
+    @staticmethod
+    def searched_scale(w, p):
+        """The smallest m with (1/p)^m * w <= 1, by the search over m that
+        the closed form replaced."""
+        wv = w.value()
+        m = 0
+        if wv > 1:
+            while Fraction(p) ** m < wv:
+                m += 1
+        else:
+            while Fraction(p) ** (m - 1) >= wv:
+                m -= 1
+        return m
+
+    def test_closed_form_scale_equals_search(self):
+        rng = random.Random("lattice-scale")
+        for p in (2, 3, 5, 1000003):
+            field = PadicRationals(p)
+            extremes = (-4096, 4096) if p in (2, 1000003) else ()
+            for n in (-37, -1, 0, 1, 5) + extremes:
+                for _ in range(1 if n in extremes else 3):
+                    q = F(rng.randint(1, 10 ** rng.randint(1, 12)),
+                          rng.randint(1, 10 ** rng.randint(1, 12)))
+                    space = NormedSpace(field, [[F(1)]], [field.magnitude(q, n)])
+                    [[g]] = lattice_from_norm(space).basis
+                    # g spans the unit ball: norm(g) <= 1 < norm(g / p)
+                    one = field.one_magnitude()
+                    assert space.norm([g]) <= one < space.norm([g / p])
+                    if abs(n) < 100:
+                        assert g == F(p) ** self.searched_scale(space.weights[0], p)
+
     def test_canonical_form_is_basis_independent(self):
         Q2 = PadicRationals(2)
         a = Lattice.from_columns(Q2, [[F(1), F(0)], [F(0), F(2)]])
