@@ -199,6 +199,17 @@ class NormedLattice:
                 "use the labeled upper-bound heuristic instead")
         return _enumerate(self._phi)
 
+    @cached_property
+    def _lambda_Q(self) -> Fraction:
+        """lambda_Q, computed once: lambda_Z starts its search there."""
+        if self.rank == 0:
+            return Fraction(0)
+        kept = linalg.extend_basis([], [c for _, c in self._short_vectors], self.rank)
+        if len(kept) < self.rank:
+            raise PreconditionError("enumeration failed to find a basis (internal error)")
+        # the vectors are sorted by value, so the last one kept is the largest
+        return self._short_vectors[kept[-1]][0]
+
     @property
     def rank(self) -> int:
         return len(self.basis_columns)
@@ -435,14 +446,7 @@ def _enumerate(phi0: List[List[Fraction]]) -> List[Tuple[Fraction, Tuple[int, ..
 def lambda_Q(M: NormedLattice) -> Fraction:
     """Least lambda admitting a Q-basis inside M with all archimedean
     norms <= lambda."""
-    if M.rank == 0:
-        return Fraction(0)
-    vectors = M._short_vectors
-    kept = linalg.extend_basis([], [c for _, c in vectors], M.rank)
-    if len(kept) == M.rank:
-        # the vectors are sorted by value, so the last one kept is the largest
-        return vectors[kept[-1]][0]
-    raise PreconditionError("enumeration failed to find a basis (internal error)")
+    return M._lambda_Q
 
 
 def _partial_is_primitive(rows: List[Sequence[int]]) -> bool:
@@ -479,8 +483,9 @@ def lambda_Z(M: NormedLattice, want_basis: bool = False):
         return (Fraction(0), []) if want_basis else Fraction(0)
     vectors = M._short_vectors
     values = sorted({val for val, _ in vectors})
-    # binary search the smallest attained value admitting a Z-basis
-    lo, hi = 0, len(values) - 1
+    # binary search the smallest attained value admitting a Z-basis; a
+    # Z-basis is a Q-basis, so no value below lambda_Q admits one
+    lo, hi = values.index(M._lambda_Q), len(values) - 1
     best: Optional[Tuple[Fraction, List[Tuple[int, ...]]]] = None
     while lo <= hi:
         mid = (lo + hi) // 2

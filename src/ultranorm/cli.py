@@ -31,6 +31,7 @@ from .spaces import (Lattice, PreconditionError, dual_norm, lattice_from_norm,
                      norm_from_lattice, orthogonalize_flag, quotient_norm)
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+_PARSER: Optional["_Parser"] = None  # set by the first build_parser call
 
 
 # ----------------------------------------------------------------------
@@ -273,8 +274,11 @@ def cmd_extension_table(args) -> str:
     rows = []
     for i, r in enumerate(ratios):
         n = i + 1
-        # the decay rate column is a float diagnostic, marked approximate
-        approx = math.log(r.value()) / n
+        v = r.value()
+        try:  # the decay rate column is a float diagnostic, marked approximate
+            approx = math.log(v) / n
+        except OverflowError:  # past the float range
+            approx = (math.log(v.numerator) - math.log(v.denominator)) / n
         row = [n, r.q.numerator, r.q.denominator, r.n, f"{approx:.12g}"]
         if eps_flags is not None:
             row.append("yes" if eps_flags[i] else "no")
@@ -411,6 +415,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call (not at
+    import) and shared by every later call: parsing never changes it."""
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     parser = _Parser(
         prog="ultranorm",
         description="Exact computations with ultrametric norms, quotient "
@@ -431,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["csv", "json"], default=None)
     parser.add_argument("--lattice", help="lambda: JSON lattice columns")
     parser.add_argument("--norm", help="lambda: JSON norm functionals")
+    _PARSER = parser
     return parser
 
 

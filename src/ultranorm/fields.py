@@ -38,18 +38,23 @@ def _is_zero(x) -> bool:
 
 
 def _vp(x: Fraction, p: int) -> int:
-    """The p-adic valuation of a nonzero rational."""
+    """The p-adic valuation of a nonzero rational (or int), in doubling
+    steps: O(log(v)^2) divisions at most, not v of them."""
     if x == 0:
         raise ValueError("zero has no finite valuation")
+    m, sign = x.numerator, 1
+    if m % p:
+        m, sign = x.denominator, -1
     e = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
+    while m % p == 0:  # strip p, p^2, p^4, ... while they divide; repeat
+        m //= p
         e += 1
-    while den % p == 0:
-        den //= p
-        e -= 1
-    return e
+        q, k = p * p, 2
+        while m % q == 0:
+            m //= q
+            e += k
+            q, k = q * q, k + k
+    return sign * e
 
 
 class Magnitude:

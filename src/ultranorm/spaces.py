@@ -10,6 +10,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -366,72 +367,63 @@ class Lattice:
         return self.field == other.field and self.basis == other.basis
 
 
-def _coset_rep(x: Fraction, p: int, a: int) -> Fraction:
-    """Canonical representative of x + p^a Z_(p): of the form k / p^s
-    with s = max(0, -v_p(x)) and integer 0 <= k < p^(a+s)."""
-    if x == 0:
-        return x
-    v = _vp(x, p)
-    if v >= a:
-        return Fraction(0)
-    s = max(0, -v)
-    y = x * Fraction(p) ** s
-    m = p ** (a + s)
-    k = (y.numerator * pow(y.denominator, -1, m)) % m
-    return Fraction(k, p ** s)
-
-
 def canonical_lattice_columns(p: int, cols: List[list]) -> List[list]:
     """Canonical basis of a full-rank Z_(p)-lattice given spanning columns.
 
-    Hermite-style reduction over the valuation ring Z_(p): repeatedly
-    pick, among unpivoted columns and unused rows, the entry of least
-    p-adic valuation a; normalize the column so that entry becomes
-    exactly p^a; clear that row from all other unpivoted columns (the
-    quotients are units times Z_(p) elements by minimality).  Finally
-    reduce each earlier column at each later pivot row to the canonical
-    coset representative modulo p^a Z_(p).
+    Hermite reduction over Z_(p), in integers.  Each column is scaled by
+    a unit (the prime-to-p part of its denominators) and all by one p^S.
+    Row by row, the unpivoted column of least valuation a (the first on
+    ties), with entry u p^a, is the pivot P; every other column c becomes
+    u c - (c[r] / p^a) P, a unit multiple of the Z_(p) elimination.  Each
+    column is then divided by its u modulo p^D and reduced at every later
+    pivot to [0, p^a); the error modulo p^D loses at most sum(a) powers
+    of p on the way, so D = sum(a) + max(a) + 1 keeps each entry exact.
     """
     n = len(cols[0])
-    work = [list(c) for c in cols if any(x != 0 for x in c)]
+    work = [c for c in cols if any(x != 0 for x in c)]
     if len(work) != n:
         raise PreconditionError("lattice must be given by n independent columns")
-    remaining = list(range(len(work)))
-    out: List[list] = []
+    dens = [math.lcm(*(x.denominator for x in c)) for c in work]
+    shifts = [_vp(d, p) for d in dens]
+    S = max(shifts)
+    work = [[x.numerator * (d // x.denominator) * p ** (S - e) for x in c]
+            for c, d, e in zip(work, dens, shifts)]
+    remaining = list(range(n))
+    out = []  # (a, u, pivot column) per row
     for r in range(n):
         best = None  # (valuation, col_idx)
         for ci in remaining:
             x = work[ci][r]
-            if x == 0:
-                continue
-            v = _vp(x, p)
-            if best is None or v < best[0]:
-                best = (v, ci)
+            if x:
+                v = _vp(x, p)
+                if best is None or v < best[0]:
+                    best = (v, ci)
         if best is None:
             raise PreconditionError("lattice columns are linearly dependent")
         a, ci = best
-        unit = work[ci][r] / Fraction(p) ** a
-        pivot = [x / unit for x in work[ci]]
         remaining.remove(ci)
+        pivot, pa = work[ci], p ** a
+        u = pivot[r] // pa
         for cj in remaining:
-            if work[cj][r] == 0:
-                continue
-            f = work[cj][r] / pivot[r]  # v_p(f) >= 0 by pivot minimality
-            work[cj] = [x - f * y for x, y in zip(work[cj], pivot)]
-        out.append(pivot)
-    # out[j] is zero above its pivot row j with p^{a_j} on the diagonal;
-    # canonicalize the below-diagonal entries modulo p^{a_r} Z_(p)
-    pivot_vals = [_vp(out[j][j], p) for j in range(n)]
+            t = work[cj][r]
+            if t:
+                t //= pa
+                work[cj] = [u * x - t * y for x, y in zip(work[cj], pivot)]
+        out.append((a, u, pivot))
+    # column j is zero above row j with u_j p^{a_j} on the diagonal
+    vals = [a for a, _, _ in out]
+    m = p ** (sum(vals) + max(vals) + 1)
+    out = [[pow(u, -1, m) * x % m for x in col] for _, u, col in out]
     for j in range(n):
+        col = out[j]
         for k in range(j + 1, n):
-            x = out[j][k]
-            if x == 0:
-                continue
-            rep = _coset_rep(x, p, pivot_vals[k])
-            c = (x - rep) / out[k][k]  # lies in Z_(p)
-            if c != 0:
-                out[j] = [y - c * z for y, z in zip(out[j], out[k])]
-    return out
+            c = col[k] // p ** vals[k]  # leaves col[k] mod p^{a_k}
+            if c:
+                col = col[:k] + [(y - c * z) % m
+                                 for y, z in zip(col[k:], out[k][k:])]
+        out[j] = col
+    scale = p ** S
+    return [[Fraction(x, scale) for x in col] for col in out]
 
 
 def lattice_from_norm(space: NormedSpace) -> Lattice:

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from ultranorm import NormedSpace, PadicRationals
-from ultranorm.adelic import (AdelicSpace, NormedLattice, _lll,
+from ultranorm.adelic import (AdelicSpace, NormedLattice,
+                              _find_unimodular, _lll,
                               _rational_hnf, arch_norm,
                               check_localization, finite_unit_lattice,
                               graded_minima, lambda_Q, lambda_Z,
@@ -254,6 +255,43 @@ class TestLambda:
                          if lg.rank(list(sub)) == 3)
             radius = int(lambda_upper_bound(M) * spread)
             assert (lambda_Q(M), lambda_Z(M)) == box_oracle(M, funcs, radius)
+
+    @staticmethod
+    def search_from_zero(M):
+        """lambda_Z's value and basis by the binary search over every
+        short-vector value, from the least one up (no lambda_Q start)."""
+        values = sorted({val for val, _ in M._short_vectors})
+        lo, hi, best = 0, len(values) - 1, None
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            found = _find_unimodular([(v, c) for v, c in M._short_vectors
+                                      if v <= values[mid]], M.rank)
+            if found is not None:
+                best, hi = (values[mid], [M.vector(c) for c in found]), mid - 1
+            else:
+                lo = mid + 1
+        return best
+
+    def test_search_from_lambda_Q_matches_search_from_zero(self):
+        cases = [([[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(1, 2)] * 3],
+                  [[F(1), F(1), F(1)], [F(1), F(1), F(-1)],
+                   [F(1), F(-1), F(1)], [F(-1), F(1), F(1)]])]
+        rng = random.Random(31)
+        while len(cases) < 25:
+            r = rng.choice((2, 3))
+            funcs = [[F(rng.randint(-2, 2)) for _ in range(r)]
+                     for _ in range(rng.choice((r, r + 1)))]
+            cols = [[F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+                     for _ in range(r)] for _ in range(r)]
+            if lg.rank(funcs) == r and lg.rank(cols) == r:
+                cases.append((cols, funcs))
+        strict = 0
+        for cols, funcs in cases:
+            M = NormedLattice(_rational_hnf(cols), funcs)
+            assert lambda_Z(M, want_basis=True) == self.search_from_zero(
+                NormedLattice(_rational_hnf(cols), funcs))
+            strict += lambda_Q(M) < lambda_Z(M)
+        assert strict  # the l^1 lattice at least: 1 < 3/2
 
     def test_gram_lll_matches_dot_lll(self):
         rng = random.Random(29)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -549,3 +550,41 @@ class TestArguments:
         assert typed(vars(parse([command] + flags))) == typed(full)
         assert typed(vars(parse(flags + [command]))) == typed(full)
         assert typed(vars(parse([command]))) == typed(default)
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_shared_parser_gives_fresh_call_output(self, tmp_path, capsys,
+                                                   monkeypatch):
+        cfg = write(tmp_path, "c.json", {"space": norm_json(weights=("1/1", "2/1"))})
+        calls = [["dual", "--bogus"], ["dual", "--config", cfg],
+                 ["lattice", "--jobs", "0", "--config", cfg]]
+        shared = [run(capsys, argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append(run(capsys, argv))
+        assert [code for code, _, _ in shared] == [2, 0, 2]
+        assert shared == fresh
+
+
+class TestHugeRatios:
+    def test_extension_table_log_past_float_range(self, tmp_path, capsys):
+        # ratio p^8192 with p = 1000003 is far past the float range
+        space = norm_json(p=1000003)
+        space["weights"] = [{"q": "1", "n": 4096}, {"q": "1", "n": -4096}]
+        cfg = write(tmp_path, "c.json", {
+            "space": space,
+            "subvariety": {"points": [["1", "0"], ["1", "1"]]},
+            "representative": {"degree": 1, "variables": 2,
+                               "coeffs": {"1,0": "1", "0,1": "-1/2"}},
+        })
+        code, out, err = run(capsys, ["extension-table", "--config", cfg,
+                                      "--max-degree", "3"])
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        for row in rows:
+            assert row[1:4] == ["1", "1", "-8192"]
+            assert float(row[4]) * int(row[0]) == pytest.approx(
+                8192 * math.log(1000003))

@@ -202,6 +202,33 @@ class TestValuation:
             assert _vp(x, p) == k
             assert PadicRationals(p).abs(x).value() == Fraction(p) ** -k
 
+    @staticmethod
+    def loop_vp(x, p):
+        """The valuation by stripping one factor of p per step."""
+        e, num, den = 0, x.numerator, x.denominator
+        while num % p == 0:
+            num //= p
+            e += 1
+        while den % p == 0:
+            den //= p
+            e -= 1
+        return e
+
+    def test_doubling_matches_loop(self):
+        rng = random.Random(30)
+        for p in (2, 3, 1000003):
+            for v in [0, 1, -1, 2, 3, 4095, 4096, -4096]:
+                for _ in range(3):
+                    a = rng.randint(1, 10 ** rng.randint(1, 30))
+                    b = rng.randint(1, 10 ** rng.randint(1, 30))
+                    x = rng.choice([1, -1]) * Fraction(a, b) * Fraction(p) ** v
+                    assert _vp(x, p) == self.loop_vp(x, p)
+            for _ in range(200):
+                x = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+                x *= Fraction(p) ** rng.randint(-70, 70)
+                assert _vp(x, p) == self.loop_vp(x, p)
+                assert _vp(x.numerator, p) == self.loop_vp(Fraction(x.numerator), p)
+
 
 class TestValuedField:
     def test_json_round_trip(self):

@@ -13,6 +13,9 @@ from ultranorm import (LaurentRationals, Lattice, NormedSpace, PadicRationals,
                        lattice_from_norm, linalg, norm_attaining_lift,
                        norm_from_lattice, orthogonalize_flag, quotient_norm,
                        scalar_extension)
+from ultranorm import spaces as spaces_module
+from ultranorm.fields import _vp
+from ultranorm.spaces import canonical_lattice_columns
 
 
 def F(x, y=1):
@@ -305,6 +308,125 @@ class TestLattice:
                     base = space.norm(v).value()
                     rounded = lat_norm.norm(v).value()
                     assert base <= rounded < p * base
+
+    @staticmethod
+    def random_columns(rng, p, n):
+        def entry():
+            if rng.random() < 0.25:
+                return F(0)
+            return F(rng.randint(-50, 50) * p ** rng.randint(0, 3),
+                     rng.randint(1, 30) * p ** rng.randint(0, 3))
+        return [[entry() for _ in range(n)] for _ in range(n)]
+
+    @staticmethod
+    def canonical(kernel, p, cols):
+        try:
+            return kernel(p, [list(c) for c in cols])
+        except PreconditionError as exc:
+            return str(exc)
+
+    def test_integer_kernel_matches_fraction_loop(self):
+        rng = random.Random("hermite")
+        dependent = 0
+        for _ in range(600):
+            p = rng.choice((2, 3, 5, 7, 1000003))
+            n = rng.randint(1, 8)
+            cols = self.random_columns(rng, p, n)
+            if n > 1 and rng.random() < 0.1:
+                cols[-1] = [3 * x - F(1, p) * y
+                            for x, y in zip(cols[0], cols[1])]
+            want = self.canonical(fraction_hermite, p, cols)
+            assert self.canonical(canonical_lattice_columns, p, cols) == want
+            dependent += isinstance(want, str)
+        assert dependent >= 20
+        for p in (2, 3):  # every error message, from its own input
+            for cols in ([[F(1), F(0)], [F(0), F(0)]],
+                         [[F(1), F(2)], [F(p), F(2 * p)]],
+                         [[F(0), F(1), F(0)], [F(0), F(2), F(0)],
+                          [F(1), F(0), F(0)]]):
+                assert (self.canonical(canonical_lattice_columns, p, cols)
+                        == self.canonical(fraction_hermite, p, cols))
+
+    def test_canonical_form_ignores_column_order_and_units(self):
+        # the form depends on the lattice alone, so no output or error can
+        # show which of two tied columns became the pivot
+        rng = random.Random("hermite-order")
+        for _ in range(100):
+            p = rng.choice((2, 3, 5))
+            n = rng.randint(1, 5)
+            cols = self.random_columns(rng, p, n)
+            units = [F(rng.choice((1, -1, 7)), rng.choice((1, 11, 13)))
+                     for _ in cols]
+            shuffled = [[u * x for x in c] for u, c in zip(units, cols)]
+            rng.shuffle(shuffled)
+            assert (self.canonical(canonical_lattice_columns, p, shuffled)
+                    == self.canonical(canonical_lattice_columns, p, cols))
+
+    def test_integer_kernel_on_huge_weights(self, monkeypatch):
+        rng = random.Random("hermite-weights")
+        spaces = []
+        for p in (2, 1000003):
+            field = PadicRationals(p)
+            for _ in range(4):
+                n = rng.randint(1, 4)
+                basis = self.random_columns(rng, p, n)
+                if linalg.rank(basis) < n:
+                    continue
+                weights = [field.magnitude(F(rng.randint(1, 99),
+                                             rng.randint(1, 99)),
+                                           rng.choice((-4096, 0, 4096)))
+                           for _ in range(n)]
+                spaces.append(NormedSpace(field, basis, weights))
+        got = [lattice_from_norm(sp).basis for sp in spaces]
+        monkeypatch.setattr(spaces_module, "canonical_lattice_columns",
+                            fraction_hermite)
+        assert got == [lattice_from_norm(sp).basis for sp in spaces]
+
+
+def _coset_rep(x, p, a):
+    """The representative of x + p^a Z_(p) in Z[1/p] ∩ [0, p^a)."""
+    if x == 0:
+        return x
+    v = _vp(x, p)
+    if v >= a:
+        return F(0)
+    s = max(0, -v)
+    y = x * F(p) ** s
+    m = p ** (a + s)
+    return F((y.numerator * pow(y.denominator, -1, m)) % m, p ** s)
+
+
+def fraction_hermite(p, cols):
+    """The Hermite form over Z_(p) one Fraction at a time: the oracle for
+    ``canonical_lattice_columns`` (same pivot rule, same errors)."""
+    n = len(cols[0])
+    work = [list(c) for c in cols if any(x != 0 for x in c)]
+    if len(work) != n:
+        raise PreconditionError("lattice must be given by n independent columns")
+    remaining = list(range(len(work)))
+    out = []
+    for r in range(n):
+        best = None  # (valuation, col_idx)
+        for ci in remaining:
+            x = work[ci][r]
+            if x != 0 and (best is None or _vp(x, p) < best[0]):
+                best = (_vp(x, p), ci)
+        if best is None:
+            raise PreconditionError("lattice columns are linearly dependent")
+        a, ci = best
+        unit = work[ci][r] / F(p) ** a
+        pivot = [x / unit for x in work[ci]]
+        remaining.remove(ci)
+        for cj in remaining:
+            f = work[cj][r] / pivot[r]
+            work[cj] = [x - f * y for x, y in zip(work[cj], pivot)]
+        out.append(pivot)
+    for j in range(n):
+        for k in range(j + 1, n):
+            x = out[j][k]
+            c = (x - _coset_rep(x, p, _vp(out[k][k], p))) / out[k][k]
+            out[j] = [y - c * z for y, z in zip(out[j], out[k])]
+    return out
 
 
 class TestScalarExtension:
