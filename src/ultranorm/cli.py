@@ -54,7 +54,7 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError("", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or past the digit limit
         raise ConfigError("", f"malformed JSON in {path}: {exc}") from exc
 
 

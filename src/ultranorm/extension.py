@@ -119,13 +119,8 @@ def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, 
 
 
 def ratio_sequence(P: ExtensionProblem, n_max: int) -> List[Magnitude]:
-    out = []
-    for n in range(1, n_max + 1):
-        if n in P._ratio_cache:
-            out.append(P._ratio_cache[n])
-        else:
-            out.append(min_norm_lift(P, n)[1])
-    return out
+    return [P._ratio_cache[n] if n in P._ratio_cache else min_norm_lift(P, n)[1]
+            for n in range(1, n_max + 1)]
 
 
 def subadditivity_check(P: ExtensionProblem, n_max: int) -> List[tuple]:
@@ -242,9 +237,8 @@ def check_extension_theorem(P: ExtensionProblem, epsilon: Fraction,
     if epsilon < 0:
         raise PreconditionError("epsilon must be non-negative")
     ratios = ratio_sequence(P, n_max)
-    ok = []
-    for n, r in enumerate(ratios, start=1):
-        ok.append(not _exceeds_exp(r.value(), Fraction(n) * epsilon))
+    ok = [not _exceeds_exp(r.value(), Fraction(n) * epsilon)
+          for n, r in enumerate(ratios, start=1)]
     n0 = None
     for n in range(1, n_max + 1):
         if all(ok[n - 1:]):

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
+_Q0, _Q1 = Fraction(0), Fraction(1)  # shared, as Fractions are immutable
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -74,7 +76,7 @@ class Magnitude:
         if q < 0:
             raise ValueError("magnitude coefficient must be non-negative")
         if q == 0:
-            self.q = Fraction(0)
+            self.q = _Q0
             self.n = 0
         else:
             if rho is None:
@@ -102,11 +104,11 @@ class Magnitude:
 
     @classmethod
     def zero(cls, rho: Optional[Fraction] = None) -> "Magnitude":
-        return cls._normalized(rho, Fraction(0), 0)
+        return cls._normalized(rho, _Q0, 0)
 
     @classmethod
     def one(cls, rho: Optional[Fraction] = None) -> "Magnitude":
-        return cls._normalized(rho, Fraction(1), 0)
+        return cls._normalized(rho, _Q1, 0)
 
     # -- predicates ----------------------------------------------------
 
@@ -118,7 +120,7 @@ class Magnitude:
         """The denoted rational value q * rho^n (exact)."""
         if self._value is None:
             if self.is_zero:
-                self._value = Fraction(0)
+                self._value = _Q0
             elif self.rho is None:
                 self._value = self.q
             else:
@@ -584,13 +586,13 @@ class ValuedField:
                 x = RationalFunction.constant(_as_fraction(x))
             if x.is_zero:
                 return Magnitude.zero(self.rho)
-            return Magnitude._normalized(self.rho, Fraction(1), x.order())
+            return Magnitude._normalized(self.rho, _Q1, x.order())
         x = _as_fraction(x)
         if x == 0:
             return Magnitude.zero(self.rho)
         if self.kind == "trivial":
             return Magnitude.one(None)
-        return Magnitude._normalized(self.rho, Fraction(1), _vp(x, self.prime))
+        return Magnitude._normalized(self.rho, _Q1, _vp(x, self.prime))
 
     def magnitude(self, q, n: int = 0) -> Magnitude:
         return Magnitude(self.rho, q, n)

@@ -13,8 +13,9 @@ Matrices are lists of rows throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import List, Optional, Sequence
 
 from .fields import _is_zero
@@ -33,26 +34,15 @@ def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
     """a v; rational input (ints and Fractions) comes back as Fractions."""
     if _is_rational(v) and all(map(_is_rational, a)):
-        return _mat_vec_integer(a, v)
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for k in range(1, len(v)):
-            acc = acc + row[k] * v[k]
-        out.append(acc)
-    return out
+        return _mat_vec_integer(map(_integer_row, a), *_integer_row(v))
+    return [reduce(add, map(mul, row, v)) for row in a]
 
 
-def _mat_vec_integer(a: Sequence[Sequence], v: Sequence) -> list:
-    """``mat_vec`` fraction-free: v and each row are scaled to integers by
-    the lcm of their denominators (``_integer_row``), the row sums are
-    integer dot products, and each row builds one Fraction."""
-    w, d_v = _integer_row(v)
-    out = []
-    for row in a:
-        ints, d = _integer_row(row)
-        out.append(Fraction(sum(map(mul, ints, w)), d * d_v))
-    return out
+def _mat_vec_integer(rows, w: Sequence[int], d_w: int) -> list:
+    """``mat_vec`` fraction-free over rows already scaled to integers, as
+    (integers, d) pairs (``_integer_row``), and the vector w / d_w: each
+    entry is one integer dot product and one Fraction."""
+    return [Fraction(sum(map(mul, ints, w)), d * d_w) for ints, d in rows]
 
 
 def _is_rational(values) -> bool:
@@ -112,10 +102,7 @@ def _rref_integer(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """``_rref_field`` fraction-free (Bareiss, Math. Comp. 22, 1968): each
     row is kept a primitive integer multiple of its ``_rref_field`` row, so
     pivots and swaps agree, and is divided by its pivot only at the end."""
-    a = []
-    for row in m:
-        d = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (d // x.denominator) for x in row])
+    a = [_integer_row(row)[0] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
@@ -249,11 +236,7 @@ def _int_col_reduce(cols: List[list[int]]) -> List[list[int]]:
             q = b[row] // a[row]
             for i in range(n):
                 b[i] -= q * a[i]
-        pivot_col = None
-        for c in work:
-            if c[row] != 0:
-                pivot_col = c
-                break
+        pivot_col = next((c for c in work if c[row] != 0), None)
         if pivot_col is not None:
             work.remove(pivot_col)
             work = [c for c in work if any(c)]
@@ -262,12 +245,7 @@ def _int_col_reduce(cols: List[list[int]]) -> List[list[int]]:
             basis.append(pivot_col)
         row += 1
     # reduce entries of earlier basis vectors against later pivots
-    pivot_rows = []
-    for b in basis:
-        r = 0
-        while b[r] == 0:
-            r += 1
-        pivot_rows.append(r)
+    pivot_rows = [next(r for r, x in enumerate(b) if x) for b in basis]
     for j in range(len(basis)):
         for k in range(j + 1, len(basis)):
             r = pivot_rows[k]
@@ -306,12 +284,9 @@ def lattice_intersection(a_cols: Sequence[Sequence[int]],
          [-b_cols[j][i] for j in range(len(b_cols))]
          for i in range(n)]
     ker = integer_kernel(m)
-    vecs = []
-    for w in ker:
-        u = w[:len(a_cols)]
-        x = [sum(a_cols[j][i] * u[j] for j in range(len(a_cols))) for i in range(n)]
-        vecs.append(x)
-    return hnf_column_basis(vecs)
+    # x = A u for the head u of each kernel vector (map stops at len(u))
+    return hnf_column_basis([[sum(map(mul, row, w)) for row in zip(*a_cols)]
+                             for w in ker])
 
 
 def smith_diagonal(m: Sequence[Sequence[int]]) -> list[int]:

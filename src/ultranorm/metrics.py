@@ -278,8 +278,7 @@ def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
     if scaled is None:
         values = linalg.mat_vec(N.columns(), evaluation_row(field, m, n, point))
     else:
-        nums, den = scaled
-        values = [Fraction(sum(map(mul, c, nums)), d * den) for c, d in cols]
+        values = linalg._mat_vec_integer(cols, *scaled)
     best = field.zero_magnitude()
     for val, w in zip(values, N.weights):
         if not _is_zero(val):

@@ -276,7 +276,13 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
+    """A string that matches ``RATIONAL``, without Fraction's own parser."""
+    num, _, den = s.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ValueError as exc:  # beyond Python's str-to-int digit limit
+        raise PreconditionError("input too large to read: an integer exceeds "
+                                "the interpreter's decimal digit limit") from exc
 
 
 def matrix_to_json(rows: Sequence[Sequence[Fraction]]) -> List[List[str]]:
@@ -359,7 +365,10 @@ def section_from_json(data: Dict[str, Any], field: ValuedField,
     degree = int(data["degree"])
     coeffs = {}
     for key, val in data["coeffs"].items():
-        exp = tuple(int(e) for e in key.split(","))
+        try:
+            exp = tuple(int(e) for e in key.split(","))
+        except ValueError as exc:  # beyond Python's str-to-int digit limit
+            raise SchemaViolation(f"{pointer}/coeffs/{key}", str(exc)) from exc
         if len(exp) != num_vars:
             raise SchemaViolation(f"{pointer}/coeffs/{key}",
                                   f"exponent arity {len(exp)} != {num_vars}")

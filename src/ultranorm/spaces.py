@@ -46,7 +46,7 @@ class NormedSpace:
             raise PreconditionError("weights must be positive")
         self._inverse = None
         self._columns = None
-        self._integer_columns = None
+        self._integer = {}
 
     # -- constructors ----------------------------------------------------
 
@@ -85,17 +85,34 @@ class NormedSpace:
         """Column i of a rational basis as (integers, d_i), where d_i is the
         lcm of its denominators and column i = integers / d_i; built once,
         None for a basis over Q(T)."""
-        if self._integer_columns is None:
+        return self._integer_form("columns", self.columns)
+
+    def _integer_form(self, key: str, rows) -> Optional[List[tuple]]:
+        """``rows()`` (the basis, its inverse or its columns) as (integers,
+        d) pairs (``linalg._integer_row``), built once per key; None for a
+        basis over Q(T)."""
+        if key not in self._integer:
             rational = all(map(linalg._is_rational, self.basis))
-            self._integer_columns = rational and list(map(linalg._integer_row,
-                                                          self.columns()))
-        return self._integer_columns or None
+            self._integer[key] = (list(map(linalg._integer_row, rows()))
+                                  if rational else None)
+        return self._integer[key]
+
+    def _times(self, key: str, rows, v: Sequence) -> list:
+        """rows() v, by one integer dot product per row on rational input."""
+        form = self._integer_form(key, rows)
+        if form is None or not linalg._is_rational(v):
+            return linalg.mat_vec(rows(), list(v))
+        return linalg._mat_vec_integer(form, *linalg._integer_row(v))
 
     def coordinates(self, v: Sequence) -> list:
         if len(v) != self.dim:
             raise PreconditionError(
                 f"vector has {len(v)} entries, the space has dimension {self.dim}")
-        return linalg.mat_vec(self.basis_inverse(), list(v))
+        return self._times("inverse", self.basis_inverse, v)
+
+    def from_coordinates(self, a: Sequence) -> list:
+        """The vector basis a with coordinates a."""
+        return self._times("basis", lambda: self.basis, a)
 
     def norm(self, v: Sequence) -> Magnitude:
         return self._coordinate_norm(self.coordinates(v))
@@ -151,8 +168,17 @@ def _eliminate(field: ValuedField, weights: Sequence[Magnitude],
     |row_i[j]| * w_j is largest (the first such j on ties); every later
     row then loses the multiple of row i that clears its coordinate j.
     Returns the pivots and the pivot values |row_i[pivot_i]| * w_pivot_i,
-    which are the norms of the final rows.
+    which are the norms of the final rows.  Rational rows over Q_p or Q
+    take the integer kernel, rows over Q(T) the field loop.
     """
+    if field.kind != "laurent" and all(map(linalg._is_rational, rows)):
+        return _eliminate_integer(field, weights, rows)
+    return _eliminate_field(field, weights, rows)
+
+
+def _eliminate_field(field: ValuedField, weights: Sequence[Magnitude],
+                     rows: List[list]) -> tuple[List[int], List[Magnitude]]:
+    """``_eliminate`` one field element at a time, over any exact field."""
     pivots: List[int] = []
     norms: List[Magnitude] = []
     for i in range(len(rows)):
@@ -172,6 +198,43 @@ def _eliminate(field: ValuedField, weights: Sequence[Magnitude],
         norms.append(best_val)
         for k in range(i + 1, len(rows)):
             rows[k] = _clear(rows[k], row, best_j)
+    return pivots, norms
+
+
+def _eliminate_integer(field: ValuedField, weights: Sequence[Magnitude],
+                       rows: List[list]) -> tuple[List[int], List[Magnitude]]:
+    """``_eliminate`` fraction-free over Q_p or trivially valued Q.  Each
+    row is kept as r / d with integers r (``linalg._integer_row``); the
+    factor 1/|d| moves no pivot and is divided out of the norm once.  Row
+    i clears coordinate j of a later row t / d_t by t <- r[j] t - t[j] r,
+    d_t <- d_t r[j], over the gcd of t and d_t (the sign stays on d_t)."""
+    p = field.prime if field.kind == "padic" else None
+    work = list(map(linalg._integer_row, rows))
+    pivots: List[int] = []
+    norms: List[Magnitude] = []
+    for i, (r, d) in enumerate(work):
+        best_j = best = None
+        for j, (x, w) in enumerate(zip(r, weights)):
+            if x and j not in pivots:
+                val = w if p is None else Magnitude._normalized(
+                    w.rho, w.q, w.n + _vp(x, p))
+                if best is None or val > best:
+                    best_j, best = j, val
+        if best_j is None:
+            raise PreconditionError(
+                f"flag vectors are linearly dependent at position {i}")
+        pivots.append(best_j)
+        norms.append(best if p is None else Magnitude._normalized(
+            best.rho, best.q, best.n - _vp(d, p)))
+        rj = r[best_j]
+        for k in range(i + 1, len(work)):
+            t, d_t = work[k]
+            tj = t[best_j]
+            if tj:
+                t = [rj * a - tj * b for a, b in zip(t, r)]
+                g = math.gcd(*t, d_t * rj)
+                work[k] = [a // g for a in t], d_t * rj // g
+    rows[:] = [[Fraction(a, d) for a in r] for r, d in work]
     return pivots, norms
 
 
@@ -200,7 +263,7 @@ def orthogonalize_flag(space: NormedSpace, vectors: Sequence[Sequence]) -> tuple
     """
     work = [space.coordinates(v) for v in vectors]
     pivots, norms = _eliminate(space.field, space.weights, work)
-    return [linalg.mat_vec(space.basis, row) for row in work], norms, pivots
+    return [space.from_coordinates(row) for row in work], norms, pivots
 
 
 def distance_to_subspace(space: NormedSpace, x: Sequence,
@@ -220,7 +283,7 @@ def distance_to_subspace(space: NormedSpace, x: Sequence,
     for row, j in zip(work, pivots):
         residual = _clear(residual, row, j)
     dist = space._coordinate_norm(residual)
-    g = linalg.mat_vec(space.basis, residual)
+    g = space.from_coordinates(residual)
     return dist, [a - b for a, b in zip(x, g)]
 
 
@@ -254,8 +317,7 @@ def quotient_norm(space: NormedSpace, surjection: Sequence[Sequence]) -> tuple[
     complements = [std[j] for j in linalg.extend_basis(ker, std, r)]
     g, norms, _ = orthogonalize_flag(space, list(ker) + complements)
     lifts = g[d:]
-    quot_basis_cols = [linalg.mat_vec(surjection, v) for v in lifts]
-    quot_basis = [[quot_basis_cols[j][i] for j in range(s)] for i in range(s)]
+    quot_basis = linalg.transpose([linalg.mat_vec(surjection, v) for v in lifts])
     quot = NormedSpace(field, quot_basis, norms[d:])
     return quot, lifts
 
@@ -283,11 +345,9 @@ def dual_norm(space: NormedSpace) -> NormedSpace:
     A functional is a row vector phi acting by phi . v; the dual of an
     orthogonal basis is orthogonal with reciprocal weights.
     """
-    inv = space.basis_inverse()
-    # rows of basis^{-1} are the dual basis functionals; we store the dual
-    # space with those functionals as basis *columns* of the coefficient
-    # space, i.e. the matrix whose column i is the i-th dual functional.
-    dual_basis = [[inv[j][i] for j in range(space.dim)] for i in range(space.dim)]
+    # the rows of basis^{-1} are the dual basis functionals; they are the
+    # basis columns of the dual space
+    dual_basis = linalg.transpose(space.basis_inverse())
     weights = [space.field.one_magnitude() / w for w in space.weights]
     return NormedSpace(space.field, dual_basis, weights)
 
@@ -344,15 +404,14 @@ class Lattice:
                     f"lattice column {i} has {len(col)} entries, column 0 has "
                     f"{len(cols[0])}")
         canon = canonical_lattice_columns(field.prime, [list(c) for c in cols])
-        basis = [[canon[j][i] for j in range(len(canon))] for i in range(len(canon[0]))]
-        return cls(field, basis)
+        return cls(field, linalg.transpose(canon))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def columns(self) -> List[list]:
-        return [[row[i] for row in self.basis] for i in range(self.dim)]
+        return linalg.transpose(self.basis)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         coords = linalg.solve(self.basis, list(v))

@@ -464,6 +464,49 @@ class TestMalformedShapes:
         assert obj["path"] == f"/representative/coeffs/{key}"
         assert obj["message"] == message
 
+    # 5000 decimal digits is past the interpreter's default str-to-int limit
+    LONG = "1" * 5000
+    digit_limit = pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits")
+        or not 0 < sys.get_int_max_str_digits() < 5000,
+        reason="needs a str-to-int digit limit below 5000 digits")
+
+    @digit_limit
+    @pytest.mark.parametrize("entry", [LONG, "1/" + LONG, "-" + LONG + "/7"])
+    def test_rational_past_digit_limit_exit_3(self, tmp_path, capsys, entry):
+        space = norm_json()
+        space["basis"][0][0] = entry
+        cfg = write(tmp_path, "c.json", {"space": space})
+        self.ragged_exit_3(capsys, ["dual", "--config", cfg],
+                           "input too large to read: an integer exceeds the "
+                           "interpreter's decimal digit limit")
+
+    @digit_limit
+    def test_json_integer_past_digit_limit_exit_2(self, tmp_path, capsys):
+        text = json.dumps({"space": self.exponent_space(2, 0)})
+        path = tmp_path / "c.json"
+        path.write_text(text.replace('"n": 0', f'"n": {self.LONG}', 1))
+        code, out, err = run(capsys, ["dual", "--config", str(path)])
+        assert (code, out) == (2, "")
+        obj = json.loads(err)
+        assert obj["error"] == "schema" and obj["path"] == ""
+        assert obj["message"].startswith("malformed JSON")
+
+    @digit_limit
+    def test_exponent_past_digit_limit_exit_2(self, tmp_path, capsys):
+        key = self.LONG + ",0"
+        cfg = write(tmp_path, "c.json", {
+            "space": norm_json(),
+            "subvariety": {"points": [["1", "0"]]},
+            "representative": {"degree": 1, "variables": 2,
+                               "coeffs": {key: "1"}},
+        })
+        code, out, err = run(capsys, ["extension-table", "--config", cfg])
+        assert (code, out) == (2, "")
+        obj = json.loads(err)
+        assert obj["error"] == "schema"
+        assert obj["path"] == f"/representative/coeffs/{key}"
+
 
 class TestDeterminism:
     def test_byte_identical_across_jobs(self, tmp_path, capsys):

@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultranorm import cli
+from ultranorm import PreconditionError, cli
 from ultranorm import serialization as ser
 
 from test_cli import norm_json, run, write
@@ -62,7 +64,8 @@ WALKER_KEYWORDS = {"type", "pattern", "enum", "const", "minimum", "maximum",
 JUNK = (None, True, False, 0, 1, -1, 2, 2.0, 1.5, "", "x", [], {}, ["1"],
         {"q": "1", "n": 0})
 RATIONAL_EDGES = ("1/0", "1/02", "1/-2", "1.5", "a", "--1", "1/2/3", " 1",
-                  "1\n", "-0", "99999999999999999999/7")
+                  "1\n", "-0", "99999999999999999999/7",
+                  "1" * 4301)  # one digit past the str-to-int limit
 KEYS = ("bogus", "0", "7", "1,0", "1,0,0", "01", "1\n", "", "type", "p",
         "points", "linear")
 
@@ -132,6 +135,23 @@ def _violation(doc, schema):
     except ser.SchemaViolation as exc:
         return exc.path, exc.message
     return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.from_regex(ser.RATIONAL["pattern"]))
+def test_rational_from_str_matches_fraction(text):
+    """Every string the rational pattern accepts (a trailing newline
+    included, as ``$`` allows) decodes as ``Fraction(str)`` does."""
+    assert ser.rational_from_str(text) == Fraction(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits")
+                    or not 0 < sys.get_int_max_str_digits() <= 4300,
+                    reason="needs the default str-to-int digit limit")
+@pytest.mark.parametrize("text", ["1" * 4301, "-1/" + "7" * 4301])
+def test_rational_past_digit_limit_is_a_precondition(text):
+    with pytest.raises(PreconditionError, match="digit limit"):
+        ser.rational_from_str(text)
 
 
 def test_every_schema_has_valid_configs():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -180,6 +181,170 @@ class TestOrthogonalizeAgainstDistance:
             assert space.norm([a - b for a, b in zip(vecs[t], w)]) == dist
             checked += 1
         assert checked >= 15
+
+
+class TestIntegerElimination:
+    """``_eliminate`` on rational rows (the integer kernel) against the
+    field loop ``_eliminate_field``, the oracle: same pivots, norms, final
+    rows and errors."""
+
+    FIELDS = [PadicRationals(2), PadicRationals(3), PadicRationals(1000003),
+              TrivialRationals()]
+
+    @staticmethod
+    def both(field, weights, rows):
+        """(pivots, norms, rows) or the error text, from each route."""
+        out = []
+        for eliminate in (spaces_module._eliminate, spaces_module._eliminate_field):
+            work = [list(r) for r in rows]
+            try:
+                pivots, norms = eliminate(field, weights, work)
+            except PreconditionError as exc:
+                out.append(str(exc))
+            else:
+                out.append((pivots, norms, work))
+        return out
+
+    @staticmethod
+    def entry(rng, big):
+        if rng.random() < 0.3:
+            return F(0)
+        num, den = rng.randint(-9, 9), rng.randint(1, 12)
+        if big:  # numerators and denominators above 2^64
+            num, den = num * (2 ** 64 + rng.randint(1, 99)), den * 3 ** 41
+        return F(num, den)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"{f.kind}{f.prime or ''}")
+    def test_matches_field_loop(self, field):
+        rng = random.Random(f"eliminate/{field.kind}{field.prime}")
+        kept = 0
+        for trial in range(300):
+            dim = rng.randint(1, 5)
+            rows = [[self.entry(rng, trial % 3 == 0) for _ in range(dim)]
+                    for _ in range(rng.randint(1, dim))]
+            if field.kind == "trivial":
+                weights = [field.magnitude(rng.choice([1, 2, F(1, 2)]))
+                           for _ in range(dim)]
+            else:
+                weights = [field.magnitude(rng.choice([1, 3, 5]), rng.randint(-2, 2))
+                           for _ in range(dim)]
+            got, want = self.both(field, weights, rows)
+            assert got == want
+            if not isinstance(want, str):
+                assert all(isinstance(x, Fraction) for row in got[2] for x in row)
+                kept += 1
+        assert kept >= 100
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"{f.kind}{f.prime or ''}")
+    def test_first_j_wins_ties(self, field):
+        one = field.one_magnitude()
+        # |3/4| = |-3/4| at every place, so the first column is the pivot
+        got, want = self.both(field, [one, one], [[F(3, 4), F(-3, 4)], [F(1), F(2)]])
+        assert got == want
+        assert got[0] == [0, 1]
+        assert got[1][0] == field.abs(F(3, 4))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"{f.kind}{f.prime or ''}")
+    @pytest.mark.parametrize("rows,position", [
+        ([[F(0), F(0)]], 0),
+        ([[F(1), F(2)], [F(-1, 3), F(-2, 3)]], 1),
+        ([[F(1), F(0), F(1)], [F(0), F(1), F(0)], [F(2), F(5, 7), F(2)]], 2),
+    ], ids=["zero", "proportional", "combination"])
+    def test_dependent_rows_same_message(self, field, rows, position):
+        weights = [field.one_magnitude()] * len(rows[0])
+        got, want = self.both(field, weights, rows)
+        assert got == want == (f"flag vectors are linearly dependent at "
+                               f"position {position}")
+
+    def test_rows_stay_primitive_one_fraction_per_entry(self, monkeypatch):
+        """Each final row t / d is built entry by entry from integers with
+        gcd(t, d) = 1: the kernel divides out the common factor at every
+        step, so its integers do not grow past the reduced form."""
+        rng = random.Random("eliminate/primitive")
+        Q3 = PadicRationals(3)
+        built = []
+
+        def fraction(a, d):
+            built.append((a, d))
+            return Fraction(a, d)
+
+        monkeypatch.setattr(spaces_module, "Fraction", fraction)
+        for _ in range(40):
+            dim = rng.randint(2, 5)
+            rows = [[self.entry(rng, False) for _ in range(dim)]
+                    for _ in range(rng.randint(2, dim))]
+            built.clear()
+            try:
+                spaces_module._eliminate(Q3, [Q3.one_magnitude()] * dim, rows)
+            except PreconditionError:
+                continue
+            assert len(built) == len(rows) * dim
+            for k in range(len(rows)):
+                chunk = built[k * dim:(k + 1) * dim]
+                assert len({d for _, d in chunk}) == 1
+                assert math.gcd(*(a for a, _ in chunk), chunk[0][1]) == 1
+
+    def test_norm_divides_out_the_denominator(self):
+        Q2 = PadicRationals(2)
+        # row (3/8, 1/2): |3/8|_2 = 8 is the largest entry norm
+        got, want = self.both(Q2, [Q2.one_magnitude()] * 2, [[F(3, 8), F(1, 2)]])
+        assert got == want
+        assert got[1][0].value() == 8
+
+    def test_rational_rows_take_the_integer_kernel(self, monkeypatch):
+        space = weighted(PadicRationals(3), [F(1), F(3), F(1, 3)])
+        flag = [[F(1), F(2), F(3)], [F(0), F(1), F(1, 9)]]
+        want = orthogonalize_flag(space, flag)
+        monkeypatch.setattr(spaces_module, "_eliminate_field", None)
+        assert orthogonalize_flag(space, flag) == want
+        assert want[2] == [1, 2]
+
+    def test_laurent_rows_take_the_field_loop(self, monkeypatch):
+        rng = random.Random("eliminate/laurent")
+        space = random_space(rng, TrivialRationals(), 3)
+        x, subspace = [F(1), F(0), F(5)], [[F(1), F(2), F(0)], [F(0), F(1), F(1)]]
+        want = distance_to_subspace(space, x, subspace)[0]
+        ext = scalar_extension(space, LaurentRationals(choose_laurent_base(
+            [w.value() for w in space.weights] + [F(1)])))
+        lift = [[ext.field.from_rational(a) for a in v] for v in [*subspace, x]]
+        monkeypatch.setattr(spaces_module, "_eliminate_integer", None)
+        assert distance_to_subspace(ext, lift[2], lift[:2])[0].q == want.q
+
+
+class TestIntegerForms:
+    """A rational space keeps its basis, inverse and columns as (integers,
+    d) rows, built once; over Q(T) there are none and mat_vec is used."""
+
+    @pytest.mark.parametrize("field", [PadicRationals(2), TrivialRationals()],
+                             ids=lambda f: f.kind)
+    def test_forms_equal_mat_vec(self, field):
+        rng = random.Random(f"forms/{field.kind}")
+        for dim in (1, 2, 3, 4):
+            space = random_space(rng, field, dim)
+            for key, rows in (("basis", lambda: space.basis),
+                              ("inverse", space.basis_inverse),
+                              ("columns", space.columns)):
+                form = space._integer_form(key, rows)
+                assert [[F(x, d) for x in ints] for ints, d in form] == rows()
+                assert space._integer_form(key, None) is form  # built once
+            for _ in range(4):
+                v = [F(rng.randint(-9, 9), rng.choice([1, 7, 2 ** 65]))
+                     for _ in range(dim)]
+                assert space.coordinates(v) == linalg.mat_vec(space.basis_inverse(), v)
+                assert space.from_coordinates(v) == linalg.mat_vec(space.basis, v)
+                assert space.from_coordinates(space.coordinates(v)) == v
+
+    def test_laurent_space_has_no_integer_form(self):
+        rng = random.Random("forms/laurent")
+        ext = scalar_extension(random_space(rng, TrivialRationals(), 3),
+                               LaurentRationals(5))
+        for key, rows in (("basis", lambda: ext.basis),
+                          ("inverse", ext.basis_inverse)):
+            assert ext._integer_form(key, rows) is None
+        assert ext.integer_columns() is None
+        v = [random_element(rng, ext.field) for _ in range(3)]
+        assert ext.coordinates(v) == linalg.mat_vec(ext.basis_inverse(), v)
+        assert ext.from_coordinates(v) == linalg.mat_vec(ext.basis, v)
 
 
 class TestQuotient:
