@@ -5,9 +5,10 @@ primes standard orthonormal) plus an archimedean polyhedral norm given
 by finitely many rational linear functionals.  The finite places cut out
 a Z-lattice; lambda_Q / lambda_Z are the smallest archimedean bounds
 admitting a Q-basis inside the lattice / a Z-basis of the lattice.  Both
-read one exact result per lattice: an LLL reduction on the Gram matrix of
-the functionals, then one integer enumeration of the short vectors up to
-the largest norm in the reduced basis.  On top sits the graded basis
+read one exact result per lattice, all in Python integers: an integral LLL
+reduction on the Gram matrix of the functionals, an enumeration box
+chosen by integer adjugates, then one enumeration of the short vectors up
+to the largest norm in the reduced basis.  On top sits the graded basis
 search for free bases of archimedean norm < 1.
 """
 
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as iter_product
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -336,49 +338,51 @@ def check_localization(A: AdelicSpace, M: NormedLattice, p: int) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _lll(gram: List[List[Fraction]]) -> List[List[int]]:
+def _lll(gram: List[List[int]]) -> List[List[int]]:
     """Exact LLL reduction (delta = 3/4) of Z^r under a positive-definite
-    rational Gram matrix; returns the unimodular transform whose rows are
-    the reduced basis.  The Gram matrix follows each row operation in
-    place, so no inner product is ever recomputed."""
+    integer Gram matrix; returns the unimodular transform whose rows are
+    the reduced basis.  It keeps integral Gram-Schmidt data (Cohen, GTM
+    138, Alg. 2.6.7): d[i + 1] the Gram determinant of rows 0..i, d[0] = 1,
+    and lam[k][j] = d[j + 1] mu[k][j], updated in place by each size
+    reduction and, by exact divisions, by each swap; only the rounding of
+    a mu is ever a Fraction."""
     n = len(gram)
-    g = [list(row) for row in gram]
-    b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def gso():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        norms = [Fraction(0)] * n
-        for i in range(n):
-            norms[i] = g[i][i]
-            for j in range(i):
-                mu[i][j] = g[i][j]
-                for k in range(j):
-                    mu[i][j] -= mu[i][k] * mu[j][k] * norms[k]
-                mu[i][j] /= norms[j]
-                norms[i] -= mu[i][j] ** 2 * norms[j]
-        return mu, norms
-
-    mu, norms = gso()
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = gram[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q != 0:
-                # b_k <- b_k - q b_j: row k, then column k, of G
+            # q = round(mu[k][j]) (half to even), which is 0 for |mu| <= 1/2
+            if 2 * abs(lam[k][j]) > d[j + 1]:
+                q = round(Fraction(lam[k][j], d[j + 1]))
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                g[k] = [x - q * y for x, y in zip(g[k], g[j])]
-                for i in range(n):
-                    g[i][k] = g[k][i] if i != k else g[k][k] - q * g[k][j]
-                mu, norms = gso()
-        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+                lam[k][j] -= q * d[j + 1]
+                for i in range(j):
+                    lam[k][i] -= q * lam[j][i]
+        t = lam[k][k - 1]
+        if 4 * (d[k + 1] * d[k - 1] + t * t) >= 3 * d[k] * d[k]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            g[k], g[k - 1] = g[k - 1], g[k]
-            for row in g:
-                row[k], row[k - 1] = row[k - 1], row[k]
-            mu, norms = gso()
-            k = max(k - 1, 1)
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        dk = (d[k - 1] * d[k + 1] + t * t) // d[k]
+        for i in range(k + 1, n):
+            u = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * u) // d[k]
+            lam[i][k - 1] = (dk * u + t * lam[i][k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
     return b
 
 
@@ -386,37 +390,32 @@ def _enumerate(phi0: List[List[Fraction]]) -> List[Tuple[Fraction, Tuple[int, ..
     """All nonzero lattice coordinate vectors (one per +-pair) with
     archimedean norm <= lambda_0, as sorted (norm, coords) pairs, where
     phi0 holds the functionals in lattice coordinates and lambda_0 is the
-    largest norm in an LLL-reduced basis (so the list holds a Z-basis)."""
+    largest norm in an LLL-reduced basis (so the list holds a Z-basis).
+    All in integers on den * phi0, den the lcm of phi0's denominators."""
     r = len(phi0[0])
-    # enumerate in LLL-reduced coordinates (smaller boxes), convert back
-    gram = [[sum(row[i] * row[j] for row in phi0) for j in range(r)]
-            for i in range(r)]
-    red = _lll(gram)
-    phi = [[sum(row[j] * red[k][j] for j in range(r)) for k in range(r)]
-           for row in phi0]
-    bound = max(abs(x) for row in phi for x in row)
-    # choose an invertible row subset giving the smallest enumeration box
+    iphi0, den = linalg._integer_matrix(phi0)
+    # enumerate in LLL-reduced coordinates (smaller boxes), convert back;
+    # LLL is invariant under the scaling by den^2 of the Gram matrix
+    cols = list(zip(*iphi0))
+    red = _lll([[sum(map(mul, x, y)) for y in cols] for x in cols])
+    iphi = [[sum(map(mul, row, v)) for v in red] for row in iphi0]
+    ibound = max(abs(x) for row in iphi for x in row)
+    # the invertible row subset S giving the smallest box: |phi c| <=
+    # lambda_0 bounds |c_i| by ibound * sum_j |adj_ij| / |det| on S's rows
     best_box = None
-    for subset in combinations(range(len(phi)), r):
-        try:
-            inv = linalg.invert([phi[i] for i in subset])
-        except ValueError:
+    for subset in combinations(iphi, r):
+        adj, det = linalg.adjugate(subset)
+        if not det:
             continue
-        box = [bound * sum(abs(inv[i][j]) for j in range(r)) for i in range(r)]
-        size = 1
-        for b in box:
-            size *= 2 * int(b) + 1
+        box = [ibound * sum(map(abs, row)) // abs(det) for row in adj]
+        size = prod(2 * b + 1 for b in box)
         if best_box is None or size < best_box[0]:
             best_box = (size, box)
     if best_box[0] > BOX_BOUND:
         raise PreconditionError(
             f"the enumeration box holds {best_box[0]} points, more than the "
             f"exact enumeration bound {BOX_BOUND}")
-    ranges = [range(-int(b), int(b) + 1) for b in best_box[1]]
-    # exact integer test: D*phi is integral and |D*phi.c| <= D*bound
-    den = _common_denominator(x for row in phi for x in row)
-    iphi = [[int(x * den) for x in row] for row in phi]
-    ibound = int(bound * den)
+    ranges = [range(-b, b + 1) for b in best_box[1]]
     out: List[Tuple[Fraction, Tuple[int, ...]]] = []
     for coords in iter_product(*ranges):
         # one representative per +-pair

@@ -4,8 +4,9 @@ Two layers:
 
 * generic Gaussian elimination over any exact field whose elements
   support +, -, *, /, == 0 (Fractions or RationalFunctions here), and
-* integer-lattice routines (column Hermite normal form, kernels,
-  intersections, Smith normal form) used by the lattice and adelic code.
+* integer routines (column Hermite normal form, kernels, intersections,
+  Smith normal form, the adjugate and determinant of a square matrix) used
+  by the lattice and adelic code and by the inverse of a rational basis.
 
 Matrices are lists of rows throughout.
 """
@@ -55,6 +56,13 @@ def _integer_row(row: Sequence) -> tuple[list, int]:
     dens = [x.denominator for x in row]
     d = lcm(*dens)
     return [x.numerator * (d // e) for x, e in zip(row, dens)], d
+
+
+def _integer_matrix(m: Sequence[Sequence]) -> tuple[Matrix, int]:
+    """A rational matrix as (integers, d) with m = integers / d, where d is
+    the lcm of all its denominators."""
+    d = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
 
 
 def transpose(a: Sequence[Sequence]) -> Matrix:
@@ -188,6 +196,33 @@ def invert(a: Sequence[Sequence]) -> Matrix:
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     return [row[n:] for row in red]
+
+
+def adjugate(m: Sequence[Sequence[int]]) -> tuple[Optional[Matrix], int]:
+    """(adj m, det m) of a square integer matrix, or (None, 0) if m is
+    singular, by fraction-free Gauss-Jordan elimination of [m | I]
+    (Bareiss, Math. Comp. 22, 1968): every entry stays an integer, each
+    step divides exactly by the previous pivot, and at the end [m | I] is
+    [+-det I | +-adj], the sign being that of the row swaps."""
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev, sign = 1, 1
+    for k in range(n):
+        for pivot in range(k, n):
+            if a[pivot][k]:
+                break
+        else:
+            return None, 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        top, p = a[k], a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+    return [[sign * x for x in row[n:]] for row in a], sign * prev
 
 
 def kernel_basis(m: Sequence[Sequence]) -> Matrix:

@@ -162,6 +162,9 @@ class _GaussSpace(NormedSpace):
                 [u.to_vector() for u in _change_frame(self._subst, self._monomials)])
         return self._inverse
 
+    def _inverse_form(self) -> List[tuple]:
+        return list(map(linalg._integer_row, self.basis_inverse()))
+
 
 def _gauss_norm(field: ValuedField, u: Section, weights: Sequence[Magnitude],
                 vanishing: int = 0) -> Magnitude:

@@ -64,12 +64,35 @@ class NormedSpace:
         return len(self.basis)
 
     def basis_inverse(self) -> List[list]:
+        """The inverse of the basis matrix, built once: one Fraction per
+        entry of ``_integer_form("inverse")`` over Q, ``linalg.invert``
+        over Q(T)."""
         if self._inverse is None:
+            form = self._integer_form("inverse", None)
+            if form is not None:
+                self._inverse = [[Fraction(x, d) for x in ints] for ints, d in form]
+                return self._inverse
             try:
                 self._inverse = linalg.invert(self.basis)
             except ValueError as exc:
                 raise PreconditionError(f"basis is not invertible ({exc})") from exc
         return self._inverse
+
+    def _inverse_form(self) -> List[tuple]:
+        """The rows of the inverse of a rational basis B as (integers, d)
+        pairs: with D the lcm of B's denominators, row i of B^-1 is
+        D adj(D B)_i / det(D B), reduced by the gcd of its entries and det."""
+        ints, den = linalg._integer_matrix(self.basis)
+        adj, det = linalg.adjugate(ints)
+        if not (det and ints):
+            reason = "singular matrix" if any(map(any, ints)) else "singular matrix (zero)"
+            raise PreconditionError(f"basis is not invertible ({reason})")
+        form = []
+        for row in adj:
+            row = [den * x for x in row]
+            g = math.gcd(det, *row) * (1 if det > 0 else -1)
+            form.append(([x // g for x in row], det // g))
+        return form
 
     def column(self, i: int) -> list:
         return [row[i] for row in self.basis]
@@ -88,13 +111,16 @@ class NormedSpace:
         return self._integer_form("columns", self.columns)
 
     def _integer_form(self, key: str, rows) -> Optional[List[tuple]]:
-        """``rows()`` (the basis, its inverse or its columns) as (integers,
-        d) pairs (``linalg._integer_row``), built once per key; None for a
-        basis over Q(T)."""
+        """``rows()`` (the basis or its columns) as (integers, d) pairs
+        (``linalg._integer_row``), or for the key "inverse" the
+        ``_inverse_form()``; built once per key, None for a basis over Q(T)."""
         if key not in self._integer:
-            rational = all(map(linalg._is_rational, self.basis))
-            self._integer[key] = (list(map(linalg._integer_row, rows()))
-                                  if rational else None)
+            if not all(map(linalg._is_rational, self.basis)):
+                self._integer[key] = None
+            elif key == "inverse":
+                self._integer[key] = self._inverse_form()
+            else:
+                self._integer[key] = list(map(linalg._integer_row, rows()))
         return self._integer[key]
 
     def _times(self, key: str, rows, v: Sequence) -> list:

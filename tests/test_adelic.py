@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from ultranorm import NormedSpace, PadicRationals
-from ultranorm.adelic import (AdelicSpace, NormedLattice,
+import ultranorm.adelic as adelic
+from ultranorm.adelic import (AdelicSpace, NormedLattice, _enumerate,
                               _find_unimodular, _lll,
                               _rational_hnf, arch_norm,
                               check_localization, finite_unit_lattice,
@@ -69,6 +70,104 @@ def dot_lll(rows, dot):
             mu, norms = gso()
             k = max(k - 1, 1)
     return b
+
+
+def gram_dot(gram):
+    """The inner product x^T G y of a Gram matrix G, as a Fraction (an int
+    would turn the mu of ``dot_lll`` into floats)."""
+    def dot(x, y):
+        return F(sum(a * g * c for a, row in zip(x, gram) for g, c in zip(row, y)))
+    return dot
+
+
+def fraction_lll(gram):
+    """The rational ``_lll`` that the integral one replaced: the Gram
+    matrix follows each row operation in place, and mu and the
+    Gram-Schmidt norms are rebuilt from it after every step."""
+    n = len(gram)
+    g = [list(row) for row in gram]
+    b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def gso():
+        mu = [[F(0)] * n for _ in range(n)]
+        norms = [F(0)] * n
+        for i in range(n):
+            norms[i] = g[i][i]
+            for j in range(i):
+                mu[i][j] = g[i][j]
+                for k in range(j):
+                    mu[i][j] -= mu[i][k] * mu[j][k] * norms[k]
+                mu[i][j] /= norms[j]
+                norms[i] -= mu[i][j] ** 2 * norms[j]
+        return mu, norms
+
+    mu, norms = gso()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q != 0:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                g[k] = [x - q * y for x, y in zip(g[k], g[j])]
+                for i in range(n):
+                    g[i][k] = g[k][i] if i != k else g[k][k] - q * g[k][j]
+                mu, norms = gso()
+        if norms[k] >= (F(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            g[k], g[k - 1] = g[k - 1], g[k]
+            for row in g:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            mu, norms = gso()
+            k = max(k - 1, 1)
+    return b
+
+
+def fraction_enumerate(phi0):
+    """The rational ``_enumerate`` that the integer one replaced, kept as
+    its oracle: ``fraction_lll`` on the rational Gram matrix, then the box
+    of every invertible r-subset from ``lg.invert``, then the same integer
+    scan."""
+    r = len(phi0[0])
+    red = fraction_lll([[sum(row[i] * row[j] for row in phi0) for j in range(r)]
+                        for i in range(r)])
+    phi = [[sum(row[j] * red[k][j] for j in range(r)) for k in range(r)]
+           for row in phi0]
+    bound = max(abs(x) for row in phi for x in row)
+    best_box = None
+    for subset in itertools.combinations(range(len(phi)), r):
+        try:
+            inv = lg.invert([phi[i] for i in subset])
+        except ValueError:
+            continue
+        box = [bound * sum(abs(inv[i][j]) for j in range(r)) for i in range(r)]
+        size = 1
+        for b in box:
+            size *= 2 * int(b) + 1
+        if best_box is None or size < best_box[0]:
+            best_box = (size, box)
+    if best_box[0] > adelic.BOX_BOUND:
+        raise PreconditionError(
+            f"the enumeration box holds {best_box[0]} points, more than the "
+            f"exact enumeration bound {adelic.BOX_BOUND}")
+    ranges = [range(-int(b), int(b) + 1) for b in best_box[1]]
+    den = adelic._common_denominator(x for row in phi for x in row)
+    iphi = [[int(x * den) for x in row] for row in phi]
+    ibound = int(bound * den)
+    out = []
+    for coords in itertools.product(*ranges):
+        if next((c for c in coords if c != 0), 0) <= 0:
+            continue
+        val = max(abs(sum(a * c for a, c in zip(row, coords))) for row in iphi)
+        if val <= ibound:
+            orig = [sum(c * red[k][j] for k, c in enumerate(coords))
+                    for j in range(r)]
+            if next((c for c in orig if c != 0), 0) < 0:
+                orig = [-c for c in orig]
+            out.append((F(val, den), tuple(orig)))
+    out.sort(key=lambda t: (t[0], sum(abs(c) for c in t[1]), t[1]))
+    return out
 
 
 def det(m):
@@ -294,6 +393,8 @@ class TestLambda:
         assert strict  # the l^1 lattice at least: 1 < 3/2
 
     def test_gram_lll_matches_dot_lll(self):
+        # _lll takes the integer Gram matrix of D * phi, D the lcm of phi's
+        # denominators: D^2 times the rational one, which LLL cannot tell
         rng = random.Random(29)
         for r in range(2, 7):
             for _ in range(6):
@@ -308,8 +409,67 @@ class TestLambda:
                                * sum(a * c for a, c in zip(row, y)) for row in phi)
 
                 eye = [[int(i == j) for j in range(r)] for i in range(r)]
-                gram = [[dot(x, y) for y in eye] for x in eye]
+                d = adelic._common_denominator(x for row in phi for x in row)
+                gram = [[int(dot(x, y) * d * d) for y in eye] for x in eye]
                 assert _lll(gram) == dot_lll(eye, dot)
+
+    @pytest.mark.parametrize("gram", [
+        [[2, 1], [1, 5]],        # mu = 1/2 rounds to 0
+        [[2, -1], [-1, 5]],      # mu = -1/2 rounds to 0
+        [[2, 3], [3, 7]],        # mu = 3/2 rounds to 2
+        [[2, -3], [-3, 7]],      # mu = -3/2 rounds to -2
+        [[2, 5], [5, 13]],       # mu = 5/2 rounds to 2
+        [[4, 2, -6], [2, 6, 1], [-6, 1, 20]],
+        [[2, 1, 3], [1, 3, -1], [3, -1, 11]],
+        [[6, -4, 4, 1], [-4, 6, -3, -2], [4, -3, 6, 3], [1, -2, 3, 14]]])
+    def test_lll_half_integral_mu(self, gram):
+        # ties: round(mu) rounds half to even, as Fraction rounding does
+        n = len(gram)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert _lll(gram) == dot_lll(eye, gram_dot(gram))
+
+    def test_lll_random_half_integral_grams(self):
+        rng = random.Random("lll-ties")
+        ties = 0
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            while True:
+                rows = [[rng.choice((-2, -1, 0, 0, 1, 1, 2)) for _ in range(n)]
+                        for _ in range(n + rng.randint(0, 1))]
+                if lg.rank(rows) == n:
+                    break
+            gram = [[sum(row[i] * row[j] for row in rows) for j in range(n)]
+                    for i in range(n)]
+            ties += any(2 * abs(gram[i][0]) == gram[0][0] for i in range(1, n))
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            assert _lll(gram) == dot_lll(eye, gram_dot(gram))
+        assert ties > 30
+
+    @pytest.mark.parametrize("box_bound, min_refused", [(adelic.BOX_BOUND, 0),
+                                                        (300, 100)])
+    def test_enumerate_matches_fraction_oracle(self, box_bound, min_refused,
+                                               monkeypatch):
+        # the whole sorted list, or the same box-bound refusal message
+        monkeypatch.setattr(adelic, "BOX_BOUND", box_bound)
+        rng = random.Random(f"enumerate-{box_bound}")
+        refused = 0
+        for _ in range(500):
+            r = rng.randint(1, 5)
+            while True:
+                phi = [[F(rng.randint(-4, 4), rng.choice((1, 2, 3, 6)))
+                        for _ in range(r)] for _ in range(r + rng.randint(0, 2))]
+                if lg.rank(phi) == r:
+                    break
+            try:
+                want = fraction_enumerate(phi)
+            except PreconditionError as exc:
+                refused += 1
+                with pytest.raises(PreconditionError) as info:
+                    _enumerate(phi)
+                assert str(info.value) == str(exc)
+                continue
+            assert _enumerate(phi) == want
+        assert refused >= min_refused
 
     def test_non_spanning_functionals_rejected(self):
         eye = [[F(int(i == j)) for j in range(3)] for i in range(3)]

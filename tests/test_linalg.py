@@ -464,3 +464,51 @@ class TestIntegerKernel:
         assert lg.integer_kernel([[0, 0]]) == [[1, 0], [0, 1]]
         assert lg.integer_kernel([[2, 3]]) == _tracked_integer_kernel([[2, 3]])
         assert lg.integer_kernel([[1, 0], [0, 1]]) == []
+
+
+def _laplace_det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+class TestAdjugate:
+    """``adjugate``: (adj, det) with adj / det equal to ``invert`` and det
+    equal to the Laplace expansion, including the sign of the row swaps."""
+
+    def test_random_matrices(self):
+        rng = random.Random("adjugate")
+        singular = 0
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            m = [[rng.choice((0, 0, 1, -1, 2, -3, 7, 2 ** 40)) for _ in range(n)]
+                 for _ in range(n)]
+            adj, det = lg.adjugate(m)
+            assert det == _laplace_det(m)
+            if det == 0:
+                singular += 1
+                assert adj is None
+                with pytest.raises(ValueError):
+                    lg.invert(m)
+                continue
+            assert [[Fraction(x, det) for x in row] for row in adj] == lg.invert(m)
+        assert 20 < singular < 300
+
+    @pytest.mark.parametrize("m, det", [
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 2, 1], [3, 0, 0], [0, 0, 5]], -30),
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+        ([[1, 2, 3], [2, 4, 7], [0, 1, 1]], -1)])  # a zero pivot mid-way
+    def test_row_swaps(self, m, det):
+        adj, d = lg.adjugate(m)
+        assert d == det == _laplace_det(m)
+        assert [[Fraction(x, d) for x in row] for row in adj] == lg.invert(m)
+
+    def test_singular_and_empty(self):
+        assert lg.adjugate([[0]]) == (None, 0)
+        assert lg.adjugate([[1, 2], [2, 4]]) == (None, 0)
+        assert lg.adjugate([[0, 0, 1], [0, 0, 2], [1, 1, 1]]) == (None, 0)
+        assert lg.adjugate([[5]]) == ([[1]], 5)
+        assert lg.adjugate([]) == ([], 1)

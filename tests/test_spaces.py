@@ -334,6 +334,32 @@ class TestIntegerForms:
                 assert space.from_coordinates(v) == linalg.mat_vec(space.basis, v)
                 assert space.from_coordinates(space.coordinates(v)) == v
 
+    @pytest.mark.parametrize("field", [PadicRationals(3), TrivialRationals()],
+                             ids=lambda f: f.kind)
+    def test_inverse_form_matches_invert(self, field):
+        # the inverse comes from the integer adjugate; linalg.invert is the oracle
+        rng = random.Random(f"adjugate/{field.kind}")
+        for dim in (1, 2, 3, 4, 5):
+            for _ in range(6):
+                space = random_space(rng, field, dim)
+                inverse = linalg.invert(space.basis)
+                assert space._integer_form("inverse", None) == [
+                    linalg._integer_row(row) for row in inverse]
+                assert space.basis_inverse() == inverse
+                assert dual_norm(space).basis == linalg.transpose(inverse)
+
+    @pytest.mark.parametrize("basis, reason", [
+        ([[F(1), F(2)], [F(1, 2), F(1)]], "singular matrix"),
+        ([[F(0), F(1, 3)], [F(0), F(2)]], "singular matrix"),
+        ([[F(0), F(0)], [F(0), F(0)]], "singular matrix (zero)"),
+        ([], "singular matrix (zero)")])
+    def test_singular_basis_message(self, basis, reason):
+        field = PadicRationals(2)
+        space = NormedSpace(field, basis, [field.one_magnitude()] * len(basis))
+        with pytest.raises(PreconditionError) as info:
+            space.coordinates([F(1)] * len(basis))
+        assert str(info.value) == f"basis is not invertible ({reason})"
+
     def test_laurent_space_has_no_integer_form(self):
         rng = random.Random("forms/laurent")
         ext = scalar_extension(random_space(rng, TrivialRationals(), 3),
