@@ -54,7 +54,7 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError("", f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or past the digit limit
+    except (ValueError, RecursionError) as exc:  # also past the digit or depth limit
         raise ConfigError("", f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -62,19 +62,8 @@ def _load_config(path: Optional[str], schema: Dict[str, Any]) -> Any:
     if path is None:
         raise ConfigError("", "--config is required for this command")
     data = _load_json(path)
-    try:
-        ser.validate(data, schema)
-    except ser.SchemaViolation as exc:
-        raise ConfigError(exc.path, exc.message) from exc
+    ser.validate(data, schema)  # main reports a SchemaViolation as exit 2
     return data
-
-
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _json_text(obj: Any) -> str:
@@ -220,10 +209,7 @@ def cmd_lattice(args) -> str:
 def _sample_points(args, num_vars: int) -> List[List[Fraction]]:
     if args.points:
         data = _load_json(args.points)
-        try:
-            ser.validate(data, ser.POINTS_SCHEMA)
-        except ser.SchemaViolation as exc:
-            raise ConfigError(exc.path, exc.message) from exc
+        ser.validate(data, ser.POINTS_SCHEMA)
         pts = ser.matrix_from_json(data["points"])
         for i, p in enumerate(pts):
             if len(p) != num_vars:
@@ -319,11 +305,8 @@ def _lattice_from_args(args) -> NormedLattice:
         raise ConfigError("", "provide --config, or both --lattice and --norm")
     lat = _load_json(args.lattice)
     nrm = _load_json(args.norm)
-    try:
-        ser.validate(lat, ser.LATTICE_SCHEMA)
-        ser.validate(nrm, ser.FUNCTIONALS_SCHEMA)
-    except ser.SchemaViolation as exc:
-        raise ConfigError(exc.path, exc.message) from exc
+    ser.validate(lat, ser.LATTICE_SCHEMA)
+    ser.validate(nrm, ser.FUNCTIONALS_SCHEMA)
     return _normed_lattice(ser.matrix_from_json(lat["columns"]),
                            ser.matrix_from_json(nrm["functionals"]))
 
@@ -483,7 +466,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          sort_keys=True),
               file=sys.stderr)
         return 3
-    _emit(args, text)
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:  # a directory, or a missing parent
+        return _config_error(f"cannot write {args.out}: {exc}")
     return 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from numbers import Number
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .fields import Magnitude, ValuedField
 from .sections import Section, Subvariety
@@ -164,19 +164,114 @@ class SchemaViolation(Exception):
 
 def validate(instance: Any, schema: Dict[str, Any]) -> None:
     """Raise SchemaViolation for the error that JSON Schema Draft 2020-12
-    reports first once sorted by path, with jsonschema 4.26's message."""
-    err = min(_errors(instance, schema, ()), default=None,
-              key=lambda e: list(map(str, e[0])))
-    if err is not None:
-        pointer = "/" + "/".join(str(part) for part in err[0])
-        raise SchemaViolation("" if pointer == "/" else pointer, err[1])
+    reports first once sorted by path, with jsonschema 4.26's message.
+
+    On its first use a schema is compiled into a predicate that accepts a
+    valid instance at once; only a rejected one goes through the walker
+    ``_errors`` for its path and message.  A schema must not change after
+    its first use."""
+    if _compiled(schema)(instance):
+        return
+    path, message = min(_errors(instance, schema, ()),
+                        key=lambda e: list(map(str, e[0])))
+    pointer = "/" + "/".join(str(part) for part in path)
+    raise SchemaViolation("" if pointer == "/" else pointer, message)
+
+
+_COMPILED: Dict[int, Tuple[Dict[str, Any], Callable[[Any], Any]]] = {}
+_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def _compiled(schema: Dict[str, Any]) -> Callable[[Any], Any]:
+    """The predicate of ``schema`` (or of a sub-schema shared by several),
+    compiled once.  The cache holds the schema itself, so no later dict
+    can take over its id."""
+    entry = _COMPILED.get(id(schema))
+    if entry is None:
+        entry = _COMPILED[id(schema)] = (schema, _compile(schema))
+    return entry[1]
 
 
 def _is_type(instance: Any, name: str) -> bool:
     if name == "integer":  # 2.0 is an integer, True is not
         return (isinstance(instance, int) and not isinstance(instance, bool)
                 or isinstance(instance, float) and instance.is_integer())
-    return isinstance(instance, {"object": dict, "array": list, "string": str}[name])
+    return isinstance(instance, _TYPES[name])
+
+
+def _compile(schema: Dict[str, Any]) -> Callable[[Any], Any]:
+    """A predicate that is truthy exactly when ``_errors`` yields nothing:
+    each check negates one keyword's error condition, so ``minimum`` is
+    ``not x < v``, which NaN passes.  A keyword outside the walker's
+    subset raises ValueError, an unknown type KeyError."""
+    kind = schema.get("type")
+    checks: List[Callable[[Any], Any]] = [] if kind is None else [
+        (lambda x: _is_type(x, "integer")) if kind == "integer"
+        else _TYPES[kind].__instancecheck__]  # isinstance(x, cls) in C
+
+    def add(cls: type, check: Callable[[Any], Any]) -> None:
+        """A check on the instances of ``cls`` (a bool is no number here).
+        The type check runs first, so it is dropped where that check
+        rejects ``cls`` and unguarded where it admits only ``cls``."""
+        if kind is None:
+            checks.append(lambda x: (not isinstance(x, cls) or isinstance(x, bool)
+                                     or check(x)))
+        elif cls is _TYPES.get(kind, Number):
+            checks.append(check)
+
+    for key, value in schema.items():
+        if key == "pattern":
+            add(str, re.compile(value).search)
+        elif key == "enum":
+            checks.append(lambda x, v=value: any(_equal(each, x) for each in v))
+        elif key == "const":
+            checks.append(lambda x, v=value: _equal(x, v))
+        elif key == "minimum":
+            add(Number, lambda x, v=value: not x < v)
+        elif key == "maximum":
+            add(Number, lambda x, v=value: not x > v)
+        elif key == "minItems":
+            add(list, lambda x, v=value: not len(x) < v)
+        elif key == "minProperties":
+            add(dict, lambda x, v=value: not len(x) < v)
+        elif key == "maxProperties":
+            add(dict, lambda x, v=value: not len(x) > v)
+        elif key == "required":
+            add(dict, lambda x, v=value: all(map(x.__contains__, v)))
+        elif key == "properties":
+            for name, sub in value.items():
+                add(dict, lambda x, n=name, s=_compiled(sub): n not in x or s(x[n]))
+        elif key == "patternProperties":
+            for regex, sub in value.items():
+                add(dict, lambda x, r=re.compile(regex).search, s=_compiled(sub): all(
+                    s(item) for name, item in x.items() if r(name)))
+        elif key == "additionalProperties" and value is False:
+            known = set(schema.get("properties", {}))
+            joined = "|".join(schema.get("patternProperties", {}))
+            search = re.compile(joined).search if joined else known.__contains__
+            add(dict, lambda x: known.issuperset(x) or all(
+                k in known or search(k) for k in x))
+        elif key == "items":
+            add(list, lambda x, s=_compiled(value): all(map(s, x)))
+        elif key == "allOf":
+            checks.extend(map(_compiled, value))
+        elif key == "if":
+            checks.append(lambda x, s=_compiled(value),
+                          t=_compiled(schema.get("then", {})): not s(x) or t(x))
+        elif key not in ("type", "then"):
+            raise ValueError(f"validate does not interpret {key!r}: {value!r}")
+    if len(checks) == 1:
+        return checks[0]
+    if len(checks) == 2:
+        first, second = checks
+        return lambda x: first(x) and second(x)
+
+    def every(x: Any) -> bool:
+        for check in checks:
+            if not check(x):
+                return False
+        return True
+    return every
 
 
 def _equal(a: Any, b: Any) -> bool:
@@ -193,15 +288,10 @@ def _equal(a: Any, b: Any) -> bool:
 def _errors(instance: Any, schema: Dict[str, Any],
             path: Tuple) -> Iterator[Tuple[Tuple, str]]:
     """Every (path, message) that Draft 2020-12 yields, keywords in dict
-    order; a keyword outside the configs' subset raises, not passes."""
+    order; ``validate`` compiles the schema first, so every keyword here
+    is one ``_compile`` interprets."""
     is_object, is_array = isinstance(instance, dict), isinstance(instance, list)
     for key, value in schema.items():
-        if key not in {"type", "pattern", "enum", "const", "minimum", "maximum",
-                       "minItems", "minProperties", "maxProperties", "required",
-                       "properties", "patternProperties", "additionalProperties",
-                       "items", "allOf", "if", "then"} or (
-                key == "additionalProperties" and value is not False):
-            raise ValueError(f"validate does not interpret {key!r}: {value!r}")
         if key == "type" and not _is_type(instance, value):
             yield path, f"{instance!r} is not of type {value!r}"
         elif (key == "pattern" and isinstance(instance, str)

@@ -507,6 +507,32 @@ class TestMalformedShapes:
         assert obj["error"] == "schema"
         assert obj["path"] == f"/representative/coeffs/{key}"
 
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, target):
+        cfg = write(tmp_path, "c.json", {"space": norm_json()})
+        dest = str(tmp_path if target == "directory" else tmp_path / "no" / "o.json")
+        code, out, err = run(capsys, ["dual", "--config", cfg, "--out", dest])
+        assert (code, out) == (2, "")
+        obj = json.loads(err)
+        assert (obj["error"], obj["path"]) == ("config", "")
+        assert obj["message"].startswith(f"cannot write {dest}: ")
+
+    @pytest.mark.parametrize("flag", ["--config", "--points", "--lattice", "--norm"])
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys, flag):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        lam = ["lambda", "--lattice", write(tmp_path, "lat.json", {"columns": [["1"]]}),
+               "--norm", write(tmp_path, "nrm.json", {"functionals": [["1"]]})]
+        sample = ["sigma-sample", "--config", write(tmp_path, "c.json", {"space": norm_json()}),
+                  "--points", write(tmp_path, "p.json", {"points": [["1", "0"]]})]
+        argv = lam if flag in lam else sample
+        argv[argv.index(flag) + 1] = str(deep)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        obj = json.loads(err)
+        assert (obj["error"], obj["path"]) == ("schema", "")
+        assert obj["message"].startswith(f"malformed JSON in {deep}: ")
+
 
 class TestDeterminism:
     def test_byte_identical_across_jobs(self, tmp_path, capsys):

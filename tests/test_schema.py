@@ -62,7 +62,8 @@ WALKER_KEYWORDS = {"type", "pattern", "enum", "const", "minimum", "maximum",
 
 # what a mutation may put in place of a node or under a new key
 JUNK = (None, True, False, 0, 1, -1, 2, 2.0, 1.5, "", "x", [], {}, ["1"],
-        {"q": "1", "n": 0})
+        {"q": "1", "n": 0},
+        float("nan"), float("inf"), float("-inf"))  # json.load reads all three
 RATIONAL_EDGES = ("1/0", "1/02", "1/-2", "1.5", "a", "--1", "1/2/3", " 1",
                   "1\n", "-0", "99999999999999999999/7",
                   "1" * 4301)  # one digit past the str-to-int limit
@@ -181,6 +182,31 @@ def test_walker_matches_jsonschema(name):
         assert _violation(doc, schema) == expected(doc)
 
     check()
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_compiled_check_matches_walker(name):
+    """The compiled predicate accepts a document exactly when the walker
+    finds no error in it."""
+    schema = _schema(name)
+    accepts = ser._compile(schema)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated(VALID[name]))
+    def check(doc):
+        assert bool(accepts(doc)) == (list(ser._errors(doc, schema, ())) == [])
+
+    check()
+
+
+def test_throwaway_schemas_keep_their_own_answer():
+    """A schema dropped after use cannot hand its compiled check to a new
+    dict that gets the same id."""
+    for bound in range(300):
+        schema = {"type": "integer", "minimum": bound}
+        assert _violation(bound, schema) is None
+        assert _violation(bound - 1, schema) == (
+            "", f"{bound - 1} is less than the minimum of {bound}")
 
 
 def _subschemas(schema):
