@@ -31,6 +31,7 @@ from .spaces import (Lattice, PreconditionError, dual_norm, lattice_from_norm,
                      norm_from_lattice, orthogonalize_flag, quotient_norm)
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+DEGREE_BOUND = 120  # degree-n forms C(n + m, m); extend-trivial takes ~30 s at 120 (2 vCPU)
 _PARSER: Optional["_Parser"] = None  # set by the first build_parser call
 
 
@@ -87,6 +88,14 @@ def _parse_epsilon(text: str) -> Fraction:
     if eps <= 0:
         raise ConfigError("", "--epsilon must be positive")
     return eps
+
+
+def _bounded_degree(m: int, n: int) -> int:
+    """n, refused before any work past DEGREE_BOUND degree-n forms on P^m."""
+    if math.comb(n + m, m) > DEGREE_BOUND:
+        raise PreconditionError(f"degree {n} on P^{m} has {math.comb(n + m, m)} "
+                                f"monomials, above the degree bound {DEGREE_BOUND}")
+    return n
 
 
 def _point_str(point: Sequence[Fraction]) -> str:
@@ -231,7 +240,7 @@ def _sample_points(args, num_vars: int) -> List[List[Fraction]]:
 def cmd_sigma_sample(args) -> str:
     data = _load_config(args.config, ser.METRIC_SCHEMA)
     metric = _metric_from_config(data)
-    n_max = args.max_degree if args.max_degree is not None else 4
+    n_max = _bounded_degree(metric.m, 4 if args.max_degree is None else args.max_degree)
     points = _sample_points(args, metric.num_vars)
     tasks = [(n, p) for n in range(1, n_max + 1) for p in points]
     values = [sigma(metric, n, point) for n, point in tasks]
@@ -251,7 +260,7 @@ def cmd_extension_table(args) -> str:
     eps = _parse_epsilon(args.epsilon) if args.epsilon else None
     data = _load_config(args.config, ser.METRIC_SCHEMA)
     problem = _problem_from_config(data)
-    n_max = args.max_degree if args.max_degree is not None else 8
+    n_max = _bounded_degree(problem.metric.m, 8 if args.max_degree is None else args.max_degree)
     ratios = [min_norm_lift(problem, n)[1] for n in range(1, n_max + 1)]
     eps_flags: Optional[List[bool]] = None
     if eps is not None:
@@ -281,7 +290,7 @@ def cmd_extension_table(args) -> str:
 def cmd_extend_trivial(args) -> str:
     data = _load_config(args.config, ser.METRIC_SCHEMA)
     problem = _problem_from_config(data)
-    n = args.max_degree if args.max_degree is not None else 1
+    n = _bounded_degree(problem.metric.m, 1 if args.max_degree is None else args.max_degree)
     section, ratio = extend_trivial_via_laurent(problem, n)
     return _json_text({
         "degree": n,

@@ -23,7 +23,8 @@ from . import linalg
 from .fields import (LaurentRationals, Magnitude, RationalFunction, ValuedField,
                      _fekete_running_min, choose_laurent_base, magnitude_max)
 from .metrics import QuotientMetric
-from .sections import Section, Subvariety, evaluation_matrix, restriction_kernel
+from .sections import (Section, Subvariety, evaluation_row, integer_evaluation_row,
+                       restriction_kernel)
 from .spaces import (NormedSpace, PreconditionError, _eliminate,
                      distance_to_subspace, lift_constant, orthogonalize_flag,
                      scalar_extension)
@@ -99,12 +100,14 @@ def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, 
     it is the combination of the dual basis of the psi'_i, so its norm is
     dist.  The lift is N.basis c.
     """
-    field = P.field
+    field, m, cols = P.field, P.metric.m, N.integer_columns()
     a = (P.metric.to_frame_coordinates(P.representative) ** n).to_vector()
-    rows = evaluation_matrix(P.Y, n)
+    rows = [integer_evaluation_row(n, pt) or (evaluation_row(field, m, n, pt), 1)
+            for pt in P.Y.points]  # the monomials at x~_i as w / d
     # k points can impose fewer than k conditions (k > dim at low degree)
-    psi = [linalg.mat_vec(N.columns(), rows[i])
-           for i in linalg.extend_basis([], rows, N.dim)]
+    kept = linalg.extend_basis([], [w for w, _ in rows], N.dim)  # d moves no rank
+    psi = [linalg.mat_vec(N.columns(), rows[i][0]) if cols is None
+           else linalg._mat_vec_integer(cols, *rows[i]) for i in kept]
     dual_weights = [field.one_magnitude() / w for w in N.weights]
     pivots, norms = _eliminate(field, dual_weights, psi)
     targets = linalg.mat_vec(psi, a)
@@ -115,7 +118,7 @@ def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, 
         for j in pivots[i + 1:]:
             acc = acc - psi[i][j] * c[j]
         c[pivots[i]] = acc / psi[i][pivots[i]]
-    return dist, linalg.mat_vec(N.basis, c)
+    return dist, N.from_coordinates(c)
 
 
 def ratio_sequence(P: ExtensionProblem, n_max: int) -> List[Magnitude]:

@@ -21,7 +21,7 @@ from operator import mul
 from typing import Dict, List, Sequence
 
 from . import linalg
-from .fields import (Magnitude, ValuedField, _fekete_running_min, _is_zero,
+from .fields import (Magnitude, ValuedField, _fekete_running_min, _is_zero, _vp,
                      magnitude_max)
 from .sections import (Section, Subvariety, _integer_coeffs, _polynomial_product,
                        evaluation_row, integer_evaluation_row, monomial_basis,
@@ -83,14 +83,14 @@ class QuotientMetric:
         return self._frame_value(normalize_point(self.field, point))
 
     def _frame_value(self, normalized: Sequence) -> Magnitude:
-        """D(x) at a normalized representative, kept per point, since
-        sigma reads it at every degree."""
+        """D(x) at a normalized representative, the dual norm of the point
+        itself (the degree-1 evaluation row); kept per point, since sigma
+        reads it at every degree."""
         pt = tuple(normalized)
         best = self._frame_values.get(pt)
         if best is None:
-            best = magnitude_max([self.field.abs(form.evaluate(pt)) / w for form, w in
-                                  zip(self.frame_forms(), self.base.weights)])
-            self._frame_values[pt] = best
+            row = linalg._integer_row(pt) if linalg._is_rational(pt) else (pt,)
+            best = self._frame_values[pt] = _dual_norm(self.base, *row)
         return best
 
     def point_metric(self, s: Section, point: Sequence) -> Magnitude:
@@ -147,8 +147,9 @@ class _GaussSpace(NormedSpace):
     """
 
     def __init__(self, metric: QuotientMetric, n: int):
-        exps = monomial_basis(metric.m, n)
-        self._monomials = [Section.monomial(metric.field, e) for e in exps]
+        exps, coeff = monomial_basis(metric.m, n), metric.field.one()
+        self._monomials = [Section._trusted(metric.field, metric.num_vars, n, {e: coeff})
+                           for e in exps]
         self._subst = metric.substitution()
         cols = [f.to_vector()
                 for f in _change_frame(metric.frame_forms(), self._monomials)]
@@ -255,42 +256,55 @@ def _change_frame_products(forms: Sequence[Section],
 # ----------------------------------------------------------------------
 
 
+def _dual_norm(N: NormedSpace, w: Sequence, d_w: int = 1) -> Magnitude:
+    """max_i |e_i(x~)| / w_i, with e_i(x~) basis column i of N applied to
+    the row w / d_w: the dual norm of that functional, as one Magnitude.
+
+    With column i = ints_i / d_i (``N.integer_columns()``) and
+    w_i = q_i rho^n_i, a nonzero s_i = ints_i . w gives the value
+    (1/q_i) rho^e_i, e_i = v_p(s_i) - v_p(d_i) - n_i (0 on a trivial
+    field).  Values compare by one integer cross-multiplication with one
+    power of p (``Magnitude._cross``); the winner is shifted by v_p(d_w).
+    A Q(T) row takes ``mat_vec`` and T-orders.
+    """
+    field, cols = N.field, N.integer_columns()
+    P, p = field.prime or 1, field.prime if field.kind == "padic" else None
+    if "dual" not in N._integer:  # (v_p(d_i) + n_i, q_i) per column; d_i is p-adic only
+        N._integer["dual"] = [(wt.n + (_vp(cols[i][1], p) if p else 0), wt.q.numerator,
+                               wt.q.denominator) for i, wt in enumerate(N.weights)]
+    if cols is not None and linalg._is_rational(w):
+        sums = (sum(map(mul, ints, w)) for ints, _ in cols)
+        pairs = ((_vp(s, p) if p else 0, c) for s, c in zip(sums, N._integer["dual"]) if s)
+    else:
+        values = linalg.mat_vec(N.columns(), w)
+        pairs = ((v.order(), c) for v, c in zip(values, N._integer["dual"]) if not v.is_zero)
+    best = None
+    for v, (k, a, b) in pairs:
+        e = v - k  # (b/a) rho^e beats (B/A) rho^E exactly when A b P^E > a B P^e
+        if best is None or (best[1] * b * P ** max(best[0] - e, 0)
+                            > a * best[2] * P ** max(e - best[0], 0)):
+            best = e, a, b
+    if best is None:
+        raise PreconditionError("evaluation functional vanishes identically")
+    shift = _vp(d_w, p) if p else 0
+    return Magnitude._normalized(field.rho, Fraction(best[2], best[1]), best[0] - shift)
+
+
 def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
                         point: Sequence) -> Magnitude:
     """|1|^quot at the point for the norm N on degree-n sections: the
-    minimum of N over {s : s(x~) = 1}.
+    minimum of N over {s : s(x~) = 1}, at the normalized representative x~
+    (``normalize_point``).
 
     With the orthogonal basis e_i of N and weights w_i this is the dual
     norm of evaluation, 1 / max_i |e_i(x~)| / w_i (Bosch-Guentzer-Remmert,
-    Non-Archimedean Analysis): no s does better by the ultrametric
-    inequality, and s = e_k / e_k(x~) at the maximizing k attains it.
-    This is the one-point case of ``extension._dual_lift``: one functional
-    psi = (e_i(x~))_i needs no elimination, and max_i |e_i(x~)| / w_i is
-    its dual norm.  Exact elimination (distance from one solution to the
-    kernel of evaluation) gives the same value and is kept as the test
-    oracle.
-
-    ``point`` must be the normalized representative x~
-    (``normalize_point``): the value depends on the representative.  On
-    rational input each e_i(x~) is one integer dot product of column i of
-    ``N.integer_columns()`` with ``integer_evaluation_row``, over the
-    product of their denominators; Q(T) takes ``mat_vec``.
+    Non-Archimedean Analysis), the one-point case of ``extension._dual_lift``;
+    exact elimination is the test oracle.  Each e_i(x~) comes from the basis
+    columns of N (``_dual_norm``), never from products of frame values,
+    which would make sigma = 1 by construction.
     """
-    cols = N.integer_columns()
-    scaled = integer_evaluation_row(n, point) if cols is not None else None
-    if scaled is None:
-        values = linalg.mat_vec(N.columns(), evaluation_row(field, m, n, point))
-    else:
-        values = linalg._mat_vec_integer(cols, *scaled)
-    best = field.zero_magnitude()
-    for val, w in zip(values, N.weights):
-        if not _is_zero(val):
-            mag = field.abs(val) / w
-            if mag > best:
-                best = mag
-    if best.is_zero:
-        raise PreconditionError("evaluation functional vanishes identically")
-    return field.one_magnitude() / best
+    row = integer_evaluation_row(n, point) or (evaluation_row(field, m, n, point),)
+    return field.one_magnitude() / _dual_norm(N, *row)
 
 
 def metric_gap(N: NormedSpace, h: QuotientMetric, n: int, point: Sequence) -> Magnitude:

@@ -293,12 +293,6 @@ def _evaluation_row_products(field: ValuedField, m: int, n: int,
     return [Section.monomial(field, e).evaluate(point) for e in monomial_basis(m, n)]
 
 
-def evaluation_matrix(Y: Subvariety, n: int) -> List[list]:
-    """Rows: points of Y; columns: degree-n monomials evaluated there."""
-    assert Y.points is not None
-    return [evaluation_row(Y.field, Y.num_vars - 1, n, pt) for pt in Y.points]
-
-
 def restriction_kernel(Y: Subvariety, n: int) -> List[List[FieldElement]]:
     """Basis (coefficient vectors over monomial_basis) of the degree-n
     sections vanishing on Y."""
@@ -306,7 +300,7 @@ def restriction_kernel(Y: Subvariety, n: int) -> List[List[FieldElement]]:
         raise PreconditionError("degree must be non-negative")
     m = Y.num_vars - 1
     if Y.kind == "points":
-        return linalg.kernel_basis(evaluation_matrix(Y, n))
+        return linalg.kernel_basis([evaluation_row(Y.field, m, n, pt) for pt in Y.points])
     # degree-n piece of the ideal: span of (form * degree-(n-1) monomials)
     if n == 0:
         return []

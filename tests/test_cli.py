@@ -657,3 +657,80 @@ class TestHugeRatios:
             assert row[1:4] == ["1", "1", "-8192"]
             assert float(row[4]) * int(row[0]) == pytest.approx(
                 8192 * math.log(1000003))
+
+
+class TestDegreeBound:
+    """sigma-sample, extension-table and extend-trivial count the
+    C(n + m, m) degree-n forms on P^m before any work and refuse more than
+    DEGREE_BOUND with exit 3, JSON naming the bound."""
+
+    @staticmethod
+    def problem(tmp_path, field, num_vars):
+        space = norm_json(weights=("1/1",) * num_vars)
+        if field == "trivial":
+            space["field"] = {"type": "trivial"}
+        unit = ["1"] + ["0"] * (num_vars - 1)
+        return write(tmp_path, "c.json", {
+            "space": space,
+            "subvariety": {"points": [unit, ["1"] * num_vars]},
+            "representative": {"degree": 1, "variables": num_vars,
+                               "coeffs": {",".join(unit): "1"}},
+        })
+
+    def test_helper_at_the_bound_and_one_past(self):
+        bound = cli.DEGREE_BOUND
+        # P^1 has n + 1 forms of degree n; P^2 has C(14 + 2, 2) = 120 at 14
+        assert cli._bounded_degree(1, bound - 1) == bound - 1
+        assert cli._bounded_degree(0, 10 ** 9) == 10 ** 9
+        with pytest.raises(ultranorm.PreconditionError, match="degree bound"):
+            cli._bounded_degree(1, bound)
+        n = max(n for n in range(200) if math.comb(n + 2, 2) <= bound)
+        assert cli._bounded_degree(2, n) == n
+        with pytest.raises(ultranorm.PreconditionError, match="degree bound"):
+            cli._bounded_degree(2, n + 1)
+
+    def test_sigma_sample_at_the_real_bound(self, tmp_path, capsys):
+        n = max(n for n in range(200) if math.comb(n + 2, 2) <= cli.DEGREE_BOUND)
+        cfg = write(tmp_path, "m.json", {"space": norm_json(weights=("1/1",) * 3)})
+        pts = write(tmp_path, "p.json", {"points": [["1", "2", "3"]]})
+        code, out, err = run(capsys, ["sigma-sample", "--config", cfg, "--points",
+                                      pts, "--max-degree", str(n)])
+        assert (code, err) == (0, "")
+        assert len(out.strip().split("\n")) == n + 1
+        code, out, err = run(capsys, ["sigma-sample", "--config", cfg, "--points",
+                                      pts, "--max-degree", str(n + 1)])
+        assert (code, out) == (3, "")
+        assert f"degree bound {cli.DEGREE_BOUND}" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("command,field", [
+        ("sigma-sample", "padic"),
+        ("extension-table", "padic"),
+        ("extend-trivial", "trivial"),
+    ])
+    def test_each_command_at_a_bound_and_one_past(self, tmp_path, capsys,
+                                                  monkeypatch, command, field):
+        cfg = self.problem(tmp_path, field, 3)
+        monkeypatch.setattr(cli, "DEGREE_BOUND", math.comb(3 + 2, 2))
+        code, out, err = run(capsys, [command, "--config", cfg, "--max-degree", "3"])
+        assert (code, err) == (0, "")
+        assert out
+        code, out, err = run(capsys, [command, "--config", cfg, "--max-degree", "4"])
+        assert (code, out) == (3, "")
+        obj = json.loads(err)
+        assert obj["error"] == "precondition"
+        assert "15 monomials" in obj["message"]
+        assert "degree bound 10" in obj["message"]
+
+    @pytest.mark.parametrize("command,field", [
+        ("sigma-sample", "padic"),
+        ("extension-table", "padic"),
+        ("extend-trivial", "trivial"),
+    ])
+    def test_huge_degree_exits_3_at_once(self, tmp_path, capsys, command, field):
+        cfg = self.problem(tmp_path, field, 2)
+        code, out, err = run(capsys, [command, "--config", cfg,
+                                      "--max-degree", "1000000"])
+        assert (code, out) == (3, "")
+        obj = json.loads(err)
+        assert obj["error"] == "precondition"
+        assert f"degree bound {cli.DEGREE_BOUND}" in obj["message"]

@@ -158,6 +158,43 @@ class TestDualLift:
             for pt in P.Y.points:
                 assert section.evaluate(pt) == P.representative.evaluate(pt) ** n
 
+    @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(1000003),
+                                       TrivialRationals()],
+                             ids=lambda f: f"{f.kind}{f.prime or ''}")
+    def test_zero_coordinates_and_more_points_than_dim(self, field):
+        # psi from the integer columns and integer evaluation rows against
+        # the primal oracle, at points with zero coordinates and with more
+        # points than degree-n sections (k > dim)
+        rng = random.Random(f"dual-lift-zeros/{field.kind}{field.prime}")
+        point_sets = {
+            2: [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)], [F(2), F(-3)], [F(1, 4), F(5)]],
+            3: [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)],
+                [F(1), F(0), F(2)], [F(0), F(3), F(-1, 2)], [F(1), F(1), F(1)],
+                [F(4), F(0), F(-1)]],
+        }
+        checked = 0
+        for num_vars, pts in point_sets.items():
+            for k, n in ((num_vars, 1), (num_vars + 1, 1), (len(pts), 1),
+                         (len(pts), 2), (num_vars + 1, 3)):
+                template = random_point_problem(rng, field, num_vars, 1)
+                P = ExtensionProblem(template.metric,
+                                     Subvariety(field, num_vars, points=pts[:k]),
+                                     template.representative)
+                try:
+                    P.restricted_norm()
+                except PreconditionError:  # l vanishes on these points
+                    continue
+                N = P.metric.gauss_space(n)
+                s0 = (P.representative ** n).to_vector()
+                dist, _ = distance_to_subspace(N, s0, restriction_kernel(P.Y, n))
+                section, ratio = min_norm_lift(P, n)
+                assert ratio == dist / P.restricted_norm() ** n
+                assert N.norm(section.to_vector()) == dist
+                for pt in P.Y.points:
+                    assert section.evaluate(pt) == P.representative.evaluate(pt) ** n
+                checked += 1
+        assert checked >= 8
+
     def test_more_points_than_degree_one_sections(self):
         # five points on P^1 impose only two conditions in degree 1: l
         # itself is the only lift, and the ratio is ||l|| / ||l||_Y

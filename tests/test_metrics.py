@@ -10,13 +10,14 @@ import pytest
 from ultranorm import (LaurentRationals, NormedSpace, PadicRationals,
                        PreconditionError, TrivialRationals, linalg)
 from ultranorm.metrics import (MetricFamily, QuotientMetric, _change_frame,
-                               _change_frame_products, gauss_attainment_point,
+                               _change_frame_products, _dual_norm,
+                               gauss_attainment_point,
                                metric_gap, mu_estimate, quotient_fiber_norm,
                                sigma)
-from ultranorm.fields import RationalFunction
+from ultranorm.fields import Magnitude, RationalFunction, magnitude_max
 from ultranorm.sections import (Section, Subvariety, _evaluation_row_products,
                                 evaluation_row, monomial_basis, normalize_point)
-from ultranorm.spaces import distance_to_subspace, scalar_extension
+from ultranorm.spaces import distance_to_subspace, lift_constant, scalar_extension
 
 F = Fraction
 
@@ -324,6 +325,192 @@ class TestQuotientFiberNorm:
                         [Q2.one_magnitude()] * 2)
         with pytest.raises(PreconditionError):
             quotient_fiber_norm(N, Q2, 1, 1, [F(1), F(0)])
+
+
+def division_oracle(N, values):
+    """max_i |v_i| / w_i by one Magnitude division per nonzero value: the
+    loop that ``_dual_norm`` replaced."""
+    best = N.field.zero_magnitude()
+    for v, w in zip(values, N.weights):
+        if v != 0:
+            best = max(best, N.field.abs(v) / w)
+    if best.is_zero:
+        raise PreconditionError("evaluation functional vanishes identically")
+    return best
+
+
+def column_values(N, row):
+    """(column i of N) . row by field arithmetic, one value per column."""
+    return [sum((c * x for c, x in zip(col, row)), N.field.zero())
+            for col in N.columns()]
+
+
+class TestDualNormKernel:
+    """``_dual_norm`` (valuations compared in integers, one Magnitude per
+    call) against the Magnitude-division loop on the same values."""
+
+    QS = [F(1), F(3, 5), F(7, 4), F(2 ** 70 + 1)]
+    NS = [0, 1, -1, 4096, -4096]
+
+    def space(self, rng, field, dim):
+        while True:
+            basis = [[F(rng.choice([0, 0, rng.randint(-9, 9)]), rng.choice([1, 2, 3, 5]))
+                      for _ in range(dim)] for _ in range(dim)]
+            if linalg.rank(basis) == dim:
+                break
+        weights = [field.magnitude(rng.choice(self.QS),
+                                   rng.choice(self.NS) if field.rho else 0)
+                   for _ in range(dim)]
+        return NormedSpace(field, basis, weights)
+
+    @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(3),
+                                       PadicRationals(1000003), TrivialRationals()],
+                             ids=lambda K: f"{K.kind}{K.prime or ''}")
+    def test_equals_division_oracle(self, field):
+        rng = random.Random(f"dual-norm/{field.kind}{field.prime}")
+        p = field.prime or 7
+        for dim in (1, 2, 3, 5):
+            for _ in range(12):
+                N = self.space(rng, field, dim)
+                for _ in range(4):
+                    w = [rng.choice([0, rng.randint(-6, 6) * p ** rng.randint(0, 3)])
+                         for _ in range(dim)]
+                    d_w = rng.choice([1, p, 5 * p ** 3, 7, 2 ** 64 + 1])
+                    row = [F(x, d_w) for x in w]
+                    if not any(column_values(N, row)):
+                        with pytest.raises(PreconditionError,
+                                           match="evaluation functional vanishes"):
+                            _dual_norm(N, w, d_w)
+                        continue
+                    got = _dual_norm(N, w, d_w)
+                    assert got == division_oracle(N, column_values(N, row))
+                    checked = Magnitude(field.rho, got.q, got.n)  # normalized
+                    assert (got.q, got.n) == (checked.q, checked.n)
+
+    def test_ties_in_valuation_are_broken_by_q(self):
+        Q3 = PadicRationals(3)
+        N = NormedSpace.standard(Q3, 3, [Q3.magnitude(2), Q3.magnitude(F(1, 5)),
+                                         Q3.magnitude(F(7, 4))])
+        # |1| / 2, |1| / (1/5), |1| / (7/4): equal valuations, 1/q decides
+        assert _dual_norm(N, [1, 1, 1]) == Q3.magnitude(5)
+        assert _dual_norm(N, [1, 0, 1]) == Q3.magnitude(F(4, 7))
+        # a higher valuation wins while 1/q makes up for it: 5/3, 5/9 > 1/2
+        assert _dual_norm(N, [1, 3, 0]) == Q3.magnitude(F(5, 3))
+        assert _dual_norm(N, [1, 9, 0]) == Q3.magnitude(F(5, 9))
+        assert _dual_norm(N, [1, 27, 0]) == Q3.magnitude(F(1, 2))
+        # d_w shifts the winner once: |1/3| = 3
+        assert _dual_norm(N, [1, 1, 1], 3) == Q3.magnitude(15)
+
+    def test_zero_entries_and_the_all_zero_row(self):
+        Q2 = PadicRationals(2)
+        N = NormedSpace(Q2, [[F(1), F(0)], [F(0), F(2)]],
+                        [Q2.magnitude(1, 4096), Q2.magnitude(F(3, 5), -4096)])
+        assert _dual_norm(N, [0, 5]) == division_oracle(N, [0, F(10)])
+        assert _dual_norm(N, [3, 0]) == division_oracle(N, [F(3), 0])
+        with pytest.raises(PreconditionError,
+                           match="^evaluation functional vanishes identically$"):
+            _dual_norm(N, [0, 0])
+        with pytest.raises(PreconditionError,
+                           match="^evaluation functional vanishes identically$"):
+            _dual_norm(N, [0, 0], 4)
+
+    @pytest.mark.parametrize("lifted", [True, False], ids=["rf_basis", "rational_basis"])
+    def test_laurent_rows_take_the_order(self, lifted):
+        rng = random.Random(f"dual-norm/laurent/{lifted}")
+        K, T = LaurentRationals(5), RationalFunction.variable()
+        for dim in (1, 2, 3):
+            for _ in range(8):
+                N = self.space(rng, K, dim)
+                if lifted:
+                    N = NormedSpace(K, lift_constant(N.basis), N.weights)
+                row = [K.element(F(rng.randint(-4, 4), rng.randint(1, 3)))
+                       * T ** rng.randint(0, 3) for _ in range(dim)]
+                values = column_values(N, row)
+                if all(v.is_zero for v in values):
+                    continue
+                assert _dual_norm(N, row) == division_oracle(
+                    N, [0 if v.is_zero else v for v in values])
+
+
+class TestLocalFrameValue:
+    """D(x) by ``_dual_norm`` on the base columns against the frame forms
+    evaluated with ``Section.evaluate``."""
+
+    @staticmethod
+    def evaluate_route(h, point):
+        x = normalize_point(h.field, point)
+        return magnitude_max(h.field.abs(form.evaluate(x)) / w
+                             for form, w in zip(h.frame_forms(), h.base.weights))
+
+    @pytest.mark.parametrize("field", FIELDS + [PadicRationals(1000003)],
+                             ids=lambda K: f"{K.kind}{K.prime or ''}")
+    def test_equals_evaluate_route(self, field):
+        rng = random.Random(f"frame-route/{field.kind}{field.prime}")
+        for nv in (2, 3, 4):
+            space = wide_space(rng, field, nv)
+            space.weights[0] = field.magnitude(F(7, 4), 4096 if field.rho else 0)
+            h = QuotientMetric(space)
+            for _ in range(8):
+                pt = random_point(rng, nv)
+                pt[rng.randrange(nv)] = F(0)
+                if not any(pt):
+                    pt[0] = F(1, (field.prime or 2) ** 3)
+                assert h.local_frame_value(pt) == self.evaluate_route(h, pt)
+
+    def test_laurent_points(self):
+        rng = random.Random("frame-route/laurent")
+        K = LaurentRationals(5)
+        for nv in (2, 3):
+            base = scalar_extension(random_space(rng, TrivialRationals(), nv), K)
+            for space in (base, NormedSpace(K, [[c.constant_value() for c in row]
+                                                for row in base.basis], base.weights)):
+                h = QuotientMetric(space)
+                for _ in range(5):
+                    pt = [K.element(x) for x in random_point(rng, nv)]
+                    assert h.local_frame_value(pt) == self.evaluate_route(h, pt)
+
+
+class TestSigmaReadsTheGaussBasis:
+    """sigma must read e_i(x~) from the gauss basis, not from products of
+    the frame values f_j(x~): a space equal to gauss_space(n) except for
+    one column scaled by p has the same frame values, so a product-form
+    sigma would not see the change, while its metric gap does."""
+
+    @staticmethod
+    def scaled(N, k, c):
+        basis = [[x * c if j == k else x for j, x in enumerate(row)] for row in N.basis]
+        return NormedSpace(N.field, basis, list(N.weights))
+
+    def test_diagonal_example(self):
+        Q2 = PadicRationals(2)
+        h = diag_metric(Q2, [F(1), F(1)])
+        pt = [F(1), F(2)]  # the column x0^2 alone attains max |e_i(x~)| / w_i
+        assert sigma(h, 2, pt) == Q2.one_magnitude()
+        gap = metric_gap(self.scaled(h.gauss_space(2), 0, F(2)), h, 2, pt)
+        assert gap == Q2.magnitude(2)
+
+    @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(3)],
+                             ids=lambda K: f"{K.kind}{K.prime}")
+    def test_scaled_column_moves_the_gap(self, field):
+        rng = random.Random(f"scaled-gauss-column/{field.prime}")
+        checked = 0
+        for _ in range(40):
+            m, n = rng.choice([(1, 2), (1, 3), (2, 2)])
+            h = QuotientMetric(random_space(rng, field, m + 1))
+            N = h.gauss_space(n)
+            x = normalize_point(field, random_point(rng, m + 1))
+            vals = [field.abs(v) / w for v, w in zip(
+                column_values(N, evaluation_row(field, m, n, x)), N.weights)]
+            top = max(vals)
+            if vals.count(top) > 1:  # a tie keeps the max; skip it
+                continue
+            M = self.scaled(N, vals.index(top), F(field.prime))
+            gap = metric_gap(M, h, n, x)
+            assert gap != sigma(h, n, x)
+            d = TestLocalFrameValue.evaluate_route(h, x)
+            assert gap == TestQuotientFiberNorm.elimination(M, field, m, n, x) * d ** n
+            checked += 1
+        assert checked >= 10
 
 
 class TestGaussSpaceInverse:
