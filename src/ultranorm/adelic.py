@@ -566,10 +566,11 @@ def quotient_adelic(A: AdelicSpace, f: Sequence[Sequence[Fraction]]) -> AdelicSp
 def graded_minima(G: Dict[int, AdelicSpace],
                   n_max: int) -> Iterator[Tuple[int, NormedLattice, Fraction, list]]:
     """(n, M, lambda_Z(M), a Z-basis attaining it) for n = 1..n_max, where
-    M is the finite-part lattice of degree n."""
+    M is the finite-part lattice of degree n; every degree is checked first."""
     for n in range(1, n_max + 1):
         if n not in G:
             raise PreconditionError(f"graded family missing degree {n}")
+    for n in range(1, n_max + 1):
         M = finite_unit_lattice(G[n])
         lz, basis = lambda_Z(M, want_basis=True)
         yield n, M, lz, basis

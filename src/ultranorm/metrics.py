@@ -3,8 +3,8 @@
 A metric is induced by a normed space on the degree-1 sections: at each
 rational point the fiber carries the quotient norm.  Pointwise values
 come from an exact closed formula; sup norms are weighted Gauss norms
-after an exact change of variables into the orthogonal basis (one
-helper, _change_frame, does every such substitution).  The sigma and mu
+after an exact change of variables into the orthogonal basis (_change_frame;
+rational Gauss spaces take _SymPowers, in integers).  The sigma and mu
 diagnostics compare those against the quotient metric, whose fibre norm
 is the dual-norm closed form 1 / max_i |e_i(x~)| / w_i over an orthogonal
 basis; the coset elimination it replaced is the oracle in the tests.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, Sequence
 
@@ -46,6 +46,10 @@ class QuotientMetric:
             self.field, linalg.transpose(self.base.basis_inverse()))
         self._gauss_cache: Dict[int, NormedSpace] = {}
         self._frame_values: Dict[tuple, Magnitude] = {}
+        # Sym^n in integers of the weighted frame and the substitution; not in Q(T)
+        self._sym = None if self.field.kind == "laurent" else (
+            _SymPowers(self._frame, self.base.weights),
+            _SymPowers(self._subst, [self.field.one_magnitude()] * self.num_vars))
 
     @property
     def field(self) -> ValuedField:
@@ -143,28 +147,65 @@ class _GaussSpace(NormedSpace):
 
     The basis inverse is Sym^n of the frame inverse: column k is x^{e_k}
     rewritten in the frame coordinates.  It is built on first use, since
-    the quotient fibre norm (sigma) never needs it.
+    sigma never needs it.  Outside Q(T) both are ``_SymPowers`` columns.
     """
 
     def __init__(self, metric: QuotientMetric, n: int):
-        exps, coeff = monomial_basis(metric.m, n), metric.field.one()
-        self._monomials = [Section._trusted(metric.field, metric.num_vars, n, {e: coeff})
-                           for e in exps]
-        self._subst = metric.substitution()
-        cols = [f.to_vector()
-                for f in _change_frame(metric.frame_forms(), self._monomials)]
-        one = metric.field.one_magnitude()
-        weights = [reduce(mul, map(pow, metric.base.weights, e), one) for e in exps]
-        super().__init__(metric.field, linalg.transpose(cols), weights)
+        field, exps, self._n = metric.field, monomial_basis(metric.m, n), n
+        if metric._sym is None:
+            self._subst, coeff, one = metric.substitution(), field.one(), field.one_magnitude()
+            self._monomials = [Section._trusted(field, metric.num_vars, n, {e: coeff})
+                               for e in exps]
+            cols = [f.to_vector() for f in _change_frame(metric.frame_forms(), self._monomials)]
+            ints, weights = None, [reduce(mul, map(pow, metric.base.weights, e), one)
+                                   for e in exps]
+        else:
+            (frame, self._subst), self._monomials = metric._sym, None
+            cols, ints, weights = frame.columns(n, field.zero())
+        super().__init__(field, linalg.transpose(cols), weights)
+        self._integer["columns"] = ints
 
     def basis_inverse(self) -> List[list]:
         if self._inverse is None:
             self._inverse = linalg.transpose(
-                [u.to_vector() for u in _change_frame(self._subst, self._monomials)])
+                self._subst.columns(self._n, self.field.zero())[0] if self._monomials is None
+                else [u.to_vector() for u in _change_frame(self._subst, self._monomials)])
         return self._inverse
 
     def _inverse_form(self) -> List[tuple]:
         return list(map(linalg._integer_row, self.basis_inverse()))
+
+
+class _SymPowers:
+    """Sym^n of rational linear forms f_j = F_j / d_j with weights w_j: column
+    e = prod_j f_j^e_j = P_e / D_e (D_e coprime to the content of P_e) is column
+    e - delta_j of degree n - 1 times f_j (weight times w_j), first j with e_j > 0.
+    Keeps the last degree; holds no metric, so spaces hold it without a cycle."""
+
+    def __init__(self, forms: Sequence[Section], weights: Sequence[Magnitude]):
+        self._factors = [(*_integer_coeffs(f.coeffs), w) for f, w in zip(forms, weights)]
+        origin = (0,) * len(forms)
+        self._start = self._last = 0, {origin: ({origin: 1}, 1, Magnitude.one(weights[0].rho))}
+
+    def columns(self, n: int, zero) -> tuple[List[list], List[tuple], List[Magnitude]]:
+        """The degree-n columns in monomial_basis order (``zero`` at zero entries),
+        their integer forms (P_e, D_e) = ``linalg._integer_row``, and weights."""
+        deg, prods = self._last if self._last[0] <= n else self._start
+        m = len(self._factors) - 1
+        for r in range(deg + 1, n + 1):
+            step = {}
+            for e in monomial_basis(m, r):
+                j = next(j for j, x in enumerate(e) if x)
+                (P, D, w), (F, d, wj) = prods[e[:j] + (e[j] - 1,) + e[j + 1:]], self._factors[j]
+                P, D = _polynomial_product(P, F), D * d
+                g = gcd(D, *P.values())
+                step[e] = {x: v // g for x, v in P.items() if v}, D // g, w * wj
+            prods = step
+        self._last = n, prods
+        exps = monomial_basis(m, n)
+        ints = [([prods[e][0].get(x, 0) for x in exps], prods[e][1]) for e in exps]
+        cols = [[Fraction(v, D) if v else zero for v in row] for row, D in ints]
+        return cols, ints, [prods[e][2] for e in exps]
 
 
 def _gauss_norm(field: ValuedField, u: Section, weights: Sequence[Magnitude],

@@ -16,7 +16,7 @@ from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fields import FieldElement, Magnitude, ValuedField, _is_zero
+from .fields import FieldElement, ValuedField, _is_zero, _vp
 from .spaces import PreconditionError
 
 Exponent = Tuple[int, ...]
@@ -204,20 +204,18 @@ def _polynomial_product(a: Dict[Exponent, FieldElement],
 def normalize_point(field: ValuedField, coords: Sequence) -> List[FieldElement]:
     """Scale homogeneous coordinates so the first coordinate of maximal
     magnitude becomes exactly 1 (the canonical representative used in
-    all metric formulas)."""
-    pt = [field.element(x) for x in coords]
-    best_i = None
-    best: Optional[Magnitude] = None
-    for i, x in enumerate(pt):
-        m = field.abs(x)
-        if m.is_zero:
-            continue
-        if best is None or m > best:
-            best_i, best = i, m
-    if best_i is None:
+    all metric formulas).  Rational coordinates outside a Laurent field
+    compare in integers: over Q_p by least p-adic valuation of their
+    numerators over a common denominator, over the trivial field as equal."""
+    rational = field.kind != "laurent" and linalg._is_rational(coords)
+    pt = linalg._integer_row(coords)[0] if rational else [field.element(x) for x in coords]
+    size = (field.abs if not rational else (lambda x: 0) if field.kind == "trivial"
+            else (lambda x: -_vp(x, field.prime)))
+    nonzero = [i for i, x in enumerate(pt) if not _is_zero(x)]
+    if not nonzero:
         raise PreconditionError("zero vector is not a projective point")
-    pivot = pt[best_i]
-    return [x / pivot for x in pt]
+    pivot = pt[max(nonzero, key=lambda i: size(pt[i]))]  # the first maximum
+    return [Fraction(x, pivot) for x in pt] if rational else [x / pivot for x in pt]
 
 
 @dataclass

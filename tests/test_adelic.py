@@ -566,6 +566,20 @@ class TestNakai:
         G = self.family(F(1))
         del G[2]
         rows = graded_minima(G, 3)
-        assert next(rows)[0] == 1
+        # refused at the first row, before degree 1 is computed
         with pytest.raises(PreconditionError, match="missing degree 2"):
             next(rows)
+        assert [n for n, _, _, _ in graded_minima(G, 1)] == [1]
+
+    def test_missing_degree_runs_no_lambda(self, monkeypatch):
+        import ultranorm.adelic as adelic
+        calls = []
+        monkeypatch.setattr(adelic, "lambda_Z", lambda *a, **k: calls.append(a))
+        G = self.family(F(1))
+        del G[3]
+        for n_max in (3, 10 ** 9):
+            with pytest.raises(PreconditionError, match="graded family missing degree 3"):
+                list(graded_minima(G, n_max))
+            with pytest.raises(PreconditionError, match="missing degree 3"):
+                nakai_first_success(G, n_max)
+        assert calls == []

@@ -136,6 +136,23 @@ class TestCommands:
         assert lines[1].split(",")[:5] == ["1", "1/2", "1/2", "2", "yes"]
 
 
+    def test_nakai_refuses_a_missing_degree_before_lambda(self, tmp_path, capsys,
+                                                         monkeypatch):
+        import ultranorm.adelic as adelic
+        calls = []
+        monkeypatch.setattr(adelic, "lambda_Z", lambda *a, **k: calls.append(a))
+        one = {"dim": 1, "arch_functionals": [["1/2"]]}
+        cfg = write(tmp_path, "g.json", {"degrees": {"1": one, "3": one}})
+        for max_degree in ("3", "1000000000"):
+            code, out, err = run(capsys, ["nakai", "--config", cfg,
+                                          "--max-degree", max_degree])
+            assert (code, out) == (3, "")
+            obj = json.loads(err)
+            assert obj["error"] == "precondition"
+            assert obj["message"] == "graded family missing degree 2"
+        assert calls == []
+
+
 class TestErrors:
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

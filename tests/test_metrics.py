@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -530,6 +532,75 @@ class TestGaussSpaceInverse:
                            [Q2.one_magnitude()] * 2)
         with pytest.raises(PreconditionError):
             QuotientMetric(base)
+
+
+def change_frame_space(h, n):
+    """The degree-n Gauss space as ``_change_frame`` builds it: the
+    monomials rewritten in the frame (the columns) and in the substitution
+    (the inverse's columns), with weights as products of powers -- the
+    oracle for ``_SymPowers``."""
+    field, exps = h.field, monomial_basis(h.m, n)
+    monomials = [Section.monomial(field, e) for e in exps]
+    cols = [f.to_vector() for f in _change_frame(h.frame_forms(), monomials)]
+    inverse = [u.to_vector() for u in _change_frame(h.substitution(), monomials)]
+    one = field.one_magnitude()
+    weights = [reduce(mul, map(pow, h.base.weights, e), one) for e in exps]
+    return cols, linalg.transpose(inverse), weights
+
+
+class TestGaussSpaceOracle:
+    """Sym^n in integers, built from degree n - 1, against ``_change_frame``."""
+
+    @staticmethod
+    def check(N, h, n):
+        cols, inverse, weights = change_frame_space(h, n)
+        assert N.columns() == cols
+        assert all(type(x) is F for col in N.columns() for x in col)
+        assert N.integer_columns() == [linalg._integer_row(c) for c in cols]
+        assert N.weights == weights
+        assert N.basis_inverse() == inverse
+        # every zero entry of the basis is one shared object
+        assert len({id(x) for row in N.basis for x in row if x == 0}) <= 1
+
+    @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(3),
+                                       PadicRationals(1000003), TrivialRationals()],
+                             ids=lambda K: f"{K.kind}{K.prime}")
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_degrees_zero_to_eight(self, field, m):
+        rng = random.Random(f"sym-oracle/{field.prime}/{m}")
+        for make in (random_space, wide_space):
+            h = QuotientMetric(make(rng, field, m + 1))
+            for n in range(9 if m < 3 else 7):
+                self.check(h.gauss_space(n), h, n)
+        h = QuotientMetric(random_space(rng, field, m + 1))
+        self.check(h.gauss_space(8), h, 8)
+
+    @pytest.mark.parametrize("field", [PadicRationals(3), TrivialRationals()],
+                             ids=lambda K: K.kind)
+    def test_out_of_order_requests(self, field):
+        rng = random.Random(f"sym-order/{field.kind}")
+        for m in (1, 2):
+            h = QuotientMetric(random_space(rng, field, m + 1))
+            spaces = {n: h.gauss_space(n) for n in (5, 2, 7)}
+            for n in (7, 2, 5):  # the inverses restart in another order
+                self.check(spaces[n], h, n)
+
+    @pytest.mark.parametrize("lifted", [False, True], ids=["rational", "lifted"])
+    def test_laurent_field_keeps_change_frame(self, lifted):
+        # a Laurent field's Gauss basis lives in Q(T), even over a rational frame
+        K = LaurentRationals(3)
+        rng = random.Random(f"sym-laurent/{lifted}")
+        base = random_space(rng, K, 3)
+        basis = lift_constant(base.basis) if lifted else base.basis
+        h = QuotientMetric(NormedSpace(K, basis, base.weights))
+        assert h._sym is None
+        for n in (0, 1, 3):
+            N = h.gauss_space(n)
+            cols, inverse, weights = change_frame_space(h, n)
+            assert N.columns() == cols and N.weights == weights
+            assert N.basis_inverse() == inverse
+            assert N.integer_columns() is None
+            assert all(isinstance(x, RationalFunction) for col in N.columns() for x in col)
 
 
 class TestMuEstimate:

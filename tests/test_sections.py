@@ -217,6 +217,86 @@ class TestFractionFreeKernels:
             RationalFunction.constant(x) for x in evaluation_row(K, 2, 3, const)]
 
 
+def normalize_by_magnitudes(field, coords):
+    """``normalize_point`` as a Magnitude loop over field elements: the
+    oracle for the integer path and the route a Laurent field takes."""
+    pt = [field.element(x) for x in coords]
+    best_i = best = None
+    for i, x in enumerate(pt):
+        m = field.abs(x)
+        if not m.is_zero and (best is None or m > best):
+            best_i, best = i, m
+    if best_i is None:
+        raise PreconditionError("zero vector is not a projective point")
+    return [x / pt[best_i] for x in pt]
+
+
+RATIONAL_FIELDS = [PadicRationals(2), PadicRationals(3), PadicRationals(1000003),
+                   TrivialRationals()]
+
+
+class TestNormalizePoint:
+    """Rational points outside a Laurent field pick their pivot in integers
+    (least valuation, or first nonzero); the Magnitude loop is the oracle."""
+
+    @staticmethod
+    def check(field, coords):
+        got = normalize_point(field, coords)
+        assert got == normalize_by_magnitudes(field, coords)
+        assert all(type(x) is F for x in got)
+        return got
+
+    @pytest.mark.parametrize("field", RATIONAL_FIELDS, ids=lambda K: f"{K.kind}{K.prime}")
+    def test_equals_magnitude_loop(self, field):
+        rng = random.Random(f"normalize/{field.prime}")
+        p = field.prime or 2
+        for _ in range(300):
+            coords = []
+            for _ in range(rng.randint(1, 5)):
+                x = _wide_rational(rng) * F(p) ** rng.randint(-3, 3)
+                coords.append(int(x) if x.denominator == 1 and rng.random() < 0.5 else x)
+            if any(coords):
+                self.check(field, coords)
+
+    def test_mixed_ints_zeros_and_negatives(self):
+        Q3 = PadicRationals(3)
+        assert self.check(Q3, [0, F(-9, 2), 6, F(0)]) == [F(0), F(-3, 4), F(1), F(0)]
+        assert self.check(Q3, [-5, 7]) == [F(1), F(-7, 5)]
+        assert self.check(TrivialRationals(), [0, -4, F(2, 3)]) == [F(0), F(1), F(-1, 6)]
+
+    def test_ties_in_valuation_go_to_the_first(self):
+        Q2 = PadicRationals(2)
+        assert self.check(Q2, [4, F(3), F(5, 7), 1]) == [F(4, 3), F(1), F(5, 21), F(1, 3)]
+        assert self.check(Q2, [F(1, 2), F(3, 2)]) == [F(1), F(3)]
+        assert self.check(TrivialRationals(), [0, F(7), F(1, 9)]) == [F(0), F(1), F(1, 63)]
+
+    @pytest.mark.parametrize("k", [4096, 5000])
+    def test_huge_valuations(self, k):
+        Q2, Q3 = PadicRationals(2), PadicRationals(3)
+        got = self.check(Q2, [F(2) ** k, F(3, 2 ** k), 5 * 2 ** (k + 1)])
+        assert got == [F(2) ** (2 * k) / 3, F(1), F(5 * 2 ** (2 * k + 1), 3)]
+        self.check(Q2, [F(2) ** -k, F(2) ** (-k - 1), 1])
+        self.check(Q3, [3 ** k, 0, F(1, 3 ** k), F(2, 3 ** k)])
+
+    def test_laurent_field_returns_field_elements(self):
+        K = LaurentRationals(5)
+        T = RationalFunction((F(0), F(1)))
+        coords = [T, F(3), RationalFunction.constant(F(0)), F(1, 2)]
+        got = normalize_point(K, coords)
+        assert got == normalize_by_magnitudes(K, coords)
+        assert all(isinstance(x, RationalFunction) for x in got)
+        assert got[1] == K.one()
+        assert all(isinstance(x, RationalFunction) for x in normalize_point(K, [F(2), 1]))
+
+    @pytest.mark.parametrize("field", RATIONAL_FIELDS + [LaurentRationals(5)],
+                             ids=lambda K: f"{K.kind}{K.prime}")
+    def test_zero_vector(self, field):
+        for coords in ([0, 0], [F(0)], [F(0), 0, F(0)]):
+            with pytest.raises(PreconditionError) as err:
+                normalize_point(field, coords)
+            assert str(err.value) == "zero vector is not a projective point"
+
+
 class TestSubvariety:
     def test_point_normalization(self):
         Q2 = PadicRationals(2)
