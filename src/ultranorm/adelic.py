@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as iter_product
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .fields import PadicRationals, _prime_support, _vp
@@ -28,11 +28,7 @@ from .spaces import NormedSpace, PreconditionError, quotient_norm
 
 RANK_BOUND = 8
 BOX_BOUND = 10 ** 5  # lattice points: about 5 s for lambda_Q and lambda_Z at rank 2
-
-
-def _common_denominator(xs: Iterable[Fraction]) -> int:
-    """The least D > 0 with D * x integral for every x."""
-    return lcm(*(x.denominator for x in xs))
+NODE_BOUND = 10 ** 5  # primitivity tests in one Z-basis search: about 5 s at rank 6
 
 
 # ----------------------------------------------------------------------
@@ -185,10 +181,14 @@ class NormedLattice:
     def __post_init__(self):
         if any(len(f) != self.dim for f in self.arch_functionals):
             raise PreconditionError("functional length differs from the dimension")
-        # the functionals in lattice coordinates
-        self._phi = [[sum(a * x for a, x in zip(f, col)) for col in self.basis_columns]
-                     for f in self.arch_functionals]
-        if self.rank and linalg.rank(self._phi) < self.rank:
+        # the functionals in lattice coordinates as (integers, den), equal to
+        # ``linalg._integer_matrix`` of their rational values
+        funcs, d_f = linalg._integer_matrix(self.arch_functionals)
+        cols, d_c = linalg._integer_matrix(self.basis_columns)
+        phi = [[sum(map(mul, f, c)) for c in cols] for f in funcs]
+        g = gcd(d_f * d_c, *(x for row in phi for x in row))
+        self._phi = ([[x // g for x in row] for row in phi], d_f * d_c // g)
+        if self.rank and linalg.rank(self._phi[0]) < self.rank:
             raise PreconditionError("archimedean functionals do not span the lattice's dual")
 
     @cached_property
@@ -199,7 +199,7 @@ class NormedLattice:
             raise PreconditionError(
                 f"rank {self.rank} exceeds the exact enumeration bound {RANK_BOUND}; "
                 "use the labeled upper-bound heuristic instead")
-        return _enumerate(self._phi)
+        return _enumerate(*self._phi)
 
     @cached_property
     def _lambda_Q(self) -> Fraction:
@@ -242,75 +242,42 @@ class NormedLattice:
 
 def _rational_hnf(cols: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     """Canonical Z-basis of the lattice spanned by rational columns."""
-    d = _common_denominator(x for c in cols for x in c)
-    int_cols = [[int(x * d) for x in c] for c in cols]
-    hnf = linalg.hnf_column_basis(int_cols)
-    return [[Fraction(x, d) for x in c] for c in hnf]
+    int_cols, d = linalg._integer_matrix(cols)
+    return [[Fraction(x, d) for x in c] for c in linalg.hnf_column_basis(int_cols)]
 
 
-def _rational_intersection(a: Sequence[Sequence[Fraction]],
-                           b: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    d = _common_denominator(x for cols in (a, b) for c in cols for x in c)
-    ai = [[int(x * d) for x in c] for c in a]
-    bi = [[int(x * d) for x in c] for c in b]
-    inter = linalg.lattice_intersection(ai, bi)
-    return [[Fraction(x, d) for x in c] for c in inter]
-
-
-def _globalized_place_lattice(p: int, space: NormedSpace,
-                              over_den: int) -> List[List[Fraction]]:
-    """A Z-lattice G with G (x) Z_(p) = unit ball of the place norm and
-    G (x) Z_(q) = (1/over_den) Z_(q)^r for every other prime q, where the
-    overlattice U = (1/over_den) Z^r contains every place's unit ball."""
+def _place_ball(p: int, space: NormedSpace) -> Tuple[List[Tuple[List[int], int]], int]:
+    """The unit ball of the place norm as (c, v) pairs, c a primitive
+    integer vector: the p^v c span it over Z_(p) and are q-integral for
+    every other prime q.  Also the least n >= 0 with p^n Z_(p)^r inside it."""
     from .spaces import lattice_from_norm
     lat = lattice_from_norm(space)
-    r = space.dim
-    cols: List[List[Fraction]] = []
+    out = []
     for col in lat.columns():
-        # rescale by a prime-to-p rational into p^v * (primitive integers):
-        # same Z_(p)-span, but q-integral for every other prime q
-        v = min(_vp(x, p) for x in col if x != 0)
-        reduced = [x / Fraction(p) ** v for x in col]
-        den = _common_denominator(reduced)
-        ints = [int(x * den) for x in reduced]
+        ints, den = linalg._integer_row(col)
         g = gcd(*ints)
-        cols.append([Fraction(p) ** v * Fraction(x, g) for x in ints])
-    # a large p-power multiple of U sits inside the unit ball
-    inv = linalg.invert([[lat.basis[i][j] for j in range(r)] for i in range(r)])
-    n0 = 0
-    for row in inv:
-        for x in row:
-            if x != 0:
-                n0 = max(n0, -_vp(x, p))
-    n0 += max(0, -_vp(Fraction(1, over_den), p))
-    scale = Fraction(p) ** n0 / over_den
-    for i in range(r):
-        cols.append([scale if j == i else Fraction(0) for j in range(r)])
-    return _rational_hnf(cols)
+        out.append(([x // g for x in ints], _vp(g, p) - _vp(den, p)))
+    inv, d_inv = linalg._integer_matrix(linalg.invert(lat.basis))
+    return out, max(0, _vp(d_inv, p) - _vp(gcd(*(x for row in inv for x in row)), p))
 
 
 def finite_unit_lattice(A: AdelicSpace) -> NormedLattice:
     """The lattice {x : ||x||_p <= 1 for all finite p}, with A's
     archimedean norm attached."""
     r = A.dim
-    # common overlattice U = (1/D) Z^r containing every place's unit ball
-    d = 1
-    from .spaces import lattice_from_norm
-    for p, space in A.finite_places.items():
-        n_p = 0
-        for col in lattice_from_norm(space).columns():
-            for x in col:
-                if x != 0:
-                    n_p = max(n_p, -_vp(x, p))
-        d *= p ** n_p
-    current = None
-    for p in sorted(A.finite_places):
-        g = _globalized_place_lattice(p, A.finite_places[p], d)
-        current = g if current is None else _rational_intersection(current, g)
-    if current is None:
-        current = [[Fraction(1) if i == j else Fraction(0) for i in range(r)]
-                   for j in range(r)]  # Z^r
-    return NormedLattice(current, A.arch_functionals)
+    balls = {p: _place_ball(p, A.finite_places[p]) for p in sorted(A.finite_places)}
+    # common overlattice U = (1/d) Z^r containing every place's unit ball
+    d = prod(p ** max(0, -min(v for _, v in cols)) for p, (cols, _) in balls.items())
+    current = [[int(i == j) for i in range(r)] for j in range(r)]  # Z^r
+    for k, (p, (cols, n0)) in enumerate(balls.items()):
+        # d G, G the Z-lattice equal to the ball at p and to U at every other
+        # prime: the p^v c with a large p-power multiple of U, in integers
+        gens = [[x * (d * p ** v if v >= 0 else d // p ** -v) for x in c] for c, v in cols]
+        gens += [[p ** (n0 + _vp(d, p)) * (i == j) for j in range(r)] for i in range(r)]
+        g = linalg.hnf_column_basis(gens)
+        current = g if k == 0 else linalg.lattice_intersection(current, g)
+    return NormedLattice([[Fraction(x, d) for x in c] for c in current],
+                         A.arch_functionals)
 
 
 def check_localization(A: AdelicSpace, M: NormedLattice, p: int) -> bool:
@@ -386,14 +353,14 @@ def _lll(gram: List[List[int]]) -> List[List[int]]:
     return b
 
 
-def _enumerate(phi0: List[List[Fraction]]) -> List[Tuple[Fraction, Tuple[int, ...]]]:
+def _enumerate(iphi0: List[List[int]],
+               den: int) -> List[Tuple[Fraction, Tuple[int, ...]]]:
     """All nonzero lattice coordinate vectors (one per +-pair) with
     archimedean norm <= lambda_0, as sorted (norm, coords) pairs, where
-    phi0 holds the functionals in lattice coordinates and lambda_0 is the
-    largest norm in an LLL-reduced basis (so the list holds a Z-basis).
-    All in integers on den * phi0, den the lcm of phi0's denominators."""
-    r = len(phi0[0])
-    iphi0, den = linalg._integer_matrix(phi0)
+    iphi0 / den holds the functionals in lattice coordinates and lambda_0
+    is the largest norm in an LLL-reduced basis (so the list holds a
+    Z-basis).  All in integers on iphi0."""
+    r = len(iphi0[0])
     # enumerate in LLL-reduced coordinates (smaller boxes), convert back;
     # LLL is invariant under the scaling by den^2 of the Gram matrix
     cols = list(zip(*iphi0))
@@ -416,7 +383,7 @@ def _enumerate(phi0: List[List[Fraction]]) -> List[Tuple[Fraction, Tuple[int, ..
             f"the enumeration box holds {best_box[0]} points, more than the "
             f"exact enumeration bound {BOX_BOUND}")
     ranges = [range(-b, b + 1) for b in best_box[1]]
-    out: List[Tuple[Fraction, Tuple[int, ...]]] = []
+    out: List[Tuple[int, Tuple[int, ...]]] = []
     for coords in iter_product(*ranges):
         # one representative per +-pair
         nz = next((c for c in coords if c != 0), 0)
@@ -436,10 +403,11 @@ def _enumerate(phi0: List[List[Fraction]]) -> List[Tuple[Fraction, Tuple[int, ..
             lead = next((c for c in orig if c != 0), 0)
             if lead < 0:
                 orig = [-c for c in orig]
-            out.append((Fraction(val, den), tuple(orig)))
-    # ties broken toward sparser/smaller coordinate vectors
-    out.sort(key=lambda t: (t[0], sum(abs(c) for c in t[1]), t[1]))
-    return out
+            out.append((val, tuple(orig)))
+    # by norm (all over den, so on the integers), ties broken toward
+    # sparser/smaller coordinate vectors; one Fraction per vector at the end
+    out.sort(key=lambda t: (t[0], sum(map(abs, t[1])), t[1]))
+    return [(Fraction(val, den), coords) for val, coords in out]
 
 
 def lambda_Q(M: NormedLattice) -> Fraction:
@@ -458,13 +426,20 @@ def _partial_is_primitive(rows: List[Sequence[int]]) -> bool:
 def _find_unimodular(vectors: List[Tuple[Fraction, Tuple[int, ...]]],
                      r: int) -> Optional[List[Tuple[int, ...]]]:
     """A size-r subset of the coordinate vectors forming a Z-basis of
-    Z^r (determinant +-1), or None."""
+    Z^r (determinant +-1), or None; refused past NODE_BOUND nodes."""
     coords = [v for _, v in vectors]
+    nodes = 0
 
     def dfs(start: int, selected: List[Tuple[int, ...]]) -> Optional[List[Tuple[int, ...]]]:
+        nonlocal nodes
         if len(selected) == r:
             return list(selected)
         for i in range(start, len(coords)):
+            nodes += 1
+            if nodes > NODE_BOUND:
+                raise PreconditionError(
+                    f"the Z-basis search visits more than {NODE_BOUND} nodes, "
+                    "the exact search bound")
             trial = selected + [coords[i]]
             if _partial_is_primitive(trial):
                 found = dfs(i + 1, trial)

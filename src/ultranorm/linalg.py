@@ -107,10 +107,21 @@ def _rref_field(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
 
 def _rref_integer(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """``_rref_field`` fraction-free (Bareiss, Math. Comp. 22, 1968): each
-    row is kept a primitive integer multiple of its ``_rref_field`` row, so
-    pivots and swaps agree, and is divided by its pivot only at the end."""
+    """``_rref_field`` fraction-free: ``_bareiss`` on the rows scaled to
+    integers, each row divided by its pivot only at the end."""
     a = [_integer_row(row)[0] for row in m]
+    pivots = _bareiss(a)
+    zero = Fraction(0)
+    return ([[Fraction(x, row[c]) if x else zero for x in row]
+             for row, c in zip(a, pivots)]
+            + [[zero] * len(row) for row in a[len(pivots):]], pivots)
+
+
+def _bareiss(a: List[list[int]]) -> list[int]:
+    """Gauss-Jordan elimination of integer rows in place, fraction-free
+    (Bareiss, Math. Comp. 22, 1968); returns the pivot columns.  Each row
+    is kept a primitive integer multiple of its ``_rref_field`` row, so
+    pivots and swaps agree."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
@@ -133,10 +144,7 @@ def _rref_integer(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
         r += 1
         if r == rows:
             break
-    zero = Fraction(0)
-    return ([[Fraction(x, row[c]) if x else zero for x in row]
-             for row, c in zip(a, pivots)]
-            + [[zero] * cols for _ in range(rows - r)], pivots)
+    return pivots
 
 
 def _one(m: Sequence[Sequence]):
@@ -149,7 +157,10 @@ def _one(m: Sequence[Sequence]):
 
 
 def rank(m: Sequence[Sequence]) -> int:
-    return len(rref(m)[1])
+    """The rank; rational matrices take ``_bareiss`` and build no Fraction."""
+    if all(map(_is_rational, m)):
+        return len(_bareiss([_integer_row(row)[0] for row in m]))
+    return len(_rref_field(m)[1])
 
 
 def extend_basis(base: Sequence[Sequence], candidates: Sequence[Sequence],

@@ -118,8 +118,10 @@ class QuotientMetric:
     def gauss_space(self, n: int) -> NormedSpace:
         """The degree-n sup norm as a NormedSpace on the coefficient
         vectors over monomial_basis(m, n): orthogonal basis = products of
-        frame forms, weights = products of frame weights."""
+        frame forms, weights = products of frame weights.  Only the last
+        degree built is kept: the commands read the degrees in order."""
         if n not in self._gauss_cache:
+            self._gauss_cache.clear()
             self._gauss_cache[n] = _GaussSpace(self, n)
         return self._gauss_cache[n]
 

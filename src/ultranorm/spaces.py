@@ -526,13 +526,16 @@ def lattice_from_norm(space: NormedSpace) -> Lattice:
     cols = []
     for i, w in enumerate(space.weights):
         # the smallest m with (1/p)^m * w <= 1 is k - n for w = q p^(-n),
-        # where k is the smallest integer with p^k >= q: no loop over n
+        # where k is the smallest integer with p^k >= q = a / b, found by
+        # comparing integers: p^k b >= a, and a p^(1-k) <= b below k = 1
+        a, b = w.q.numerator, w.q.denominator
         k = 0
-        while Fraction(p) ** k < w.q:
+        while p ** k * b < a:
             k += 1
-        while Fraction(p) ** (k - 1) >= w.q:
+        while k < 1 and a * p ** (1 - k) <= b:
             k -= 1
-        cols.append([x * Fraction(p) ** (k - w.n) for x in space.column(i)])
+        scale = Fraction(p) ** (k - w.n)
+        cols.append([x * scale for x in space.column(i)])
     return Lattice.from_columns(field, cols)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from ultranorm.adelic import (AdelicSpace, NormedLattice, _enumerate,
                               graded_minima, lambda_Q, lambda_Z,
                               lambda_upper_bound, nakai_basis_search,
                               nakai_first_success, quotient_adelic)
+from ultranorm.fields import _vp
 from ultranorm.spaces import PreconditionError
 import ultranorm.linalg as lg
 
@@ -152,7 +154,7 @@ def fraction_enumerate(phi0):
             f"the enumeration box holds {best_box[0]} points, more than the "
             f"exact enumeration bound {adelic.BOX_BOUND}")
     ranges = [range(-int(b), int(b) + 1) for b in best_box[1]]
-    den = adelic._common_denominator(x for row in phi for x in row)
+    den = math.lcm(*(x.denominator for row in phi for x in row))
     iphi = [[int(x * den) for x in row] for row in phi]
     ibound = int(bound * den)
     out = []
@@ -168,6 +170,96 @@ def fraction_enumerate(phi0):
             out.append((F(val, den), tuple(orig)))
     out.sort(key=lambda t: (t[0], sum(abs(c) for c in t[1]), t[1]))
     return out
+
+
+def fraction_phi(cols, funcs):
+    """The functionals in lattice coordinates as Fractions, the way
+    ``NormedLattice`` formed them before its integer pair."""
+    return [[sum(a * x for a, x in zip(f, col)) for col in cols] for f in funcs]
+
+
+def two_pass_unit_lattice(A):
+    """``finite_unit_lattice``'s columns as it built them in Fractions, with
+    two ``lattice_from_norm`` calls per place; kept as its oracle."""
+    from ultranorm.spaces import lattice_from_norm
+
+    def fraction_hnf(cols):
+        d = math.lcm(*(x.denominator for c in cols for x in c))
+        hnf = lg.hnf_column_basis([[int(x * d) for x in c] for c in cols])
+        return [[F(x, d) for x in c] for c in hnf]
+
+    def intersection(a, b):
+        d = math.lcm(*(x.denominator for cols in (a, b) for c in cols for x in c))
+        inter = lg.lattice_intersection([[int(x * d) for x in c] for c in a],
+                                        [[int(x * d) for x in c] for c in b])
+        return [[F(x, d) for x in c] for c in inter]
+
+    def globalized(p, space, over_den):
+        lat = lattice_from_norm(space)
+        r = space.dim
+        cols = []
+        for col in lat.columns():
+            v = min(_vp(x, p) for x in col if x != 0)
+            reduced = [x / F(p) ** v for x in col]
+            den = math.lcm(*(x.denominator for x in reduced))
+            ints = [int(x * den) for x in reduced]
+            g = math.gcd(*ints)
+            cols.append([F(p) ** v * F(x, g) for x in ints])
+        inv = lg.invert([[lat.basis[i][j] for j in range(r)] for i in range(r)])
+        n0 = 0
+        for row in inv:
+            for x in row:
+                if x != 0:
+                    n0 = max(n0, -_vp(x, p))
+        n0 += max(0, -_vp(F(1, over_den), p))
+        scale = F(p) ** n0 / over_den
+        for i in range(r):
+            cols.append([scale if j == i else F(0) for j in range(r)])
+        return fraction_hnf(cols)
+
+    r = A.dim
+    d = 1
+    for p, space in A.finite_places.items():
+        n_p = 0
+        for col in lattice_from_norm(space).columns():
+            for x in col:
+                if x != 0:
+                    n_p = max(n_p, -_vp(x, p))
+        d *= p ** n_p
+    current = None
+    for p in sorted(A.finite_places):
+        g = globalized(p, A.finite_places[p], d)
+        current = g if current is None else intersection(current, g)
+    if current is None:
+        current = [[F(int(i == j)) for i in range(r)] for j in range(r)]
+    return current
+
+
+def random_adelic(rng, r, primes):
+    """A random adelic space on Q^r with non-diagonal places at some of the
+    primes, weights q p^n with q != 1 and n in [-2, 2]."""
+    while True:
+        funcs = [[F(rng.randint(-2, 2)) for _ in range(r)]
+                 for _ in range(r + rng.randint(0, 1))]
+        if lg.rank(funcs) == r:
+            break
+    places = {}
+    for p in primes:
+        if rng.random() < 0.7:
+            field = PadicRationals(p)
+            while True:
+                B = [[F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 5)))
+                      for _ in range(r)] for _ in range(r)]
+                if lg.rank(B) == r:
+                    break
+            w = []
+            for _ in range(r):
+                q = F(1)
+                while q == 1:
+                    q = F(rng.randint(1, 12), rng.randint(1, 12))
+                w.append(field.magnitude(q, rng.randint(-2, 2)))
+            places[p] = NormedSpace(field, B, w)
+    return AdelicSpace(r, places, funcs)
 
 
 def det(m):
@@ -246,6 +338,34 @@ class TestFiniteUnitLattice:
             M = finite_unit_lattice(A)
             for p in list(places) + [5]:
                 assert check_localization(A, M, p)
+
+    def test_matches_two_pass_construction(self, monkeypatch):
+        # one lattice_from_norm per place and integer columns throughout,
+        # against the Fraction construction with two passes per place
+        import ultranorm.spaces as spaces
+        real, calls = spaces.lattice_from_norm, []
+        monkeypatch.setattr(spaces, "lattice_from_norm",
+                            lambda space: calls.append(space) or real(space))
+        rng = random.Random("unit-lattice")
+        three = 0
+        for _ in range(150):
+            A = random_adelic(rng, rng.randint(1, 4), (2, 3, 5))
+            want = two_pass_unit_lattice(A)
+            calls.clear()
+            assert finite_unit_lattice(A).basis_columns == want
+            assert len(calls) == len(A.finite_places)
+            three += len(A.finite_places) == 3
+        assert three > 20
+
+    def test_non_spanning_messages_unchanged(self):
+        with pytest.raises(PreconditionError, match="^archimedean functionals must span the dual$"):
+            AdelicSpace(2, {2: diag_space(2, [F(1, 2), F(3)])}, [[F(1), F(1)]])
+        A = AdelicSpace(2, {2: diag_space(2, [F(1, 2), F(3)]),
+                            5: diag_space(5, [F(5), F(1)])}, SUP2)
+        cols = finite_unit_lattice(A).basis_columns
+        with pytest.raises(PreconditionError, match="^archimedean functionals do "
+                           "not span the lattice's dual$"):
+            NormedLattice(cols, [[F(1), F(1)], [F(2), F(2)]])
 
 
 class TestLambda:
@@ -409,7 +529,7 @@ class TestLambda:
                                * sum(a * c for a, c in zip(row, y)) for row in phi)
 
                 eye = [[int(i == j) for j in range(r)] for i in range(r)]
-                d = adelic._common_denominator(x for row in phi for x in row)
+                d = math.lcm(*(x.denominator for row in phi for x in row))
                 gram = [[int(dot(x, y) * d * d) for y in eye] for x in eye]
                 assert _lll(gram) == dot_lll(eye, dot)
 
@@ -465,11 +585,67 @@ class TestLambda:
             except PreconditionError as exc:
                 refused += 1
                 with pytest.raises(PreconditionError) as info:
-                    _enumerate(phi)
+                    _enumerate(*lg._integer_matrix(phi))
                 assert str(info.value) == str(exc)
                 continue
-            assert _enumerate(phi) == want
+            assert _enumerate(*lg._integer_matrix(phi)) == want
         assert refused >= min_refused
+
+    def test_integer_phi_matches_fraction_phi(self):
+        rng = random.Random("phi")
+        for _ in range(300):
+            r = rng.randint(1, 5)
+            while True:
+                funcs = [[F(rng.randint(-4, 4), rng.choice((1, 2, 3, 6)))
+                          for _ in range(r)] for _ in range(r + rng.randint(0, 2))]
+                cols = [[F(rng.randint(-3, 3), rng.choice((1, 1, 2, 5)))
+                         for _ in range(r)] for _ in range(r)]
+                if lg.rank(funcs) == r and lg.rank(cols) == r:
+                    break
+            if rng.random() < 0.2:  # a common factor to divide out
+                funcs = [[x * 6 for x in f] for f in funcs]
+            M = NormedLattice(cols, funcs)
+            ints, den = M._phi
+            assert M._phi == lg._integer_matrix(fraction_phi(cols, funcs))
+            assert [[F(x, den) for x in row] for row in ints] == fraction_phi(cols, funcs)
+
+    def test_unimodular_search_at_the_node_bound_and_one_past(self, monkeypatch):
+        # nodes: (2, 0) is refused, (0, 1) taken, (1, 0) completes the basis
+        vectors = [(F(1), (2, 0)), (F(1), (0, 1)), (F(1), (1, 0))]
+        monkeypatch.setattr(adelic, "NODE_BOUND", 3)
+        assert _find_unimodular(vectors, 2) == [(0, 1), (1, 0)]
+        monkeypatch.setattr(adelic, "NODE_BOUND", 2)
+        with pytest.raises(PreconditionError, match="^the Z-basis search visits "
+                           "more than 2 nodes, the exact search bound$"):
+            _find_unimodular(vectors, 2)
+
+    def test_lambda_Z_at_the_node_bound_and_one_past(self, monkeypatch):
+        # the l^1 lattice, where lambda_Q = 1 < lambda_Z = 3/2: the largest
+        # search is a bound that passes, one node less is refused
+        cols = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(1, 2)] * 3]
+        funcs = [[F(1), F(1), F(1)], [F(1), F(1), F(-1)],
+                 [F(1), F(-1), F(1)], [F(-1), F(1), F(1)]]
+        real, nodes = adelic._partial_is_primitive, []
+        monkeypatch.setattr(adelic, "_partial_is_primitive",
+                            lambda rows: nodes.append(len(rows)) or real(rows))
+        real_find, largest = adelic._find_unimodular, []
+
+        def find(vectors, r):
+            nodes.clear()
+            try:
+                return real_find(vectors, r)
+            finally:
+                largest.append(len(nodes))
+
+        monkeypatch.setattr(adelic, "_find_unimodular", find)
+        want = lambda_Z(NormedLattice(cols, funcs), want_basis=True)
+        assert want[0] == F(3, 2)
+        monkeypatch.setattr(adelic, "NODE_BOUND", max(largest))
+        assert lambda_Z(NormedLattice(cols, funcs), want_basis=True) == want
+        monkeypatch.setattr(adelic, "NODE_BOUND", max(largest) - 1)
+        with pytest.raises(PreconditionError,
+                           match=f"more than {max(largest) - 1} nodes"):
+            lambda_Z(NormedLattice(cols, funcs))
 
     def test_non_spanning_functionals_rejected(self):
         eye = [[F(int(i == j)) for j in range(3)] for i in range(3)]

@@ -413,6 +413,23 @@ class TestMalformedShapes:
         assert (code, out) == (3, "")
         assert "enumeration bound" in json.loads(err)["message"]
 
+    def test_long_basis_search_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the l^1 lattice: lambda_Q = 1, and lambda_Z = 3/2 needs a search
+        import ultranorm.adelic as adelic
+        lat = write(tmp_path, "lat.json", {
+            "columns": [["1", "0", "1/2"], ["0", "1", "1/2"], ["0", "0", "1/2"]]})
+        nrm = write(tmp_path, "nrm.json", {"functionals": [
+            ["1", "1", "1"], ["1", "1", "-1"], ["1", "-1", "1"], ["-1", "1", "1"]]})
+        code, out, err = run(capsys, ["lambda", "--lattice", lat, "--norm", nrm])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["lambda_Z"] == "3/2"
+        monkeypatch.setattr(adelic, "NODE_BOUND", 1)
+        code, out, err = run(capsys, ["lambda", "--lattice", lat, "--norm", nrm])
+        assert (code, out) == (3, "")
+        obj = json.loads(err)
+        assert obj["error"] == "precondition"
+        assert "more than 1 nodes, the exact search bound" in obj["message"]
+
     @staticmethod
     def exponent_space(p, n):
         return {"field": {"type": "padic", "p": p},

@@ -150,6 +150,39 @@ class TestRrefIntegerKernel:
                 assert lg.mat_vec(m, col) == lg.identity(n)[j]
 
 
+class TestRankWithoutRref:
+    """``rank`` counts the pivots of the integer elimination and builds no
+    Fraction; the pivot count of ``rref`` and of the field loop is its
+    oracle."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_rref_pivots(self, shape, kind):
+        rng = random.Random(f"rank-{shape}-{kind}")
+        for _ in range(8):
+            m = _random_matrix(rng, *shape, kind)
+            ints = [[x.numerator * x.denominator for x in row] for row in m]
+            for a in (m, ints, ints[:1] + m[1:]):
+                fracs = [[Fraction(x) for x in row] for row in a]
+                assert lg.rank(a) == len(lg.rref(a)[1]) == len(lg._rref_field(fracs)[1])
+
+    def test_takes_no_rref(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("rank built an rref")
+        monkeypatch.setattr(lg, "rref", refuse)
+        monkeypatch.setattr(lg, "_rref_integer", refuse)
+        assert lg.rank([[Fraction(1, 2), 3], [1, 6], [0, 0]]) == 1
+        assert lg.rank([[0, 0, 1], [2, 4, 0], [1, 2, 5]]) == 2
+
+    def test_field_input_takes_the_field_loop(self):
+        from ultranorm.fields import RationalFunction
+        one = RationalFunction.constant(Fraction(1))
+        assert lg.rank([[one, one], [one, one]]) == 1
+
+    def test_empty(self):
+        assert lg.rank([]) == lg.rank([[]]) == 0
+
+
 def _loop_mat_vec(a, v):
     """The field loop that ``mat_vec`` runs on non-rational entries."""
     out = []

@@ -585,6 +585,24 @@ class TestGaussSpaceOracle:
             for n in (7, 2, 5):  # the inverses restart in another order
                 self.check(spaces[n], h, n)
 
+    @pytest.mark.parametrize("field", [PadicRationals(3), TrivialRationals(),
+                                       LaurentRationals(3)], ids=lambda K: K.kind)
+    def test_cache_keeps_the_last_degree(self, field):
+        rng = random.Random(f"sym-cache/{field.kind}")
+        h = QuotientMetric(random_space(rng, field, 2))
+        point = [F(1), F(2)]
+        seen = {}
+        for n in range(1, 7):
+            sigma(h, n, point)
+            N = h.gauss_space(n)
+            seen[n] = (N.columns(), N.weights, N.basis_inverse())
+            assert list(h._gauss_cache) == [n]
+        for n in (2, 5, 1):
+            N = h.gauss_space(n)
+            assert (N.columns(), N.weights, N.basis_inverse()) == seen[n]
+            assert list(h._gauss_cache) == [n]
+            assert h.gauss_space(n) is N
+
     @pytest.mark.parametrize("lifted", [False, True], ids=["rational", "lifted"])
     def test_laurent_field_keeps_change_frame(self, lifted):
         # a Laurent field's Gauss basis lives in Q(T), even over a rational frame

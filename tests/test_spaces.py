@@ -573,6 +573,35 @@ class TestLattice:
                             fraction_hermite)
         assert got == [lattice_from_norm(sp).basis for sp in spaces]
 
+    def test_unit_ball_exponent_matches_fraction_loop(self):
+        # k, the least integer with p^k >= q, by integer comparisons, against
+        # the Fraction power loops it replaced
+        def fraction_ball(space):
+            p, cols = space.field.prime, []
+            for i, w in enumerate(space.weights):
+                k = 0
+                while F(p) ** k < w.q:
+                    k += 1
+                while F(p) ** (k - 1) >= w.q:
+                    k -= 1
+                cols.append([x * F(p) ** (k - w.n) for x in space.column(i)])
+            return Lattice.from_columns(space.field, cols)
+
+        rng = random.Random("unit-ball-k")
+        for p in (2, 3, 5, 1000003):
+            field = PadicRationals(p)
+            for _ in range(40):
+                n = rng.randint(1, 3)
+                basis = self.random_columns(rng, p, n)
+                if linalg.rank(basis) < n:
+                    continue
+                weights = [field.magnitude(F(rng.randint(1, 10 ** rng.randint(1, 8)),
+                                             rng.randint(1, 10 ** rng.randint(1, 8))),
+                                           rng.randint(-3, 3))
+                           for _ in range(n)]
+                space = NormedSpace(field, basis, weights)
+                assert lattice_from_norm(space) == fraction_ball(space)
+
 
 def _coset_rep(x, p, a):
     """The representative of x + p^a Z_(p) in Z[1/p] ∩ [0, p^a)."""
