@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as iter_product
-from math import gcd, prod
+from math import comb, gcd, prod
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -29,6 +29,7 @@ from .spaces import NormedSpace, PreconditionError, quotient_norm
 RANK_BOUND = 8
 BOX_BOUND = 10 ** 5  # lattice points: about 5 s for lambda_Q and lambda_Z at rank 2
 NODE_BOUND = 10 ** 5  # primitivity tests in one Z-basis search: about 5 s at rank 6
+SUBSET_BOUND = 10 ** 5  # r-subsets whose adjugate picks the box: about 8 s at rank 6
 
 
 # ----------------------------------------------------------------------
@@ -361,6 +362,9 @@ def _enumerate(iphi0: List[List[int]],
     is the largest norm in an LLL-reduced basis (so the list holds a
     Z-basis).  All in integers on iphi0."""
     r = len(iphi0[0])
+    if comb(len(iphi0), r) > SUBSET_BOUND:
+        raise PreconditionError(f"the box choice takes {comb(len(iphi0), r)} adjugates of "
+                                f"{r}-subsets, more than the subset bound {SUBSET_BOUND}")
     # enumerate in LLL-reduced coordinates (smaller boxes), convert back;
     # LLL is invariant under the scaling by den^2 of the Gram matrix
     cols = list(zip(*iphi0))

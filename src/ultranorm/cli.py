@@ -242,18 +242,16 @@ def cmd_sigma_sample(args) -> str:
     metric = _metric_from_config(data)
     n_max = _bounded_degree(metric.m, 4 if args.max_degree is None else args.max_degree)
     points = _sample_points(args, metric.num_vars)
-    tasks = [(n, p) for n in range(1, n_max + 1) for p in points]
-    values = [sigma(metric, n, point) for n, point in tasks]
+    labels = [_point_str(p) for p in points]
     rows = []
-    for (n, point), val in zip(tasks, values):
-        rows.append([n, _point_str(point), val.q.numerator, val.q.denominator,
-                     val.n])
+    for n in range(1, n_max + 1):
+        for point, label in zip(points, labels):
+            val = sigma(metric, n, point)
+            rows.append([n, label, val.q.numerator, val.q.denominator, val.n])
+    header = ["degree", "point", "ratio_num", "ratio_den", "exponent"]
     if args.format == "json":
-        return _json_text({"rows": [
-            {"degree": r[0], "point": r[1], "ratio_num": r[2],
-             "ratio_den": r[3], "exponent": r[4]} for r in rows]})
-    return _csv_text(["degree", "point", "ratio_num", "ratio_den", "exponent"],
-                     rows)
+        return _json_text({"rows": [dict(zip(header, r)) for r in rows]})
+    return _csv_text(header, rows)
 
 
 def cmd_extension_table(args) -> str:

@@ -43,6 +43,8 @@ class ExtensionProblem:
             raise PreconditionError("representative/metric dimension mismatch")
         self._restricted_norm: Optional[Magnitude] = None
         self._ratio_cache: Dict[int, Magnitude] = {}
+        self._frame_l: Optional[Section] = None  # l in the frame coordinates
+        self._frame_power: Tuple[int, Optional[Section]] = (0, None)  # (k, l^k)
 
     @property
     def field(self) -> ValuedField:
@@ -56,6 +58,17 @@ class ExtensionProblem:
                 raise PreconditionError("restricted section vanishes on Y")
             self._restricted_norm = val
         return self._restricted_norm
+
+    def _frame_power_of_l(self, n: int) -> Section:
+        """l^n (n >= 1) in the frame coordinates, one product from l^(n-1) like
+        the one-degree Gauss cache; a lower degree restarts from l."""
+        if self._frame_l is None:
+            self._frame_l = self.metric.to_frame_coordinates(self.representative)
+        k, power = self._frame_power if 0 < self._frame_power[0] <= n else (1, self._frame_l)
+        for _ in range(k, n):
+            power = power * self._frame_l
+        self._frame_power = n, power
+        return power
 
 
 def min_norm_lift(P: ExtensionProblem, n: int) -> Tuple[Section, Magnitude]:
@@ -101,7 +114,7 @@ def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, 
     dist.  The lift is N.basis c.
     """
     field, m, cols = P.field, P.metric.m, N.integer_columns()
-    a = (P.metric.to_frame_coordinates(P.representative) ** n).to_vector()
+    a = P._frame_power_of_l(n).to_vector()
     rows = [integer_evaluation_row(n, pt) or (evaluation_row(field, m, n, pt), 1)
             for pt in P.Y.points]  # the monomials at x~_i as w / d
     # k points can impose fewer than k conditions (k > dim at low degree)

@@ -6,7 +6,7 @@ come from an exact closed formula; sup norms are weighted Gauss norms
 after an exact change of variables into the orthogonal basis (_change_frame;
 rational Gauss spaces take _SymPowers, in integers).  The sigma and mu
 diagnostics compare those against the quotient metric, whose fibre norm
-is the dual-norm closed form 1 / max_i |e_i(x~)| / w_i over an orthogonal
+is the dual-norm closed form 1 / max_i |e_i(x)| / w_i over an orthogonal
 basis; the coset elimination it replaced is the oracle in the tests.
 """
 
@@ -86,27 +86,24 @@ class QuotientMetric:
         the degree-1 metric is |s|_h(x) = |s(x~)| / D(x)."""
         return self._frame_value(normalize_point(self.field, point))
 
-    def _frame_value(self, normalized: Sequence) -> Magnitude:
-        """D(x) at a normalized representative, the dual norm of the point
-        itself (the degree-1 evaluation row); kept per point, since sigma
-        reads it at every degree."""
-        pt = tuple(normalized)
-        best = self._frame_values.get(pt)
-        if best is None:
+    def _frame_value(self, point: Sequence) -> Magnitude:
+        """D(x) at the representative given, the dual norm of its degree-1
+        evaluation row; kept per point, since sigma reads it at every degree."""
+        pt = tuple(point)
+        if pt not in self._frame_values:
             row = linalg._integer_row(pt) if linalg._is_rational(pt) else (pt,)
-            best = self._frame_values[pt] = _dual_norm(self.base, *row)
-        return best
+            self._frame_values[pt] = _dual_norm(self.base, *row)
+        return self._frame_values[pt]
 
     def point_metric(self, s: Section, point: Sequence) -> Magnitude:
-        """|s|_{h^n}(x) for a degree-n section s at a rational point."""
+        """|s|_{h^n}(x) = |s(x)| / D(x)^n for a degree-n section s, at any
+        representative of the point (``Subvariety`` points are normalized)."""
         if s.num_vars != self.num_vars:
             raise PreconditionError("section/metric dimension mismatch")
-        pt = normalize_point(self.field, point)
-        value = s.evaluate(pt)
+        value = s.evaluate(point)
         if _is_zero(value):
             return self.field.zero_magnitude()
-        d = self._frame_value(pt)
-        return self.field.abs(value) / d ** s.degree
+        return self.field.abs(value) / self._frame_value(point) ** s.degree
 
     # -- sup norms (weighted Gauss) ------------------------------------------
 
@@ -300,7 +297,7 @@ def _change_frame_products(forms: Sequence[Section],
 
 
 def _dual_norm(N: NormedSpace, w: Sequence, d_w: int = 1) -> Magnitude:
-    """max_i |e_i(x~)| / w_i, with e_i(x~) basis column i of N applied to
+    """max_i |e_i(x)| / w_i, with e_i(x) basis column i of N applied to
     the row w / d_w: the dual norm of that functional, as one Magnitude.
 
     With column i = ints_i / d_i (``N.integer_columns()``) and
@@ -336,13 +333,13 @@ def _dual_norm(N: NormedSpace, w: Sequence, d_w: int = 1) -> Magnitude:
 def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
                         point: Sequence) -> Magnitude:
     """|1|^quot at the point for the norm N on degree-n sections: the
-    minimum of N over {s : s(x~) = 1}, at the normalized representative x~
-    (``normalize_point``).
+    minimum of N over {s : s(x) = 1}, at the representative x given
+    (scaling x by c scales this by |c|^-n).
 
     With the orthogonal basis e_i of N and weights w_i this is the dual
-    norm of evaluation, 1 / max_i |e_i(x~)| / w_i (Bosch-Guentzer-Remmert,
+    norm of evaluation, 1 / max_i |e_i(x)| / w_i (Bosch-Guentzer-Remmert,
     Non-Archimedean Analysis), the one-point case of ``extension._dual_lift``;
-    exact elimination is the test oracle.  Each e_i(x~) comes from the basis
+    exact elimination is the test oracle.  Each e_i(x) comes from the basis
     columns of N (``_dual_norm``), never from products of frame values,
     which would make sigma = 1 by construction.
     """
@@ -351,13 +348,13 @@ def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
 
 
 def metric_gap(N: NormedSpace, h: QuotientMetric, n: int, point: Sequence) -> Magnitude:
-    """|.|^quot_{(R_n, N)}(x) / |.|_{h^n}(x) as an exact magnitude ratio."""
-    field = h.field
-    pt = normalize_point(field, point)
-    quot_of_one = quotient_fiber_norm(N, field, h.m, n, pt)
+    """|.|^quot_{(R_n, N)}(x) / |.|_{h^n}(x) as an exact magnitude ratio, at
+    any representative: scaling it by c scales the dual norm of degree-n
+    evaluation by |c|^n and D(x) by |c|, so the ratio does not move."""
+    if all(map(_is_zero, point)):
+        raise PreconditionError("zero vector is not a projective point")
     # the h^n fiber norm of the fiber element 1 is D(x)^{-n}
-    d = h._frame_value(pt)
-    return quot_of_one * d ** n
+    return quotient_fiber_norm(N, h.field, h.m, n, point) * h._frame_value(point) ** n
 
 
 def sigma(h: QuotientMetric, n: int, point: Sequence) -> Magnitude:

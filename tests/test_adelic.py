@@ -647,6 +647,35 @@ class TestLambda:
                            match=f"more than {max(largest) - 1} nodes"):
             lambda_Z(NormedLattice(cols, funcs))
 
+    def test_lambda_at_the_subset_bound_and_one_past(self, monkeypatch):
+        # the l^1 lattice above: 4 functionals in rank 3, so the box choice
+        # takes the adjugates of C(4, 3) = 4 subsets
+        cols = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(1, 2)] * 3]
+        funcs = [[F(1), F(1), F(1)], [F(1), F(1), F(-1)],
+                 [F(1), F(-1), F(1)], [F(-1), F(1), F(1)]]
+        want = lambda_Q(NormedLattice(cols, funcs)), lambda_Z(NormedLattice(cols, funcs))
+        assert want == (F(1), F(3, 2))
+        monkeypatch.setattr(adelic, "SUBSET_BOUND", 4)
+        assert (lambda_Q(NormedLattice(cols, funcs)),
+                lambda_Z(NormedLattice(cols, funcs))) == want
+        monkeypatch.setattr(adelic, "SUBSET_BOUND", 3)
+        for invariant in (lambda_Q, lambda_Z):
+            with pytest.raises(PreconditionError, match="^the box choice takes 4 adjugates "
+                               "of 3-subsets, more than the subset bound 3$"):
+                invariant(NormedLattice(cols, funcs))
+
+    def test_l1_norm_on_Z6_is_refused_before_any_adjugate(self, monkeypatch):
+        # 32 sign functionals: C(32, 6) = 906192 adjugates, about 48 s
+        # without the bound; refused before the first one
+        eye = [[F(int(i == j)) for j in range(6)] for i in range(6)]
+        funcs = [[F(1)] + [F(s) for s in signs]
+                 for signs in itertools.product((1, -1), repeat=5)]
+        monkeypatch.setattr(lg, "adjugate", None)
+        with pytest.raises(PreconditionError, match="^the box choice takes 906192 "
+                           "adjugates of 6-subsets, more than the subset bound 100000$"):
+            lambda_Q(NormedLattice(eye, funcs))
+        assert math.comb(len(funcs), 6) > adelic.SUBSET_BOUND >= math.comb(17, 6)
+
     def test_non_spanning_functionals_rejected(self):
         eye = [[F(int(i == j)) for j in range(3)] for i in range(3)]
         funcs = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(1), F(1), F(0)]]

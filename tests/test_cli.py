@@ -14,7 +14,10 @@ import pytest
 
 import ultranorm
 from ultranorm import cli
+from ultranorm import serialization as ser
 from ultranorm.cli import main
+from ultranorm.metrics import sigma
+from ultranorm.sections import normalize_point
 
 F = Fraction
 
@@ -590,6 +593,51 @@ class TestDeterminism:
                                    "--max-degree", "1", "--seed", "2"])
         assert out_a == out_b
         assert out_a != out_c
+
+
+class TestSigmaSampleOracle:
+    """sigma-sample against sigma at the normalized point, computed and
+    formatted once per (degree, point) row."""
+
+    POINTS = [["1", "2", "3"], ["2", "4", "6"], ["-1/3", "0", "5/7"],
+              ["0", "0", "4"], ["9/2", "1", "1"], ["-3/2", "-3", "-9/2"],
+              ["0", "0", "-1/8"], ["1/3", "0", "-5/7"]]  # with scaled duplicates
+
+    @staticmethod
+    def oracle(space, points, n_max):
+        h = cli._metric_from_config({"space": space})
+        rows = []
+        for n in range(1, n_max + 1):
+            for p in points:
+                x = [Fraction(c) for c in p]
+                val = sigma(h, n, normalize_point(h.field, x))
+                label = ":".join(ser.rational_to_str(c) for c in x)
+                rows.append([n, label, val.q.numerator, val.q.denominator, val.n])
+        return rows
+
+    @pytest.mark.parametrize("field", [{"type": "padic", "p": 2}, {"type": "padic", "p": 3},
+                                       {"type": "trivial"},
+                                       {"type": "laurent", "base_prime": 3}],
+                             ids=["Q2", "Q3", "trivial", "laurent"])
+    @pytest.mark.parametrize("n_max", [1, 2, 4])
+    def test_rows_equal_the_per_row_oracle(self, tmp_path, capsys, field, n_max):
+        exponents = (1, -2, 0) if field["type"] == "padic" else (0, 0, 0)
+        space = {"field": field,
+                 "basis": [["1", "1/2", "0"], ["0", "3", "1"], ["2", "0", "1/5"]],
+                 "weights": [{"q": q, "n": e} for q, e in zip(("2", "1", "5/3"), exponents)]}
+        cfg = write(tmp_path, "c.json", {"space": space})
+        pts = write(tmp_path, "p.json", {"points": self.POINTS})
+        rows = self.oracle(space, self.POINTS, n_max)
+        assert len(rows) == n_max * len(self.POINTS)
+        header = ["degree", "point", "ratio_num", "ratio_den", "exponent"]
+        argv = ["sigma-sample", "--config", cfg, "--points", pts, "--max-degree", str(n_max)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == "\n".join(",".join(map(str, r)) for r in [header] + rows) + "\n"
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert out == json.dumps({"rows": [dict(zip(header, r)) for r in rows]},
+                                 sort_keys=True, indent=2) + "\n"
 
 
 class TestArguments:

@@ -206,6 +206,48 @@ class TestDualLift:
         assert ratio == P.metric.sup_norm(P.representative) / P.restricted_norm()
 
 
+class TestFramePowers:
+    """l^n in the frame coordinates, kept by the problem from one degree to
+    the next, against the direct power of the rewritten representative."""
+
+    @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(3),
+                                       TrivialRationals()],
+                             ids=lambda f: f"{f.kind}{f.prime or ''}")
+    @pytest.mark.parametrize("order", [[1, 2, 3, 4, 5], [1, 1, 2, 2, 3, 3, 3],
+                                       [5, 4, 3, 2, 1], [3, 1, 4, 4, 2, 5, 1]],
+                             ids=["increasing", "repeated", "decreasing", "mixed"])
+    def test_equals_the_direct_power(self, field, order):
+        rng = random.Random(f"frame-powers/{field.kind}{field.prime}")
+        for num_vars in (2, 3):
+            P = random_point_problem(rng, field, num_vars, 2)
+            l = P.metric.to_frame_coordinates(P.representative)
+            for n in order:
+                assert P._frame_power_of_l(n) == l ** n
+
+    def test_one_product_per_degree_in_order(self, monkeypatch):
+        P = random_point_problem(random.Random("frame-powers/count"),
+                                 PadicRationals(3), 3, 2)
+        products, real = [], Section.__mul__
+        monkeypatch.setattr(Section, "__mul__",
+                            lambda a, b: products.append(1) or real(a, b))
+        for n in range(1, 7):
+            P._frame_power_of_l(n)
+            assert len(products) == n - 1
+        P._frame_power_of_l(6)
+        P._frame_power_of_l(2)  # a lower degree restarts from l
+        assert len(products) == 6
+
+    def test_ratios_in_any_order_match_a_fresh_problem(self):
+        rng = random.Random("frame-powers/ratios")
+        for field in (PadicRationals(2), TrivialRationals()):
+            P = random_point_problem(rng, field, 3, 3)
+            fresh = {n: min_norm_lift(ExtensionProblem(P.metric, P.Y, P.representative), n)
+                     for n in range(1, 5)}
+            for n in (4, 2, 2, 1, 3, 4):
+                section, ratio = min_norm_lift(P, n)
+                assert (section, ratio) == fresh[n]
+
+
 class TestRatioSequence:
     def test_subadditivity_no_violations(self):
         Q2 = PadicRationals(2)

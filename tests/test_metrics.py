@@ -320,6 +320,19 @@ class TestQuotientFiberNorm:
                     assert metric_gap(N, h, n, scaled) == metric_gap(
                         N, QuotientMetric(h.base), n, scaled)
 
+    @pytest.mark.parametrize("field", FIELDS + [LaurentRationals(3)],
+                             ids=lambda K: K.kind + str(K.prime))
+    def test_zero_point_is_not_a_projective_point(self, field):
+        h = diag_metric(field, [F(1), F(1, 2)])
+        zeros = [[F(0), F(0)], [0, 0], [field.zero(), field.zero()]]
+        for n in (1, 2):
+            for zero in zeros:
+                for call in (lambda: metric_gap(h.gauss_space(n), h, n, zero),
+                             lambda: sigma(h, n, zero)):
+                    with pytest.raises(PreconditionError,
+                                       match="^zero vector is not a projective point$"):
+                        call()
+
     def test_vanishing_evaluation_is_a_precondition(self):
         Q2 = PadicRationals(2)
         # every basis vector lies in the kernel of evaluation at (1 : 0)
