@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
-from . import serialization as ser
+from . import linalg, serialization as ser
 from .adelic import (AdelicSpace, NormedLattice, finite_unit_lattice,
                      graded_minima, lambda_Q, lambda_Z)
 from .extension import (ExtensionProblem, check_extension_theorem,
@@ -243,6 +243,7 @@ def cmd_sigma_sample(args) -> str:
     n_max = _bounded_degree(metric.m, 4 if args.max_degree is None else args.max_degree)
     points = _sample_points(args, metric.num_vars)
     labels = [_point_str(p) for p in points]
+    points = [linalg._integer_row(p)[0] for p in points]  # sigma is scale-invariant
     rows = []
     for n in range(1, n_max + 1):
         for point, label in zip(points, labels):

@@ -23,8 +23,7 @@ from . import linalg
 from .fields import (LaurentRationals, Magnitude, RationalFunction, ValuedField,
                      _fekete_running_min, choose_laurent_base, magnitude_max)
 from .metrics import QuotientMetric
-from .sections import (Section, Subvariety, evaluation_row, integer_evaluation_row,
-                       restriction_kernel)
+from .sections import Section, Subvariety, restriction_kernel
 from .spaces import (NormedSpace, PreconditionError, _eliminate,
                      distance_to_subspace, lift_constant, orthogonalize_flag,
                      scalar_extension)
@@ -113,12 +112,12 @@ def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, 
     it is the combination of the dual basis of the psi'_i, so its norm is
     dist.  The lift is N.basis c.
     """
-    field, m, cols = P.field, P.metric.m, N.integer_columns()
+    field, cols = P.field, N.integer_columns()
     a = P._frame_power_of_l(n).to_vector()
-    rows = [integer_evaluation_row(n, pt) or (evaluation_row(field, m, n, pt), 1)
-            for pt in P.Y.points]  # the monomials at x~_i as w / d
+    # the monomials at x~_i as w / d, kept by the metric from degree n - 1
+    rows = [P.metric._evaluation_row(n, pt) for pt in P.Y.points]
     # k points can impose fewer than k conditions (k > dim at low degree)
-    kept = linalg.extend_basis([], [w for w, _ in rows], N.dim)  # d moves no rank
+    kept = linalg.extend_basis([], [r[0] for r in rows], N.dim)  # d moves no rank
     psi = [linalg.mat_vec(N.columns(), rows[i][0]) if cols is None
            else linalg._mat_vec_integer(cols, *rows[i]) for i in kept]
     dual_weights = [field.one_magnitude() / w for w in N.weights]

@@ -5,9 +5,9 @@ rational point the fiber carries the quotient norm.  Pointwise values
 come from an exact closed formula; sup norms are weighted Gauss norms
 after an exact change of variables into the orthogonal basis (_change_frame;
 rational Gauss spaces take _SymPowers, in integers).  The sigma and mu
-diagnostics compare those against the quotient metric, whose fibre norm
-is the dual-norm closed form 1 / max_i |e_i(x)| / w_i over an orthogonal
-basis; the coset elimination it replaced is the oracle in the tests.
+diagnostics compare those against the quotient metric, whose fibre norm is
+1 / max_i |e_i(x)| / w_i over an orthogonal basis, on the monomials at x that
+the metric steps up one degree at a time; elimination is the test oracle.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from functools import reduce
 from itertools import product as iter_product
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from . import linalg
 from .fields import (Magnitude, ValuedField, _fekete_running_min, _is_zero, _vp,
                      magnitude_max)
 from .sections import (Section, Subvariety, _integer_coeffs, _polynomial_product,
                        evaluation_row, integer_evaluation_row, monomial_basis,
-                       normalize_point)
+                       normalize_point, step_row)
 from .spaces import NormedSpace, PreconditionError, orthogonalize_flag
 
 
@@ -46,6 +46,7 @@ class QuotientMetric:
             self.field, linalg.transpose(self.base.basis_inverse()))
         self._gauss_cache: Dict[int, NormedSpace] = {}
         self._frame_values: Dict[tuple, Magnitude] = {}
+        self._rows: Dict[tuple, tuple] = {}  # point -> (a, D, n, degree-n row of a)
         # Sym^n in integers of the weighted frame and the substitution; not in Q(T)
         self._sym = None if self.field.kind == "laurent" else (
             _SymPowers(self._frame, self.base.weights),
@@ -87,23 +88,38 @@ class QuotientMetric:
         return self._frame_value(normalize_point(self.field, point))
 
     def _frame_value(self, point: Sequence) -> Magnitude:
-        """D(x) at the representative given, the dual norm of its degree-1
-        evaluation row; kept per point, since sigma reads it at every degree."""
+        """D(x) at the representative given (not the zero vector), the dual norm
+        of its degree-1 evaluation row; kept per point, as sigma reads it often."""
         pt = tuple(point)
         if pt not in self._frame_values:
+            if all(map(_is_zero, pt)):
+                raise PreconditionError("zero vector is not a projective point")
             row = linalg._integer_row(pt) if linalg._is_rational(pt) else (pt,)
             self._frame_values[pt] = _dual_norm(self.base, *row)
         return self._frame_values[pt]
+
+    def _evaluation_row(self, n: int, point: Sequence) -> tuple:
+        """The degree-n monomials at x = a / D as (integers, D^n), stepped up from
+        the last degree kept for x; a lower one restarts.  Q(T): (evaluation_row,)."""
+        pt = tuple(point)
+        if not linalg._is_rational(pt):
+            return evaluation_row(self.field, self.m, n, pt),
+        a, d, k, row = self._rows.get(pt) or (*linalg._integer_row(pt), 0, [1])
+        k, row = (k, row) if k <= n else (0, [1])
+        for k in range(k, n):
+            row = step_row(row, a, k)
+        self._rows[pt] = a, d, n, row
+        return row, d ** n
 
     def point_metric(self, s: Section, point: Sequence) -> Magnitude:
         """|s|_{h^n}(x) = |s(x)| / D(x)^n for a degree-n section s, at any
         representative of the point (``Subvariety`` points are normalized)."""
         if s.num_vars != self.num_vars:
             raise PreconditionError("section/metric dimension mismatch")
-        value = s.evaluate(point)
+        frame_value, value = self._frame_value(point), s.evaluate(point)
         if _is_zero(value):
             return self.field.zero_magnitude()
-        return self.field.abs(value) / self._frame_value(point) ** s.degree
+        return self.field.abs(value) / frame_value ** s.degree
 
     # -- sup norms (weighted Gauss) ------------------------------------------
 
@@ -145,31 +161,42 @@ class _GaussSpace(NormedSpace):
     """The degree-n sup norm of a QuotientMetric (see gauss_space).
 
     The basis inverse is Sym^n of the frame inverse: column k is x^{e_k}
-    rewritten in the frame coordinates.  It is built on first use, since
-    sigma never needs it.  Outside Q(T) both are ``_SymPowers`` columns.
+    rewritten in the frame coordinates.  Outside Q(T) both are integer
+    ``_SymPowers`` columns, made Fractions only when read (sigma never does).
     """
 
     def __init__(self, metric: QuotientMetric, n: int):
         field, exps, self._n = metric.field, monomial_basis(metric.m, n), n
+        self.field, self._inverse, self._columns = field, None, None
         if metric._sym is None:
             self._subst, coeff, one = metric.substitution(), field.one(), field.one_magnitude()
             self._monomials = [Section._trusted(field, metric.num_vars, n, {e: coeff})
                                for e in exps]
             cols = [f.to_vector() for f in _change_frame(metric.frame_forms(), self._monomials)]
-            ints, weights = None, [reduce(mul, map(pow, metric.base.weights, e), one)
-                                   for e in exps]
+            ints, self.weights = None, [reduce(mul, map(pow, metric.base.weights, e), one)
+                                        for e in exps]
         else:
-            (frame, self._subst), self._monomials = metric._sym, None
-            cols, ints, weights = frame.columns(n, field.zero())
-        super().__init__(field, linalg.transpose(cols), weights)
-        self._integer["columns"] = ints
+            (frame, self._subst), self._monomials, cols = metric._sym, None, None
+            ints, self.weights = frame.columns(n)
+        self._basis, self._integer = cols and linalg.transpose(cols), {"columns": ints}
+
+    @property
+    def basis(self) -> List[list]:
+        if self._basis is None:
+            self._basis = linalg.transpose(self._fractions(self._integer["columns"]))
+        return self._basis
 
     def basis_inverse(self) -> List[list]:
         if self._inverse is None:
             self._inverse = linalg.transpose(
-                self._subst.columns(self._n, self.field.zero())[0] if self._monomials is None
+                self._fractions(self._subst.columns(self._n)[0]) if self._monomials is None
                 else [u.to_vector() for u in _change_frame(self._subst, self._monomials)])
         return self._inverse
+
+    def _fractions(self, columns: List[tuple]) -> List[list]:
+        """Integer columns (integers, d) in Fractions, with one zero object."""
+        zero = self.field.zero()
+        return [[Fraction(v, d) if v else zero for v in c] for c, d in columns]
 
     def _inverse_form(self) -> List[tuple]:
         return list(map(linalg._integer_row, self.basis_inverse()))
@@ -178,33 +205,31 @@ class _GaussSpace(NormedSpace):
 class _SymPowers:
     """Sym^n of rational linear forms f_j = F_j / d_j with weights w_j: column
     e = prod_j f_j^e_j = P_e / D_e (D_e coprime to the content of P_e) is column
-    e - delta_j of degree n - 1 times f_j (weight times w_j), first j with e_j > 0.
-    Keeps the last degree; holds no metric, so spaces hold it without a cycle."""
+    e - delta_j of degree n - 1 times f_j (weight times w_j), first j with e_j > 0:
+    ``step_row`` blocks.  Keeps the last degree; holds no metric (no cycle)."""
 
     def __init__(self, forms: Sequence[Section], weights: Sequence[Magnitude]):
         self._factors = [(*_integer_coeffs(f.coeffs), w) for f, w in zip(forms, weights)]
         origin = (0,) * len(forms)
-        self._start = self._last = 0, {origin: ({origin: 1}, 1, Magnitude.one(weights[0].rho))}
+        self._start = self._last = 0, [({origin: 1}, 1, Magnitude.one(weights[0].rho))]
 
-    def columns(self, n: int, zero) -> tuple[List[list], List[tuple], List[Magnitude]]:
-        """The degree-n columns in monomial_basis order (``zero`` at zero entries),
-        their integer forms (P_e, D_e) = ``linalg._integer_row``, and weights."""
+    def columns(self, n: int) -> tuple[List[tuple], List[Magnitude]]:
+        """The degree-n columns in monomial_basis order as integer forms
+        (P_e, D_e) = ``linalg._integer_row``, and their weights."""
         deg, prods = self._last if self._last[0] <= n else self._start
-        m = len(self._factors) - 1
-        for r in range(deg + 1, n + 1):
-            step = {}
-            for e in monomial_basis(m, r):
-                j = next(j for j, x in enumerate(e) if x)
-                (P, D, w), (F, d, wj) = prods[e[:j] + (e[j] - 1,) + e[j + 1:]], self._factors[j]
-                P, D = _polynomial_product(P, F), D * d
-                g = gcd(D, *P.values())
-                step[e] = {x: v // g for x, v in P.items() if v}, D // g, w * wj
-            prods = step
+        for r in range(deg, n):
+            prods = step_row(prods, self._factors, r, self._times)
         self._last = n, prods
-        exps = monomial_basis(m, n)
-        ints = [([prods[e][0].get(x, 0) for x in exps], prods[e][1]) for e in exps]
-        cols = [[Fraction(v, D) if v else zero for v in row] for row, D in ints]
-        return cols, ints, [prods[e][2] for e in exps]
+        exps = monomial_basis(len(self._factors) - 1, n)
+        return [([P.get(x, 0) for x in exps], D) for P, D, _ in prods], [w for *_, w in prods]
+
+    @staticmethod
+    def _times(factor: tuple, column: tuple) -> tuple:
+        """Column (P, D, w) times the form (F, d, w_j), D coprime to the content."""
+        (F, d, wj), (P, D, w) = factor, column
+        P, D = _polynomial_product(P, F), D * d
+        g = gcd(D, *P.values())
+        return {x: v // g for x, v in P.items() if v}, D // g, w * wj
 
 
 def _gauss_norm(field: ValuedField, u: Section, weights: Sequence[Magnitude],
@@ -296,7 +321,7 @@ def _change_frame_products(forms: Sequence[Section],
 # ----------------------------------------------------------------------
 
 
-def _dual_norm(N: NormedSpace, w: Sequence, d_w: int = 1) -> Magnitude:
+def _dual_norm(N: NormedSpace, w: Sequence, d_w: Optional[int] = None) -> Magnitude:
     """max_i |e_i(x)| / w_i, with e_i(x) basis column i of N applied to
     the row w / d_w: the dual norm of that functional, as one Magnitude.
 
@@ -304,15 +329,15 @@ def _dual_norm(N: NormedSpace, w: Sequence, d_w: int = 1) -> Magnitude:
     w_i = q_i rho^n_i, a nonzero s_i = ints_i . w gives the value
     (1/q_i) rho^e_i, e_i = v_p(s_i) - v_p(d_i) - n_i (0 on a trivial
     field).  Values compare by one integer cross-multiplication with one
-    power of p (``Magnitude._cross``); the winner is shifted by v_p(d_w).
-    A Q(T) row takes ``mat_vec`` and T-orders.
+    power of p (``Magnitude._cross``); the winner is shifted by v_p(d_w).  A
+    w without d_w is scanned: integers, or a Q(T) row (``mat_vec``, T-orders).
     """
     field, cols = N.field, N.integer_columns()
     P, p = field.prime or 1, field.prime if field.kind == "padic" else None
     if "dual" not in N._integer:  # (v_p(d_i) + n_i, q_i) per column; d_i is p-adic only
         N._integer["dual"] = [(wt.n + (_vp(cols[i][1], p) if p else 0), wt.q.numerator,
                                wt.q.denominator) for i, wt in enumerate(N.weights)]
-    if cols is not None and linalg._is_rational(w):
+    if cols is not None and (d_w is not None or linalg._is_rational(w)):
         sums = (sum(map(mul, ints, w)) for ints, _ in cols)
         pairs = ((_vp(s, p) if p else 0, c) for s, c in zip(sums, N._integer["dual"]) if s)
     else:
@@ -326,15 +351,16 @@ def _dual_norm(N: NormedSpace, w: Sequence, d_w: int = 1) -> Magnitude:
             best = e, a, b
     if best is None:
         raise PreconditionError("evaluation functional vanishes identically")
-    shift = _vp(d_w, p) if p else 0
+    shift = _vp(d_w, p) if p and d_w else 0
     return Magnitude._normalized(field.rho, Fraction(best[2], best[1]), best[0] - shift)
 
 
 def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
-                        point: Sequence) -> Magnitude:
+                        point: Sequence, row: Optional[tuple] = None) -> Magnitude:
     """|1|^quot at the point for the norm N on degree-n sections: the
     minimum of N over {s : s(x) = 1}, at the representative x given
-    (scaling x by c scales this by |c|^-n).
+    (scaling x by c scales this by |c|^-n).  ``row``, when the caller keeps
+    it, is the degree-n monomials at x (``QuotientMetric._evaluation_row``).
 
     With the orthogonal basis e_i of N and weights w_i this is the dual
     norm of evaluation, 1 / max_i |e_i(x)| / w_i (Bosch-Guentzer-Remmert,
@@ -343,7 +369,7 @@ def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
     columns of N (``_dual_norm``), never from products of frame values,
     which would make sigma = 1 by construction.
     """
-    row = integer_evaluation_row(n, point) or (evaluation_row(field, m, n, point),)
+    row = row or integer_evaluation_row(n, point) or (evaluation_row(field, m, n, point),)
     return field.one_magnitude() / _dual_norm(N, *row)
 
 
@@ -351,10 +377,8 @@ def metric_gap(N: NormedSpace, h: QuotientMetric, n: int, point: Sequence) -> Ma
     """|.|^quot_{(R_n, N)}(x) / |.|_{h^n}(x) as an exact magnitude ratio, at
     any representative: scaling it by c scales the dual norm of degree-n
     evaluation by |c|^n and D(x) by |c|, so the ratio does not move."""
-    if all(map(_is_zero, point)):
-        raise PreconditionError("zero vector is not a projective point")
-    # the h^n fiber norm of the fiber element 1 is D(x)^{-n}
-    return quotient_fiber_norm(N, h.field, h.m, n, point) * h._frame_value(point) ** n
+    D = h._frame_value(point)  # refuses the zero vector; the h^n fiber norm of 1 is D^-n
+    return quotient_fiber_norm(N, h.field, h.m, n, point, h._evaluation_row(n, point)) * D ** n
 
 
 def sigma(h: QuotientMetric, n: int, point: Sequence) -> Magnitude:
@@ -426,47 +450,29 @@ def gauss_attainment_point(h: QuotientMetric, s: Section) -> List[Fraction]:
     vanish mod p; such a point exists because a nonzero polynomial of
     degree < p cannot vanish on all of P^m(F_p).
     """
-    field = h.field
+    field, n, nv = h.field, s.degree, h.num_vars
     if field.kind != "padic":
         raise PreconditionError("attainment certificates require a p-adic field")
     p = field.prime
-    n = s.degree
     if p <= n:
         raise PreconditionError("need residue characteristic p > degree")
-    nv = h.num_vars
     if h.base.basis != linalg.identity(nv, field.one(), field.zero()):
         raise PreconditionError("attainment certificates require a diagonal metric")
-    exps = []
-    for w in h.base.weights:
-        if w.q != 1:
-            raise PreconditionError("weights must be powers of p")
-        exps.append(-w.n)  # w = p^{-w.n} ... w = (1/p)^{w.n}, so w = p^{-w.n}
+    if any(w.q != 1 for w in h.base.weights):
+        raise PreconditionError("weights must be powers of p")
+    exps = [-w.n for w in h.base.weights]  # w = (1/p)^{w.n} = p^{-w.n}
     # change of variables x_i -> p^{e_i} x_i turns the metric orthonormal
-    scaled = {}
-    for e, c in s.coeffs.items():
-        factor = Fraction(p) ** (-sum(k * exps[i] for i, k in enumerate(e)))
-        scaled[e] = c * factor
-    t = Section(field, nv, n, scaled)
+    t = Section(field, nv, n, {e: c * Fraction(p) ** -sum(map(mul, e, exps))
+                               for e, c in s.coeffs.items()})
     gauss = magnitude_max(field.abs(c) for c in t.coeffs.values())
     # normalize t to unit Gauss norm: divide by a coefficient attaining it
     unit = next(c for c in t.coeffs.values() if field.abs(c) == gauss)
-    t = t.scale(field.one() / unit)
     # residues of the coefficients: all in Z_(p), at least one a unit
-    def residue(x: Fraction) -> int:
-        return (x.numerator * pow(x.denominator, -1, p)) % p
-
+    residues = [(x.numerator * pow(x.denominator, -1, p)) % p
+                for x in t.scale(field.one() / unit).to_vector()]
     for lead in range(nv):
-        prefix = [0] * lead + [1]
         for tail in iter_product(range(p), repeat=nv - lead - 1):
-            pt = prefix + list(tail)
-            total = 0
-            for e, c in t.coeffs.items():
-                term = residue(c)
-                for x, k in zip(pt, e):
-                    term = term * pow(x, k, p) % p
-                total = (total + term) % p
-            if total % p != 0:
-                lifted = [Fraction(x) * Fraction(p) ** (-exps[i])
-                          for i, x in enumerate(pt)]
-                return lifted
+            pt = [0] * lead + [1, *tail]
+            if sum(map(mul, residues, integer_evaluation_row(n, pt)[0])) % p:
+                return [Fraction(x) * Fraction(p) ** -k for x, k in zip(pt, exps)]
     raise PreconditionError("no residue point found (section vanishes mod p)")

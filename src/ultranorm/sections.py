@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import accumulate
+from math import comb
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -270,19 +270,23 @@ def evaluation_row(field: ValuedField, m: int, n: int, point: Sequence) -> list:
 
 def integer_evaluation_row(n: int, point: Sequence) -> Optional[tuple[list, int]]:
     """The degree-n monomials at a rational point x = a / D (D the lcm of
-    its denominators) as (a^e for each e in monomial_basis, D^n), from
-    integer powers of the a_j; None when a coordinate is not rational."""
+    its denominators) as (a^e for each e in monomial_basis, D^n), stepped up
+    from degree 0 (``step_row``); None when a coordinate is not rational."""
     if not linalg._is_rational(point):
         return None
     a, den = linalg._integer_row(point)
-    # tails[r]: the degree-r monomials in the variables seen so far (from
-    # the last), in monomial_basis order; the first variable needs r = n
-    tails = [[1]] + [[]] * n
-    for j, x in reversed(list(enumerate(a))):
-        pw = list(accumulate([x] * n, mul, initial=1))
-        tails = [[pw[k] * v for k in range(r, -1, -1) for v in tails[r - k]]
-                 if j or r == n else [] for r in range(n + 1)]
-    return tails[n], den ** n
+    row = [1]
+    for k in range(n):
+        row = step_row(row, a, k)
+    return row, den ** n
+
+
+def step_row(row: list, a: Sequence, n: int, times=mul) -> list:
+    """The degree-(n+1) monomials at the integer point a from the degree-n ones
+    (monomial_basis order): block j is a_j times the last C(n+m-j, m-j), the
+    monomials free of x_0..x_{j-1}; one ``times`` per monomial, no index map."""
+    m = len(a) - 1
+    return [times(x, v) for j, x in enumerate(a) for v in row[-comb(n + m - j, m - j):]]
 
 
 def _evaluation_row_products(field: ValuedField, m: int, n: int,

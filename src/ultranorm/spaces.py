@@ -61,7 +61,7 @@ class NormedSpace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.weights)
 
     def basis_inverse(self) -> List[list]:
         """The inverse of the basis matrix, built once: one Fraction per

@@ -16,8 +16,10 @@ from ultranorm.extension import (ExtensionProblem,
                                  extend_trivial_via_laurent, lambda_estimate,
                                  min_norm_lift, ratio_sequence,
                                  subadditivity_check)
-from ultranorm.metrics import QuotientMetric
-from ultranorm.sections import Section, Subvariety, restriction_kernel
+from ultranorm import metrics
+from ultranorm.metrics import MetricFamily, QuotientMetric, mu_estimate, sigma
+from ultranorm.sections import (Section, Subvariety, integer_evaluation_row,
+                                restriction_kernel)
 from ultranorm.spaces import (PreconditionError, distance_to_subspace,
                               scalar_extension)
 
@@ -246,6 +248,55 @@ class TestFramePowers:
             for n in (4, 2, 2, 1, 3, 4):
                 section, ratio = min_norm_lift(P, n)
                 assert (section, ratio) == fresh[n]
+
+
+class TestPointRows:
+    """The degree-n monomials the metric keeps per point, stepped from the
+    last degree asked, against a fresh metric and ``integer_evaluation_row``."""
+
+    ORDERS = [[1, 2, 3, 4, 5], [1, 1, 2, 2, 3, 3, 3], [5, 4, 3, 2, 1], [1, 3, 6, 2, 5]]
+
+    @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(3),
+                                       TrivialRationals()],
+                             ids=lambda f: f"{f.kind}{f.prime or ''}")
+    @pytest.mark.parametrize("order", ORDERS,
+                             ids=["increasing", "repeated", "decreasing", "skipping"])
+    def test_mixed_requests_match_a_fresh_metric(self, field, order):
+        rng = random.Random(f"point-rows/{field.kind}{field.prime}")
+        for num_vars in (2, 3):
+            P = random_point_problem(rng, field, num_vars, 3)
+            h, x = P.metric, [F(rng.randint(-5, 5) or 1, 3) for _ in range(num_vars)]
+            for n in order:
+                fresh = ExtensionProblem(QuotientMetric(h.base), P.Y, P.representative)
+                assert sigma(h, n, x) == sigma(fresh.metric, n, x)
+                assert min_norm_lift(P, n) == min_norm_lift(fresh, n)
+                for pt in P.Y.points:  # sigma at the points the lift reads
+                    assert sigma(h, n, pt) == sigma(QuotientMetric(h.base), n, pt)
+                family = MetricFamily(field, num_vars - 1, {
+                    k: QuotientMetric(h.base).gauss_space(k) for k in range(1, n + 1)})
+                assert (mu_estimate(family, h, x, n)
+                        == mu_estimate(family, QuotientMetric(h.base), x, n))
+                for pt in [x] + P.Y.points:
+                    assert h._rows[tuple(pt)][2:] == (n, integer_evaluation_row(n, pt)[0])
+
+    def test_one_step_per_degree_in_order(self, monkeypatch):
+        P = random_point_problem(random.Random("point-rows/count"), PadicRationals(3), 3, 2)
+        steps, real = [], metrics.step_row
+
+        def counted(row, a, n, *times):  # point rows only, not the Gauss columns
+            steps.extend([] if times else [n])
+            return real(row, a, n, *times)
+        monkeypatch.setattr(metrics, "step_row", counted)
+        x = [F(2), F(-3, 4), F(0)]
+        for n in range(1, 7):
+            sigma(P.metric, n, x)
+            assert len(steps) == n
+        sigma(P.metric, 6, x)  # the same degree takes no step
+        sigma(P.metric, 2, x)  # a lower degree restarts from degree 0
+        assert len(steps) == 8
+        min_norm_lift(P, 1)
+        min_norm_lift(P, 2)  # each point of Y: one step from degree 0, then one
+        assert len(steps) == 8 + 2 * len(P.Y.points)
 
 
 class TestRatioSequence:

@@ -11,7 +11,7 @@ import pytest
 
 from ultranorm import (LaurentRationals, NormedSpace, PadicRationals,
                        PreconditionError, TrivialRationals, linalg)
-from ultranorm.metrics import (MetricFamily, QuotientMetric, _change_frame,
+from ultranorm.metrics import (MetricFamily, QuotientMetric, _change_frame, _GaussSpace,
                                _change_frame_products, _dual_norm,
                                gauss_attainment_point,
                                metric_gap, mu_estimate, quotient_fiber_norm,
@@ -333,6 +333,21 @@ class TestQuotientFiberNorm:
                                        match="^zero vector is not a projective point$"):
                         call()
 
+    @pytest.mark.parametrize("field", FIELDS + [LaurentRationals(3)],
+                             ids=lambda K: K.kind + str(K.prime))
+    def test_point_metric_refuses_the_zero_vector(self, field):
+        # degree 0 used to fail inside the dual norm, degree >= 1 gave 0
+        h = diag_metric(field, [F(1), F(1, 2)])
+        zeros = [[F(0), F(0)], [0, 0], [field.zero(), field.zero()]]
+        for n in (0, 1, 2):
+            s = Section.monomial(field, (n, 0), 3)
+            for zero in zeros:
+                with pytest.raises(PreconditionError,
+                                   match="^zero vector is not a projective point$"):
+                    h.point_metric(s, zero)
+            # |3 x_0^n| / D^n at (2 : 0), D = |2| / 1
+            assert h.point_metric(s, [F(2), F(0)]) == field.abs(F(3))
+
     def test_vanishing_evaluation_is_a_precondition(self):
         Q2 = PadicRationals(2)
         # every basis vector lies in the kernel of evaluation at (1 : 0)
@@ -615,6 +630,39 @@ class TestGaussSpaceOracle:
             assert (N.columns(), N.weights, N.basis_inverse()) == seen[n]
             assert list(h._gauss_cache) == [n]
             assert h.gauss_space(n) is N
+
+    @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(3),
+                                       TrivialRationals()], ids=lambda K: f"{K.kind}{K.prime}")
+    def test_lazy_basis_equals_the_eager_space(self, field):
+        rng = random.Random(f"sym-lazy/{field.kind}{field.prime}")
+        for m in (1, 2):
+            h, h2 = (QuotientMetric(random_space(rng, field, m + 1)) for _ in range(2))
+            for n in range(5):
+                cols, _, weights = change_frame_space(h, n)
+                eager = NormedSpace(field, linalg.transpose(cols), weights)
+                N = h.gauss_space(n)
+                assert N._basis is None and N._columns is None
+                v = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(N.dim)]
+                assert N.coordinates(v) == eager.coordinates(v)
+                assert N.from_coordinates(v) == eager.from_coordinates(v)
+                assert N.norm(v) == eager.norm(v)
+                assert N.basis == eager.basis
+                # == reads the lazy bases: as the eager spaces compare
+                M = h2.gauss_space(n)
+                assert N == _GaussSpace(h, n)
+                assert (N == M) == (eager == NormedSpace(field, M.basis, M.weights))
+                assert (N == M) == (n == 0)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda K: f"{K.kind}{K.prime}")
+    def test_sigma_builds_no_fraction_basis(self, field):
+        rng = random.Random(f"sym-unread/{field.kind}{field.prime}")
+        for m in (1, 2):
+            h = QuotientMetric(random_space(rng, field, m + 1))
+            for n in range(1, 5):
+                for _ in range(3):
+                    sigma(h, n, random_point(rng, m + 1))
+                N = h.gauss_space(n)
+                assert (N._basis, N._columns, N._inverse) == (None, None, None)
 
     @pytest.mark.parametrize("lifted", [False, True], ids=["rational", "lifted"])
     def test_laurent_field_keeps_change_frame(self, lifted):

@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from ultranorm import LaurentRationals, PadicRationals, TrivialRationals
+from ultranorm import LaurentRationals, PadicRationals, TrivialRationals, linalg
 from ultranorm.fields import RationalFunction, _is_zero
 from ultranorm.sections import (Section, Subvariety, _evaluation_row_products,
                                 _polynomial_product, evaluation_row,
                                 integer_evaluation_row, monomial_basis,
-                                normalize_point, restriction_kernel)
+                                normalize_point, restriction_kernel, step_row)
 from ultranorm.spaces import PreconditionError
 
 F = Fraction
@@ -205,6 +205,26 @@ class TestFractionFreeKernels:
         assert den == (2 * odd) ** 3
         # x0^3, x0^2 x1 and x2^3 with x0 = odd / (2 odd), x2 = 10 / (2 odd)
         assert (nums[0], nums[1], nums[-1]) == (odd ** 3, 0, 1000)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_step_row_equals_repeated_products(self, m):
+        # one step per degree from degree 0, against the field products; the
+        # points have zero, negative and common-denominator coordinates
+        field = PadicRationals(3)
+        rng = random.Random(f"step-row/{m}")
+        points = [[F(-1)] + [F(0)] * m, [F(2, 3)] * (m + 1),
+                  [F(rng.randint(-9, 9), rng.choice([1, 6])) for _ in range(m + 1)]]
+        for _ in range(4):
+            points.append([F(rng.randint(-9, 9)) * F(rng.choice([0, 1, -1]), 6)
+                           for _ in range(m + 1)])
+        for point in points:
+            a, d = linalg._integer_row(point)
+            row = [1]
+            for n in range(9):
+                assert [F(v, d ** n) for v in row] == _evaluation_row_products(
+                    field, m, n, point)
+                assert integer_evaluation_row(n, point) == (row, d ** n)
+                row = step_row(row, a, n)
 
     def test_laurent_row_takes_the_loop(self):
         K = LaurentRationals(5)
