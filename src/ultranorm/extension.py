@@ -198,9 +198,9 @@ def extend_trivial_via_laurent(P: ExtensionProblem, n: int) -> Tuple[Section, Ma
     g, g_norms, _ = orthogonalize_flag(N, flag)
     d = len(ker)
     # expand s' in the g basis over the extension; the frame is rational,
-    # so its inverse is taken over Q and lifted
+    # so its inverse is taken over Q
     g_inverse = linalg.invert([[g[j][i] for j in range(dim)] for i in range(dim)])
-    coords = linalg.mat_vec(lift_constant(g_inverse), s_prime)
+    coords = linalg.mat_vec(g_inverse, s_prime)
     vec = [field.zero()] * dim
     for i in range(d, dim):
         c = coords[i]

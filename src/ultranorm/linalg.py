@@ -4,6 +4,9 @@ Two layers:
 
 * generic Gaussian elimination over any exact field whose elements
   support +, -, *, /, == 0 (Fractions or RationalFunctions here), and
+  fraction-free kernels for rational input; ``mat_vec`` also sends
+  constants of Q(T) to its integer kernel and hands constants back, so
+  only non-constant RationalFunctions take the field loop, and
 * integer routines (column Hermite normal form, kernels, intersections,
   Smith normal form, the adjugate and determinant of a square matrix) used
   by the lattice and adelic code and by the inverse of a rational basis.
@@ -19,7 +22,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import List, Optional, Sequence
 
-from .fields import _is_zero
+from .fields import RationalFunction, _constant_value, _is_zero
 
 Matrix = List[list]
 
@@ -33,10 +36,14 @@ def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
-    """a v; rational input (ints and Fractions) comes back as Fractions."""
-    if _is_rational(v) and all(map(_is_rational, a)):
-        return _mat_vec_integer(map(_integer_row, a), *_integer_row(v))
-    return [reduce(add, map(mul, row, v)) for row in a]
+    """a v; rational input (ints and Fractions) comes back as Fractions,
+    input of rationals and constants of Q(T) as constants of Q(T), both
+    from the integer kernel.  Any other entry takes the field loop."""
+    rows, w = _constant_matrix(a), _constants(v)  # a and v themselves when rational
+    if rows is None or w is None:
+        return [reduce(add, map(mul, row, v)) for row in a]
+    out = _mat_vec_integer(map(_integer_row, rows), *_integer_row(w))
+    return out if rows is a and w is v else _lift(out)
 
 
 def _mat_vec_integer(rows, w: Sequence[int], d_w: int) -> list:
@@ -48,6 +55,29 @@ def _mat_vec_integer(rows, w: Sequence[int], d_w: int) -> list:
 
 def _is_rational(values) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in values)
+
+
+def _constants(values: Sequence) -> Optional[Sequence]:
+    """values itself when rational, as Fractions when each is a rational or
+    a constant of Q(T) (``fields._constant_value``), else None."""
+    if _is_rational(values):
+        return values
+    out = list(map(_constant_value, values))
+    return None if any(x is None for x in out) else out
+
+
+def _constant_matrix(m: Sequence[Sequence]) -> Optional[Matrix]:
+    """m itself when rational, else its rows as ``_constants``, or None if
+    an entry is neither a rational nor a constant of Q(T)."""
+    if all(map(_is_rational, m)):
+        return m
+    rows = list(map(_constants, m))
+    return None if any(row is None for row in rows) else rows
+
+
+def _lift(values: Sequence[Fraction]) -> list:
+    """Fractions as constants of Q(T)."""
+    return list(map(RationalFunction._of_constant, values))
 
 
 def _integer_row(row: Sequence) -> tuple[list, int]:

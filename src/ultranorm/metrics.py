@@ -198,8 +198,8 @@ class _GaussSpace(NormedSpace):
         zero = self.field.zero()
         return [[Fraction(v, d) if v else zero for v in c] for c, d in columns]
 
-    def _inverse_form(self) -> List[tuple]:
-        return list(map(linalg._integer_row, self.basis_inverse()))
+    def _inverse_form(self, basis: List[list]) -> List[tuple]:
+        return list(map(linalg._integer_row, linalg._constant_matrix(self.basis_inverse())))
 
 
 class _SymPowers:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from numbers import Number
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
-from .fields import Magnitude, ValuedField
+from .fields import Magnitude, ValuedField, _constant_value
 from .sections import Section, Subvariety
 from .spaces import NormedSpace, PreconditionError
 
@@ -356,8 +356,12 @@ def _errors(instance: Any, schema: Dict[str, Any],
 # ----------------------------------------------------------------------
 
 
-def rational_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+def rational_to_str(x) -> str:
+    """A rational, or a constant of Q(T), as NUM/DEN; any other element of
+    Q(T) has no such form (PreconditionError)."""
+    x = _constant_value(x)
+    if x is None:
+        raise PreconditionError("only rational or constant values serialize to JSON")
     try:
         return f"{x.numerator}/{x.denominator}"
     except ValueError as exc:  # beyond Python's int-to-str digit limit
@@ -434,15 +438,8 @@ def space_from_json(data: Dict[str, Any], pointer: str = "") -> NormedSpace:
 
 
 def section_to_json(s: Section) -> Dict[str, Any]:
-    coeffs = {}
-    for exp in sorted(s.coeffs):
-        c = s.coeffs[exp]
-        if hasattr(c, "is_constant"):
-            if not c.is_constant():
-                raise PreconditionError(
-                    "only constant-coefficient sections serialize to JSON")
-            c = c.constant_value()
-        coeffs[",".join(str(e) for e in exp)] = rational_to_str(Fraction(c))
+    coeffs = {",".join(map(str, exp)): rational_to_str(s.coeffs[exp])
+              for exp in sorted(s.coeffs)}
     return {"degree": s.degree, "variables": s.num_vars, "coeffs": coeffs}
 
 

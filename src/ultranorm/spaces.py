@@ -65,12 +65,14 @@ class NormedSpace:
 
     def basis_inverse(self) -> List[list]:
         """The inverse of the basis matrix, built once: one Fraction per
-        entry of ``_integer_form("inverse")`` over Q, ``linalg.invert``
-        over Q(T)."""
+        entry of ``_integer_form("inverse")`` (made a constant of Q(T) over
+        a basis of such constants), ``linalg.invert`` over Q(T) otherwise."""
         if self._inverse is None:
             form = self._integer_form("inverse", None)
             if form is not None:
                 self._inverse = [[Fraction(x, d) for x in ints] for ints, d in form]
+                if self._lifted():
+                    self._inverse = list(map(linalg._lift, self._inverse))
                 return self._inverse
             try:
                 self._inverse = linalg.invert(self.basis)
@@ -78,11 +80,12 @@ class NormedSpace:
                 raise PreconditionError(f"basis is not invertible ({exc})") from exc
         return self._inverse
 
-    def _inverse_form(self) -> List[tuple]:
-        """The rows of the inverse of a rational basis B as (integers, d)
-        pairs: with D the lcm of B's denominators, row i of B^-1 is
-        D adj(D B)_i / det(D B), reduced by the gcd of its entries and det."""
-        ints, den = linalg._integer_matrix(self.basis)
+    def _inverse_form(self, basis: List[list]) -> List[tuple]:
+        """The rows of the inverse of the rational basis B (``basis``) as
+        (integers, d) pairs: with D the lcm of B's denominators, row i of
+        B^-1 is D adj(D B)_i / det(D B), reduced by the gcd of its entries
+        and det."""
+        ints, den = linalg._integer_matrix(basis)
         adj, det = linalg.adjugate(ints)
         if not (det and ints):
             reason = "singular matrix" if any(map(any, ints)) else "singular matrix (zero)"
@@ -105,30 +108,45 @@ class NormedSpace:
         return self._columns
 
     def integer_columns(self) -> Optional[List[tuple]]:
-        """Column i of a rational basis as (integers, d_i), where d_i is the
-        lcm of its denominators and column i = integers / d_i; built once,
-        None for a basis over Q(T)."""
+        """Column i of the basis as (integers, d_i), where d_i is the lcm of
+        its denominators and column i = integers / d_i; built once, None
+        for a basis with a non-constant entry of Q(T)."""
         return self._integer_form("columns", self.columns)
 
     def _integer_form(self, key: str, rows) -> Optional[List[tuple]]:
         """``rows()`` (the basis or its columns) as (integers, d) pairs
         (``linalg._integer_row``), or for the key "inverse" the
-        ``_inverse_form()``; built once per key, None for a basis over Q(T)."""
+        ``_inverse_form``; built once per key from the basis as Fractions
+        (``linalg._constant_matrix``, kept under the key "rational"), None
+        for a basis with a non-constant entry of Q(T)."""
         if key not in self._integer:
-            if not all(map(linalg._is_rational, self.basis)):
+            if "rational" not in self._integer:
+                self._integer["rational"] = linalg._constant_matrix(self.basis)
+            basis = self._integer["rational"]
+            if basis is None:
                 self._integer[key] = None
             elif key == "inverse":
-                self._integer[key] = self._inverse_form()
+                self._integer[key] = self._inverse_form(basis)
             else:
-                self._integer[key] = list(map(linalg._integer_row, rows()))
+                rows = rows() if basis is self.basis else linalg._constant_matrix(rows())
+                self._integer[key] = list(map(linalg._integer_row, rows))
         return self._integer[key]
 
+    def _lifted(self) -> bool:
+        """Whether the basis holds constants of Q(T), not Fractions: then
+        the integer forms' results are handed back as such constants."""
+        return self._integer["rational"] is not self.basis
+
     def _times(self, key: str, rows, v: Sequence) -> list:
-        """rows() v, by one integer dot product per row on rational input."""
+        """rows() v, by one integer dot product per row when the basis and
+        v hold rationals or constants of Q(T) (a constant in either gives
+        constants back); ``linalg.mat_vec`` otherwise."""
         form = self._integer_form(key, rows)
-        if form is None or not linalg._is_rational(v):
+        w = None if form is None else linalg._constants(v)
+        if w is None:
             return linalg.mat_vec(rows(), list(v))
-        return linalg._mat_vec_integer(form, *linalg._integer_row(v))
+        out = linalg._mat_vec_integer(form, *linalg._integer_row(w))
+        return out if w is v and not self._lifted() else linalg._lift(out)
 
     def coordinates(self, v: Sequence) -> list:
         if len(v) != self.dim:
@@ -194,12 +212,19 @@ def _eliminate(field: ValuedField, weights: Sequence[Magnitude],
     |row_i[j]| * w_j is largest (the first such j on ties); every later
     row then loses the multiple of row i that clears its coordinate j.
     Returns the pivots and the pivot values |row_i[pivot_i]| * w_pivot_i,
-    which are the norms of the final rows.  Rational rows over Q_p or Q
-    take the integer kernel, rows over Q(T) the field loop.
+    which are the norms of the final rows.  Rational rows take the integer
+    kernel over any field: over Q or Q(T) every nonzero rational has
+    |c| = rho^0.  Rows of rationals and constants of Q(T) take it too and
+    come back as constants of Q(T); only rows with a non-constant entry of
+    Q(T) take the field loop.
     """
-    if field.kind != "laurent" and all(map(linalg._is_rational, rows)):
-        return _eliminate_integer(field, weights, rows)
-    return _eliminate_field(field, weights, rows)
+    constants = linalg._constant_matrix(rows)  # rows itself when rational
+    if constants is None:
+        return _eliminate_field(field, weights, rows)
+    result = _eliminate_integer(field, weights, constants)
+    if constants is not rows:
+        rows[:] = map(linalg._lift, constants)
+    return result
 
 
 def _eliminate_field(field: ValuedField, weights: Sequence[Magnitude],
@@ -229,10 +254,10 @@ def _eliminate_field(field: ValuedField, weights: Sequence[Magnitude],
 
 def _eliminate_integer(field: ValuedField, weights: Sequence[Magnitude],
                        rows: List[list]) -> tuple[List[int], List[Magnitude]]:
-    """``_eliminate`` fraction-free over Q_p or trivially valued Q.  Each
-    row is kept as r / d with integers r (``linalg._integer_row``); the
-    factor 1/|d| moves no pivot and is divided out of the norm once.  Row
-    i clears coordinate j of a later row t / d_t by t <- r[j] t - t[j] r,
+    """``_eliminate`` fraction-free over Q_p, or with p = None over Q and
+    Q(T).  Each row is kept as r / d with integers r (``linalg._integer_row``);
+    the factor 1/|d| moves no pivot and is divided out of the norm once.
+    Row i clears coordinate j of a later row t / d_t by t <- r[j] t - t[j] r,
     d_t <- d_t r[j], over the gcd of t and d_t (the sign stays on d_t)."""
     p = field.prime if field.kind == "padic" else None
     work = list(map(linalg._integer_row, rows))
@@ -391,8 +416,10 @@ def scalar_extension(space: NormedSpace, target: ValuedField) -> NormedSpace:
         raise PreconditionError("scalar extension target must be a Laurent field")
     weights = [Magnitude(target.rho, w.q, 0) for w in space.weights]
     extended = NormedSpace(target, lift_constant(space.basis), weights)
-    # the inverse of a constant matrix is the constant lift of its inverse
-    extended._inverse = lift_constant(space.basis_inverse())
+    # a basis of constants has the integer forms of its rational values
+    extended._integer.update(
+        rational=space.basis, inverse=space._integer_form("inverse", None),
+        basis=space._integer_form("basis", lambda: space.basis))
     return extended
 
 

@@ -65,6 +65,25 @@ class TestCommands:
         data = json.loads(out)
         assert data["quotient"]["weights"] == [{"n": 2, "q": "1/1"}]
 
+    def test_laurent_quotient_prints_the_trivial_lifts(self, tmp_path, capsys):
+        """The kernel is completed with the field's one, so over Q(T) the
+        lifts hold constants of Q(T); they print as the trivial field's."""
+        outs = []
+        for field in ({"type": "laurent", "base_prime": 5}, {"type": "trivial"}):
+            space = {"field": field,
+                     "basis": [["1", "2", "0"], ["0", "1/3", "1"], ["1", "0", "-1"]],
+                     "weights": [{"q": q, "n": 0} for q in ("1", "3", "1/2")]}
+            cfg = write(tmp_path, "c.json", {
+                "space": space, "surjection": [["1", "1", "0"], ["0", "2", "-1"]]})
+            code, out, err = run(capsys, ["quotient", "--config", cfg])
+            assert (code, err) == (0, "")
+            outs.append(json.loads(out))
+        laurent, trivial = outs
+        assert laurent["lifts"] == trivial["lifts"]
+        assert laurent["quotient"]["field"] == {"type": "laurent", "base_prime": 5}
+        laurent["quotient"]["field"] = trivial["quotient"]["field"]
+        assert laurent == trivial
+
     def test_dual(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.json", {"space": norm_json(weights=("1/1", "2/1"))})
         code, out, _ = run(capsys, ["dual", "--config", cfg])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from operator import add, mul
 
 import pytest
 
@@ -262,10 +262,10 @@ class TestQuotientFiberNorm:
                             == self.elimination(N, field, m, n, pt))
 
     @staticmethod
-    def mat_vec_route(N, field, m, n, pt):
+    def mat_vec_route(N, field, m, n, pt, mat_vec=linalg.mat_vec):
         """1 / max_i |e_i(x~)| / w_i with e_i(x~) from the Fraction row and
         ``mat_vec`` over the basis columns."""
-        values = linalg.mat_vec(N.columns(), _evaluation_row_products(field, m, n, pt))
+        values = mat_vec(N.columns(), _evaluation_row_products(field, m, n, pt))
         return field.one_magnitude() / max(
             field.abs(v) / w for v, w in zip(values, N.weights) if v != 0)
 
@@ -290,11 +290,15 @@ class TestQuotientFiberNorm:
                                 == self.mat_vec_route(N, field, m, n, x)
                                 == self.elimination(N, field, m, n, pt))
 
-    def test_laurent_space_takes_mat_vec(self):
+    def test_non_constant_laurent_space_takes_mat_vec(self):
         rng = random.Random("laurent-fiber")
         K = LaurentRationals(5)
+        T = K.uniformizer()
         for n in (1, 2):
-            N = scalar_extension(random_space(rng, TrivialRationals(), n + 1), K)
+            # B + T C is invertible over Q(T), as det(B + T C) is det B at T = 0
+            base, step = (random_space(rng, TrivialRationals(), n + 1) for _ in range(2))
+            N = NormedSpace(K, [[a + T * c for a, c in zip(r, t)] for r, t in zip(
+                base.basis, step.basis)], [K.magnitude(w.q, 1) for w in base.weights])
             assert N.integer_columns() is None
             for _ in range(3):
                 pt = [RationalFunction.constant(x) for x in random_point(rng, 2)]
@@ -302,6 +306,26 @@ class TestQuotientFiberNorm:
                 assert (quotient_fiber_norm(N, K, 1, n, x)
                         == self.mat_vec_route(N, K, 1, n, x)
                         == self.elimination(N, K, 1, n, pt))
+
+    def test_constant_laurent_space_takes_the_integer_kernel(self, monkeypatch):
+        rng = random.Random("laurent-fiber/constant")
+        K = LaurentRationals(5)
+
+        def loop_mat_vec(a, v):
+            return [reduce(add, map(mul, row, v)) for row in a]
+
+        for n in (1, 2):
+            base = random_space(rng, TrivialRationals(), n + 1)
+            N = scalar_extension(base, K)
+            assert N.integer_columns() == base.integer_columns()
+            for _ in range(3):
+                pt = [RationalFunction.constant(x) for x in random_point(rng, 2)]
+                x = normalize_point(K, pt)
+                want = self.mat_vec_route(N, K, 1, n, x, loop_mat_vec)
+                assert want == self.elimination(N, K, 1, n, pt)
+                with monkeypatch.context() as m:
+                    m.setattr(linalg, "reduce", None)  # mat_vec's field loop
+                    assert quotient_fiber_norm(N, K, 1, n, x) == want
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda K: K.kind + str(K.prime))
     def test_sigma_and_metric_gap_at_scaled_points(self, field):

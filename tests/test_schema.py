@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultranorm import PreconditionError, cli
+from ultranorm import LaurentRationals, PreconditionError, cli
 from ultranorm import serialization as ser
 
 from test_cli import norm_json, run, write
@@ -153,6 +153,18 @@ def test_rational_from_str_matches_fraction(text):
 def test_rational_past_digit_limit_is_a_precondition(text):
     with pytest.raises(PreconditionError, match="digit limit"):
         ser.rational_from_str(text)
+
+
+def test_constants_of_q_t_print_as_rationals():
+    """A constant of Q(T) prints as its rational; any other element of Q(T)
+    has no rational form and is a precondition error (exit 3), not a
+    TypeError."""
+    K = LaurentRationals(5)
+    assert ser.rational_to_str(K.from_rational(Fraction(-3, 4))) == "-3/4"
+    assert ser.matrix_to_json([[K.zero(), K.one(), 2]]) == [["0/1", "1/1", "2/1"]]
+    for value in (K.uniformizer(), K.one() / (K.one() + K.uniformizer())):
+        with pytest.raises(PreconditionError, match="^only rational or constant"):
+            ser.matrix_to_json([[K.one(), value]])
 
 
 def test_every_schema_has_valid_configs():

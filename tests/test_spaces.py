@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import pytest
 
@@ -16,7 +18,7 @@ from ultranorm import (LaurentRationals, Lattice, NormedSpace, PadicRationals,
                        scalar_extension)
 from ultranorm import spaces as spaces_module
 from ultranorm.fields import _vp
-from ultranorm.spaces import canonical_lattice_columns
+from ultranorm.spaces import _clear, _eliminate_field, canonical_lattice_columns, lift_constant
 
 
 def F(x, y=1):
@@ -132,6 +134,11 @@ def random_element(rng, field):
     if field.kind == "laurent":
         return RationalFunction([F(rng.randint(-3, 3)) for _ in range(3)])
     return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def loop_mat_vec(a, v):
+    """a v by the field loop, the reference for every route of mat_vec."""
+    return [reduce(add, map(mul, row, v)) for row in a]
 
 
 def random_space(rng, field, dim):
@@ -299,21 +306,43 @@ class TestIntegerElimination:
         assert orthogonalize_flag(space, flag) == want
         assert want[2] == [1, 2]
 
-    def test_laurent_rows_take_the_field_loop(self, monkeypatch):
+    @staticmethod
+    def laurent_problem():
+        """A trivial space, its Laurent extension, and a point with a plane
+        to measure from, with the distance over Q."""
         rng = random.Random("eliminate/laurent")
         space = random_space(rng, TrivialRationals(), 3)
         x, subspace = [F(1), F(0), F(5)], [[F(1), F(2), F(0)], [F(0), F(1), F(1)]]
         want = distance_to_subspace(space, x, subspace)[0]
         ext = scalar_extension(space, LaurentRationals(choose_laurent_base(
             [w.value() for w in space.weights] + [F(1)])))
-        lift = [[ext.field.from_rational(a) for a in v] for v in [*subspace, x]]
+        return ext, x, subspace, want
+
+    def test_non_constant_rows_take_the_field_loop(self, monkeypatch):
+        # T^k v spans what v spans, and T^3 x lies at |T^3| = rho^3 times the distance
+        ext, x, subspace, want = self.laurent_problem()
+        T = ext.field.uniformizer()
+        lift = [[T ** k * a for a in v] for k, v in enumerate([*subspace, x], 1)]
         monkeypatch.setattr(spaces_module, "_eliminate_integer", None)
-        assert distance_to_subspace(ext, lift[2], lift[:2])[0].q == want.q
+        dist = distance_to_subspace(ext, lift[2], lift[:2])[0]
+        assert (dist.q, dist.n) == (want.q, 3)
+
+    def test_constant_rows_take_the_integer_kernel(self, monkeypatch):
+        ext, x, subspace, want = self.laurent_problem()
+        lift = [[ext.field.from_rational(a) for a in v] for v in [*subspace, x]]
+        with monkeypatch.context() as m:
+            m.setattr(spaces_module, "_eliminate", spaces_module._eliminate_field)
+            field_loop = distance_to_subspace(ext, lift[2], lift[:2])
+        monkeypatch.setattr(spaces_module, "_eliminate_field", None)
+        got = distance_to_subspace(ext, lift[2], lift[:2])
+        assert got == field_loop and got[0].q == want.q
+        assert all(isinstance(a, RationalFunction) for a in got[1])
 
 
 class TestIntegerForms:
     """A rational space keeps its basis, inverse and columns as (integers,
-    d) rows, built once; over Q(T) there are none and mat_vec is used."""
+    d) rows, built once; over Q(T) a basis of constants has the forms of its
+    rational values, a non-constant one has none and mat_vec is used."""
 
     @pytest.mark.parametrize("field", [PadicRationals(2), TrivialRationals()],
                              ids=lambda f: f.kind)
@@ -360,17 +389,124 @@ class TestIntegerForms:
             space.coordinates([F(1)] * len(basis))
         assert str(info.value) == f"basis is not invertible ({reason})"
 
-    def test_laurent_space_has_no_integer_form(self):
+    def test_non_constant_basis_has_no_integer_form(self):
         rng = random.Random("forms/laurent")
-        ext = scalar_extension(random_space(rng, TrivialRationals(), 3),
-                               LaurentRationals(5))
-        for key, rows in (("basis", lambda: ext.basis),
-                          ("inverse", ext.basis_inverse)):
-            assert ext._integer_form(key, rows) is None
-        assert ext.integer_columns() is None
-        v = [random_element(rng, ext.field) for _ in range(3)]
-        assert ext.coordinates(v) == linalg.mat_vec(ext.basis_inverse(), v)
-        assert ext.from_coordinates(v) == linalg.mat_vec(ext.basis, v)
+        K = LaurentRationals(5)
+        T = K.uniformizer()
+        # B + T C is invertible over Q(T), as det(B + T C) is det B at T = 0
+        base, step = (random_space(rng, TrivialRationals(), 3) for _ in range(2))
+        space = NormedSpace(K, [[a + T * c for a, c in zip(r, t)] for r, t in zip(
+            base.basis, step.basis)], [K.magnitude(1, n) for n in (0, 1, -1)])
+        for key, rows in (("basis", lambda: space.basis),
+                          ("inverse", space.basis_inverse)):
+            assert space._integer_form(key, rows) is None
+        assert space.integer_columns() is None
+        for v in ([random_element(rng, K) for _ in range(3)],
+                  [K.from_rational(F(rng.randint(-5, 5))) for _ in range(3)]):
+            assert space.coordinates(v) == loop_mat_vec(space.basis_inverse(), v)
+            assert space.from_coordinates(v) == loop_mat_vec(space.basis, v)
+
+    def test_constant_basis_takes_the_base_forms(self):
+        rng = random.Random("forms/laurent-constant")
+        base = random_space(rng, TrivialRationals(), 3)
+        ext = scalar_extension(base, LaurentRationals(5))
+        for key, rows in (("basis", lambda: base.basis),
+                          ("inverse", base.basis_inverse)):
+            assert ext._integer_form(key, None) == base._integer_form(key, rows)
+        assert ext.integer_columns() == base.integer_columns()
+        assert ext.basis_inverse() == linalg.invert(ext.basis)  # Q(T) rref
+        assert all(isinstance(x, RationalFunction)
+                   for row in ext.basis_inverse() for x in row)
+        for v in ([random_element(rng, ext.field) for _ in range(3)],
+                  [ext.field.from_rational(F(rng.randint(-5, 5))) for _ in range(3)]):
+            assert ext.coordinates(v) == loop_mat_vec(ext.basis_inverse(), v)
+            assert ext.from_coordinates(v) == loop_mat_vec(ext.basis, v)
+
+
+class TestConstantRoute:
+    """Over Q(T), rows of constants take the integer kernels: against the
+    field loops (``_eliminate_field``, ``loop_mat_vec``, ``linalg.invert``
+    by Q(T) rref) on random trivial spaces lifted to several base primes.
+    Q(T) in gives Q(T) out; Fraction in gives Fraction out."""
+
+    PRIMES = (2, 3, 5, 7)
+
+    @staticmethod
+    def field_orthogonalize(space, vectors):
+        work = [loop_mat_vec(space.basis_inverse(), v) for v in vectors]
+        pivots, norms = _eliminate_field(space.field, space.weights, work)
+        return [loop_mat_vec(space.basis, row) for row in work], norms, pivots
+
+    @staticmethod
+    def field_distance(space, x, vectors):
+        residual = loop_mat_vec(space.basis_inverse(), x)
+        work = [loop_mat_vec(space.basis_inverse(), v) for v in vectors]
+        pivots, _ = _eliminate_field(space.field, space.weights, work)
+        for row, j in zip(work, pivots):
+            residual = _clear(residual, row, j)
+        g = loop_mat_vec(space.basis, residual)
+        return space._coordinate_norm(residual), [a - b for a, b in zip(x, g)]
+
+    @staticmethod
+    def of_type(kind, *nested):
+        return all(isinstance(x, kind) for rows in nested for row in rows for x in row)
+
+    def spaces(self, rng, P, dim):
+        """The lift of a random trivial space to Q(T) with base prime P, and
+        the same rational basis over Q(T), as a config gives it."""
+        base = random_space(rng, TrivialRationals(), dim)
+        ext = scalar_extension(base, LaurentRationals(P))
+        return ext, NormedSpace(ext.field, base.basis, ext.weights), base
+
+    @pytest.mark.parametrize("P", PRIMES)
+    def test_kernels_equal_the_field_loops(self, P):
+        rng = random.Random(f"constant-route/{P}")
+        for dim in (1, 2, 3, 4):
+            ext, rational, base = self.spaces(rng, P, dim)
+            assert ext.basis_inverse() == linalg.invert(lift_constant(base.basis))
+            assert self.of_type(RationalFunction, ext.basis_inverse())
+            for space, kind in ((ext, RationalFunction), (rational, Fraction)):
+                vectors = [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
+                           for _ in range(dim)]
+                if kind is RationalFunction:
+                    vectors = lift_constant(vectors)
+                if linalg.rank(vectors) < dim:
+                    continue
+                x, flag = vectors[-1], vectors[:rng.randint(0, dim - 1)]
+                for v in vectors:
+                    got = (space.coordinates(v), space.from_coordinates(v),
+                           linalg.mat_vec(space.basis, v))
+                    want = (loop_mat_vec(space.basis_inverse(), v),
+                            loop_mat_vec(space.basis, v), loop_mat_vec(space.basis, v))
+                    assert got == want and self.of_type(kind, got)
+                got = orthogonalize_flag(space, vectors)
+                assert got == self.field_orthogonalize(space, vectors)
+                assert self.of_type(kind, got[0])
+                got = distance_to_subspace(space, x, flag)
+                assert got == self.field_distance(space, x, flag)
+                assert self.of_type(kind, [got[1]]) or not flag  # no flag: field.zero()
+
+    @pytest.mark.parametrize("P", PRIMES)
+    def test_mixed_and_non_constant_input(self, P):
+        """A Fraction matrix on a vector of constants gives constants; one
+        non-constant entry sends mat_vec and the elimination to the loops."""
+        rng = random.Random(f"constant-route/mixed/{P}")
+        K = LaurentRationals(P)
+        T = K.uniformizer()
+        for dim in (1, 2, 3):
+            ext, rational, _ = self.spaces(rng, P, dim)
+            v = [K.from_rational(F(rng.randint(-6, 6), rng.randint(1, 4))) for _ in range(dim)]
+            got = linalg.mat_vec(rational.basis, v)
+            assert got == loop_mat_vec(rational.basis, v) and self.of_type(RationalFunction, [got])
+            assert rational.coordinates(v) == loop_mat_vec(rational.basis_inverse(), v)
+            assert self.of_type(RationalFunction, [rational.coordinates(v)])
+            v[rng.randrange(dim)] += T
+            assert linalg.mat_vec(ext.basis, v) == loop_mat_vec(ext.basis, v)
+            rows = [ext.coordinates(v)]
+            work = [list(r) for r in rows]
+            assert (spaces_module._eliminate(K, ext.weights, rows)
+                    == _eliminate_field(K, ext.weights, work))
+            assert rows == work
 
 
 class TestQuotient:
