@@ -3,11 +3,11 @@
 A metric is induced by a normed space on the degree-1 sections: at each
 rational point the fiber carries the quotient norm.  Pointwise values
 come from an exact closed formula; sup norms are weighted Gauss norms
-after an exact change of variables into the orthogonal basis (_change_frame;
-rational Gauss spaces take _SymPowers, in integers).  The sigma and mu
-diagnostics compare those against the quotient metric, whose fibre norm is
-1 / max_i |e_i(x)| / w_i over an orthogonal basis, on the monomials at x that
-the metric steps up one degree at a time; elimination is the test oracle.
+after an exact change of variables into the orthogonal basis: Sym^n of the
+frame's forms in integers (_SymPowers; a frame with T in it is refused).  The
+sigma and mu diagnostics compare those against the quotient metric, whose fibre
+norm is 1 / max_i |e_i(x)| / w_i over an orthogonal basis, on the monomials at
+x that the metric steps up one degree at a time; elimination is the test oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Dict, List, Optional, Sequence
 
@@ -41,16 +41,13 @@ class QuotientMetric:
 
     def __post_init__(self):
         self._frame = _linear_forms(self.field, linalg.transpose(self.base.basis))
+        frame = _SymPowers(self._frame, self.base.weights)  # refuses T in the frame
         # x = (B^T)^{-1} u; inverting here also rejects a singular basis
-        self._subst = _linear_forms(
-            self.field, linalg.transpose(self.base.basis_inverse()))
+        self._subst = _linear_forms(self.field, linalg.transpose(self.base.basis_inverse()))
         self._gauss_cache: Dict[int, NormedSpace] = {}
         self._frame_values: Dict[tuple, Magnitude] = {}
         self._rows: Dict[tuple, tuple] = {}  # point -> (a, D, n, degree-n row of a)
-        # Sym^n in integers of the weighted frame and the substitution; not in Q(T)
-        self._sym = None if self.field.kind == "laurent" else (
-            _SymPowers(self._frame, self.base.weights),
-            _SymPowers(self._subst, [self.field.one_magnitude()] * self.num_vars))
+        self._sym = frame, _SymPowers(self._subst, [self.field.one_magnitude()] * self.num_vars)
 
     @property
     def field(self) -> ValuedField:
@@ -78,7 +75,7 @@ class QuotientMetric:
     def to_frame_coordinates(self, s: Section) -> Section:
         """Rewrite s as a polynomial in the frame linear forms: returns a
         section whose variables are the frame coordinates u_i."""
-        return _change_frame(self._subst, [s])[0]
+        return _change_frame(self._subst, s)
 
     # -- pointwise metric ---------------------------------------------------
 
@@ -94,17 +91,18 @@ class QuotientMetric:
         if pt not in self._frame_values:
             if all(map(_is_zero, pt)):
                 raise PreconditionError("zero vector is not a projective point")
-            row = linalg._integer_row(pt) if linalg._is_rational(pt) else (pt,)
+            row = (pt,) if (c := linalg._constants(pt)) is None else linalg._integer_row(c)
             self._frame_values[pt] = _dual_norm(self.base, *row)
         return self._frame_values[pt]
 
     def _evaluation_row(self, n: int, point: Sequence) -> tuple:
-        """The degree-n monomials at x = a / D as (integers, D^n), stepped up from
-        the last degree kept for x; a lower one restarts.  Q(T): (evaluation_row,)."""
+        """The degree-n monomials at x = a / D as (integers, D^n), stepped up from the
+        last degree kept for x; a lower one restarts.  T in x: (evaluation_row,)."""
         pt = tuple(point)
-        if not linalg._is_rational(pt):
+        values = linalg._constants(pt)
+        if values is None:
             return evaluation_row(self.field, self.m, n, pt),
-        a, d, k, row = self._rows.get(pt) or (*linalg._integer_row(pt), 0, [1])
+        a, d, k, row = self._rows.get(pt) or (*linalg._integer_row(values), 0, [1])
         k, row = (k, row) if k <= n else (0, [1])
         for k in range(k, n):
             row = step_row(row, a, k)
@@ -145,14 +143,13 @@ class QuotientMetric:
         if Y.kind == "points":
             vals = [self.point_metric(s, pt) for pt in Y.points]
             return magnitude_max(vals) if vals else self.field.zero_magnitude()
-        forms = Y.linear_forms
-        nv = self.num_vars
+        forms, nv = Y.linear_forms, self.num_vars
         # complete the forms (as vectors in the degree-1 space) to a flag
         std = linalg.identity(nv, self.field.one(), self.field.zero())
         flag = forms + [std[j] for j in linalg.extend_basis(forms, std, nv)]
         g, norms, _ = orthogonalize_flag(self.base, flag)
         # rewrite s in the g-coordinates: x = (G^T)^{-1} u, G^T has rows g_j
-        u = _change_frame(_linear_forms(self.field, linalg.invert(g)), [s])[0]
+        u = _change_frame(_linear_forms(self.field, linalg.invert(g)), s)
         # on Y the first k frame coordinates vanish; Gauss norm of the rest
         return _gauss_norm(self.field, u, norms, vanishing=len(forms))
 
@@ -160,25 +157,17 @@ class QuotientMetric:
 class _GaussSpace(NormedSpace):
     """The degree-n sup norm of a QuotientMetric (see gauss_space).
 
-    The basis inverse is Sym^n of the frame inverse: column k is x^{e_k}
-    rewritten in the frame coordinates.  Outside Q(T) both are integer
-    ``_SymPowers`` columns, made Fractions only when read (sigma never does).
+    The basis is Sym^n of the frame, its inverse Sym^n of the frame inverse
+    (column k is x^{e_k} in the frame coordinates): integer ``_SymPowers``
+    columns, made Fractions (constants of Q(T) over a Laurent field) only
+    when read; sigma never does.
     """
 
     def __init__(self, metric: QuotientMetric, n: int):
-        field, exps, self._n = metric.field, monomial_basis(metric.m, n), n
-        self.field, self._inverse, self._columns = field, None, None
-        if metric._sym is None:
-            self._subst, coeff, one = metric.substitution(), field.one(), field.one_magnitude()
-            self._monomials = [Section._trusted(field, metric.num_vars, n, {e: coeff})
-                               for e in exps]
-            cols = [f.to_vector() for f in _change_frame(metric.frame_forms(), self._monomials)]
-            ints, self.weights = None, [reduce(mul, map(pow, metric.base.weights, e), one)
-                                        for e in exps]
-        else:
-            (frame, self._subst), self._monomials, cols = metric._sym, None, None
-            ints, self.weights = frame.columns(n)
-        self._basis, self._integer = cols and linalg.transpose(cols), {"columns": ints}
+        (frame, self._subst), self.field, self._n = metric._sym, metric.field, n
+        self._basis, self._inverse, self._columns = None, None, None
+        ints, self.weights = frame.columns(n)
+        self._integer = {"columns": ints}
 
     @property
     def basis(self) -> List[list]:
@@ -188,28 +177,31 @@ class _GaussSpace(NormedSpace):
 
     def basis_inverse(self) -> List[list]:
         if self._inverse is None:
-            self._inverse = linalg.transpose(
-                self._fractions(self._subst.columns(self._n)[0]) if self._monomials is None
-                else [u.to_vector() for u in _change_frame(self._subst, self._monomials)])
+            self._inverse = linalg.transpose(self._fractions(self._subst.columns(self._n)[0]))
         return self._inverse
 
     def _fractions(self, columns: List[tuple]) -> List[list]:
-        """Integer columns (integers, d) in Fractions, with one zero object."""
-        zero = self.field.zero()
-        return [[Fraction(v, d) if v else zero for v in c] for c, d in columns]
+        """Integer columns (integers, d) as Fractions, one zero object; Q(T): lifted."""
+        zero = Fraction(0)
+        out = [[Fraction(v, d) if v else zero for v in c] for c, d in columns]
+        return list(map(linalg._lift, out)) if self.field.kind == "laurent" else out
 
     def _inverse_form(self, basis: List[list]) -> List[tuple]:
         return list(map(linalg._integer_row, linalg._constant_matrix(self.basis_inverse())))
 
 
 class _SymPowers:
-    """Sym^n of rational linear forms f_j = F_j / d_j with weights w_j: column
-    e = prod_j f_j^e_j = P_e / D_e (D_e coprime to the content of P_e) is column
-    e - delta_j of degree n - 1 times f_j (weight times w_j), first j with e_j > 0:
-    ``step_row`` blocks.  Keeps the last degree; holds no metric (no cycle)."""
+    """Sym^n of linear forms f_j = F_j / d_j (rationals or constants of Q(T)) with
+    weights w_j: column e = prod_j f_j^e_j = P_e / D_e (D_e coprime to the content
+    of P_e) is column e - delta_j of degree n - 1 times f_j (weight times w_j),
+    first j with e_j > 0: ``step_row`` blocks.  Keeps the last degree."""
 
     def __init__(self, forms: Sequence[Section], weights: Sequence[Magnitude]):
-        self._factors = [(*_integer_coeffs(f.coeffs), w) for f, w in zip(forms, weights)]
+        values = [linalg._constants(list(f.coeffs.values())) for f in forms]
+        if None in values:
+            raise PreconditionError("frame entries must be rationals or constants of Q(T)")
+        self._factors = [(*_integer_coeffs(dict(zip(f.coeffs, v))), w)
+                         for f, v, w in zip(forms, values, weights)]
         origin = (0,) * len(forms)
         self._start = self._last = 0, [({origin: 1}, 1, Magnitude.one(weights[0].rho))]
 
@@ -250,70 +242,18 @@ def _linear_forms(field: ValuedField, rows: Sequence[Sequence]) -> List[Section]
             for row in rows]
 
 
-def _change_frame(forms: Sequence[Section], sections: Sequence[Section]) -> List[Section]:
-    """Each section with its variable x_j replaced by the degree-1 form
-    forms[j]; the powers of the forms are computed once for all sections.
-
-    Rational input runs fraction-free: form j is F_j / d_j with F_j an
-    integer form (d_j the lcm of its denominators), the powers F_j^k are
-    integer polynomials over d_j^k, and each section is summed over one
-    common denominator, so each output coefficient builds one Fraction.
-    Other coefficients (elements of Q(T)) take Section products.
-    """
-    if not all(linalg._is_rational(s.coeffs.values()) for s in (*forms, *sections)):
-        return _change_frame_products(forms, sections)
-    field, nv = forms[0].field, len(forms)
-    scaled, dens = zip(*(_integer_coeffs(f.coeffs) for f in forms))
-    powers: List[List[Dict[tuple, int]]] = [[{(0,) * nv: 1}] for _ in range(nv)]
-    out = []
-    for s in sections:
-        terms = []  # (exponent, numerator, denominator of c_e / prod_j d_j^e_j)
-        for e, c in s.coeffs.items():
-            den = c.denominator
-            for d, k in zip(dens, e):
-                if k:
-                    den *= d ** k
-            terms.append((e, c.numerator, den))
-        common = lcm(*(den for _, _, den in terms))
-        acc: Dict[tuple, int] = {}
-        for e, num, den in terms:
-            poly = None
-            for j, k in enumerate(e):
-                if not k:
-                    continue
-                while len(powers[j]) <= k:
-                    powers[j].append(_polynomial_product(powers[j][-1], scaled[j]))
-                poly = (powers[j][k] if poly is None
-                        else _polynomial_product(poly, powers[j][k]))
-            if poly is None:  # degree 0
-                poly = powers[0][0]
-            f = num * (common // den)
-            for mono, v in poly.items():
-                acc[mono] = acc.get(mono, 0) + f * v
-        out.append(Section._trusted(
-            field, nv, s.degree, {e: Fraction(v, common) for e, v in acc.items() if v}))
-    return out
-
-
-def _change_frame_products(forms: Sequence[Section],
-                           sections: Sequence[Section]) -> List[Section]:
-    """``_change_frame`` by Section products, for any coefficient field."""
-    field, nv = forms[0].field, len(forms)
-    one = Section.monomial(field, (0,) * nv)
-    powers: List[List[Section]] = [[one] for _ in range(nv)]
-    out = []
-    for s in sections:
-        total = Section.zero(field, nv, s.degree)
-        for e, c in s.coeffs.items():
-            term = one.scale(c)
-            for j, k in enumerate(e):
-                while len(powers[j]) <= k:
-                    powers[j].append(powers[j][-1] * forms[j])
-                if k:
-                    term = term * powers[j][k]
-            total = total + term
-        out.append(total)
-    return out
+def _change_frame(forms: Sequence[Section], s: Section) -> Section:
+    """s with x_j replaced by the form forms[j]: the integer matrix of the
+    ``_SymPowers`` columns P_e / D_e of degree deg(s), times the vector of s's
+    coefficients c_e / D_e (``linalg.mat_vec``, which keeps their type)."""
+    if s.num_vars != len(forms):
+        raise PreconditionError("section/metric dimension mismatch")
+    one, nv = forms[0].field.one_magnitude(), len(forms)
+    cols, _ = _SymPowers(forms, [one] * nv).columns(s.degree)
+    exps = monomial_basis(nv - 1, s.degree)
+    w = [s.coeffs.get(e, 0) / Fraction(D) for e, (_, D) in zip(exps, cols)]
+    vec = linalg.mat_vec(linalg.transpose([P for P, _ in cols]), w)
+    return Section._trusted(s.field, nv, s.degree, dict(zip(exps, vec)))
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,7 @@ import pytest
 from ultranorm import (LaurentRationals, NormedSpace, PadicRationals,
                        PreconditionError, TrivialRationals, linalg)
 from ultranorm.metrics import (MetricFamily, QuotientMetric, _change_frame, _GaussSpace,
-                               _change_frame_products, _dual_norm,
-                               gauss_attainment_point,
+                               _dual_norm, gauss_attainment_point,
                                metric_gap, mu_estimate, quotient_fiber_norm,
                                sigma)
 from ultranorm.fields import Magnitude, RationalFunction, magnitude_max
@@ -68,6 +67,27 @@ def random_point(rng, nv):
 FIELDS = [PadicRationals(2), PadicRationals(3), TrivialRationals()]
 
 
+def _change_frame_products(forms, sections):
+    """Each section with x_j replaced by forms[j], by Section products over
+    any coefficient field: the oracle for the ``_SymPowers`` change of frame."""
+    field, nv = forms[0].field, len(forms)
+    one = Section.monomial(field, (0,) * nv)
+    powers = [[one] for _ in range(nv)]
+    out = []
+    for s in sections:
+        total = Section.zero(field, nv, s.degree)
+        for e, c in s.coeffs.items():
+            term = one.scale(c)
+            for j, k in enumerate(e):
+                while len(powers[j]) <= k:
+                    powers[j].append(powers[j][-1] * forms[j])
+                if k:
+                    term = term * powers[j][k]
+            total = total + term
+        out.append(total)
+    return out
+
+
 class TestPointMetric:
     def test_frozen_p1_values(self):
         Q2 = PadicRationals(2)
@@ -102,8 +122,8 @@ class TestPointMetric:
 
 
 class TestChangeFrame:
-    """The fraction-free change of frame against the Section-product loop
-    it replaced, which still serves coefficients in Q(T)."""
+    """The change of frame through ``_SymPowers`` against the Section-product
+    loop it replaced."""
 
     @staticmethod
     def random_form(rng, field, nv, big):
@@ -131,21 +151,34 @@ class TestChangeFrame:
                     e: F(rng.randint(-4, 4), rng.randint(1, 9))
                     for e in rng.sample(exps, min(len(exps), 4))}))
                 sections += [Section.monomial(Q3, e) for e in exps]
-            got = _change_frame(forms, sections)
+            got = [_change_frame(forms, s) for s in sections]
             assert got == _change_frame_products(forms, sections)
             assert all(s.degree == t.degree for s, t in zip(got, sections))
 
     def test_laurent_constants_match_rationals(self):
         # a Laurent-field config keeps rational frames but lifts section
-        # coefficients to Q(T): those take the product loop
+        # coefficients to Q(T): those come back as constants of Q(T)
         K = LaurentRationals(3)
         rng = random.Random("change-frame/laurent")
         forms = [self.random_form(rng, K, 2, False) for _ in range(2)]
         rational = Section(K, 2, 2, {(2, 0): F(1, 2), (1, 1): F(-3), (0, 2): F(5, 7)})
         lifted = Section(K, 2, 2, {e: K.element(c) for e, c in rational.coeffs.items()})
-        want = _change_frame(forms, [rational])[0]
-        got = _change_frame(forms, [lifted])[0]
+        want = _change_frame(forms, rational)
+        got = _change_frame(forms, lifted)
         assert {e: c.constant_value() for e, c in got.coeffs.items()} == want.coeffs
+        assert got == _change_frame_products(forms, [lifted])[0]
+
+    @pytest.mark.parametrize("nv", [1, 3])
+    def test_wrong_arity_sections_are_refused(self, nv):
+        # refused, not read as Magnitude(1), an IndexError or a 2-variable rewrite
+        Q2 = PadicRationals(2)
+        h = QuotientMetric(random_space(random.Random("arity"), Q2, 2))
+        s = Section.monomial(Q2, (1,) + (0,) * (nv - 1))
+        Y = Subvariety(Q2, 2, linear_forms=[[F(1), F(2)]])
+        for call in (h.to_frame_coordinates, h.sup_norm,
+                     lambda s: h.restricted_sup_norm(s, Y)):
+            with pytest.raises(PreconditionError, match="section/metric dimension mismatch"):
+                call(s)
 
 
 class TestGaussNorm:
@@ -587,21 +620,21 @@ class TestGaussSpaceInverse:
 
 
 def change_frame_space(h, n):
-    """The degree-n Gauss space as ``_change_frame`` builds it: the
-    monomials rewritten in the frame (the columns) and in the substitution
-    (the inverse's columns), with weights as products of powers -- the
-    oracle for ``_SymPowers``."""
+    """The degree-n Gauss space by Section products: the monomials
+    rewritten in the frame (the columns) and in the substitution (the
+    inverse's columns), with weights as products of powers -- the oracle
+    for ``_SymPowers``."""
     field, exps = h.field, monomial_basis(h.m, n)
     monomials = [Section.monomial(field, e) for e in exps]
-    cols = [f.to_vector() for f in _change_frame(h.frame_forms(), monomials)]
-    inverse = [u.to_vector() for u in _change_frame(h.substitution(), monomials)]
+    cols = [f.to_vector() for f in _change_frame_products(h.frame_forms(), monomials)]
+    inverse = [u.to_vector() for u in _change_frame_products(h.substitution(), monomials)]
     one = field.one_magnitude()
     weights = [reduce(mul, map(pow, h.base.weights, e), one) for e in exps]
     return cols, linalg.transpose(inverse), weights
 
 
 class TestGaussSpaceOracle:
-    """Sym^n in integers, built from degree n - 1, against ``_change_frame``."""
+    """Sym^n in integers, built from degree n - 1, against Section products."""
 
     @staticmethod
     def check(N, h, n):
@@ -689,21 +722,37 @@ class TestGaussSpaceOracle:
                 assert (N._basis, N._columns, N._inverse) == (None, None, None)
 
     @pytest.mark.parametrize("lifted", [False, True], ids=["rational", "lifted"])
-    def test_laurent_field_keeps_change_frame(self, lifted):
-        # a Laurent field's Gauss basis lives in Q(T), even over a rational frame
+    def test_laurent_field_takes_sym_powers(self, lifted):
+        # a Laurent field's Gauss basis lives in Q(T), even over a rational
+        # frame, and comes from the integer columns of its constants
         K = LaurentRationals(3)
         rng = random.Random(f"sym-laurent/{lifted}")
         base = random_space(rng, K, 3)
         basis = lift_constant(base.basis) if lifted else base.basis
         h = QuotientMetric(NormedSpace(K, basis, base.weights))
-        assert h._sym is None
         for n in (0, 1, 3):
             N = h.gauss_space(n)
             cols, inverse, weights = change_frame_space(h, n)
             assert N.columns() == cols and N.weights == weights
             assert N.basis_inverse() == inverse
-            assert N.integer_columns() is None
+            assert N.integer_columns() == [linalg._integer_row(linalg._constants(c))
+                                           for c in cols]
             assert all(isinstance(x, RationalFunction) for col in N.columns() for x in col)
+
+    def test_non_constant_laurent_frame_is_refused(self):
+        K = LaurentRationals(5)
+        T, one, zero = K.uniformizer(), K.one(), K.zero()
+        with pytest.raises(PreconditionError, match="constants of Q"):
+            QuotientMetric(NormedSpace(K, [[one, T], [zero, one + T]],
+                                       [K.one_magnitude()] * 2))
+        # a frame of constants of Q(T), with wide denominators, builds
+        base = wide_space(random.Random("sym-laurent/constant-frame"), K, 3)
+        h = QuotientMetric(NormedSpace(K, lift_constant(base.basis), base.weights))
+        for n in range(5):
+            N = h.gauss_space(n)
+            cols, inverse, weights = change_frame_space(h, n)
+            assert N.columns() == cols and N.weights == weights
+            assert N.basis_inverse() == inverse
 
 
 class TestMuEstimate:
