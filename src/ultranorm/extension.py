@@ -114,12 +114,11 @@ def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, 
     """
     field = P.field
     a = P._frame_power_of_l(n).to_vector()
-    # the monomials at x~_i as w / d kept by the metric; (field row,) if T is in x~_i
+    # the monomials at x~_i as w / d kept by the metric
     rows = [P.metric._evaluation_row(n, pt) for pt in P.Y.points]
     # k points can impose fewer than k conditions (k > dim at low degree)
     kept = linalg.extend_basis([], [r[0] for r in rows], N.dim)  # d moves no rank
-    psi = [linalg._mat_vec_integer(N.integer_columns(), *rows[i]) if len(rows[i]) == 2
-           else linalg.mat_vec(N.columns(), rows[i][0]) for i in kept]
+    psi = [linalg._mat_vec_integer(N.integer_columns(), *rows[i]) for i in kept]
     dual_weights = [field.one_magnitude() / w for w in N.weights]
     pivots, norms = _eliminate(field, dual_weights, psi)
     targets = linalg.mat_vec(psi, a)

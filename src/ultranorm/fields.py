@@ -22,6 +22,10 @@ from typing import Iterable, Optional, Union
 _Q0, _Q1 = Fraction(0), Fraction(1)  # shared, as Fractions are immutable
 
 
+class PreconditionError(ValueError):
+    """A mathematical precondition of an operation was violated."""
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -662,7 +666,10 @@ def choose_laurent_base(values) -> int:
     rationals is a nontrivial power-relation partner of P.
 
     A ratio r != 1 rules P out exactly when r = +-P^(a/b) for integers
-    a, b, i.e. when the prime support of r is {P}.
+    a, b, i.e. when the prime support of r is {P}: when |num(r) den(r)| is
+    a power of P.  So each ratio rules out at most one prime, and the walk
+    over P = 2, 3, 5, ... strips each candidate from each ratio (``_vp``)
+    without factoring any of them.
     """
     vals = []
     for v in values:
@@ -675,18 +682,9 @@ def choose_laurent_base(values) -> int:
         if v <= 0:
             raise ValueError("norm values must be positive")
         vals.append(v)
-    excluded: set[int] = set()
-    for i in range(len(vals)):
-        for j in range(len(vals)):
-            if i == j:
-                continue
-            r = vals[i] / vals[j]
-            if r == 1:
-                continue
-            support = _prime_support(r)
-            if len(support) == 1:
-                excluded.add(next(iter(support)))
+    products = {abs(r.numerator * r.denominator) for r in (a / b for a in vals for b in vals)}
+    products.discard(1)
     P = 2
-    while P in excluded or not _is_prime(P):
+    while not _is_prime(P) or any(x % P == 0 and P ** _vp(x, P) == x for x in products):
         P += 1
     return P

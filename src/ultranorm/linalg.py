@@ -2,11 +2,11 @@
 
 Two layers:
 
-* generic Gaussian elimination over any exact field whose elements
-  support +, -, *, /, == 0 (Fractions or RationalFunctions here), and
-  fraction-free kernels for rational input; ``mat_vec`` also sends
-  constants of Q(T) to its integer kernel and hands constants back, so
-  only non-constant RationalFunctions take the field loop, and
+* fraction-free kernels for rational matrices (``mat_vec``, ``rref``,
+  ``rank`` and what is built on them); constants of Q(T) are unwrapped
+  into the same kernels (``_constant_matrix``) and handed back as
+  constants of Q(T), and a non-constant element of Q(T) is refused
+  (``PreconditionError``), and
 * integer routines (column Hermite normal form, kernels, intersections,
   Smith normal form, the adjugate and determinant of a square matrix) used
   by the lattice and adelic code and by the inverse of a rational basis.
@@ -17,18 +17,13 @@ Matrices are lists of rows throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 from typing import List, Optional, Sequence
 
-from .fields import RationalFunction, _constant_value, _is_zero
+from .fields import PreconditionError, RationalFunction, _constant_value, _is_zero
 
 Matrix = List[list]
-
-
-def mat_copy(m: Sequence[Sequence]) -> Matrix:
-    return [list(row) for row in m]
 
 
 def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
@@ -38,10 +33,8 @@ def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
     """a v; rational input (ints and Fractions) comes back as Fractions,
     input of rationals and constants of Q(T) as constants of Q(T), both
-    from the integer kernel.  Any other entry takes the field loop."""
+    from the integer kernel."""
     rows, w = _constant_matrix(a), _constants(v)  # a and v themselves when rational
-    if rows is None or w is None:
-        return [reduce(add, map(mul, row, v)) for row in a]
     out = _mat_vec_integer(map(_integer_row, rows), *_integer_row(w))
     return out if rows is a and w is v else _lift(out)
 
@@ -57,22 +50,22 @@ def _is_rational(values) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in values)
 
 
-def _constants(values: Sequence) -> Optional[Sequence]:
-    """values itself when rational, as Fractions when each is a rational or
-    a constant of Q(T) (``fields._constant_value``), else None."""
+def _constants(values: Sequence) -> Sequence:
+    """values itself when rational, else as Fractions when each is a
+    rational or a constant of Q(T) (``fields._constant_value``); any other
+    value is refused."""
     if _is_rational(values):
         return values
     out = list(map(_constant_value, values))
-    return None if any(x is None for x in out) else out
+    if any(x is None for x in out):
+        raise PreconditionError("only rationals and constants of Q(T) are supported, "
+                                "not a non-constant element of Q(T)")
+    return out
 
 
-def _constant_matrix(m: Sequence[Sequence]) -> Optional[Matrix]:
-    """m itself when rational, else its rows as ``_constants``, or None if
-    an entry is neither a rational nor a constant of Q(T)."""
-    if all(map(_is_rational, m)):
-        return m
-    rows = list(map(_constants, m))
-    return None if any(row is None for row in rows) else rows
+def _constant_matrix(m: Sequence[Sequence]) -> Matrix:
+    """m itself when rational, else its rows as ``_constants``."""
+    return m if all(map(_is_rational, m)) else list(map(_constants, m))
 
 
 def _lift(values: Sequence[Fraction]) -> list:
@@ -101,44 +94,17 @@ def transpose(a: Sequence[Sequence]) -> Matrix:
 
 def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form; returns (rref matrix, pivot columns).
-    Rational matrices (ints and Fractions) come back as Fractions."""
-    if all(map(_is_rational, m)):
-        return _rref_integer(m)
-    return _rref_field(m)
-
-
-def _rref_field(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Gauss-Jordan elimination over any exact field."""
-    a = mat_copy(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if not _is_zero(a[i][c]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(rows):
-            if i != r and not _is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+    Rational matrices (ints and Fractions) come back as Fractions, those
+    with a constant of Q(T) as constants of Q(T)."""
+    rows = _constant_matrix(m)
+    red, pivots = _rref_integer(rows)
+    return (red if rows is m else list(map(_lift, red))), pivots
 
 
 def _rref_integer(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """``_rref_field`` fraction-free: ``_bareiss`` on the rows scaled to
-    integers, each row divided by its pivot only at the end."""
+    """Gauss-Jordan elimination of a rational matrix, fraction-free:
+    ``_bareiss`` on the rows scaled to integers, each row divided by its
+    pivot only at the end."""
     a = [_integer_row(row)[0] for row in m]
     pivots = _bareiss(a)
     zero = Fraction(0)
@@ -150,8 +116,8 @@ def _rref_integer(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 def _bareiss(a: List[list[int]]) -> list[int]:
     """Gauss-Jordan elimination of integer rows in place, fraction-free
     (Bareiss, Math. Comp. 22, 1968); returns the pivot columns.  Each row
-    is kept a primitive integer multiple of its ``_rref_field`` row, so
-    pivots and swaps agree."""
+    is kept a primitive integer multiple of its row in the Gauss-Jordan
+    elimination over Q, so pivots and swaps agree."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
@@ -187,20 +153,19 @@ def _one(m: Sequence[Sequence]):
 
 
 def rank(m: Sequence[Sequence]) -> int:
-    """The rank; rational matrices take ``_bareiss`` and build no Fraction."""
-    if all(map(_is_rational, m)):
-        return len(_bareiss([_integer_row(row)[0] for row in m]))
-    return len(_rref_field(m)[1])
+    """The rank, by ``_bareiss``; it builds no Fraction."""
+    return len(_bareiss([_integer_row(row)[0] for row in _constant_matrix(m)]))
 
 
 def extend_basis(base: Sequence[Sequence], candidates: Sequence[Sequence],
                  size: int) -> List[int]:
     """Greedy basis completion: the indices of the candidates, scanned in
     order, that raise the rank of the independent rows ``base`` plus those
-    kept so far, until ``size`` rows are kept in all."""
-    rows = list(base)
+    kept so far, until ``size`` rows are kept in all.  Constants of Q(T)
+    are unwrapped once, not at every ``rank``."""
+    rows = list(_constant_matrix(base))
     kept: List[int] = []
-    for i, v in enumerate(candidates):
+    for i, v in enumerate(_constant_matrix(candidates)):
         if len(rows) >= size:
             break
         if rank(rows + [v]) > len(rows):

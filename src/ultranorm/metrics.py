@@ -4,10 +4,12 @@ A metric is induced by a normed space on the degree-1 sections: at each
 rational point the fiber carries the quotient norm.  Pointwise values
 come from an exact closed formula; sup norms are weighted Gauss norms
 after an exact change of variables into the orthogonal basis: Sym^n of the
-frame's forms in integers (_SymPowers; a frame with T in it is refused).  The
-sigma and mu diagnostics compare those against the quotient metric, whose fibre
-norm is 1 / max_i |e_i(x)| / w_i over an orthogonal basis, on the monomials at
-x that the metric steps up one degree at a time; elimination is the test oracle.
+frame's forms in integers (_SymPowers).  The sigma and mu diagnostics compare
+those against the quotient metric, whose fibre norm is 1 / max_i |e_i(x)| / w_i
+over an orthogonal basis, on the monomials at x that the metric steps up one
+degree at a time; elimination is the test oracle.  Over Q(T) every frame entry
+and point coordinate is a constant, read as its rational value by the same
+integer kernels; a non-constant one is refused (``PreconditionError``).
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from . import linalg
 from .fields import (Magnitude, ValuedField, _fekete_running_min, _is_zero, _vp,
                      magnitude_max)
 from .sections import (Section, Subvariety, _integer_coeffs, _polynomial_product,
-                       evaluation_row, integer_evaluation_row, monomial_basis,
-                       normalize_point, step_row)
+                       integer_evaluation_row, monomial_basis, normalize_point,
+                       step_row)
 from .spaces import NormedSpace, PreconditionError, orthogonalize_flag
 
 
@@ -41,7 +43,7 @@ class QuotientMetric:
 
     def __post_init__(self):
         self._frame = _linear_forms(self.field, linalg.transpose(self.base.basis))
-        frame = _SymPowers(self._frame, self.base.weights)  # refuses T in the frame
+        frame = _SymPowers(self._frame, self.base.weights)
         # x = (B^T)^{-1} u; inverting here also rejects a singular basis
         self._subst = _linear_forms(self.field, linalg.transpose(self.base.basis_inverse()))
         self._gauss_cache: Dict[int, NormedSpace] = {}
@@ -91,18 +93,16 @@ class QuotientMetric:
         if pt not in self._frame_values:
             if all(map(_is_zero, pt)):
                 raise PreconditionError("zero vector is not a projective point")
-            row = (pt,) if (c := linalg._constants(pt)) is None else linalg._integer_row(c)
+            row = linalg._integer_row(linalg._constants(pt))
             self._frame_values[pt] = _dual_norm(self.base, *row)
         return self._frame_values[pt]
 
     def _evaluation_row(self, n: int, point: Sequence) -> tuple:
         """The degree-n monomials at x = a / D as (integers, D^n), stepped up from the
-        last degree kept for x; a lower one restarts.  T in x: (evaluation_row,)."""
+        last degree kept for x; a lower one restarts."""
         pt = tuple(point)
-        values = linalg._constants(pt)
-        if values is None:
-            return evaluation_row(self.field, self.m, n, pt),
-        a, d, k, row = self._rows.get(pt) or (*linalg._integer_row(values), 0, [1])
+        a, d, k, row = (self._rows.get(pt)
+                        or (*linalg._integer_row(linalg._constants(pt)), 0, [1]))
         k, row = (k, row) if k <= n else (0, [1])
         for k in range(k, n):
             row = step_row(row, a, k)
@@ -198,8 +198,6 @@ class _SymPowers:
 
     def __init__(self, forms: Sequence[Section], weights: Sequence[Magnitude]):
         values = [linalg._constants(list(f.coeffs.values())) for f in forms]
-        if None in values:
-            raise PreconditionError("frame entries must be rationals or constants of Q(T)")
         self._factors = [(*_integer_coeffs(dict(zip(f.coeffs, v))), w)
                          for f, v, w in zip(forms, values, weights)]
         origin = (0,) * len(forms)
@@ -261,28 +259,25 @@ def _change_frame(forms: Sequence[Section], s: Section) -> Section:
 # ----------------------------------------------------------------------
 
 
-def _dual_norm(N: NormedSpace, w: Sequence, d_w: Optional[int] = None) -> Magnitude:
+def _dual_norm(N: NormedSpace, w: Sequence, d_w: int = 1) -> Magnitude:
     """max_i |e_i(x)| / w_i, with e_i(x) basis column i of N applied to
-    the row w / d_w: the dual norm of that functional, as one Magnitude.
+    the rational row w / d_w: the dual norm of that functional, as one
+    Magnitude.
 
     With column i = ints_i / d_i (``N.integer_columns()``) and
     w_i = q_i rho^n_i, a nonzero s_i = ints_i . w gives the value
     (1/q_i) rho^e_i, e_i = v_p(s_i) - v_p(d_i) - n_i (0 on a trivial
-    field).  Values compare by one integer cross-multiplication with one
-    power of p (``Magnitude._cross``); the winner is shifted by v_p(d_w).  A
-    w without d_w is scanned: integers, or a Q(T) row (``mat_vec``, T-orders).
+    field or Q(T), where every nonzero rational has |c| = 1).  Values
+    compare by one integer cross-multiplication with one power of p
+    (``Magnitude._cross``); the winner is shifted by v_p(d_w).
     """
     field, cols = N.field, N.integer_columns()
     P, p = field.prime or 1, field.prime if field.kind == "padic" else None
     if "dual" not in N._integer:  # (v_p(d_i) + n_i, q_i) per column; d_i is p-adic only
         N._integer["dual"] = [(wt.n + (_vp(cols[i][1], p) if p else 0), wt.q.numerator,
                                wt.q.denominator) for i, wt in enumerate(N.weights)]
-    if cols is not None and (d_w is not None or linalg._is_rational(w)):
-        sums = (sum(map(mul, ints, w)) for ints, _ in cols)
-        pairs = ((_vp(s, p) if p else 0, c) for s, c in zip(sums, N._integer["dual"]) if s)
-    else:
-        values = linalg.mat_vec(N.columns(), w)
-        pairs = ((v.order(), c) for v, c in zip(values, N._integer["dual"]) if not v.is_zero)
+    sums = (sum(map(mul, ints, w)) for ints, _ in cols)
+    pairs = ((_vp(s, p) if p else 0, c) for s, c in zip(sums, N._integer["dual"]) if s)
     best = None
     for v, (k, a, b) in pairs:
         e = v - k  # (b/a) rho^e beats (B/A) rho^E exactly when A b P^E > a B P^e
@@ -291,7 +286,7 @@ def _dual_norm(N: NormedSpace, w: Sequence, d_w: Optional[int] = None) -> Magnit
             best = e, a, b
     if best is None:
         raise PreconditionError("evaluation functional vanishes identically")
-    shift = _vp(d_w, p) if p and d_w else 0
+    shift = _vp(d_w, p) if p else 0
     return Magnitude._normalized(field.rho, Fraction(best[2], best[1]), best[0] - shift)
 
 
@@ -309,7 +304,7 @@ def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
     columns of N (``_dual_norm``), never from products of frame values,
     which would make sigma = 1 by construction.
     """
-    row = row or integer_evaluation_row(n, point) or (evaluation_row(field, m, n, point),)
+    row = row or integer_evaluation_row(n, point)
     return field.one_magnitude() / _dual_norm(N, *row)
 
 

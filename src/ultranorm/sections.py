@@ -261,20 +261,18 @@ class Subvariety:
 
 def evaluation_row(field: ValuedField, m: int, n: int, point: Sequence) -> list:
     """The degree-n monomials of monomial_basis(m, n) evaluated at point;
-    one Fraction per monomial at a rational point, field products in Q(T)."""
-    scaled = integer_evaluation_row(n, point)
-    if scaled is None:
-        return _evaluation_row_products(field, m, n, point)
-    return [Fraction(v, scaled[1]) for v in scaled[0]]
+    one Fraction per monomial, a constant of Q(T) at a point of such."""
+    values = linalg._constants(point)
+    ints, d = integer_evaluation_row(n, values)
+    row = [Fraction(v, d) for v in ints]
+    return row if values is point else linalg._lift(row)
 
 
-def integer_evaluation_row(n: int, point: Sequence) -> Optional[tuple[list, int]]:
-    """The degree-n monomials at a rational point x = a / D (D the lcm of
-    its denominators) as (a^e for each e in monomial_basis, D^n), stepped up
-    from degree 0 (``step_row``); None when a coordinate is not rational."""
-    if not linalg._is_rational(point):
-        return None
-    a, den = linalg._integer_row(point)
+def integer_evaluation_row(n: int, point: Sequence) -> tuple[list, int]:
+    """The degree-n monomials at a point x = a / D of rationals or constants
+    of Q(T) (D the lcm of its denominators) as (a^e for each e in
+    monomial_basis, D^n), stepped up from degree 0 (``step_row``)."""
+    a, den = linalg._integer_row(linalg._constants(point))
     row = [1]
     for k in range(n):
         row = step_row(row, a, k)
@@ -287,12 +285,6 @@ def step_row(row: list, a: Sequence, n: int, times=mul) -> list:
     monomials free of x_0..x_{j-1}; one ``times`` per monomial, no index map."""
     m = len(a) - 1
     return [times(x, v) for j, x in enumerate(a) for v in row[-comb(n + m - j, m - j):]]
-
-
-def _evaluation_row_products(field: ValuedField, m: int, n: int,
-                             point: Sequence) -> list:
-    """``evaluation_row`` by repeated field products (the Q(T) path)."""
-    return [Section.monomial(field, e).evaluate(point) for e in monomial_basis(m, n)]
 
 
 def restriction_kernel(Y: Subvariety, n: int) -> List[List[FieldElement]]:

@@ -16,11 +16,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import linalg
-from .fields import Magnitude, RationalFunction, ValuedField, _is_zero, _vp
-
-
-class PreconditionError(ValueError):
-    """A mathematical precondition of an operation was violated."""
+from .fields import (Magnitude, PreconditionError, RationalFunction, ValuedField,
+                     _is_zero, _vp)
 
 
 @dataclass
@@ -30,6 +27,8 @@ class NormedSpace:
     ``basis`` is a square matrix (list of rows) over the field whose
     columns are the orthogonal vectors; ``weights[i]`` is the norm of
     column i.  The standard basis with unit weights gives the sup norm.
+    Entries are rationals or constants of Q(T); a basis with a
+    non-constant entry of Q(T) is refused.
     """
 
     field: ValuedField
@@ -46,7 +45,8 @@ class NormedSpace:
             raise PreconditionError("weights must be positive")
         self._inverse = None
         self._columns = None
-        self._integer = {}
+        # the basis as Fractions (itself when rational); refuses T
+        self._integer = {"rational": linalg._constant_matrix(self.basis)}
 
     # -- constructors ----------------------------------------------------
 
@@ -65,19 +65,11 @@ class NormedSpace:
 
     def basis_inverse(self) -> List[list]:
         """The inverse of the basis matrix, built once: one Fraction per
-        entry of ``_integer_form("inverse")`` (made a constant of Q(T) over
-        a basis of such constants), ``linalg.invert`` over Q(T) otherwise."""
+        entry of ``_integer_form("inverse")``, made a constant of Q(T) over
+        a basis of such constants."""
         if self._inverse is None:
-            form = self._integer_form("inverse", None)
-            if form is not None:
-                self._inverse = [[Fraction(x, d) for x in ints] for ints, d in form]
-                if self._lifted():
-                    self._inverse = list(map(linalg._lift, self._inverse))
-                return self._inverse
-            try:
-                self._inverse = linalg.invert(self.basis)
-            except ValueError as exc:
-                raise PreconditionError(f"basis is not invertible ({exc})") from exc
+            inverse = [[Fraction(x, d) for x in ints] for ints, d in self._integer_form("inverse")]
+            self._inverse = list(map(linalg._lift, inverse)) if self._lifted() else inverse
         return self._inverse
 
     def _inverse_form(self, basis: List[list]) -> List[tuple]:
@@ -107,28 +99,25 @@ class NormedSpace:
             self._columns = linalg.transpose(self.basis)
         return self._columns
 
-    def integer_columns(self) -> Optional[List[tuple]]:
+    def integer_columns(self) -> List[tuple]:
         """Column i of the basis as (integers, d_i), where d_i is the lcm of
-        its denominators and column i = integers / d_i; built once, None
-        for a basis with a non-constant entry of Q(T)."""
-        return self._integer_form("columns", self.columns)
+        its denominators and column i = integers / d_i; built once."""
+        return self._integer_form("columns")
 
-    def _integer_form(self, key: str, rows) -> Optional[List[tuple]]:
-        """``rows()`` (the basis or its columns) as (integers, d) pairs
-        (``linalg._integer_row``), or for the key "inverse" the
-        ``_inverse_form``; built once per key from the basis as Fractions
-        (``linalg._constant_matrix``, kept under the key "rational"), None
-        for a basis with a non-constant entry of Q(T)."""
+    def _integer_form(self, key: str) -> List[tuple]:
+        """The rows of the basis ("basis") or of its transpose ("columns")
+        as (integers, d) pairs (``linalg._integer_row``), or the
+        ``_inverse_form`` ("inverse"); built once per key from the basis as
+        Fractions, kept under the key "rational" (a Gauss space builds it
+        only when asked)."""
         if key not in self._integer:
             if "rational" not in self._integer:
                 self._integer["rational"] = linalg._constant_matrix(self.basis)
             basis = self._integer["rational"]
-            if basis is None:
-                self._integer[key] = None
-            elif key == "inverse":
+            if key == "inverse":
                 self._integer[key] = self._inverse_form(basis)
             else:
-                rows = rows() if basis is self.basis else linalg._constant_matrix(rows())
+                rows = basis if key == "basis" else linalg.transpose(basis)
                 self._integer[key] = list(map(linalg._integer_row, rows))
         return self._integer[key]
 
@@ -137,26 +126,22 @@ class NormedSpace:
         the integer forms' results are handed back as such constants."""
         return self._integer["rational"] is not self.basis
 
-    def _times(self, key: str, rows, v: Sequence) -> list:
-        """rows() v, by one integer dot product per row when the basis and
-        v hold rationals or constants of Q(T) (a constant in either gives
-        constants back); ``linalg.mat_vec`` otherwise."""
-        form = self._integer_form(key, rows)
-        w = None if form is None else linalg._constants(v)
-        if w is None:
-            return linalg.mat_vec(rows(), list(v))
-        out = linalg._mat_vec_integer(form, *linalg._integer_row(w))
+    def _times(self, key: str, v: Sequence) -> list:
+        """The ``_integer_form`` rows times v, one integer dot product per
+        row; a constant of Q(T) in the basis or in v gives constants back."""
+        w = linalg._constants(v)
+        out = linalg._mat_vec_integer(self._integer_form(key), *linalg._integer_row(w))
         return out if w is v and not self._lifted() else linalg._lift(out)
 
     def coordinates(self, v: Sequence) -> list:
         if len(v) != self.dim:
             raise PreconditionError(
                 f"vector has {len(v)} entries, the space has dimension {self.dim}")
-        return self._times("inverse", self.basis_inverse, v)
+        return self._times("inverse", v)
 
     def from_coordinates(self, a: Sequence) -> list:
         """The vector basis a with coordinates a."""
-        return self._times("basis", lambda: self.basis, a)
+        return self._times("basis", a)
 
     def norm(self, v: Sequence) -> Magnitude:
         return self._coordinate_norm(self.coordinates(v))
@@ -212,44 +197,16 @@ def _eliminate(field: ValuedField, weights: Sequence[Magnitude],
     |row_i[j]| * w_j is largest (the first such j on ties); every later
     row then loses the multiple of row i that clears its coordinate j.
     Returns the pivots and the pivot values |row_i[pivot_i]| * w_pivot_i,
-    which are the norms of the final rows.  Rational rows take the integer
-    kernel over any field: over Q or Q(T) every nonzero rational has
-    |c| = rho^0.  Rows of rationals and constants of Q(T) take it too and
-    come back as constants of Q(T); only rows with a non-constant entry of
-    Q(T) take the field loop.
+    which are the norms of the final rows.  One integer kernel serves every
+    field: over Q or Q(T) every nonzero rational has |c| = rho^0.  Rows of
+    rationals and constants of Q(T) come back as constants of Q(T); a
+    non-constant entry of Q(T) is refused.
     """
     constants = linalg._constant_matrix(rows)  # rows itself when rational
-    if constants is None:
-        return _eliminate_field(field, weights, rows)
     result = _eliminate_integer(field, weights, constants)
     if constants is not rows:
         rows[:] = map(linalg._lift, constants)
     return result
-
-
-def _eliminate_field(field: ValuedField, weights: Sequence[Magnitude],
-                     rows: List[list]) -> tuple[List[int], List[Magnitude]]:
-    """``_eliminate`` one field element at a time, over any exact field."""
-    pivots: List[int] = []
-    norms: List[Magnitude] = []
-    for i in range(len(rows)):
-        row = rows[i]
-        best_j = None
-        best_val = field.zero_magnitude()
-        for j, w in enumerate(weights):
-            if j in pivots or _is_zero(row[j]):
-                continue
-            val = field.abs(row[j]) * w
-            if best_j is None or val > best_val:
-                best_j, best_val = j, val
-        if best_j is None:
-            raise PreconditionError(
-                f"flag vectors are linearly dependent at position {i}")
-        pivots.append(best_j)
-        norms.append(best_val)
-        for k in range(i + 1, len(rows)):
-            rows[k] = _clear(rows[k], row, best_j)
-    return pivots, norms
 
 
 def _eliminate_integer(field: ValuedField, weights: Sequence[Magnitude],
@@ -415,11 +372,12 @@ def scalar_extension(space: NormedSpace, target: ValuedField) -> NormedSpace:
     if target.kind != "laurent":
         raise PreconditionError("scalar extension target must be a Laurent field")
     weights = [Magnitude(target.rho, w.q, 0) for w in space.weights]
-    extended = NormedSpace(target, lift_constant(space.basis), weights)
-    # a basis of constants has the integer forms of its rational values
-    extended._integer.update(
-        rational=space.basis, inverse=space._integer_form("inverse", None),
-        basis=space._integer_form("basis", lambda: space.basis))
+    # built on the rational basis, so nothing scans the constants for T, then
+    # given the constants; they have the integer forms of their rational values
+    extended = NormedSpace(target, space.basis, weights)
+    extended.basis = lift_constant(space.basis)
+    extended._integer.update(inverse=space._integer_form("inverse"),
+                             basis=space._integer_form("basis"))
     return extended
 
 

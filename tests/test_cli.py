@@ -759,6 +759,22 @@ class TestHugeRatios:
             assert float(row[4]) * int(row[0]) == pytest.approx(
                 8192 * math.log(1000003))
 
+    def test_extend_trivial_with_a_large_prime_squared(self, tmp_path, capsys):
+        # 2^64 + 1 = 274177 * 67280421310721, and the degree-2 weight ratio
+        # carries the larger factor squared: the base prime is chosen
+        # without factoring it
+        space = {"field": {"type": "trivial"}, "basis": [["1", "0"], ["0", "1"]],
+                 "weights": [{"q": f"7/{2 ** 64 + 1}", "n": 0}, {"q": "1", "n": 0}]}
+        cfg = write(tmp_path, "c.json", {
+            "space": space,
+            "subvariety": {"points": [["1", "0"], ["1", "1"]]},
+            "representative": {"degree": 1, "variables": 2, "coeffs": {"1,0": "1"}},
+        })
+        code, out, err = run(capsys, ["extend-trivial", "--config", cfg,
+                                      "--max-degree", "2"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["degree"] == 2
+
 
 class TestDegreeBound:
     """sigma-sample, extension-table and extend-trivial count the

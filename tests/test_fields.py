@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ultranorm import (LaurentRationals, Magnitude, PadicRationals,
                        RationalFunction, TrivialRationals, ValuedField,
                        choose_laurent_base)
-from ultranorm.fields import _poly_gcd, _vp
+from ultranorm.fields import _is_prime, _poly_gcd, _prime_support, _vp
 
 SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 # enough points that, after dropping the roots of the (degree <= 3)
@@ -340,7 +340,35 @@ class TestRationalFunction:
         assert f == a / b and f.constant_value() == a / b
 
 
+def _choose_by_factoring(values):
+    """The smallest prime outside the prime supports {P} of the ratios
+    r != 1, each ratio factored in full: the oracle."""
+    excluded = set()
+    for a in values:
+        for b in values:
+            if a != b and len(support := _prime_support(a / b)) == 1:
+                excluded |= support
+    P = 2
+    while P in excluded or not _is_prime(P):
+        P += 1
+    return P
+
+
 class TestChooseLaurentBase:
+    def test_equals_the_factoring_rule(self):
+        rng = random.Random("laurent-base")
+        atoms = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 25, 27, 49, 121, 2 ** 10, 3 ** 7, 13 ** 3]
+        for _ in range(400):
+            values = {Fraction(rng.choice(atoms), rng.choice(atoms))
+                      for _ in range(rng.randint(1, 6))}
+            # walls of prime powers, so the walk passes several excluded primes
+            values |= {Fraction(p) ** rng.randint(1, 3) for p in (2, 3, 5, 7, 11)
+                       if rng.random() < 0.5}
+            values = sorted(values)
+            assert choose_laurent_base(values) == _choose_by_factoring(values)
+            mags = [TrivialRationals().magnitude(v) for v in values]
+            assert choose_laurent_base(mags + [Magnitude.zero()]) == _choose_by_factoring(values)
+
     def test_frozen_examples(self):
         one = Fraction(1)
         assert choose_laurent_base([one]) == 2

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ultranorm.linalg as lg
+from ultranorm.fields import PreconditionError, RationalFunction, _is_zero
 
 
 def frac_matrix(rows):
@@ -107,6 +108,35 @@ SHAPES = [(1, 1), (1, 5), (5, 1), (3, 3), (4, 4), (6, 6), (2, 5), (3, 7),
 KINDS = ["dense", "sparse", "deficient", "zero_rows", "huge"]
 
 
+def _rref_field(m):
+    """Gauss-Jordan elimination one field element at a time: the oracle."""
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if not _is_zero(a[i][c])), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(rows):
+            if i != r and not _is_zero(a[i][c]):
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def _lift(m):
+    return [[RationalFunction.constant(x) for x in row] for row in m]
+
+
 class TestRrefIntegerKernel:
     """``rref`` on rationals runs the fraction-free kernel; the field loop
     ``_rref_field`` is its oracle, in the matrix and in the pivots."""
@@ -117,13 +147,13 @@ class TestRrefIntegerKernel:
         rng = random.Random(f"{shape}-{kind}")
         for _ in range(8):
             m = _random_matrix(rng, *shape, kind)
-            assert lg.rref(m) == lg._rref_field(m)
+            assert lg.rref(m) == _rref_field(m)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_zero_matrix(self, shape):
         rows, cols = shape
         m = [[Fraction(0)] * cols for _ in range(rows)]
-        assert lg.rref(m) == lg._rref_field(m) == (m, [])
+        assert lg.rref(m) == _rref_field(m) == (m, [])
 
     def test_result_is_fractions(self):
         red, pivots = lg.rref([[0, 2, 4], [3, 0, 1], [0, 0, 0]])
@@ -164,7 +194,7 @@ class TestRankWithoutRref:
             ints = [[x.numerator * x.denominator for x in row] for row in m]
             for a in (m, ints, ints[:1] + m[1:]):
                 fracs = [[Fraction(x) for x in row] for row in a]
-                assert lg.rank(a) == len(lg.rref(a)[1]) == len(lg._rref_field(fracs)[1])
+                assert lg.rank(a) == len(lg.rref(a)[1]) == len(_rref_field(fracs)[1])
 
     def test_takes_no_rref(self, monkeypatch):
         def refuse(m):
@@ -174,10 +204,17 @@ class TestRankWithoutRref:
         assert lg.rank([[Fraction(1, 2), 3], [1, 6], [0, 0]]) == 1
         assert lg.rank([[0, 0, 1], [2, 4, 0], [1, 2, 5]]) == 2
 
-    def test_field_input_takes_the_field_loop(self):
-        from ultranorm.fields import RationalFunction
+    def test_constants_of_q_t_take_bareiss(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("rank built an rref")
+        monkeypatch.setattr(lg, "rref", refuse)
+        monkeypatch.setattr(lg, "_rref_integer", refuse)
         one = RationalFunction.constant(Fraction(1))
         assert lg.rank([[one, one], [one, one]]) == 1
+        rng = random.Random("rank/constants")
+        for shape in SHAPES:
+            m = _random_matrix(rng, *shape, "deficient")
+            assert lg.rank(_lift(m)) == lg.rank(m) == len(_rref_field(_lift(m))[1])
 
     def test_empty(self):
         assert lg.rank([]) == lg.rank([[]]) == 0
@@ -229,22 +266,42 @@ class TestMatVecIntegerKernel:
         assert out == [Fraction(17, 5), Fraction(17, 35)]
         assert lg.mat_vec([[1, 2], [3, 4]], [5, 6]) == [17, 39]
 
-    def test_rational_functions_take_the_field_loop(self):
-        from ultranorm.fields import RationalFunction
+    def test_non_constant_entries_are_refused(self):
+        """A T anywhere is refused by every kernel; constants of Q(T) come
+        back as constants, equal to the lifted rational result and to the
+        field loops."""
         rng = random.Random("rf")
         T = RationalFunction.variable()
         for n in range(1, 5):
-            a = [[RationalFunction.constant(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-                  + T ** rng.randint(0, 2) * Fraction(rng.randint(-3, 3))
-                  for _ in range(n)] for _ in range(n)]
-            v = _random_vector(rng, n, "dense")
-            out = lg.mat_vec(a, v)
-            assert out == _loop_mat_vec(a, v)
-            assert all(isinstance(x, RationalFunction) for x in out)
-            consts = [[RationalFunction.constant(x) for x in row]
-                      for row in _random_matrix(rng, n, n, "dense")]
-            rational = [[x.constant_value() for x in row] for row in consts]
-            assert lg.mat_vec(consts, v) == lg.mat_vec(rational, v)
+            rational = _random_matrix(rng, n, n, "dense")
+            consts, v = _lift(rational), _random_vector(rng, n, "dense")
+            b = [RationalFunction.constant(x) for x in _random_vector(rng, n, "dense")]
+            assert lg.mat_vec(consts, v) == _lift([lg.mat_vec(rational, v)])[0]
+            assert lg.mat_vec(consts, v) == _loop_mat_vec(consts, v)
+            red, pivots = lg.rref(consts)
+            assert (red, pivots) == (_lift(lg.rref(rational)[0]), lg.rref(rational)[1])
+            assert (red, pivots) == _rref_field(consts)
+            assert lg.kernel_basis(consts) == _lift(lg.kernel_basis(rational))
+            solution = lg.solve(consts, b)
+            want = lg.solve(rational, [x.constant_value() for x in b])
+            assert solution == (None if want is None else _lift([want])[0])
+            try:
+                inverse = lg.invert(rational)
+            except ValueError:
+                inverse = None
+            if inverse is not None:
+                assert lg.invert(consts) == _lift(inverse)
+            for out in (red, lg.kernel_basis(consts), lg.invert(consts) if inverse else []):
+                assert all(isinstance(x, RationalFunction) for row in out for x in row)
+            bad = [row[:] for row in consts]
+            bad[rng.randrange(n)][rng.randrange(n)] += T ** rng.randint(1, 2)
+            calls = [lambda: lg.mat_vec(bad, v), lambda: lg.mat_vec(consts, [T] * n),
+                     lambda: lg.rref(bad), lambda: lg.rank(bad),
+                     lambda: lg.solve(bad, b), lambda: lg.solve(consts, [T] * n),
+                     lambda: lg.invert(bad), lambda: lg.kernel_basis(bad)]
+            for call in calls:
+                with pytest.raises(PreconditionError, match="constants of Q"):
+                    call()
 
 
 class TestIntegerRoutines:

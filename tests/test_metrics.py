@@ -16,8 +16,8 @@ from ultranorm.metrics import (MetricFamily, QuotientMetric, _change_frame, _Gau
                                metric_gap, mu_estimate, quotient_fiber_norm,
                                sigma)
 from ultranorm.fields import Magnitude, RationalFunction, magnitude_max
-from ultranorm.sections import (Section, Subvariety, _evaluation_row_products,
-                                evaluation_row, monomial_basis, normalize_point)
+from ultranorm.sections import (Section, Subvariety, evaluation_row, monomial_basis,
+                                normalize_point)
 from ultranorm.spaces import distance_to_subspace, lift_constant, scalar_extension
 
 F = Fraction
@@ -65,6 +65,12 @@ def random_point(rng, nv):
 
 
 FIELDS = [PadicRationals(2), PadicRationals(3), TrivialRationals()]
+
+
+def _evaluation_row_products(field, m, n, point):
+    """The degree-n monomials at point by repeated field products: the
+    oracle for the integer evaluation rows."""
+    return [Section.monomial(field, e).evaluate(point) for e in monomial_basis(m, n)]
 
 
 def _change_frame_products(forms, sections):
@@ -323,22 +329,28 @@ class TestQuotientFiberNorm:
                                 == self.mat_vec_route(N, field, m, n, x)
                                 == self.elimination(N, field, m, n, pt))
 
-    def test_non_constant_laurent_space_takes_mat_vec(self):
+    def test_non_constant_laurent_space_is_refused(self):
+        """A space or a point holding T is refused; a space of constants
+        of Q(T) with weights off rho^0 matches both oracles."""
         rng = random.Random("laurent-fiber")
         K = LaurentRationals(5)
         T = K.uniformizer()
         for n in (1, 2):
             # B + T C is invertible over Q(T), as det(B + T C) is det B at T = 0
             base, step = (random_space(rng, TrivialRationals(), n + 1) for _ in range(2))
-            N = NormedSpace(K, [[a + T * c for a, c in zip(r, t)] for r, t in zip(
-                base.basis, step.basis)], [K.magnitude(w.q, 1) for w in base.weights])
-            assert N.integer_columns() is None
+            weights = [K.magnitude(w.q, 1) for w in base.weights]
+            with pytest.raises(PreconditionError, match="constants of Q"):
+                NormedSpace(K, [[a + T * c for a, c in zip(r, t)] for r, t in zip(
+                    base.basis, step.basis)], weights)
+            N = NormedSpace(K, lift_constant(base.basis), weights)
             for _ in range(3):
                 pt = [RationalFunction.constant(x) for x in random_point(rng, 2)]
                 x = normalize_point(K, pt)
                 assert (quotient_fiber_norm(N, K, 1, n, x)
                         == self.mat_vec_route(N, K, 1, n, x)
                         == self.elimination(N, K, 1, n, pt))
+                with pytest.raises(PreconditionError, match="constants of Q"):
+                    quotient_fiber_norm(N, K, 1, n, [x[0] + T, x[1]])
 
     def test_constant_laurent_space_takes_the_integer_kernel(self, monkeypatch):
         rng = random.Random("laurent-fiber/constant")
@@ -357,7 +369,7 @@ class TestQuotientFiberNorm:
                 want = self.mat_vec_route(N, K, 1, n, x, loop_mat_vec)
                 assert want == self.elimination(N, K, 1, n, pt)
                 with monkeypatch.context() as m:
-                    m.setattr(linalg, "reduce", None)  # mat_vec's field loop
+                    m.setattr(linalg, "mat_vec", None)  # the integer columns only
                     assert quotient_fiber_norm(N, K, 1, n, x) == want
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda K: K.kind + str(K.prime))
@@ -503,6 +515,9 @@ class TestDualNormKernel:
 
     @pytest.mark.parametrize("lifted", [True, False], ids=["rf_basis", "rational_basis"])
     def test_laurent_rows_take_the_order(self, lifted):
+        """Rows of constants of Q(T), read as integers over one denominator,
+        against the division oracle, whose |v| takes the T-order of each
+        value; a frame value at a point holding T is refused."""
         rng = random.Random(f"dual-norm/laurent/{lifted}")
         K, T = LaurentRationals(5), RationalFunction.variable()
         for dim in (1, 2, 3):
@@ -511,12 +526,16 @@ class TestDualNormKernel:
                 if lifted:
                     N = NormedSpace(K, lift_constant(N.basis), N.weights)
                 row = [K.element(F(rng.randint(-4, 4), rng.randint(1, 3)))
-                       * T ** rng.randint(0, 3) for _ in range(dim)]
+                       for _ in range(dim)]
                 values = column_values(N, row)
                 if all(v.is_zero for v in values):
                     continue
-                assert _dual_norm(N, row) == division_oracle(
+                ints, d = linalg._integer_row(linalg._constants(row))
+                assert _dual_norm(N, ints, d) == division_oracle(
                     N, [0 if v.is_zero else v for v in values])
+                if dim > 1:  # (T : 1 : ... : 1) is no constant point
+                    with pytest.raises(PreconditionError, match="constants of Q"):
+                        QuotientMetric(N).local_frame_value([T] + [K.one()] * (dim - 1))
 
 
 class TestLocalFrameValue:
@@ -543,6 +562,15 @@ class TestLocalFrameValue:
                 if not any(pt):
                     pt[0] = F(1, (field.prime or 2) ** 3)
                 assert h.local_frame_value(pt) == self.evaluate_route(h, pt)
+
+    def test_t_point_is_refused(self):
+        K = LaurentRationals(5)
+        T = K.uniformizer()
+        h = diag_metric(K, [F(1), F(1, 2)])
+        for pt in ([T, K.one()], [K.one(), K.one() + T], [T, T ** 2]):
+            with pytest.raises(PreconditionError, match="constants of Q"):
+                h.local_frame_value(pt)
+        assert h.local_frame_value([K.one(), K.zero()]) == K.one_magnitude()
 
     def test_laurent_points(self):
         rng = random.Random("frame-route/laurent")

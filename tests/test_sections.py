@@ -9,13 +9,17 @@ import pytest
 
 from ultranorm import LaurentRationals, PadicRationals, TrivialRationals, linalg
 from ultranorm.fields import RationalFunction, _is_zero
-from ultranorm.sections import (Section, Subvariety, _evaluation_row_products,
-                                _polynomial_product, evaluation_row,
+from ultranorm.sections import (Section, Subvariety, _polynomial_product, evaluation_row,
                                 integer_evaluation_row, monomial_basis,
                                 normalize_point, restriction_kernel, step_row)
 from ultranorm.spaces import PreconditionError
 
 F = Fraction
+
+
+def _evaluation_row_products(field, m, n, point):
+    """``evaluation_row`` by repeated field products: the oracle."""
+    return [Section.monomial(field, e).evaluate(point) for e in monomial_basis(m, n)]
 
 
 class TestMonomialBasis:
@@ -143,9 +147,9 @@ def _lift(s, field):
 
 class TestFractionFreeKernels:
     """The integer product, power and evaluation row against the
-    field-operation loops they replaced, which still serve Q(T): the
-    product loop run on the Fraction coefficients, and the
-    repeated-product row."""
+    field-operation loops they replaced: the product loop run on the
+    Fraction coefficients (it still serves Q(T)), and the repeated-product
+    row."""
 
     @pytest.mark.parametrize("field", [PadicRationals(3), TrivialRationals()],
                              ids=lambda K: K.kind)
@@ -226,15 +230,23 @@ class TestFractionFreeKernels:
                 assert integer_evaluation_row(n, point) == (row, d ** n)
                 row = step_row(row, a, n)
 
-    def test_laurent_row_takes_the_loop(self):
+    def test_laurent_row_refuses_t(self):
+        # a point holding T is refused, also through the restriction kernel
         K = LaurentRationals(5)
         point = [RationalFunction.constant(F(1, 3)), RationalFunction((F(0), F(1)))]
-        assert integer_evaluation_row(2, point) is None
-        assert evaluation_row(K, 1, 2, point) == _evaluation_row_products(K, 1, 2, point)
+        Y = Subvariety(K, 2, points=[point])
+        for call in (lambda: integer_evaluation_row(2, point),
+                     lambda: evaluation_row(K, 1, 2, point),
+                     lambda: restriction_kernel(Y, 2)):
+            with pytest.raises(PreconditionError, match="constants of Q"):
+                call()
         const = [F(1, 3), F(0), F(7, BIG)]
         lifted = [RationalFunction.constant(x) for x in const]
-        assert evaluation_row(K, 2, 3, lifted) == [
-            RationalFunction.constant(x) for x in evaluation_row(K, 2, 3, const)]
+        for n in range(4):
+            got = evaluation_row(K, 2, n, lifted)
+            assert got == _evaluation_row_products(K, 2, n, lifted) == [
+                RationalFunction.constant(x) for x in evaluation_row(K, 2, n, const)]
+            assert all(isinstance(x, RationalFunction) for x in got)
 
 
 def normalize_by_magnitudes(field, coords):

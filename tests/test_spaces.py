@@ -18,7 +18,7 @@ from ultranorm import (LaurentRationals, Lattice, NormedSpace, PadicRationals,
                        scalar_extension)
 from ultranorm import spaces as spaces_module
 from ultranorm.fields import _vp
-from ultranorm.spaces import _clear, _eliminate_field, canonical_lattice_columns, lift_constant
+from ultranorm.spaces import _clear, canonical_lattice_columns, lift_constant
 
 
 def F(x, y=1):
@@ -131,9 +131,8 @@ class TestDistance:
 
 
 def random_element(rng, field):
-    if field.kind == "laurent":
-        return RationalFunction([F(rng.randint(-3, 3)) for _ in range(3)])
-    return F(rng.randint(-6, 6), rng.randint(1, 4))
+    """A random rational; over Q(T) a constant, as a config gives it."""
+    return field.element(F(rng.randint(-6, 6), rng.randint(1, 4)))
 
 
 def loop_mat_vec(a, v):
@@ -190,6 +189,28 @@ class TestOrthogonalizeAgainstDistance:
         assert checked >= 15
 
 
+def _eliminate_field(field, weights, rows):
+    """``_eliminate`` one field element at a time, over any exact field:
+    the oracle."""
+    pivots, norms = [], []
+    for i, row in enumerate(rows):
+        best_j, best_val = None, field.zero_magnitude()
+        for j, w in enumerate(weights):
+            if j in pivots or row[j] == 0:
+                continue
+            val = field.abs(row[j]) * w
+            if best_j is None or val > best_val:
+                best_j, best_val = j, val
+        if best_j is None:
+            raise PreconditionError(
+                f"flag vectors are linearly dependent at position {i}")
+        pivots.append(best_j)
+        norms.append(best_val)
+        for k in range(i + 1, len(rows)):
+            rows[k] = _clear(rows[k], row, best_j)
+    return pivots, norms
+
+
 class TestIntegerElimination:
     """``_eliminate`` on rational rows (the integer kernel) against the
     field loop ``_eliminate_field``, the oracle: same pivots, norms, final
@@ -202,7 +223,7 @@ class TestIntegerElimination:
     def both(field, weights, rows):
         """(pivots, norms, rows) or the error text, from each route."""
         out = []
-        for eliminate in (spaces_module._eliminate, spaces_module._eliminate_field):
+        for eliminate in (spaces_module._eliminate, _eliminate_field):
             work = [list(r) for r in rows]
             try:
                 pivots, norms = eliminate(field, weights, work)
@@ -301,10 +322,13 @@ class TestIntegerElimination:
     def test_rational_rows_take_the_integer_kernel(self, monkeypatch):
         space = weighted(PadicRationals(3), [F(1), F(3), F(1, 3)])
         flag = [[F(1), F(2), F(3)], [F(0), F(1), F(1, 9)]]
-        want = orthogonalize_flag(space, flag)
-        monkeypatch.setattr(spaces_module, "_eliminate_field", None)
+        want = TestConstantRoute.field_orthogonalize(space, flag)
+        calls = []
+        kernel = spaces_module._eliminate_integer
+        monkeypatch.setattr(spaces_module, "_eliminate_integer",
+                            lambda *args: calls.append(args) or kernel(*args))
         assert orthogonalize_flag(space, flag) == want
-        assert want[2] == [1, 2]
+        assert want[2] == [1, 2] and len(calls) == 1
 
     @staticmethod
     def laurent_problem():
@@ -318,22 +342,28 @@ class TestIntegerElimination:
             [w.value() for w in space.weights] + [F(1)])))
         return ext, x, subspace, want
 
-    def test_non_constant_rows_take_the_field_loop(self, monkeypatch):
-        # T^k v spans what v spans, and T^3 x lies at |T^3| = rho^3 times the distance
+    def test_non_constant_rows_are_refused(self):
+        # T^k v spans what v spans, but a row holding T is refused; the
+        # constants (k = 0) lie at the rational distance
         ext, x, subspace, want = self.laurent_problem()
         T = ext.field.uniformizer()
-        lift = [[T ** k * a for a in v] for k, v in enumerate([*subspace, x], 1)]
-        monkeypatch.setattr(spaces_module, "_eliminate_integer", None)
+        for k in (1, 2):
+            lift = [[T ** k * a for a in v] for v in [*subspace, x]]
+            for call in (lambda: distance_to_subspace(ext, lift[2], lift[:2]),
+                         lambda: orthogonalize_flag(ext, lift),
+                         lambda: spaces_module._eliminate(ext.field, ext.weights, lift)):
+                with pytest.raises(PreconditionError, match="constants of Q"):
+                    call()
+        lift = [[T ** 0 * a for a in v] for v in [*subspace, x]]
         dist = distance_to_subspace(ext, lift[2], lift[:2])[0]
-        assert (dist.q, dist.n) == (want.q, 3)
+        assert (dist.q, dist.n) == (want.q, 0)
 
     def test_constant_rows_take_the_integer_kernel(self, monkeypatch):
         ext, x, subspace, want = self.laurent_problem()
         lift = [[ext.field.from_rational(a) for a in v] for v in [*subspace, x]]
         with monkeypatch.context() as m:
-            m.setattr(spaces_module, "_eliminate", spaces_module._eliminate_field)
+            m.setattr(spaces_module, "_eliminate", _eliminate_field)
             field_loop = distance_to_subspace(ext, lift[2], lift[:2])
-        monkeypatch.setattr(spaces_module, "_eliminate_field", None)
         got = distance_to_subspace(ext, lift[2], lift[:2])
         assert got == field_loop and got[0].q == want.q
         assert all(isinstance(a, RationalFunction) for a in got[1])
@@ -342,7 +372,7 @@ class TestIntegerElimination:
 class TestIntegerForms:
     """A rational space keeps its basis, inverse and columns as (integers,
     d) rows, built once; over Q(T) a basis of constants has the forms of its
-    rational values, a non-constant one has none and mat_vec is used."""
+    rational values, and a non-constant one is refused."""
 
     @pytest.mark.parametrize("field", [PadicRationals(2), TrivialRationals()],
                              ids=lambda f: f.kind)
@@ -353,9 +383,9 @@ class TestIntegerForms:
             for key, rows in (("basis", lambda: space.basis),
                               ("inverse", space.basis_inverse),
                               ("columns", space.columns)):
-                form = space._integer_form(key, rows)
+                form = space._integer_form(key)
                 assert [[F(x, d) for x in ints] for ints, d in form] == rows()
-                assert space._integer_form(key, None) is form  # built once
+                assert space._integer_form(key) is form  # built once
             for _ in range(4):
                 v = [F(rng.randint(-9, 9), rng.choice([1, 7, 2 ** 65]))
                      for _ in range(dim)]
@@ -372,7 +402,7 @@ class TestIntegerForms:
             for _ in range(6):
                 space = random_space(rng, field, dim)
                 inverse = linalg.invert(space.basis)
-                assert space._integer_form("inverse", None) == [
+                assert space._integer_form("inverse") == [
                     linalg._integer_row(row) for row in inverse]
                 assert space.basis_inverse() == inverse
                 assert dual_norm(space).basis == linalg.transpose(inverse)
@@ -390,31 +420,37 @@ class TestIntegerForms:
         assert str(info.value) == f"basis is not invertible ({reason})"
 
     def test_non_constant_basis_has_no_integer_form(self):
+        """A basis holding T is refused when the space is built, and a vector
+        holding T by coordinates and norm; constants take the forms."""
         rng = random.Random("forms/laurent")
         K = LaurentRationals(5)
         T = K.uniformizer()
+        weights = [K.magnitude(1, n) for n in (0, 1, -1)]
         # B + T C is invertible over Q(T), as det(B + T C) is det B at T = 0
         base, step = (random_space(rng, TrivialRationals(), 3) for _ in range(2))
-        space = NormedSpace(K, [[a + T * c for a, c in zip(r, t)] for r, t in zip(
-            base.basis, step.basis)], [K.magnitude(1, n) for n in (0, 1, -1)])
-        for key, rows in (("basis", lambda: space.basis),
-                          ("inverse", space.basis_inverse)):
-            assert space._integer_form(key, rows) is None
-        assert space.integer_columns() is None
+        with pytest.raises(PreconditionError, match="constants of Q"):
+            NormedSpace(K, [[a + T * c for a, c in zip(r, t)] for r, t in zip(
+                base.basis, step.basis)], weights)
+        space = NormedSpace(K, lift_constant(base.basis), weights)
+        assert space.integer_columns() == base.integer_columns()
         for v in ([random_element(rng, K) for _ in range(3)],
                   [K.from_rational(F(rng.randint(-5, 5))) for _ in range(3)]):
             assert space.coordinates(v) == loop_mat_vec(space.basis_inverse(), v)
             assert space.from_coordinates(v) == loop_mat_vec(space.basis, v)
+            v[rng.randrange(3)] += T
+            for call in (lambda: space.coordinates(v), lambda: space.norm(v),
+                         lambda: space.from_coordinates(v)):
+                with pytest.raises(PreconditionError, match="constants of Q"):
+                    call()
 
     def test_constant_basis_takes_the_base_forms(self):
         rng = random.Random("forms/laurent-constant")
         base = random_space(rng, TrivialRationals(), 3)
         ext = scalar_extension(base, LaurentRationals(5))
-        for key, rows in (("basis", lambda: base.basis),
-                          ("inverse", base.basis_inverse)):
-            assert ext._integer_form(key, None) == base._integer_form(key, rows)
+        for key in ("basis", "inverse"):
+            assert ext._integer_form(key) == base._integer_form(key)
         assert ext.integer_columns() == base.integer_columns()
-        assert ext.basis_inverse() == linalg.invert(ext.basis)  # Q(T) rref
+        assert ext.basis_inverse() == linalg.invert(ext.basis)  # the lifted rref
         assert all(isinstance(x, RationalFunction)
                    for row in ext.basis_inverse() for x in row)
         for v in ([random_element(rng, ext.field) for _ in range(3)],
@@ -425,9 +461,9 @@ class TestIntegerForms:
 
 class TestConstantRoute:
     """Over Q(T), rows of constants take the integer kernels: against the
-    field loops (``_eliminate_field``, ``loop_mat_vec``, ``linalg.invert``
-    by Q(T) rref) on random trivial spaces lifted to several base primes.
-    Q(T) in gives Q(T) out; Fraction in gives Fraction out."""
+    field loops (``_eliminate_field``, ``loop_mat_vec``) and the lifted
+    ``linalg.invert`` on random trivial spaces lifted to several base
+    primes.  Q(T) in gives Q(T) out; Fraction in gives Fraction out."""
 
     PRIMES = (2, 3, 5, 7)
 
@@ -489,7 +525,8 @@ class TestConstantRoute:
     @pytest.mark.parametrize("P", PRIMES)
     def test_mixed_and_non_constant_input(self, P):
         """A Fraction matrix on a vector of constants gives constants; one
-        non-constant entry sends mat_vec and the elimination to the loops."""
+        non-constant entry is refused by mat_vec, the coordinates and the
+        elimination."""
         rng = random.Random(f"constant-route/mixed/{P}")
         K = LaurentRationals(P)
         T = K.uniformizer()
@@ -500,13 +537,16 @@ class TestConstantRoute:
             assert got == loop_mat_vec(rational.basis, v) and self.of_type(RationalFunction, [got])
             assert rational.coordinates(v) == loop_mat_vec(rational.basis_inverse(), v)
             assert self.of_type(RationalFunction, [rational.coordinates(v)])
-            v[rng.randrange(dim)] += T
-            assert linalg.mat_vec(ext.basis, v) == loop_mat_vec(ext.basis, v)
             rows = [ext.coordinates(v)]
             work = [list(r) for r in rows]
             assert (spaces_module._eliminate(K, ext.weights, rows)
                     == _eliminate_field(K, ext.weights, work))
             assert rows == work
+            v[rng.randrange(dim)] += T
+            for call in (lambda: linalg.mat_vec(ext.basis, v), lambda: ext.coordinates(v),
+                         lambda: spaces_module._eliminate(K, ext.weights, [v])):
+                with pytest.raises(PreconditionError, match="constants of Q"):
+                    call()
 
 
 class TestQuotient:
