@@ -5,8 +5,11 @@ Three field flavours are supported:
 * ``PadicRationals(p)`` -- the rationals with the p-adic absolute value
   (uniformizer magnitude 1/p),
 * ``TrivialRationals()`` -- the rationals with the trivial absolute value,
-* ``LaurentRationals(P)`` -- rational functions in T over Q, with the
-  T-adic absolute value |f| = (1/P)^ord_T(f) for a chosen prime P.
+* ``LaurentRationals(P)`` -- Q(T) with the T-adic absolute value
+  |f| = (1/P)^ord_T(f) for a chosen prime P.  Its elements are the
+  constants of Q(T) (``RationalFunction``, one rational each), the only
+  ones the trivial-valuation detour builds, so every nonzero element has
+  |c| = (1/P)^0.
 
 Every magnitude is kept exactly as q * rho^n with q a positive rational
 and rho the uniformizer magnitude, so comparisons, products and powers
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Optional, Union
 
 _Q0, _Q1 = Fraction(0), Fraction(1)  # shared, as Fractions are immutable
@@ -37,7 +41,7 @@ def _as_fraction(x) -> Fraction:
 
 
 def _is_zero(x) -> bool:
-    """Zero test for a field element: a rational or a RationalFunction."""
+    """Zero test for a field element: a rational or a constant of Q(T)."""
     if isinstance(x, (int, Fraction)):
         return x == 0
     return x.is_zero
@@ -231,272 +235,88 @@ def _fekete_running_min(ratios) -> list:
 
 
 # ----------------------------------------------------------------------
-# Polynomials and rational functions in T over Q (Laurent field elements)
+# Constants of Q(T), the Laurent field's elements
 # ----------------------------------------------------------------------
 
 
-def _poly_trim(c: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return _poly_trim(tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)
-    ))
-
-
-def _poly_neg(a):
-    return tuple(-x for x in a)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(tuple(out))
-
-
-def _poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    inv_lead = 1 / b[-1]
-    while len(r) >= len(b) and any(x != 0 for x in r):
-        r = list(_poly_trim(tuple(r)))
-        if len(r) < len(b):
-            break
-        c = r[-1] * inv_lead
-        d = len(r) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            r[d + i] -= c * y
-        r.pop()
-    return _poly_trim(tuple(q)), _poly_trim(tuple(r))
-
-
-def _poly_gcd(a, b):
-    while b:
-        _, a = a, _poly_divmod(a, b)[1]
-        a, b = b, a
-    if a:
-        lead = a[-1]
-        a = tuple(x / lead for x in a)
-    return a
-
-
-_ONE = (Fraction(1),)
-
-
-def _constant_value(x) -> Optional[Fraction]:
-    """x as a Fraction when it is a rational or a constant of Q(T), else None."""
-    if isinstance(x, RationalFunction):
-        if len(x.num) <= 1 and len(x.den) == 1:
-            return x.num[0] if x.num else Fraction(0)
-        return None
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return None
-
-
 class RationalFunction:
-    """Reduced ratio of polynomials in T with rational coefficients.
+    """A constant of Q(T): one rational, ``value``.
 
-    Coefficient tuples run from the constant term upward; the denominator
-    is normalized monic and coprime to the numerator, and zero is stored
-    as ``((), (1,))``.  A constant therefore always has ``den == (1,)``
-    and at most one numerator coefficient, so two constants combine by
-    plain Fraction arithmetic on ``num[0]``; the field operations take
-    that path whenever both operands are constants.  Supports the field
-    operations and T-adic order.
+    The trivial-valuation detour extends scalars to a Laurent field, and
+    the minimizer of a rational input stays rational, so every element of
+    Q(T) that an operation builds is a constant; T itself is never built.
+    The field operations are Fraction arithmetic on ``value``, with ints,
+    Fractions and other constants as operands either side; a constant
+    equals, and hashes as, its rational value.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("value",)
 
-    def __init__(self, num, den=_ONE, *, _reduced=False):
-        num = _poly_trim(tuple(_as_fraction(c) for c in num))
-        den = _poly_trim(tuple(_as_fraction(c) for c in den))
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = (), _ONE
-            return
-        if len(den) == 1:
-            # a constant denominator divides out; the gcd is 1
-            if den[0] != 1:
-                num = tuple(c / den[0] for c in num)
-            self.num, self.den = num, _ONE
-            return
-        if not _reduced and len(num) > 1:
-            g = _poly_gcd(num, den)
-            if len(g) > 1:
-                num = _poly_divmod(num, g)[0]
-                den = _poly_divmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
-        self.num = num
-        self.den = den
+    def __init__(self, value):
+        self.value = _as_fraction(value)
 
     @classmethod
     def _of_constant(cls, x: Fraction) -> "RationalFunction":
-        """The constant x, built without re-normalizing."""
+        """The constant x (a Fraction), built without the coercion."""
         f = object.__new__(cls)
-        f.num = (x,) if x else ()
-        f.den = _ONE
+        f.value = x
         return f
 
     @classmethod
     def constant(cls, x) -> "RationalFunction":
-        x = _as_fraction(x)
-        return cls((x,) if x != 0 else ())
-
-    @classmethod
-    def variable(cls) -> "RationalFunction":
-        return cls((Fraction(0), Fraction(1)))
+        return cls(x)
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
-
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self!r} is not constant")
-        if self.is_zero:
-            return Fraction(0)
-        return self.num[0]
-
-    def order(self) -> int:
-        """T-adic order ord_T(num) - ord_T(den); undefined for zero."""
-        if self.is_zero:
-            raise ValueError("zero has no finite order")
-
-        def trailing(c):
-            i = 0
-            while c[i] == 0:
-                i += 1
-            return i
-
-        return trailing(self.num) - trailing(self.den)
+        return not self.value
 
     def __add__(self, other):
-        a, b = _constant_value(self), _constant_value(other)
-        if a is not None and b is not None:
-            return RationalFunction._of_constant(a + b)
-        other = self._coerce(other)
-        num = _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den))
-        return RationalFunction(num, _poly_mul(self.den, other.den))
+        return RationalFunction._of_constant(self.value + _constant_value(other))
 
     def __sub__(self, other):
-        a, b = _constant_value(self), _constant_value(other)
-        if a is not None and b is not None:
-            return RationalFunction._of_constant(a - b)
-        other = self._coerce(other)
-        num = _poly_add(_poly_mul(self.num, other.den),
-                        _poly_neg(_poly_mul(other.num, self.den)))
-        return RationalFunction(num, _poly_mul(self.den, other.den))
+        return RationalFunction._of_constant(self.value - _constant_value(other))
 
     def __neg__(self):
-        a = _constant_value(self)
-        if a is not None:
-            return RationalFunction._of_constant(-a)
-        return RationalFunction(_poly_neg(self.num), self.den, _reduced=True)
+        return RationalFunction._of_constant(-self.value)
 
     def __mul__(self, other):
-        a, b = _constant_value(self), _constant_value(other)
-        if a is not None and b is not None:
-            return RationalFunction._of_constant(a * b)
-        other = self._coerce(other)
-        return RationalFunction(_poly_mul(self.num, other.num),
-                                _poly_mul(self.den, other.den))
+        return RationalFunction._of_constant(self.value * _constant_value(other))
 
     def __truediv__(self, other):
-        a, b = _constant_value(self), _constant_value(other)
-        if a is not None and b is not None:
-            if b == 0:
-                raise ZeroDivisionError("division by zero rational function")
-            return RationalFunction._of_constant(a / b)
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(_poly_mul(self.num, other.den),
-                                _poly_mul(self.den, other.num))
+        return RationalFunction._of_constant(self.value / _constant_value(other))
 
     def __pow__(self, m: int):
-        if m < 0:
-            return RationalFunction((Fraction(1),)) / self ** (-m)
-        out = RationalFunction((Fraction(1),))
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
+        return RationalFunction._of_constant(self.value ** index(m))
 
     def __radd__(self, other):
-        return self._coerce(other) + self
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
+        return RationalFunction._of_constant(_constant_value(other) + self.value)
 
     def __rmul__(self, other):
-        return self._coerce(other) * self
+        return RationalFunction._of_constant(_constant_value(other) * self.value)
+
+    def __rsub__(self, other):
+        return RationalFunction._of_constant(_constant_value(other) - self.value)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    @staticmethod
-    def _coerce(x) -> "RationalFunction":
-        if isinstance(x, RationalFunction):
-            return x
-        return RationalFunction.constant(_as_fraction(x))
+        return RationalFunction._of_constant(_constant_value(other) / self.value)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, RationalFunction):
+            return self.value == other.value
         if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+            return self.value == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self.value)
 
     def __repr__(self) -> str:
-        def fmt(c):
-            if not c:
-                return "0"
-            terms = []
-            for i, x in enumerate(c):
-                if x == 0:
-                    continue
-                if i == 0:
-                    terms.append(str(x))
-                elif i == 1:
-                    terms.append(f"{x}*T")
-                else:
-                    terms.append(f"{x}*T^{i}")
-            return " + ".join(terms)
+        return str(self.value)
 
-        if self.den == (Fraction(1),):
-            return fmt(self.num)
-        return f"({fmt(self.num)})/({fmt(self.den)})"
+
+def _constant_value(x) -> Fraction:
+    """x as a Fraction: a rational, or a constant of Q(T)."""
+    return x.value if isinstance(x, RationalFunction) else _as_fraction(x)
 
 
 FieldElement = Union[Fraction, RationalFunction]
@@ -552,26 +372,25 @@ class ValuedField:
 
     def zero(self) -> FieldElement:
         if self.kind == "laurent":
-            return RationalFunction(())
+            return RationalFunction(0)
         return Fraction(0)
 
     def one(self) -> FieldElement:
         if self.kind == "laurent":
-            return RationalFunction((Fraction(1),))
+            return RationalFunction(1)
         return Fraction(1)
 
     def from_rational(self, x) -> FieldElement:
-        x = _as_fraction(x)
         if self.kind == "laurent":
-            return RationalFunction.constant(x)
-        return x
+            return RationalFunction(x)
+        return _as_fraction(x)
 
     def uniformizer(self) -> FieldElement:
+        """p over Q_p.  The trivial field has no uniformizer, and a Laurent
+        field, which holds constants of Q(T) only, has no element T."""
         if self.kind == "padic":
             return Fraction(self.prime)
-        if self.kind == "laurent":
-            return RationalFunction.variable()
-        raise ValueError("trivial valuation has no uniformizer")
+        raise ValueError(f"the {self.kind} field has no uniformizer element")
 
     def element(self, x) -> FieldElement:
         """Coerce x (rational, string, RationalFunction) into the field."""
@@ -584,18 +403,14 @@ class ValuedField:
     # -- the absolute value ----------------------------------------------
 
     def abs(self, x: FieldElement) -> Magnitude:
-        """|x|, exactly; multiplicative and ultrametric."""
-        if self.kind == "laurent":
-            if not isinstance(x, RationalFunction):
-                x = RationalFunction.constant(_as_fraction(x))
-            if x.is_zero:
-                return Magnitude.zero(self.rho)
-            return Magnitude._normalized(self.rho, _Q1, x.order())
+        """|x|, exactly; multiplicative and ultrametric.  Over the trivial
+        field and Q(T) every nonzero rational has |x| = rho^0."""
+        if self.kind != "padic":
+            zero = _constant_value(x) == 0
+            return Magnitude.zero(self.rho) if zero else Magnitude.one(self.rho)
         x = _as_fraction(x)
         if x == 0:
             return Magnitude.zero(self.rho)
-        if self.kind == "trivial":
-            return Magnitude.one(None)
         return Magnitude._normalized(self.rho, _Q1, _vp(x, self.prime))
 
     def magnitude(self, q, n: int = 0) -> Magnitude:

@@ -3,10 +3,9 @@
 Two layers:
 
 * fraction-free kernels for rational matrices (``mat_vec``, ``rref``,
-  ``rank`` and what is built on them); constants of Q(T) are unwrapped
-  into the same kernels (``_constant_matrix``) and handed back as
-  constants of Q(T), and a non-constant element of Q(T) is refused
-  (``PreconditionError``), and
+  ``rank`` and what is built on them); constants of Q(T), the Laurent
+  field's elements, are unwrapped into the same kernels
+  (``_constant_matrix``) and handed back as constants of Q(T), and
 * integer routines (column Hermite normal form, kernels, intersections,
   Smith normal form, the adjugate and determinant of a square matrix) used
   by the lattice and adelic code and by the inverse of a rational basis.
@@ -21,7 +20,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence
 
-from .fields import PreconditionError, RationalFunction, _constant_value, _is_zero
+from .fields import RationalFunction, _constant_value, _is_zero
 
 Matrix = List[list]
 
@@ -51,16 +50,9 @@ def _is_rational(values) -> bool:
 
 
 def _constants(values: Sequence) -> Sequence:
-    """values itself when rational, else as Fractions when each is a
-    rational or a constant of Q(T) (``fields._constant_value``); any other
-    value is refused."""
-    if _is_rational(values):
-        return values
-    out = list(map(_constant_value, values))
-    if any(x is None for x in out):
-        raise PreconditionError("only rationals and constants of Q(T) are supported, "
-                                "not a non-constant element of Q(T)")
-    return out
+    """values itself when rational, else as Fractions: each is a rational
+    or a constant of Q(T) (``fields._constant_value``)."""
+    return values if _is_rational(values) else list(map(_constant_value, values))
 
 
 def _constant_matrix(m: Sequence[Sequence]) -> Matrix:

@@ -9,7 +9,7 @@ those against the quotient metric, whose fibre norm is 1 / max_i |e_i(x)| / w_i
 over an orthogonal basis, on the monomials at x that the metric steps up one
 degree at a time; elimination is the test oracle.  Over Q(T) every frame entry
 and point coordinate is a constant, read as its rational value by the same
-integer kernels; a non-constant one is refused (``PreconditionError``).
+integer kernels.
 """
 
 from __future__ import annotations
@@ -290,8 +290,8 @@ def _dual_norm(N: NormedSpace, w: Sequence, d_w: int = 1) -> Magnitude:
     return Magnitude._normalized(field.rho, Fraction(best[2], best[1]), best[0] - shift)
 
 
-def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
-                        point: Sequence, row: Optional[tuple] = None) -> Magnitude:
+def quotient_fiber_norm(N: NormedSpace, n: int, point: Sequence,
+                        row: Optional[tuple] = None) -> Magnitude:
     """|1|^quot at the point for the norm N on degree-n sections: the
     minimum of N over {s : s(x) = 1}, at the representative x given
     (scaling x by c scales this by |c|^-n).  ``row``, when the caller keeps
@@ -305,7 +305,7 @@ def quotient_fiber_norm(N: NormedSpace, field: ValuedField, m: int, n: int,
     which would make sigma = 1 by construction.
     """
     row = row or integer_evaluation_row(n, point)
-    return field.one_magnitude() / _dual_norm(N, *row)
+    return N.field.one_magnitude() / _dual_norm(N, *row)
 
 
 def metric_gap(N: NormedSpace, h: QuotientMetric, n: int, point: Sequence) -> Magnitude:
@@ -313,7 +313,7 @@ def metric_gap(N: NormedSpace, h: QuotientMetric, n: int, point: Sequence) -> Ma
     any representative: scaling it by c scales the dual norm of degree-n
     evaluation by |c|^n and D(x) by |c|, so the ratio does not move."""
     D = h._frame_value(point)  # refuses the zero vector; the h^n fiber norm of 1 is D^-n
-    return quotient_fiber_norm(N, h.field, h.m, n, point, h._evaluation_row(n, point)) * D ** n
+    return quotient_fiber_norm(N, n, point, h._evaluation_row(n, point)) * D ** n
 
 
 def sigma(h: QuotientMetric, n: int, point: Sequence) -> Magnitude:

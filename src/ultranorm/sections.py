@@ -204,18 +204,21 @@ def _polynomial_product(a: Dict[Exponent, FieldElement],
 def normalize_point(field: ValuedField, coords: Sequence) -> List[FieldElement]:
     """Scale homogeneous coordinates so the first coordinate of maximal
     magnitude becomes exactly 1 (the canonical representative used in
-    all metric formulas).  Rational coordinates outside a Laurent field
+    all metric formulas).  The coordinates, rationals or constants of Q(T),
     compare in integers: over Q_p by least p-adic valuation of their
-    numerators over a common denominator, over the trivial field as equal."""
-    rational = field.kind != "laurent" and linalg._is_rational(coords)
-    pt = linalg._integer_row(coords)[0] if rational else [field.element(x) for x in coords]
-    size = (field.abs if not rational else (lambda x: 0) if field.kind == "trivial"
-            else (lambda x: -_vp(x, field.prime)))
-    nonzero = [i for i, x in enumerate(pt) if not _is_zero(x)]
+    numerators over a common denominator; over the trivial field and Q(T),
+    where every nonzero rational has the same size, the first nonzero one
+    is the pivot.  A Laurent field gets constants of Q(T) back."""
+    pt = linalg._integer_row(linalg._constants(coords))[0]
+    nonzero = [i for i, x in enumerate(pt) if x]
     if not nonzero:
         raise PreconditionError("zero vector is not a projective point")
-    pivot = pt[max(nonzero, key=lambda i: size(pt[i]))]  # the first maximum
-    return [Fraction(x, pivot) for x in pt] if rational else [x / pivot for x in pt]
+    if field.kind == "padic":
+        pivot = pt[max(nonzero, key=lambda i: -_vp(pt[i], field.prime))]  # the first maximum
+    else:
+        pivot = pt[nonzero[0]]
+    out = [Fraction(x, pivot) for x in pt]
+    return linalg._lift(out) if field.kind == "laurent" else out
 
 
 @dataclass
@@ -259,8 +262,8 @@ class Subvariety:
         return "points" if self.points is not None else "linear"
 
 
-def evaluation_row(field: ValuedField, m: int, n: int, point: Sequence) -> list:
-    """The degree-n monomials of monomial_basis(m, n) evaluated at point;
+def evaluation_row(n: int, point: Sequence) -> list:
+    """The degree-n monomials of monomial_basis(len(point) - 1, n) at point;
     one Fraction per monomial, a constant of Q(T) at a point of such."""
     values = linalg._constants(point)
     ints, d = integer_evaluation_row(n, values)
@@ -294,7 +297,7 @@ def restriction_kernel(Y: Subvariety, n: int) -> List[List[FieldElement]]:
         raise PreconditionError("degree must be non-negative")
     m = Y.num_vars - 1
     if Y.kind == "points":
-        return linalg.kernel_basis([evaluation_row(Y.field, m, n, pt) for pt in Y.points])
+        return linalg.kernel_basis([evaluation_row(n, pt) for pt in Y.points])
     # degree-n piece of the ideal: span of (form * degree-(n-1) monomials)
     if n == 0:
         return []

@@ -357,11 +357,8 @@ def _errors(instance: Any, schema: Dict[str, Any],
 
 
 def rational_to_str(x) -> str:
-    """A rational, or a constant of Q(T), as NUM/DEN; any other element of
-    Q(T) has no such form (PreconditionError)."""
+    """A rational, or a constant of Q(T), as NUM/DEN."""
     x = _constant_value(x)
-    if x is None:
-        raise PreconditionError("only rational or constant values serialize to JSON")
     try:
         return f"{x.numerator}/{x.denominator}"
     except ValueError as exc:  # beyond Python's int-to-str digit limit

@@ -27,8 +27,7 @@ class NormedSpace:
     ``basis`` is a square matrix (list of rows) over the field whose
     columns are the orthogonal vectors; ``weights[i]`` is the norm of
     column i.  The standard basis with unit weights gives the sup norm.
-    Entries are rationals or constants of Q(T); a basis with a
-    non-constant entry of Q(T) is refused.
+    Entries are rationals or constants of Q(T).
     """
 
     field: ValuedField
@@ -45,7 +44,7 @@ class NormedSpace:
             raise PreconditionError("weights must be positive")
         self._inverse = None
         self._columns = None
-        # the basis as Fractions (itself when rational); refuses T
+        # the basis as Fractions (itself when rational)
         self._integer = {"rational": linalg._constant_matrix(self.basis)}
 
     # -- constructors ----------------------------------------------------
@@ -199,8 +198,7 @@ def _eliminate(field: ValuedField, weights: Sequence[Magnitude],
     Returns the pivots and the pivot values |row_i[pivot_i]| * w_pivot_i,
     which are the norms of the final rows.  One integer kernel serves every
     field: over Q or Q(T) every nonzero rational has |c| = rho^0.  Rows of
-    rationals and constants of Q(T) come back as constants of Q(T); a
-    non-constant entry of Q(T) is refused.
+    rationals and constants of Q(T) come back as constants of Q(T).
     """
     constants = linalg._constant_matrix(rows)  # rows itself when rational
     result = _eliminate_integer(field, weights, constants)
@@ -372,8 +370,8 @@ def scalar_extension(space: NormedSpace, target: ValuedField) -> NormedSpace:
     if target.kind != "laurent":
         raise PreconditionError("scalar extension target must be a Laurent field")
     weights = [Magnitude(target.rho, w.q, 0) for w in space.weights]
-    # built on the rational basis, so nothing scans the constants for T, then
-    # given the constants; they have the integer forms of their rational values
+    # built on the rational basis, then given the constants, which have the
+    # integer forms of their rational values
     extended = NormedSpace(target, space.basis, weights)
     extended.basis = lift_constant(space.basis)
     extended._integer.update(inverse=space._integer_form("inverse"),

@@ -1,4 +1,4 @@
-"""Magnitudes, valued fields, rational functions, Laurent base choice."""
+"""Magnitudes, valued fields, constants of Q(T), Laurent base choice."""
 
 from __future__ import annotations
 
@@ -13,43 +13,10 @@ from hypothesis import strategies as st
 from ultranorm import (LaurentRationals, Magnitude, PadicRationals,
                        RationalFunction, TrivialRationals, ValuedField,
                        choose_laurent_base)
-from ultranorm.fields import _is_prime, _poly_gcd, _prime_support, _vp
+from ultranorm.fields import _is_prime, _prime_support, _vp
 
 SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-# enough points that, after dropping the roots of the (degree <= 3)
-# denominators and of a divisor, several remain to compare at
-POINTS = [Fraction(t) for t in range(-4, 6)] + [
-    Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7), Fraction(-7, 4),
-    Fraction(9, 5), Fraction(-11, 6)]
 OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
-
-
-def poly_at(coeffs, t):
-    return sum((c * t ** i for i, c in enumerate(coeffs)), Fraction(0))
-
-
-@st.composite
-def rf_operands(draw):
-    """(num, den) coefficient lists of a constant, a polynomial or a
-    proper ratio, unreduced."""
-    kind = draw(st.sampled_from(["constant", "polynomial", "rational"]))
-    if kind == "constant":
-        return [draw(SMALL)], [draw(SMALL.filter(bool))]
-    num = draw(st.lists(SMALL, max_size=4))
-    if kind == "polynomial":
-        return num, [Fraction(1)]
-    den = draw(st.lists(SMALL, min_size=2, max_size=4)
-               .filter(lambda d: d[-1] != 0))
-    return num, den
-
-
-def assert_canonical(f):
-    assert not f.num or f.num[-1] != 0
-    assert f.den[-1] == 1
-    if f.is_zero:
-        assert f.den == (Fraction(1),)
-    else:
-        assert _poly_gcd(f.num, f.den) == (Fraction(1),)
 
 
 class TestMagnitude:
@@ -168,17 +135,13 @@ class TestMagnitudeFastPaths:
     @settings(max_examples=200)
     def test_abs_matches_public_constructor(self, field, x):
         if field.kind == "laurent":
-            T = RationalFunction.variable()
-            x = x * T ** 3 / (1 + T)
+            x = field.element(x)
         m = field.abs(x)
-        if field.kind == "trivial":
-            ref = Magnitude(None, 0 if x == 0 else 1)
-        elif field.kind == "laurent":
-            ref = Magnitude(field.rho, 0 if x.is_zero else 1,
-                            0 if x.is_zero else 3)
-        else:
+        if field.kind == "padic":
             ref = Magnitude(field.rho, 0 if x == 0 else 1,
                             0 if x == 0 else _vp(x, field.prime))
+        else:  # a nonzero rational, or constant of Q(T), has |x| = rho^0
+            ref = Magnitude(field.rho, 0 if x == 0 else 1)
         assert_same(m, ref)
         assert_same(field.zero_magnitude(), Magnitude(field.rho, 0))
         assert_same(field.one_magnitude(), Magnitude(field.rho, 1))
@@ -257,72 +220,88 @@ class TestValuedField:
 
 
 class TestRationalFunction:
+    """Constants of Q(T), the Laurent field's elements: one rational each."""
+
     def test_laurent_absolute_value_by_t_order(self):
+        # a nonzero constant has T-order 0, so |c| = (1/P)^0
         K = LaurentRationals(3)
-        t = K.uniformizer()
-        assert K.abs(t).value() == Fraction(1, 3)
-        assert K.abs(t * t).value() == Fraction(1, 9)
-        assert K.abs(K.one() / t).value() == Fraction(3)
+        for x in (Fraction(7, 2), Fraction(-3), Fraction(1, 9), 27):
+            assert K.abs(K.from_rational(x)) == K.abs(x) == K.one_magnitude()
+        assert K.abs(K.zero()) == K.abs(0) == K.zero_magnitude()
         assert K.abs(K.from_rational(Fraction(7, 2))).value() == Fraction(1)
+
+    def test_t_is_refused(self):
+        """T has no maker: a Laurent field has no uniformizer element, and
+        a coefficient tuple is not one rational."""
+        with pytest.raises(ValueError, match="^the laurent field has no uniformizer element$"):
+            LaurentRationals(5).uniformizer()
+        with pytest.raises(ValueError, match="^the trivial field has no uniformizer element$"):
+            TrivialRationals().uniformizer()
+        assert PadicRationals(5).uniformizer() == 5
+        for x in ((Fraction(0), Fraction(1)), (0, 1), [Fraction(3)], 1.5, None):
+            for make in (RationalFunction, RationalFunction.constant):
+                with pytest.raises(TypeError, match="exact rational"):
+                    make(x)
 
     def test_arithmetic_reduces(self):
         K = LaurentRationals(2)
-        t = K.uniformizer()
-        one = K.one()
-        f = (one + t) * (one - t)
-        g = one - t * t
-        assert f == g
-
-    def test_order_and_constant_detection(self):
-        K = LaurentRationals(2)
-        t = K.uniformizer()
-        f = t * t * K.from_rational(Fraction(3))
-        assert f.order() == 2
-        assert not f.is_constant()
-        c = K.from_rational(Fraction(5, 4))
-        assert c.is_constant() and c.constant_value() == Fraction(5, 4)
+        one, c = K.one(), K.from_rational(Fraction(6, 4))
+        f = (one + c) * (one - c)
+        assert f == one - c * c
+        assert isinstance(f, RationalFunction) and type(f.value) is Fraction
+        assert f.value == Fraction(-5, 4)
 
     @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
     @settings(max_examples=100)
     def test_field_axioms_sample(self, a, b, c):
         K = LaurentRationals(2)
-        t = K.uniformizer()
+        t = K.from_rational(Fraction(1, 3))
         f = K.from_rational(Fraction(a)) + t * K.from_rational(Fraction(b))
-        g = K.from_rational(Fraction(c)) + t
+        g = K.from_rational(Fraction(c)) + t  # never zero
         assert f * g == g * f
         assert f + g == g + f
         assert f * (g + g) == f * g + f * g
+        assert f / g * g == f and f - g + g == f
 
-
-    @given(rf_operands(), rf_operands(), st.sampled_from(OPS))
-    @settings(max_examples=400)
-    def test_arithmetic_matches_pointwise_values(self, f, g, op):
-        lhs, rhs = RationalFunction(*f), RationalFunction(*g)
-        assert_canonical(lhs)
-        assert_canonical(rhs)
-        if op is operator.truediv and rhs.is_zero:
-            with pytest.raises(ZeroDivisionError):
-                op(lhs, rhs)
-            return
-        result = op(lhs, rhs)
-        assert_canonical(result)
-        checked = 0
-        for t in POINTS:
-            df, dg, dr = (poly_at(f[1], t), poly_at(g[1], t),
-                          poly_at(result.den, t))
-            if 0 in (df, dg, dr):
+    @given(st.one_of(SMALL, st.integers(-6, 6)), st.one_of(SMALL, st.integers(-6, 6)),
+           st.sampled_from([(True, False), (False, True), (True, True)]))
+    @settings(max_examples=300)
+    def test_operators_match_fraction_arithmetic(self, a, b, wrap):
+        """Every operator on a pair of rationals, ints and constants of
+        Q(T), reflected ones included, against Fraction arithmetic on the
+        values; a constant equals, and hashes as, its value."""
+        x, y = (RationalFunction(v) if w else v for v, w in zip((a, b), wrap))
+        fa, fb = Fraction(a), Fraction(b)
+        for op in OPS:
+            if op is operator.truediv and b == 0:
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
                 continue
-            gt = poly_at(g[0], t) / dg
-            if op is operator.truediv and gt == 0:
-                continue
-            assert poly_at(result.num, t) / dr == op(poly_at(f[0], t) / df, gt)
-            checked += 1
-        assert checked >= 3
+            got = op(x, y)
+            assert isinstance(got, RationalFunction) and type(got.value) is Fraction
+            assert got.value == op(fa, fb)
+            assert got == op(fa, fb) and op(fa, fb) == got
+            assert hash(got) == hash(op(fa, fb))
+        for k in (-2, -1, 0, 1, 3):
+            if fa == 0 and k < 0:
+                with pytest.raises(ZeroDivisionError):
+                    RationalFunction(a) ** k
+            else:
+                assert (RationalFunction(a) ** k).value == fa ** k
+        assert (-RationalFunction(a)).value == -fa
+        for v, w in ((x, a), (y, b)):
+            assert v == w and w == v and not v != w
+            assert hash(v) == hash(w) == hash(Fraction(w))
+            assert {Fraction(w): "found"}[v] == "found"
+        assert (x == y) == (fa == fb) and (y == x) == (fa == fb)
+        assert RationalFunction(a) != str(a) and RationalFunction(a) != None  # noqa: E711
+        with pytest.raises(TypeError):
+            RationalFunction(a) + 1.5
 
-    @given(rf_operands(), SMALL, st.sampled_from(OPS))
+    @given(SMALL, SMALL, st.sampled_from(OPS))
     @settings(max_examples=200)
     def test_mixed_rational_operands(self, f, c, op):
-        x = RationalFunction(*f)
+        x = RationalFunction(f)
         for a, b in ((x, c), (c, x)):
             lifted = [RationalFunction.constant(v) if v is c else v
                       for v in (a, b)]
@@ -333,11 +312,14 @@ class TestRationalFunction:
 
     @given(SMALL, SMALL.filter(bool))
     def test_constant_constructions_agree(self, a, b):
-        f = RationalFunction((a,), (b,))
-        g = RationalFunction.constant(a / b)
-        assert f == g and hash(f) == hash(g)
-        assert f.num == g.num and f.den == (Fraction(1),)
-        assert f == a / b and f.constant_value() == a / b
+        x, K = a / b, LaurentRationals(2)
+        made = [RationalFunction(x), RationalFunction.constant(x), K.from_rational(x),
+                K.element(x), K.element(str(x)), RationalFunction(str(x)),
+                RationalFunction._of_constant(x)]
+        for f in made:
+            assert f == x and f.value == x and type(f.value) is Fraction
+            assert hash(f) == hash(made[0]) == hash(x)
+        assert RationalFunction(a.numerator) == a.numerator
 
 
 def _choose_by_factoring(values):

@@ -182,8 +182,8 @@ class TestFractionFreeKernels:
             assert all(isinstance(c, RationalFunction) for c in got.coeffs.values())
             assert got == _lift(s * t, K)
             assert _lift(t, K) ** 3 == _lift(t ** 3, K)
-        # T is not a constant: the loop, not the integer kernel
-        x = Section(K, 2, 1, {(1, 0): RationalFunction((F(0), F(1))),
+        # constants of Q(T) are not rationals: the loop, not the integer kernel
+        x = Section(K, 2, 1, {(1, 0): RationalFunction.constant(F(-7, 3)),
                               (0, 1): RationalFunction.constant(F(1, BIG + 1))})
         assert x * x == Section(K, 2, 2, _polynomial_product(x.coeffs, x.coeffs))
 
@@ -198,7 +198,7 @@ class TestFractionFreeKernels:
                     if not any(pt):
                         continue
                     for point in (pt, normalize_point(field, pt)):
-                        row = evaluation_row(field, m, n, point)
+                        row = evaluation_row(n, point)
                         assert row == _evaluation_row_products(field, m, n, point)
                         assert len(row) == len(monomial_basis(m, n))
                         assert all(isinstance(x, F) for x in row)
@@ -231,22 +231,23 @@ class TestFractionFreeKernels:
                 row = step_row(row, a, n)
 
     def test_laurent_row_refuses_t(self):
-        # a point holding T is refused, also through the restriction kernel
+        # a point holding T cannot be built; a point of constants of Q(T)
+        # gets its row, also through the restriction kernel
         K = LaurentRationals(5)
-        point = [RationalFunction.constant(F(1, 3)), RationalFunction((F(0), F(1)))]
-        Y = Subvariety(K, 2, points=[point])
-        for call in (lambda: integer_evaluation_row(2, point),
-                     lambda: evaluation_row(K, 1, 2, point),
-                     lambda: restriction_kernel(Y, 2)):
-            with pytest.raises(PreconditionError, match="constants of Q"):
-                call()
+        with pytest.raises(TypeError, match="exact rational"):
+            RationalFunction((F(0), F(1)))
+        with pytest.raises(ValueError, match="^the laurent field has no uniformizer element$"):
+            K.uniformizer()
         const = [F(1, 3), F(0), F(7, BIG)]
         lifted = [RationalFunction.constant(x) for x in const]
         for n in range(4):
-            got = evaluation_row(K, 2, n, lifted)
+            got = evaluation_row(n, lifted)
             assert got == _evaluation_row_products(K, 2, n, lifted) == [
-                RationalFunction.constant(x) for x in evaluation_row(K, 2, n, const)]
+                RationalFunction.constant(x) for x in evaluation_row(n, const)]
             assert all(isinstance(x, RationalFunction) for x in got)
+            assert integer_evaluation_row(n, lifted) == integer_evaluation_row(n, const)
+        Y, Y_const = Subvariety(K, 3, points=[lifted]), Subvariety(K, 3, points=[const])
+        assert restriction_kernel(Y, 2) == restriction_kernel(Y_const, 2)
 
 
 def normalize_by_magnitudes(field, coords):
@@ -268,8 +269,9 @@ RATIONAL_FIELDS = [PadicRationals(2), PadicRationals(3), PadicRationals(1000003)
 
 
 class TestNormalizePoint:
-    """Rational points outside a Laurent field pick their pivot in integers
-    (least valuation, or first nonzero); the Magnitude loop is the oracle."""
+    """Points pick their pivot in integers (least valuation over Q_p, the
+    first nonzero over the trivial field and Q(T)); the Magnitude loop is
+    the oracle."""
 
     @staticmethod
     def check(field, coords):
@@ -312,13 +314,21 @@ class TestNormalizePoint:
 
     def test_laurent_field_returns_field_elements(self):
         K = LaurentRationals(5)
-        T = RationalFunction((F(0), F(1)))
-        coords = [T, F(3), RationalFunction.constant(F(0)), F(1, 2)]
+        coords = [RationalFunction.constant(F(0)), F(3), RationalFunction.constant(F(7, 25)),
+                  F(1, 2), 5]
         got = normalize_point(K, coords)
         assert got == normalize_by_magnitudes(K, coords)
         assert all(isinstance(x, RationalFunction) for x in got)
-        assert got[1] == K.one()
+        assert got == [0, 1, F(7, 75), F(1, 6), F(5, 3)] and got[1] == K.one()
         assert all(isinstance(x, RationalFunction) for x in normalize_point(K, [F(2), 1]))
+        rng = random.Random("normalize/laurent")
+        for _ in range(100):
+            coords = [_wide_rational(rng) * rng.choice([0, 1]) for _ in range(rng.randint(1, 4))]
+            if any(coords):
+                lifted = [RationalFunction.constant(x) for x in coords]
+                assert normalize_point(K, lifted) == normalize_point(K, coords) == [
+                    RationalFunction.constant(x) for x in normalize_point(TrivialRationals(), coords)]
+                assert normalize_point(K, lifted) == normalize_by_magnitudes(K, lifted)
 
     @pytest.mark.parametrize("field", RATIONAL_FIELDS + [LaurentRationals(5)],
                              ids=lambda K: f"{K.kind}{K.prime}")

@@ -130,6 +130,15 @@ class TestDistance:
         assert space.norm(diff) == dist
 
 
+def assert_t_cannot_be_built(K):
+    """T, the one generator of Q(T) that is no constant, has no maker: the
+    refusal that stands in for the kernels' own."""
+    with pytest.raises(ValueError, match="^the laurent field has no uniformizer element$"):
+        K.uniformizer()
+    with pytest.raises(TypeError, match="exact rational"):
+        RationalFunction((F(0), F(1)))
+
+
 def random_element(rng, field):
     """A random rational; over Q(T) a constant, as a config gives it."""
     return field.element(F(rng.randint(-6, 6), rng.randint(1, 4)))
@@ -145,9 +154,7 @@ def random_space(rng, field, dim):
     while True:
         basis = [[random_element(rng, field) for _ in range(dim)]
                  for _ in range(dim)]
-        try:
-            linalg.invert(basis)
-        except ValueError:
+        if linalg.rank(basis) < dim:
             continue
         if field.kind == "trivial":
             weights = [field.magnitude(F(rng.randint(1, 9), rng.randint(1, 4)))
@@ -343,20 +350,17 @@ class TestIntegerElimination:
         return ext, x, subspace, want
 
     def test_non_constant_rows_are_refused(self):
-        # T^k v spans what v spans, but a row holding T is refused; the
-        # constants (k = 0) lie at the rational distance
+        # a row holding T cannot be built; c v spans what v spans, and a
+        # nonzero constant has |c| = 1, so c x lies at the rational distance
         ext, x, subspace, want = self.laurent_problem()
-        T = ext.field.uniformizer()
-        for k in (1, 2):
-            lift = [[T ** k * a for a in v] for v in [*subspace, x]]
-            for call in (lambda: distance_to_subspace(ext, lift[2], lift[:2]),
-                         lambda: orthogonalize_flag(ext, lift),
-                         lambda: spaces_module._eliminate(ext.field, ext.weights, lift)):
-                with pytest.raises(PreconditionError, match="constants of Q"):
-                    call()
-        lift = [[T ** 0 * a for a in v] for v in [*subspace, x]]
-        dist = distance_to_subspace(ext, lift[2], lift[:2])[0]
-        assert (dist.q, dist.n) == (want.q, 0)
+        assert_t_cannot_be_built(ext.field)
+        for c in (F(1), F(-3), F(2, 7)):
+            c = ext.field.from_rational(c)
+            lift = [[c * a for a in v] for v in [*subspace, x]]
+            dist = distance_to_subspace(ext, lift[2], lift[:2])[0]
+            assert (dist.q, dist.n) == (want.q, 0)
+            g, norms, _ = orthogonalize_flag(ext, lift)
+            assert norms[2] == dist and all(isinstance(a, RationalFunction) for a in g[2])
 
     def test_constant_rows_take_the_integer_kernel(self, monkeypatch):
         ext, x, subspace, want = self.laurent_problem()
@@ -372,7 +376,7 @@ class TestIntegerElimination:
 class TestIntegerForms:
     """A rational space keeps its basis, inverse and columns as (integers,
     d) rows, built once; over Q(T) a basis of constants has the forms of its
-    rational values, and a non-constant one is refused."""
+    rational values."""
 
     @pytest.mark.parametrize("field", [PadicRationals(2), TrivialRationals()],
                              ids=lambda f: f.kind)
@@ -420,28 +424,20 @@ class TestIntegerForms:
         assert str(info.value) == f"basis is not invertible ({reason})"
 
     def test_non_constant_basis_has_no_integer_form(self):
-        """A basis holding T is refused when the space is built, and a vector
-        holding T by coordinates and norm; constants take the forms."""
+        """A basis or a vector holding T cannot be built; constants take the
+        forms."""
         rng = random.Random("forms/laurent")
         K = LaurentRationals(5)
-        T = K.uniformizer()
+        assert_t_cannot_be_built(K)
         weights = [K.magnitude(1, n) for n in (0, 1, -1)]
-        # B + T C is invertible over Q(T), as det(B + T C) is det B at T = 0
-        base, step = (random_space(rng, TrivialRationals(), 3) for _ in range(2))
-        with pytest.raises(PreconditionError, match="constants of Q"):
-            NormedSpace(K, [[a + T * c for a, c in zip(r, t)] for r, t in zip(
-                base.basis, step.basis)], weights)
+        base = random_space(rng, TrivialRationals(), 3)
         space = NormedSpace(K, lift_constant(base.basis), weights)
         assert space.integer_columns() == base.integer_columns()
         for v in ([random_element(rng, K) for _ in range(3)],
                   [K.from_rational(F(rng.randint(-5, 5))) for _ in range(3)]):
             assert space.coordinates(v) == loop_mat_vec(space.basis_inverse(), v)
             assert space.from_coordinates(v) == loop_mat_vec(space.basis, v)
-            v[rng.randrange(3)] += T
-            for call in (lambda: space.coordinates(v), lambda: space.norm(v),
-                         lambda: space.from_coordinates(v)):
-                with pytest.raises(PreconditionError, match="constants of Q"):
-                    call()
+            assert space.norm(v) == space.norm([x.value for x in v])
 
     def test_constant_basis_takes_the_base_forms(self):
         rng = random.Random("forms/laurent-constant")
@@ -524,12 +520,11 @@ class TestConstantRoute:
 
     @pytest.mark.parametrize("P", PRIMES)
     def test_mixed_and_non_constant_input(self, P):
-        """A Fraction matrix on a vector of constants gives constants; one
-        non-constant entry is refused by mat_vec, the coordinates and the
-        elimination."""
+        """A Fraction matrix on a vector of constants gives constants; a
+        non-constant entry cannot be built."""
         rng = random.Random(f"constant-route/mixed/{P}")
         K = LaurentRationals(P)
-        T = K.uniformizer()
+        assert_t_cannot_be_built(K)
         for dim in (1, 2, 3):
             ext, rational, _ = self.spaces(rng, P, dim)
             v = [K.from_rational(F(rng.randint(-6, 6), rng.randint(1, 4))) for _ in range(dim)]
@@ -542,11 +537,6 @@ class TestConstantRoute:
             assert (spaces_module._eliminate(K, ext.weights, rows)
                     == _eliminate_field(K, ext.weights, work))
             assert rows == work
-            v[rng.randrange(dim)] += T
-            for call in (lambda: linalg.mat_vec(ext.basis, v), lambda: ext.coordinates(v),
-                         lambda: spaces_module._eliminate(K, ext.weights, [v])):
-                with pytest.raises(PreconditionError, match="constants of Q"):
-                    call()
 
 
 class TestQuotient:
