@@ -4,7 +4,8 @@ A metric is induced by a normed space on the degree-1 sections: at each
 rational point the fiber carries the quotient norm.  Pointwise values
 come from an exact closed formula; sup norms are weighted Gauss norms
 after an exact change of variables into the orthogonal basis: Sym^n of the
-frame's forms in integers (_SymPowers).  The sigma and mu diagnostics compare
+frame's forms as dense integer columns (_SymPowers), which the Gauss spaces'
+integer forms read without a Fraction basis.  The sigma and mu diagnostics compare
 those against the quotient metric, whose fibre norm is 1 / max_i |e_i(x)| / w_i
 over an orthogonal basis, on the monomials at x that the metric steps up one
 degree at a time; elimination is the test oracle.  Over Q(T) every frame entry
@@ -18,16 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
-from math import gcd
-from operator import mul
+from math import comb, gcd, lcm
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence
 
 from . import linalg
 from .fields import (Magnitude, ValuedField, _fekete_running_min, _is_zero, _vp,
                      magnitude_max)
-from .sections import (Section, Subvariety, _integer_coeffs, _polynomial_product,
-                       integer_evaluation_row, monomial_basis, normalize_point,
-                       step_row)
+from .sections import (Section, Subvariety, integer_evaluation_row, monomial_basis,
+                       normalize_point, step_row)
 from .spaces import NormedSpace, PreconditionError, orthogonalize_flag
 
 
@@ -77,7 +77,7 @@ class QuotientMetric:
     def to_frame_coordinates(self, s: Section) -> Section:
         """Rewrite s as a polynomial in the frame linear forms: returns a
         section whose variables are the frame coordinates u_i."""
-        return _change_frame(self._subst, s)
+        return _change_frame(self._sym[1], s)
 
     # -- pointwise metric ---------------------------------------------------
 
@@ -149,7 +149,8 @@ class QuotientMetric:
         flag = forms + [std[j] for j in linalg.extend_basis(forms, std, nv)]
         g, norms, _ = orthogonalize_flag(self.base, flag)
         # rewrite s in the g-coordinates: x = (G^T)^{-1} u, G^T has rows g_j
-        u = _change_frame(_linear_forms(self.field, linalg.invert(g)), s)
+        ones = [self.field.one_magnitude()] * nv
+        u = _change_frame(_SymPowers(_linear_forms(self.field, linalg.invert(g)), ones), s)
         # on Y the first k frame coordinates vanish; Gauss norm of the rest
         return _gauss_norm(self.field, u, norms, vanishing=len(forms))
 
@@ -158,9 +159,11 @@ class _GaussSpace(NormedSpace):
     """The degree-n sup norm of a QuotientMetric (see gauss_space).
 
     The basis is Sym^n of the frame, its inverse Sym^n of the frame inverse
-    (column k is x^{e_k} in the frame coordinates): integer ``_SymPowers``
-    columns, made Fractions (constants of Q(T) over a Laurent field) only
-    when read; sigma never does.
+    (column k is x^{e_k} in the frame coordinates): dense integer
+    ``_SymPowers`` columns P_e / D_e.  The integer forms read them directly,
+    "basis" and "inverse" as rows over L = lcm(D_e); Fractions (constants of
+    Q(T) over a Laurent field) are built only for the public ``basis`` and
+    ``basis_inverse()``, which sigma, the lifts and the Laurent detour never read.
     """
 
     def __init__(self, metric: QuotientMetric, n: int):
@@ -184,42 +187,75 @@ class _GaussSpace(NormedSpace):
         """Integer columns (integers, d) as Fractions, one zero object; Q(T): lifted."""
         zero = Fraction(0)
         out = [[Fraction(v, d) if v else zero for v in c] for c, d in columns]
-        return list(map(linalg._lift, out)) if self.field.kind == "laurent" else out
+        return list(map(linalg._lift, out)) if self._lifted() else out
 
-    def _inverse_form(self, basis: List[list]) -> List[tuple]:
-        return list(map(linalg._integer_row, linalg._constant_matrix(self.basis_inverse())))
+    def _integer_form(self, key: str) -> List[tuple]:
+        """The rows of the frame columns ("basis") or of the substitution
+        columns ("inverse") scaled to one denominator L = lcm(D_e); built once."""
+        if key not in self._integer:
+            cols = self._integer["columns"] if key == "basis" else self._subst.columns(self._n)[0]
+            L = lcm(*(d for _, d in cols))
+            self._integer[key] = [(row, L) for row in zip(*(
+                [x * (L // d) for x in P] for P, d in cols))]
+        return self._integer[key]
+
+    def _lifted(self) -> bool:
+        return self.field.kind == "laurent"
+
+    def _lift_basis(self):
+        self._basis = self._inverse = self._columns = None  # lifted when read
 
 
 class _SymPowers:
     """Sym^n of linear forms f_j = F_j / d_j (rationals or constants of Q(T)) with
-    weights w_j: column e = prod_j f_j^e_j = P_e / D_e (D_e coprime to the content
-    of P_e) is column e - delta_j of degree n - 1 times f_j (weight times w_j),
+    weights w_j: column e = prod_j f_j^e_j = P_e / D_e, with P_e a dense integer
+    list in monomial_basis order and D_e coprime to its content, is column
+    e - delta_j of degree n - 1 times f_j (``_times_form``; weight times w_j),
     first j with e_j > 0: ``step_row`` blocks.  Keeps the last degree."""
 
     def __init__(self, forms: Sequence[Section], weights: Sequence[Magnitude]):
-        values = [linalg._constants(list(f.coeffs.values())) for f in forms]
-        self._factors = [(*_integer_coeffs(dict(zip(f.coeffs, v))), w)
-                         for f, v, w in zip(forms, values, weights)]
-        origin = (0,) * len(forms)
-        self._start = self._last = 0, [({origin: 1}, 1, Magnitude.one(weights[0].rho))]
+        self._factors = [(*linalg._integer_row(linalg._constants(f.to_vector())), w)
+                         for f, w in zip(forms, weights)]
+        self._start = self._last = 0, [([1], 1, Magnitude.one(weights[0].rho))]
 
     def columns(self, n: int) -> tuple[List[tuple], List[Magnitude]]:
         """The degree-n columns in monomial_basis order as integer forms
         (P_e, D_e) = ``linalg._integer_row``, and their weights."""
         deg, prods = self._last if self._last[0] <= n else self._start
         for r in range(deg, n):
-            prods = step_row(prods, self._factors, r, self._times)
+            prods = step_row(prods, self._factors, r, lambda f, c: self._times(f, c, r))
         self._last = n, prods
-        exps = monomial_basis(len(self._factors) - 1, n)
-        return [([P.get(x, 0) for x in exps], D) for P, D, _ in prods], [w for *_, w in prods]
+        return [(P, D) for P, D, _ in prods], [w for *_, w in prods]
 
     @staticmethod
-    def _times(factor: tuple, column: tuple) -> tuple:
-        """Column (P, D, w) times the form (F, d, w_j), D coprime to the content."""
+    def _times(factor: tuple, column: tuple, n: int) -> tuple:
+        """Column (P, D, w) of degree n times the form (F, d, w_j)."""
         (F, d, wj), (P, D, w) = factor, column
-        P, D = _polynomial_product(P, F), D * d
-        g = gcd(D, *P.values())
-        return {x: v // g for x, v in P.items() if v}, D // g, w * wj
+        P, D = _times_form(P, F, n), D * d
+        g = gcd(D, *P)
+        return ([v // g for v in P] if g > 1 else P), D // g, w * wj
+
+
+def _times_form(P: list, F: Sequence[int], n: int) -> list:
+    """The dense integer polynomial P of degree n (monomial_basis order, in
+    len(F) variables) times the linear form sum_j F_j x_j, dense in degree
+    n + 1.  As in ``step_row``, x_0 keeps the order, and x_1..x_m act inside
+    each x_0 block: the block of degree k in x_1..x_m goes to block k + 1."""
+    f, rest = F[0], F[1:]
+    k = len(rest)
+    if k == 0:
+        return [f * P[0]]
+    if k == 1:  # each block is one monomial, and x_1 moves it one place on
+        return [f * a + rest[0] * b for a, b in zip(P + [0], [0] + P)]
+    out = [f * v for v in P] + [0] * comb(n + k, k - 1)
+    if any(rest):
+        start = 0
+        for deg in range(n + 1):
+            end = start + comb(deg + k - 1, k - 1)
+            block = _times_form(P[start:end], rest, deg)
+            out[end:end + len(block)] = map(add, out[end:end + len(block)], block)
+            start = end
+    return out
 
 
 def _gauss_norm(field: ValuedField, u: Section, weights: Sequence[Magnitude],
@@ -240,14 +276,14 @@ def _linear_forms(field: ValuedField, rows: Sequence[Sequence]) -> List[Section]
             for row in rows]
 
 
-def _change_frame(forms: Sequence[Section], s: Section) -> Section:
-    """s with x_j replaced by the form forms[j]: the integer matrix of the
-    ``_SymPowers`` columns P_e / D_e of degree deg(s), times the vector of s's
-    coefficients c_e / D_e (``linalg.mat_vec``, which keeps their type)."""
-    if s.num_vars != len(forms):
+def _change_frame(sym: _SymPowers, s: Section) -> Section:
+    """s with x_j replaced by the form f_j of ``sym``: the integer matrix of its
+    columns P_e / D_e of degree deg(s), times the vector of s's coefficients
+    c_e / D_e (``linalg.mat_vec``, which keeps their type)."""
+    nv = len(sym._factors)
+    if s.num_vars != nv:
         raise PreconditionError("section/metric dimension mismatch")
-    one, nv = forms[0].field.one_magnitude(), len(forms)
-    cols, _ = _SymPowers(forms, [one] * nv).columns(s.degree)
+    cols, _ = sym.columns(s.degree)
     exps = monomial_basis(nv - 1, s.degree)
     w = [s.coeffs.get(e, 0) / Fraction(D) for e, (_, D) in zip(exps, cols)]
     vec = linalg.mat_vec(linalg.transpose([P for P, _ in cols]), w)

@@ -84,7 +84,10 @@ class Section:
     def from_vector(cls, field: ValuedField, m: int, n: int,
                     vec: Sequence[FieldElement]) -> "Section":
         basis = monomial_basis(m, n)
-        return cls(field, m + 1, n, dict(zip(basis, vec)))
+        if len(vec) != len(basis):
+            raise PreconditionError(f"vector has {len(vec)} entries, degree {n} on P^{m} "
+                                    f"has {len(basis)} monomials")
+        return cls._trusted(field, m + 1, n, dict(zip(basis, vec)))
 
     def to_vector(self) -> List[FieldElement]:
         basis = monomial_basis(self.num_vars - 1, self.degree)
@@ -317,5 +320,7 @@ def restriction_kernel(Y: Subvariety, n: int) -> List[List[FieldElement]]:
                 e2[var] += 1
                 vec[index[tuple(e2)]] = vec[index[tuple(e2)]] + c
             vectors.append(vec)
+    if len(Y.linear_forms) == 1:  # a nonzero form times distinct monomials: independent
+        return vectors
     # column-reduce to an independent basis (deterministic selection)
     return [vectors[i] for i in linalg.extend_basis([], vectors, len(basis_n))]

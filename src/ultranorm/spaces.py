@@ -10,6 +10,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,8 +108,8 @@ class NormedSpace:
         """The rows of the basis ("basis") or of its transpose ("columns")
         as (integers, d) pairs (``linalg._integer_row``), or the
         ``_inverse_form`` ("inverse"); built once per key from the basis as
-        Fractions, kept under the key "rational" (a Gauss space builds it
-        only when asked)."""
+        Fractions, kept under the key "rational" (a Gauss space has its own,
+        from its integer columns)."""
         if key not in self._integer:
             if "rational" not in self._integer:
                 self._integer["rational"] = linalg._constant_matrix(self.basis)
@@ -124,6 +125,12 @@ class NormedSpace:
         """Whether the basis holds constants of Q(T), not Fractions: then
         the integer forms' results are handed back as such constants."""
         return self._integer["rational"] is not self.basis
+
+    def _lift_basis(self):
+        """Make the basis constants of Q(T) after a move to a Laurent field;
+        the integer forms stay, and the Fraction basis is kept as "rational"."""
+        self._integer["rational"], self.basis = self.basis, lift_constant(self.basis)
+        self._inverse = self._columns = None
 
     def _times(self, key: str, v: Sequence) -> list:
         """The ``_integer_form`` rows times v, one integer dot product per
@@ -369,13 +376,12 @@ def scalar_extension(space: NormedSpace, target: ValuedField) -> NormedSpace:
         raise PreconditionError("scalar extension implemented from the trivial valuation")
     if target.kind != "laurent":
         raise PreconditionError("scalar extension target must be a Laurent field")
-    weights = [Magnitude(target.rho, w.q, 0) for w in space.weights]
-    # built on the rational basis, then given the constants, which have the
-    # integer forms of their rational values
-    extended = NormedSpace(target, space.basis, weights)
-    extended.basis = lift_constant(space.basis)
-    extended._integer.update(inverse=space._integer_form("inverse"),
-                             basis=space._integer_form("basis"))
+    # the same integer forms, whose results now come back as constants of Q(T)
+    extended = copy.copy(space)
+    extended.field = target
+    extended.weights = [Magnitude(target.rho, w.q, 0) for w in space.weights]
+    extended._integer = {key: space._integer_form(key) for key in ("basis", "inverse", "columns")}
+    extended._lift_basis()
     return extended
 
 

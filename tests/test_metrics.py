@@ -11,13 +11,14 @@ import pytest
 
 from ultranorm import (LaurentRationals, NormedSpace, PadicRationals,
                        PreconditionError, TrivialRationals, linalg)
+from ultranorm.extension import ExtensionProblem, extend_trivial_via_laurent, min_norm_lift
 from ultranorm.metrics import (MetricFamily, QuotientMetric, _change_frame, _GaussSpace,
-                               _dual_norm, gauss_attainment_point,
+                               _SymPowers, _dual_norm, _times_form, gauss_attainment_point,
                                metric_gap, mu_estimate, quotient_fiber_norm,
                                sigma)
 from ultranorm.fields import Magnitude, RationalFunction, magnitude_max
-from ultranorm.sections import (Section, Subvariety, evaluation_row, monomial_basis,
-                                normalize_point)
+from ultranorm.sections import (Section, Subvariety, _polynomial_product, evaluation_row,
+                                monomial_basis, normalize_point)
 from ultranorm.spaces import distance_to_subspace, lift_constant, scalar_extension
 
 F = Fraction
@@ -166,7 +167,9 @@ class TestChangeFrame:
                     e: F(rng.randint(-4, 4), rng.randint(1, 9))
                     for e in rng.sample(exps, min(len(exps), 4))}))
                 sections += [Section.monomial(Q3, e) for e in exps]
-            got = [_change_frame(forms, s) for s in sections]
+            # one _SymPowers for every degree, in the order the sections come
+            sym = _SymPowers(forms, [Q3.one_magnitude()] * nv)
+            got = [_change_frame(sym, s) for s in sections]
             assert got == _change_frame_products(forms, sections)
             assert all(s.degree == t.degree for s, t in zip(got, sections))
 
@@ -178,8 +181,9 @@ class TestChangeFrame:
         forms = [self.random_form(rng, K, 2, False) for _ in range(2)]
         rational = Section(K, 2, 2, {(2, 0): F(1, 2), (1, 1): F(-3), (0, 2): F(5, 7)})
         lifted = Section(K, 2, 2, {e: K.element(c) for e, c in rational.coeffs.items()})
-        want = _change_frame(forms, rational)
-        got = _change_frame(forms, lifted)
+        ones = [K.one_magnitude()] * 2
+        want = _change_frame(_SymPowers(forms, ones), rational)
+        got = _change_frame(_SymPowers(forms, ones), lifted)
         assert {e: c.value for e, c in got.coeffs.items()} == want.coeffs
         assert got == _change_frame_products(forms, [lifted])[0]
 
@@ -775,6 +779,98 @@ class TestGaussSpaceOracle:
             cols, inverse, weights = change_frame_space(h, n)
             assert N.columns() == cols and N.weights == weights
             assert N.basis_inverse() == inverse
+
+
+class TestGaussIntegerForms:
+    """A Gauss space serves its integer forms from the dense ``_SymPowers``
+    columns, with no Fraction basis: against its public basis and inverse,
+    an eager NormedSpace on that basis, and ``_polynomial_product``."""
+
+    @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(3),
+                                       PadicRationals(1000003), TrivialRationals(),
+                                       LaurentRationals(5)],
+                             ids=["Q2", "Q3", "Q1000003", "trivial", "laurent5"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_forms_equal_the_basis_and_inverse(self, field, m):
+        rng = random.Random(f"gauss-forms/{field.kind}/{m}")
+        top = 8 if m < 3 else 6
+        line = Section.monomial(field, (1,) + (0,) * m, 3)
+        for make in (random_space, wide_space):
+            h = QuotientMetric(make(rng, field, m + 1))
+            for n in [*range(top + 1), 5, 2, top, 0, 3]:  # then out of order
+                N = h.gauss_space(n)
+                forms = N._integer_form("basis"), N._integer_form("inverse")
+                # a degree-1 change of frame moves the shared substitution powers
+                assert h.to_frame_coordinates(line) == _change_frame_products(
+                    h.substitution(), [line])[0]
+                assert (N._basis, N._inverse, N._columns) == (None, None, None)
+                for form, rows in zip(forms, (N.basis, N.basis_inverse())):
+                    assert [[F(x, d) for x in ints] for ints, d in form] == [
+                        linalg._constants(row) for row in rows]
+                v = [F(rng.randint(-9, 9), rng.choice([1, 4, 2 ** 65])) for _ in range(N.dim)]
+                assert N.coordinates(v) == linalg.mat_vec(N.basis_inverse(), v)
+                assert N.from_coordinates(v) == linalg.mat_vec(N.basis, v)
+                if N.dim <= 20 and make is random_space:
+                    eager = NormedSpace(field, N.basis, N.weights)
+                    assert N.coordinates(v) == eager.coordinates(v)
+                    assert N.from_coordinates(v) == eager.from_coordinates(v)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda K: f"{K.kind}{K.prime}")
+    def test_min_norm_lift_builds_no_fraction_basis(self, field):
+        rng = random.Random(f"sym-unread-lift/{field.kind}{field.prime}")
+        for m in (1, 2):
+            h = QuotientMetric(random_space(rng, field, m + 1))
+            pts = {tuple(F(rng.randint(-5, 5)) for _ in range(m)) for _ in range(m + 2)}
+            form = [F(rng.randint(-3, 3)) for _ in range(m)] + [F(1)]
+            rep = Section.monomial(field, (1,) + (0,) * m)  # x_0 is nonzero on both Y
+            for Y in (Subvariety(field, m + 1, points=[[F(1), *pt] for pt in pts]),
+                      Subvariety(field, m + 1, linear_forms=[form])):
+                P = ExtensionProblem(h, Y, rep)
+                for n in range(1, 5):
+                    min_norm_lift(P, n)
+                    if field.kind == "trivial" and Y.kind == "points":
+                        extend_trivial_via_laurent(P, n)
+                    N = h.gauss_space(n)
+                    assert (N._basis, N._columns, N._inverse) == (None, None, None)
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_scalar_extension_shares_the_forms(self, read_first):
+        K, rng = TrivialRationals(), random.Random(f"gauss-extension/{read_first}")
+        for m in (1, 2):
+            h = QuotientMetric(random_space(rng, K, m + 1))
+            for n in range(4):
+                N = h.gauss_space(n)
+                if read_first:
+                    N.basis, N.basis_inverse(), N.columns()
+                NL = scalar_extension(N, LaurentRationals(7))
+                assert NL._integer_form("inverse") is N._integer_form("inverse")
+                assert NL.integer_columns() is N.integer_columns()
+                assert (N.field, NL.field) == (K, LaurentRationals(7))
+                assert [(w.q, w.n) for w in NL.weights] == [(w.q, 0) for w in N.weights]
+                if not read_first:
+                    assert (N._basis, N._inverse, N._columns) == (None, None, None)
+                assert NL.basis == lift_constant(N.basis)
+                assert NL.basis_inverse() == lift_constant(N.basis_inverse())
+                assert NL.columns() == lift_constant(N.columns())
+                for rows in (NL.basis, NL.basis_inverse(), NL.columns()):
+                    assert all(isinstance(x, RationalFunction) for row in rows for x in row)
+                assert all(type(x) is F for row in N.basis for x in row)
+
+    def test_times_form_equals_polynomial_product(self):
+        rng = random.Random("times-form")
+        for nv in range(1, 5):
+            linear = monomial_basis(nv - 1, 1)
+            for n in range(7):
+                exps, up = monomial_basis(nv - 1, n), monomial_basis(nv - 1, n + 1)
+                for trial in range(6):
+                    P = [rng.choice([0, rng.randint(-10 ** 6, 10 ** 6)]) for _ in exps]
+                    form = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(nv)]
+                    if trial == 0:
+                        P = [0] * len(exps)
+                    elif trial == 1:
+                        form = [0] * nv
+                    want = _polynomial_product(dict(zip(exps, P)), dict(zip(linear, form)))
+                    assert _times_form(P, form, n) == [want.get(e, 0) for e in up]
 
 
 class TestMuEstimate:

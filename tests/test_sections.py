@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -396,3 +397,60 @@ class TestRestrictionKernel:
         sec = Section.from_vector(K, 1, 2, ker[0])
         for pt in Y.points:
             assert sec.evaluate(pt) == F(0)
+
+    @pytest.mark.parametrize("field", [PadicRationals(3), TrivialRationals(),
+                                       LaurentRationals(5)], ids=lambda K: K.kind)
+    def test_one_form_equals_the_extend_basis_selection(self, field):
+        # one nonzero form times distinct monomials is independent: every
+        # candidate of the greedy scan is kept, in order
+        rng = random.Random(f"one-form/{field.kind}")
+        for nv in (2, 3, 4):
+            for _ in range(4 if nv < 4 else 2):
+                form = [F(rng.choice([0, rng.randint(-5, 5)]), rng.randint(1, 4))
+                        for _ in range(nv)]
+                if not any(form):
+                    continue
+                form = [field.element(c) for c in form]
+                Y = Subvariety(field, nv, linear_forms=[form])
+                section = Section.from_vector(field, nv - 1, 1, form)
+                assert restriction_kernel(Y, 0) == []
+                for n in range(1, 7):
+                    vectors = [(Section.monomial(field, e) * section).to_vector()
+                               for e in monomial_basis(nv - 1, n - 1)]
+                    size = len(monomial_basis(nv - 1, n))
+                    want = [vectors[i] for i in linalg.extend_basis([], vectors, size)]
+                    assert restriction_kernel(Y, n) == want
+
+
+    def test_several_forms_keep_an_independent_selection(self):
+        # k forms span products that repeat from degree 2 on: the kept vectors
+        # are independent and span the degree-n piece of the ideal, of dimension
+        # C(n + m, m) - C(n + m - k, m - k)
+        Q3 = PadicRationals(3)
+        rng = random.Random("several-forms")
+        for nv, k in ((3, 2), (4, 2), (4, 3)):
+            while True:
+                forms = [[F(rng.randint(-3, 3)) for _ in range(nv)] for _ in range(k)]
+                if linalg.rank(forms) == k:
+                    break
+            Y = Subvariety(Q3, nv, linear_forms=forms)
+            m = nv - 1
+            for n in range(1, 5):
+                ker = restriction_kernel(Y, n)
+                assert len(ker) == comb(n + m, m) - comb(n + m - k, m - k)
+                assert linalg.rank(ker) == len(ker)
+
+class TestFromVector:
+    @pytest.mark.parametrize("vec", [[F(1), F(2)], [F(1), F(0), F(2), F(3)]],
+                             ids=["short", "long"])
+    def test_wrong_length_is_refused(self, vec):
+        Q2 = PadicRationals(2)
+        message = f"^vector has {len(vec)} entries, degree 2 on P\\^1 has 3 monomials$"
+        with pytest.raises(PreconditionError, match=message):
+            Section.from_vector(Q2, 1, 2, vec)
+
+    def test_right_length_drops_zeros(self):
+        Q2 = PadicRationals(2)
+        s = Section.from_vector(Q2, 1, 2, [F(1), F(0), F(-2)])
+        assert s == Section(Q2, 2, 2, {(2, 0): F(1), (0, 2): F(-2)})
+        assert s.to_vector() == [F(1), F(0), F(-2)]
