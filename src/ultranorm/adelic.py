@@ -23,8 +23,8 @@ from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fields import PadicRationals, _prime_support, _vp
-from .spaces import NormedSpace, PreconditionError, quotient_norm
+from .fields import PadicRationals, _vp
+from .spaces import NormedSpace, PreconditionError
 
 RANK_BOUND = 8
 BOX_BOUND = 10 ** 5  # lattice points: about 5 s for lambda_Q and lambda_Z at rank 2
@@ -45,91 +45,6 @@ def arch_norm(functionals: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) 
         if val > best:
             best = val
     return best
-
-
-def _polytope_vertices(functionals: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Vertices of the unit ball {x : |<f_j, x>| <= 1}, exactly.
-
-    Enumerate r-subsets of the constraint rows (+-f_j), solve the
-    equality system, keep feasible solutions.  Intended for small
-    dimension and few functionals.
-    """
-    r = len(functionals[0])
-    rows: List[List[Fraction]] = []
-    for f in functionals:
-        rows.append([Fraction(x) for x in f])
-        rows.append([-Fraction(x) for x in f])
-    verts: List[List[Fraction]] = []
-    for subset in combinations(range(len(rows)), r):
-        mat = [rows[i] for i in subset]
-        if linalg.rank(mat) < r:
-            continue
-        sol = linalg.solve(mat, [Fraction(1)] * r)
-        if sol is None:
-            continue
-        if all(abs(sum(a * b for a, b in zip(f, sol))) <= 1 for f in functionals):
-            if sol not in verts:
-                verts.append(sol)
-    return verts
-
-
-def _hull_functionals_1d(points: List[List[Fraction]]) -> List[List[Fraction]]:
-    c = max(abs(pt[0]) for pt in points)
-    if c == 0:
-        raise PreconditionError("quotient unit ball is degenerate")
-    return [[Fraction(1) / c]]
-
-
-def _hull_functionals_2d(points: List[List[Fraction]]) -> List[List[Fraction]]:
-    """H-representation of the symmetric convex hull of points in Q^2:
-    one functional per hull edge, normalized to value 1 on the edge."""
-    pts = []
-    for pt in points:
-        for s in (1, -1):
-            q = [s * pt[0], s * pt[1]]
-            if q != [0, 0] and q not in pts:
-                pts.append(q)
-    if linalg.rank(pts) < 2:
-        raise PreconditionError("quotient unit ball is degenerate")
-    # exact gift-wrapping convex hull
-    start = min(pts, key=lambda q: (q[0], q[1]))
-    hull = [start]
-    current = start
-    while True:
-        candidate = None
-        for q in pts:
-            if q == current:
-                continue
-            if candidate is None:
-                candidate = q
-                continue
-            cross = ((candidate[0] - current[0]) * (q[1] - current[1])
-                     - (candidate[1] - current[1]) * (q[0] - current[0]))
-            if cross < 0:
-                candidate = q
-            elif cross == 0:
-                # keep the farther point
-                d1 = (candidate[0] - current[0]) ** 2 + (candidate[1] - current[1]) ** 2
-                d2 = (q[0] - current[0]) ** 2 + (q[1] - current[1]) ** 2
-                if d2 > d1:
-                    candidate = q
-        if candidate == start:
-            break
-        hull.append(candidate)
-        current = candidate
-    out: List[List[Fraction]] = []
-    for i in range(len(hull)):
-        a = hull[i]
-        b = hull[(i + 1) % len(hull)]
-        # functional (u, v) with u*x + v*y = 1 on the edge a-b
-        nx, ny = a[1] - b[1], b[0] - a[0]
-        val = nx * a[0] + ny * a[1]
-        if val == 0:
-            continue
-        f = [nx / val, ny / val]
-        if f not in out and [-f[0], -f[1]] not in out:
-            out.append(f)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -161,9 +76,6 @@ class AdelicSpace:
         if linalg.rank(funcs) < self.dim:
             raise PreconditionError("archimedean functionals must span the dual")
         self.arch_functionals = funcs
-
-    def arch(self, v: Sequence[Fraction]) -> Fraction:
-        return arch_norm(self.arch_functionals, v)
 
     def place(self, p: int) -> NormedSpace:
         if p in self.finite_places:
@@ -228,12 +140,6 @@ class NormedLattice:
 
     def arch(self, v: Sequence[Fraction]) -> Fraction:
         return arch_norm(self.arch_functionals, v)
-
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        mat = [[self.basis_columns[j][i] for j in range(self.rank)]
-               for i in range(self.dim)]
-        coords = linalg.solve(mat, list(v))
-        return coords is not None and all(c.denominator == 1 for c in coords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NormedLattice):
@@ -479,62 +385,6 @@ def lambda_Z(M: NormedLattice, want_basis: bool = False):
     if want_basis:
         return best[0], [M.vector(c) for c in best[1]]
     return best[0]
-
-
-def lambda_upper_bound(M: NormedLattice) -> Fraction:
-    """Heuristic UPPER BOUND for lambda_Z (max norm of the canonical
-    basis); exact only by accident.  Available at any rank."""
-    if M.rank == 0:
-        return Fraction(0)
-    return max(M.arch(c) for c in M.basis_columns)
-
-
-# ----------------------------------------------------------------------
-# Quotients of adelic spaces
-# ----------------------------------------------------------------------
-
-
-def quotient_adelic(A: AdelicSpace, f: Sequence[Sequence[Fraction]]) -> AdelicSpace:
-    """The quotient adelic structure under a surjection f: Q^r -> Q^s.
-
-    Finite places: quotient norms place by place (including any new
-    primes where the image of the standard lattice is non-standard).
-    Archimedean place: the polyhedral quotient norm, computed by exact
-    vertex enumeration of the unit polytope (target dimension <= 2).
-    """
-    f = [[Fraction(x) for x in row] for row in f]
-    s, r = len(f), A.dim
-    if linalg.rank(f) != s:
-        raise PreconditionError("map is not surjective")
-    # primes where f(Z^r) differs from Z^s
-    image = _rational_hnf([[row[j] for row in f] for j in range(r)])
-    extra: set = set(A.finite_places)
-    for col in image:
-        for x in col:
-            extra |= _prime_support(x)
-    places: Dict[int, NormedSpace] = {}
-    for p in sorted(extra):
-        src = A.place(p)
-        quot, _ = quotient_norm(src, f)
-        places[p] = quot
-    # archimedean quotient via the image polytope
-    if s > 2:
-        raise PreconditionError(
-            "polyhedral quotient implemented for target dimension <= 2")
-    verts = _polytope_vertices(A.arch_functionals)
-    images = [linalg.mat_vec(f, v) for v in verts]
-    if s == 1:
-        funcs = _hull_functionals_1d(images)
-    else:
-        funcs = _hull_functionals_2d(images)
-    out = AdelicSpace(s, places, funcs)
-    # exact quotient-lattice identity check
-    src_lat = finite_unit_lattice(A)
-    quo_lat = finite_unit_lattice(out)
-    pushed = _rational_hnf([linalg.mat_vec(f, c) for c in src_lat.basis_columns])
-    if pushed != quo_lat.basis_columns:
-        raise PreconditionError("quotient lattice identity failed (internal error)")
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,8 @@ l^n on Y, as an exact ratio a_n-exponential
 
     ratio_n = min { ||s||_{h^n} : s|_Y = l^n } / ||l||_{Y,h}^n  >=  1.
 
-It also checks sub-additivity of the ratios, estimates the obstruction
-index (the Fekete limit of ratio_n^{1/n}), runs the trivial-valuation
-algorithm through a Laurent-field scalar extension, and decides the
-e^{n*eps} extension bound exactly.
+It also runs the trivial-valuation algorithm through a Laurent-field
+scalar extension, and decides the e^{n*eps} extension bound exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .fields import (LaurentRationals, Magnitude, RationalFunction, ValuedField,
-                     _fekete_running_min, choose_laurent_base, magnitude_max)
+                     choose_laurent_base, magnitude_max)
 from .metrics import QuotientMetric
 from .sections import Section, Subvariety, restriction_kernel
 from .spaces import (NormedSpace, PreconditionError, _eliminate,
@@ -135,29 +133,6 @@ def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, 
 def ratio_sequence(P: ExtensionProblem, n_max: int) -> List[Magnitude]:
     return [P._ratio_cache[n] if n in P._ratio_cache else min_norm_lift(P, n)[1]
             for n in range(1, n_max + 1)]
-
-
-def subadditivity_check(P: ExtensionProblem, n_max: int) -> List[tuple]:
-    """Violations of ratio_{m+n} <= ratio_m * ratio_n for m+n <= n_max
-    (expected: none)."""
-    ratios = ratio_sequence(P, n_max)
-    violations = []
-    for m in range(1, n_max):
-        for n in range(m, n_max - m + 1):
-            if ratios[m + n - 1] > ratios[m - 1] * ratios[n - 1]:
-                violations.append((m, n, ratios[m - 1], ratios[n - 1],
-                                   ratios[m + n - 1]))
-    return violations
-
-
-def lambda_estimate(P: ExtensionProblem, n_max: int) -> Tuple[
-        List[Magnitude], List[Tuple[Magnitude, int]]]:
-    """Per-degree ratios and the running minimum of ratio_n^{1/n}
-    (symbolic (ratio, n) pairs, compared exactly via cross powers);
-    the final entry exponentiates an upper bound for the obstruction
-    index."""
-    ratios = ratio_sequence(P, n_max)
-    return ratios, _fekete_running_min(ratios)
 
 
 def extend_trivial_via_laurent(P: ExtensionProblem, n: int) -> Tuple[Section, Magnitude]:

@@ -222,18 +222,6 @@ def magnitude_max(values: Iterable[Magnitude]) -> Magnitude:
     return best
 
 
-def _fekete_running_min(ratios) -> list:
-    """Running minimum of r_n^{1/n} over r_1, r_2, ... (magnitudes), kept
-    symbolic as (r_n, n) pairs compared exactly via r_n^m < r_m^n."""
-    running = []
-    best = None
-    for n, r in enumerate(ratios, start=1):
-        if best is None or r ** best[1] < best[0] ** n:
-            best = (r, n)
-        running.append(best)
-    return running
-
-
 # ----------------------------------------------------------------------
 # Constants of Q(T), the Laurent field's elements
 # ----------------------------------------------------------------------
@@ -458,22 +446,6 @@ def LaurentRationals(P: int) -> ValuedField:
 # ----------------------------------------------------------------------
 # Picking a Laurent base prime for trivial-valuation scalar extension
 # ----------------------------------------------------------------------
-
-
-def _prime_support(q: Fraction) -> set[int]:
-    support = set()
-    for n in (q.numerator, q.denominator):
-        n = abs(n)
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                support.add(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            support.add(n)
-    return support
 
 
 def choose_laurent_base(values) -> int:

@@ -5,7 +5,7 @@ rational point the fiber carries the quotient norm.  Pointwise values
 come from an exact closed formula; sup norms are weighted Gauss norms
 after an exact change of variables into the orthogonal basis: Sym^n of the
 frame's forms as dense integer columns (_SymPowers), which the Gauss spaces'
-integer forms read without a Fraction basis.  The sigma and mu diagnostics compare
+integer forms read without a Fraction basis.  The sigma diagnostic compares
 those against the quotient metric, whose fibre norm is 1 / max_i |e_i(x)| / w_i
 over an orthogonal basis, on the monomials at x that the metric steps up one
 degree at a time; elimination is the test oracle.  Over Q(T) every frame entry
@@ -24,8 +24,7 @@ from operator import add, mul
 from typing import Dict, List, Optional, Sequence
 
 from . import linalg
-from .fields import (Magnitude, ValuedField, _fekete_running_min, _is_zero, _vp,
-                     magnitude_max)
+from .fields import Magnitude, ValuedField, _is_zero, _vp, magnitude_max
 from .sections import (Section, Subvariety, integer_evaluation_row, monomial_basis,
                        normalize_point, step_row)
 from .spaces import NormedSpace, PreconditionError, orthogonalize_flag
@@ -291,7 +290,7 @@ def _change_frame(sym: _SymPowers, s: Section) -> Section:
 
 
 # ----------------------------------------------------------------------
-# Independent quotient-metric evaluation and the sigma/mu diagnostics
+# Independent quotient-metric evaluation and the sigma diagnostic
 # ----------------------------------------------------------------------
 
 
@@ -358,53 +357,6 @@ def sigma(h: QuotientMetric, n: int, point: Sequence) -> Magnitude:
     if n == 0:
         return h.field.one_magnitude()
     return metric_gap(h.gauss_space(n), h, n, point)
-
-
-@dataclass
-class MetricFamily:
-    """Degree-indexed norms on the section spaces, submultiplicative."""
-
-    field: ValuedField
-    m: int
-    norms: Dict[int, NormedSpace]
-
-    def space(self, n: int) -> NormedSpace:
-        if n not in self.norms:
-            raise PreconditionError(f"family has no degree {n}")
-        return self.norms[n]
-
-    def check_submultiplicative(self, pairs: int = 20, seed: int = 0) -> bool:
-        """Sample products of basis vectors across consecutive degrees and
-        verify ||s t|| <= ||s|| ||t||."""
-        import random
-        rng = random.Random(seed)
-        degrees = sorted(self.norms)
-        count = 0
-        for a in degrees:
-            for b in degrees:
-                if a + b not in self.norms:
-                    continue
-                Na, Nb, Nab = self.norms[a], self.norms[b], self.norms[a + b]
-                for _ in range(3):
-                    i = rng.randrange(Na.dim)
-                    j = rng.randrange(Nb.dim)
-                    sa = Section.from_vector(self.field, self.m, a, Na.column(i))
-                    sb = Section.from_vector(self.field, self.m, b, Nb.column(j))
-                    prod = sa * sb
-                    if Nab.norm(prod.to_vector()) > Na.weights[i] * Nb.weights[j]:
-                        return False
-                    count += 1
-                    if count >= pairs:
-                        return True
-        return True
-
-
-def mu_estimate(F: MetricFamily, h_ref: QuotientMetric, point: Sequence,
-                n_max: int) -> tuple[List[Magnitude], List[tuple[Magnitude, int]]]:
-    """Per-degree gap ratios r_n and the running minimum of r_n^{1/n},
-    kept symbolic as (r_n, n) pairs compared exactly via r_n^m vs r_m^n."""
-    ratios = [metric_gap(F.space(n), h_ref, n, point) for n in range(1, n_max + 1)]
-    return ratios, _fekete_running_min(ratios)
 
 
 # ----------------------------------------------------------------------

@@ -428,13 +428,6 @@ class Lattice:
     def columns(self) -> List[list]:
         return linalg.transpose(self.basis)
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        coords = linalg.solve(self.basis, list(v))
-        if coords is None:
-            return False
-        p = self.field.prime
-        return all(c == 0 or _vp(c, p) >= 0 for c in coords)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lattice):
             return NotImplemented

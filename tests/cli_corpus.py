@@ -73,9 +73,10 @@ def _identity(dim: int) -> List[List[str]]:
 
 
 def _case(argv: List[str], files: Dict[str, object], env: Dict[str, str] = None) -> dict:
+    """A case that writes those of ``files`` that ``argv`` names."""
     return {"argv": argv,
             "files": {name: obj if isinstance(obj, str) else json.dumps(obj)
-                      for name, obj in files.items()},
+                      for name, obj in files.items() if name in argv},
             "env": env or {}}
 
 
@@ -387,7 +388,7 @@ def record() -> int:
         with tempfile.TemporaryDirectory() as directory:
             try:
                 result = run_case(case, Path(directory))
-            except BaseException as exc:  # an uncaught error is exit 1 with a traceback
+            except Exception as exc:  # an uncaught error is exit 1 with a traceback
                 print(f"{name}: raised {exc!r}", file=sys.stderr)
                 return 1
         if result[0] not in (0, 2, 3) or "Traceback" in result[2]:

@@ -1,4 +1,4 @@
-"""Adelic norms, unit lattices, lambda invariants, quotient spaces."""
+"""Adelic norms, unit lattices, lambda invariants, graded basis search."""
 
 from __future__ import annotations
 
@@ -16,8 +16,7 @@ from ultranorm.adelic import (AdelicSpace, NormedLattice, _enumerate,
                               _rational_hnf, arch_norm,
                               check_localization, finite_unit_lattice,
                               graded_minima, lambda_Q, lambda_Z,
-                              lambda_upper_bound, nakai_basis_search,
-                              nakai_first_success, quotient_adelic)
+                              nakai_basis_search, nakai_first_success)
 from ultranorm.fields import _vp
 from ultranorm.spaces import PreconditionError
 import ultranorm.linalg as lg
@@ -34,6 +33,11 @@ def diag_space(p, weights):
 
 
 SUP2 = [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]]
+
+
+def lambda_upper_bound(M):
+    """The largest norm in the canonical basis, an upper bound for lambda_Z."""
+    return max((M.arch(c) for c in M.basis_columns), default=F(0))
 
 
 def dot_lll(rows, dot):
@@ -701,37 +705,6 @@ class TestLambda:
         M = NormedLattice(eye, [[F(10 ** 6), F(0)], [F(0), F(1)]])
         with pytest.raises(PreconditionError, match="enumeration bound"):
             lambda_Z(M)
-
-
-class TestQuotient:
-    def test_frozen_quotient(self):
-        space = diag_space(2, [F(1), F(1, 4)])
-        A = AdelicSpace(2, {2: space}, SUP2)
-        Aq = quotient_adelic(A, [[F(1), F(1)]])
-        assert Aq.dim == 1
-        assert [w.value() for w in Aq.finite_places[2].weights] == [F(1, 4)]
-        Mq = finite_unit_lattice(Aq)
-        assert Mq.basis_columns == [[F(1, 4)]]
-
-    def test_quotient_lattice_is_pushforward(self):
-        rng = random.Random(17)
-        for _ in range(10):
-            r = rng.randint(2, 3)
-            while True:
-                funcs = [[F(rng.randint(-2, 2)) for _ in range(r)]
-                         for _ in range(r + 1)]
-                if lg.rank(funcs) == r:
-                    break
-            A = AdelicSpace(r, {}, funcs)
-            f = [[F(rng.randint(-2, 2)) for _ in range(r)]]
-            if lg.rank(f) < 1:
-                continue
-            Aq = quotient_adelic(A, f)
-            Mq = finite_unit_lattice(Aq)
-            # pushforward of Z^r under f
-            from ultranorm.adelic import _rational_hnf
-            push = _rational_hnf([[f[0][i]] for i in range(r)])
-            assert Mq.basis_columns == push
 
 
 class TestNakai:

@@ -13,11 +13,10 @@ from ultranorm import (LaurentRationals, NormedSpace, PadicRationals,
                        TrivialRationals, choose_laurent_base, linalg)
 from ultranorm.extension import (ExtensionProblem,
                                  _exceeds_exp, check_extension_theorem,
-                                 extend_trivial_via_laurent, lambda_estimate,
-                                 min_norm_lift, ratio_sequence,
-                                 subadditivity_check)
+                                 extend_trivial_via_laurent, min_norm_lift,
+                                 ratio_sequence)
 from ultranorm import metrics
-from ultranorm.metrics import MetricFamily, QuotientMetric, mu_estimate, sigma
+from ultranorm.metrics import QuotientMetric, metric_gap, sigma
 from ultranorm.sections import (Section, Subvariety, integer_evaluation_row,
                                 restriction_kernel)
 from ultranorm.spaces import (PreconditionError, distance_to_subspace,
@@ -272,10 +271,10 @@ class TestPointRows:
                 assert min_norm_lift(P, n) == min_norm_lift(fresh, n)
                 for pt in P.Y.points:  # sigma at the points the lift reads
                     assert sigma(h, n, pt) == sigma(QuotientMetric(h.base), n, pt)
-                family = MetricFamily(field, num_vars - 1, {
-                    k: QuotientMetric(h.base).gauss_space(k) for k in range(1, n + 1)})
-                assert (mu_estimate(family, h, x, n)
-                        == mu_estimate(family, QuotientMetric(h.base), x, n))
+                spaces = [QuotientMetric(h.base).gauss_space(k) for k in range(1, n + 1)]
+                fresh_h = QuotientMetric(h.base)
+                assert ([metric_gap(N, h, k, x) for k, N in enumerate(spaces, 1)]
+                        == [metric_gap(N, fresh_h, k, x) for k, N in enumerate(spaces, 1)])
                 for pt in [x] + P.Y.points:
                     assert h._rows[tuple(pt)][2:] == (n, integer_evaluation_row(n, pt)[0])
 
@@ -304,18 +303,10 @@ class TestRatioSequence:
         Q2 = PadicRationals(2)
         P = p1_problem(Q2, [F(1), F(2)],
                        [[F(1), F(1)], [F(1), F(-1)]], [F(1), F(3)])
-        assert subadditivity_check(P, 8) == []
-
-    def test_running_minimum_monotone(self):
-        Q2 = PadicRationals(2)
-        P = p1_problem(Q2, [F(1), F(1)],
-                       [[F(1), F(1)], [F(1), F(-1)]], [F(1), F(3)])
-        ratios, running = lambda_estimate(P, 6)
-        assert len(ratios) == 6
-        # running minimum of r_n^{1/n}: each entry dominates the next,
-        # compared exactly via cross powers
-        for (r1, n1), (r2, n2) in zip(running, running[1:]):
-            assert r2 ** n1 <= r1 ** n2
+        ratios = ratio_sequence(P, 8)
+        for m in range(1, 8):
+            for n in range(m, 9 - m):
+                assert ratios[m + n - 1] <= ratios[m - 1] * ratios[n - 1], (m, n)
 
 
 class TestLaurentPath:

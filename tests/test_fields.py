@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ultranorm import (LaurentRationals, Magnitude, PadicRationals,
                        RationalFunction, TrivialRationals, ValuedField,
                        choose_laurent_base)
-from ultranorm.fields import _is_prime, _prime_support, _vp
+from ultranorm.fields import _is_prime, _vp
 
 SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
@@ -320,6 +320,24 @@ class TestRationalFunction:
             assert f == x and f.value == x and type(f.value) is Fraction
             assert hash(f) == hash(made[0]) == hash(x)
         assert RationalFunction(a.numerator) == a.numerator
+
+
+def _prime_support(q: Fraction) -> set[int]:
+    """The primes dividing the numerator or the denominator of q, by trial
+    division."""
+    support = set()
+    for n in (q.numerator, q.denominator):
+        n = abs(n)
+        d = 2
+        while d * d <= n:
+            if n % d == 0:
+                support.add(d)
+                while n % d == 0:
+                    n //= d
+            d += 1
+        if n > 1:
+            support.add(n)
+    return support
 
 
 def _choose_by_factoring(values):

@@ -1,4 +1,4 @@
-"""Quotient metrics on O(1), Gauss sup norms, sigma/mu diagnostics."""
+"""Quotient metrics on O(1), Gauss sup norms, the sigma diagnostic."""
 
 from __future__ import annotations
 
@@ -12,10 +12,9 @@ import pytest
 from ultranorm import (LaurentRationals, NormedSpace, PadicRationals,
                        PreconditionError, TrivialRationals, linalg)
 from ultranorm.extension import ExtensionProblem, extend_trivial_via_laurent, min_norm_lift
-from ultranorm.metrics import (MetricFamily, QuotientMetric, _change_frame, _GaussSpace,
-                               _SymPowers, _dual_norm, _times_form, gauss_attainment_point,
-                               metric_gap, mu_estimate, quotient_fiber_norm,
-                               sigma)
+from ultranorm.metrics import (QuotientMetric, _change_frame, _GaussSpace, _SymPowers,
+                               _dual_norm, _times_form, gauss_attainment_point, metric_gap,
+                               quotient_fiber_norm, sigma)
 from ultranorm.fields import Magnitude, RationalFunction, magnitude_max
 from ultranorm.sections import (Section, Subvariety, _polynomial_product, evaluation_row,
                                 monomial_basis, normalize_point)
@@ -873,12 +872,33 @@ class TestGaussIntegerForms:
                     assert _times_form(P, form, n) == [want.get(e, 0) for e in up]
 
 
-class TestMuEstimate:
+class TestGaussSubmultiplicative:
+    """||s t|| <= ||s|| ||t|| on the Gauss spaces, for every pair of basis
+    vectors in degrees a + b <= 4.  A weighted Gauss norm is multiplicative
+    (Gauss's lemma), so the bound holds with equality, which is asserted."""
+
+    FRAME = [[F(1), F(2, 3), F(0)], [F(5), F(-7), F(1, 2)], [F(0), F(1), F(4)]]
+
+    @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(3),
+                                       TrivialRationals()],
+                             ids=lambda f: f"{f.kind}{f.prime or ''}")
+    @pytest.mark.parametrize("frame", ["diagonal", "non-diagonal"])
+    def test_basis_products(self, field, frame):
+        if frame == "diagonal":
+            h = diag_metric(field, [F(1), F(3) if field.prime == 3 else F(1, 2), F(1)])
+        else:
+            h = QuotientMetric(NormedSpace(field, self.FRAME, [
+                field.magnitude(w) for w in (F(3, 5), F(7, 4), F(1))]))
+        for a in range(1, 4):
+            for b in range(1, 5 - a):
+                Na, Nb, Nab = h.gauss_space(a), h.gauss_space(b), h.gauss_space(a + b)
+                for i in range(Na.dim):
+                    s = Section.from_vector(field, h.m, a, Na.column(i))
+                    for j in range(Nb.dim):
+                        t = Section.from_vector(field, h.m, b, Nb.column(j))
+                        norm = Nab.norm((s * t).to_vector())
+                        assert norm == Na.weights[i] * Nb.weights[j], (a, i, b, j)
+
     def test_trivial_family_has_unit_ratios(self):
-        Q2 = PadicRationals(2)
-        h = diag_metric(Q2, [F(1), F(1)])
-        family = MetricFamily(Q2, 1, {n: h.gauss_space(n)
-                                      for n in range(1, 5)})
-        assert family.check_submultiplicative(pairs=20, seed=1)
-        ratios, running = mu_estimate(family, h, [F(1), F(1)], 4)
-        assert all(r.value() == 1 for r in ratios)
+        h = diag_metric(PadicRationals(2), [F(1), F(1)])
+        assert all(sigma(h, n, [F(1), F(1)]).value() == 1 for n in range(1, 5))
