@@ -110,8 +110,7 @@ class NormedLattice:
         by both lambda_Q and lambda_Z."""
         if self.rank > RANK_BOUND:
             raise PreconditionError(
-                f"rank {self.rank} exceeds the exact enumeration bound {RANK_BOUND}; "
-                "use the labeled upper-bound heuristic instead")
+                f"rank {self.rank} exceeds the exact enumeration bound {RANK_BOUND}")
         return _enumerate(*self._phi)
 
     @cached_property

@@ -148,20 +148,23 @@ LAMBDA_CONFIG_SCHEMA = {
 }
 
 
-def _metric_from_config(data: Dict[str, Any]) -> QuotientMetric:
+def _metric_from_config(data: Dict[str, Any], degree: int) -> tuple[QuotientMetric, int]:
+    """The config's metric and ``degree``, which is refused past the degree
+    bound from the frame's length alone, before the metric is built."""
     space = ser.space_from_json(data["space"], "/space")
-    return QuotientMetric(space)
+    degree = _bounded_degree(space.dim - 1, degree)
+    return QuotientMetric(space), degree
 
 
-def _problem_from_config(data: Dict[str, Any]) -> ExtensionProblem:
-    metric = _metric_from_config(data)
+def _problem_from_config(data: Dict[str, Any], degree: int) -> tuple[ExtensionProblem, int]:
+    metric, degree = _metric_from_config(data, degree)
     if "subvariety" not in data or "representative" not in data:
         raise ConfigError("", "config requires 'subvariety' and 'representative'")
     Y = ser.subvariety_from_json(data["subvariety"], metric.field,
                                  metric.num_vars)
     rep = ser.section_from_json(data["representative"], metric.field,
                                 "/representative")
-    return ExtensionProblem(metric, Y, rep)
+    return ExtensionProblem(metric, Y, rep), degree
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +242,7 @@ def _sample_points(args, num_vars: int) -> List[List[Fraction]]:
 
 def cmd_sigma_sample(args) -> str:
     data = _load_config(args.config, ser.METRIC_SCHEMA)
-    metric = _metric_from_config(data)
-    n_max = _bounded_degree(metric.m, 4 if args.max_degree is None else args.max_degree)
+    metric, n_max = _metric_from_config(data, 4 if args.max_degree is None else args.max_degree)
     points = _sample_points(args, metric.num_vars)
     labels = [_point_str(p) for p in points]
     points = [linalg._integer_row(p)[0] for p in points]  # sigma is scale-invariant
@@ -258,8 +260,8 @@ def cmd_sigma_sample(args) -> str:
 def cmd_extension_table(args) -> str:
     eps = _parse_epsilon(args.epsilon) if args.epsilon else None
     data = _load_config(args.config, ser.METRIC_SCHEMA)
-    problem = _problem_from_config(data)
-    n_max = _bounded_degree(problem.metric.m, 8 if args.max_degree is None else args.max_degree)
+    problem, n_max = _problem_from_config(
+        data, 8 if args.max_degree is None else args.max_degree)
     ratios = [min_norm_lift(problem, n)[1] for n in range(1, n_max + 1)]
     eps_flags: Optional[List[bool]] = None
     if eps is not None:
@@ -288,8 +290,7 @@ def cmd_extension_table(args) -> str:
 
 def cmd_extend_trivial(args) -> str:
     data = _load_config(args.config, ser.METRIC_SCHEMA)
-    problem = _problem_from_config(data)
-    n = _bounded_degree(problem.metric.m, 1 if args.max_degree is None else args.max_degree)
+    problem, n = _problem_from_config(data, 1 if args.max_degree is None else args.max_degree)
     section, ratio = extend_trivial_via_laurent(problem, n)
     return _json_text({
         "degree": n,

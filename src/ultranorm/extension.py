@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
@@ -22,7 +24,7 @@ from .fields import (LaurentRationals, Magnitude, RationalFunction, ValuedField,
                      choose_laurent_base, magnitude_max)
 from .metrics import QuotientMetric
 from .sections import Section, Subvariety, restriction_kernel
-from .spaces import (NormedSpace, PreconditionError, _eliminate,
+from .spaces import (NormedSpace, PreconditionError, _eliminate_integer,
                      distance_to_subspace, lift_constant, orthogonalize_flag,
                      scalar_extension)
 
@@ -109,24 +111,35 @@ def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, 
     the pivots with psi'_i(c) = psi'_i(a) comes from one back-substitution;
     it is the combination of the dual basis of the psi'_i, so its norm is
     dist.  The lift is N.basis c.
+
+    Each psi_i is one (integers, L D^n) row: column j of N is P_j / d_j
+    (``N.integer_columns()``), L = lcm(d_j), and the kept monomials at x~_i
+    are w / D^n, so psi_i = (P_j . w) (L / d_j) / (L D^n).  The elimination
+    keeps that form, psi'_i(a) is one integer dot product with the integer
+    row of a, and Fractions are built only for dist and in the
+    back-substitution, where the denominator of psi'_i cancels.
     """
     field = P.field
-    a = P._frame_power_of_l(n).to_vector()
-    # the monomials at x~_i as w / d kept by the metric
+    a, d_a = linalg._integer_row(linalg._constants(P._frame_power_of_l(n).to_vector()))
+    # the monomials at x~_i as w / D^n kept by the metric
     rows = [P.metric._evaluation_row(n, pt) for pt in P.Y.points]
     # k points can impose fewer than k conditions (k > dim at low degree)
-    kept = linalg.extend_basis([], [r[0] for r in rows], N.dim)  # d moves no rank
-    psi = [linalg._mat_vec_integer(N.integer_columns(), *rows[i]) for i in kept]
+    kept = linalg.extend_basis([], [r[0] for r in rows], N.dim)  # D^n moves no rank
+    cols = N.integer_columns()
+    L = lcm(*(d for _, d in cols))
+    cols = [(P_j, L // d) for P_j, d in cols]
+    psi = [([sum(map(mul, P_j, w)) * s for P_j, s in cols], L * dn)
+           for w, dn in (rows[i] for i in kept)]
     dual_weights = [field.one_magnitude() / w for w in N.weights]
-    pivots, norms = _eliminate(field, dual_weights, psi)
-    targets = linalg.mat_vec(psi, a)
-    dist = magnitude_max(field.abs(t) / norm for t, norm in zip(targets, norms))
-    c = [field.zero()] * N.dim
+    pivots, norms = _eliminate_integer(field, dual_weights, psi)
+    targets = [sum(map(mul, r, a)) for r, _ in psi]  # psi'_i(a) = target / (d_i d_a)
+    dist = magnitude_max(field.abs(Fraction(t, d * d_a)) / norm
+                         for t, (_, d), norm in zip(targets, psi, norms))
+    c = [Fraction(0)] * N.dim
     for i in reversed(range(len(psi))):
-        acc = targets[i]
-        for j in pivots[i + 1:]:
-            acc = acc - psi[i][j] * c[j]
-        c[pivots[i]] = acc / psi[i][pivots[i]]
+        r, j = psi[i][0], pivots[i]
+        acc = Fraction(targets[i], d_a) - sum(r[k] * c[k] for k in pivots[i + 1:])
+        c[j] = acc / r[j]
     return dist, N.from_coordinates(c)
 
 

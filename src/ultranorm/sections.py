@@ -265,15 +265,6 @@ class Subvariety:
         return "points" if self.points is not None else "linear"
 
 
-def evaluation_row(n: int, point: Sequence) -> list:
-    """The degree-n monomials of monomial_basis(len(point) - 1, n) at point;
-    one Fraction per monomial, a constant of Q(T) at a point of such."""
-    values = linalg._constants(point)
-    ints, d = integer_evaluation_row(n, values)
-    row = [Fraction(v, d) for v in ints]
-    return row if values is point else linalg._lift(row)
-
-
 def integer_evaluation_row(n: int, point: Sequence) -> tuple[list, int]:
     """The degree-n monomials at a point x = a / D of rationals or constants
     of Q(T) (D the lcm of its denominators) as (a^e for each e in
@@ -300,7 +291,11 @@ def restriction_kernel(Y: Subvariety, n: int) -> List[List[FieldElement]]:
         raise PreconditionError("degree must be non-negative")
     m = Y.num_vars - 1
     if Y.kind == "points":
-        return linalg.kernel_basis([evaluation_row(n, pt) for pt in Y.points])
+        # the monomials at x = a / D times D^n: each row keeps its reduced
+        # echelon form, so the kernel is the same; a Laurent field gets
+        # constants of Q(T) back
+        ker = linalg.kernel_basis([integer_evaluation_row(n, pt)[0] for pt in Y.points])
+        return list(map(linalg._lift, ker)) if Y.field.kind == "laurent" else ker
     # degree-n piece of the ideal: span of (form * degree-(n-1) monomials)
     if n == 0:
         return []

@@ -5,7 +5,11 @@ orthogonal basis together with positive weights: for v with coordinates
 a = basis^{-1} v, ``norm(v) = max_i |a_i| * w_i``.  Every operation here
 (orthogonalizing a flag, distances to subspaces, quotient and dual
 norms, scalar extension, unit-ball lattices) is carried out in exact
-arithmetic.
+arithmetic.  The orthogonal elimination keeps each coordinate row as one
+(integers, d) pair, the rational row integers / d, from the coordinates to
+the result: the pivot and the norm come from valuations of integers
+(``_weighted_max``), each clearing step is one integer row operation over a
+gcd (``_reduce``), and Fractions are built only where a result leaves.
 """
 
 from __future__ import annotations
@@ -150,18 +154,17 @@ class NormedSpace:
         return self._times("basis", a)
 
     def norm(self, v: Sequence) -> Magnitude:
-        return self._coordinate_norm(self.coordinates(v))
+        """max_i |a_i| * w_i over the orthogonal coordinates a of v."""
+        coords = linalg._integer_row(linalg._constants(self.coordinates(v)))
+        return _weighted_max(self.field, self.weights, *coords)[1]
 
-    def _coordinate_norm(self, coords: Sequence) -> Magnitude:
-        """max_i |a_i| * w_i over the orthogonal coordinates a."""
-        best = self.field.zero_magnitude()
-        for a, w in zip(coords, self.weights):
-            if _is_zero(a):
-                continue
-            m = self.field.abs(a) * w
-            if m > best:
-                best = m
-        return best
+    def _vectors(self, rows: List[tuple], lift: bool) -> List[list]:
+        """The vectors with coordinates r / d for each (integers, d) row r:
+        one ``_mat_vec_integer`` per row over the "basis" integer form, as
+        constants of Q(T) when ``lift``."""
+        form = self._integer_form("basis")
+        out = [linalg._mat_vec_integer(form, *row) for row in rows]
+        return [linalg._lift(v) for v in out] if lift else out
 
     # -- value set ---------------------------------------------------------
 
@@ -194,70 +197,77 @@ class NormedSpace:
 # ----------------------------------------------------------------------
 
 
-def _eliminate(field: ValuedField, weights: Sequence[Magnitude],
-               rows: List[list]) -> tuple[List[int], List[Magnitude]]:
-    """Orthogonal elimination of coordinate rows under the weighted sup
-    norm max_j |row[j]| * weights[j], in place and in order.
+def _weighted_max(field: ValuedField, weights: Sequence[Magnitude], x: Sequence[int],
+                  d: int, taken=()) -> tuple[Optional[int], Magnitude]:
+    """The first j not in ``taken`` where |x_j| * w_j is largest, and
+    max_j |x_j| * w_j / |d|, the weighted sup norm of the rational row
+    x / d off ``taken``; (None, 0) when that part of x is zero.  Over Q_p,
+    |x_j| / |d| = rho^(v_p(x_j) - v_p(d)); over Q and Q(T) every nonzero
+    rational has |c| = rho^0, so the value is w_j."""
+    p = field.prime if field.kind == "padic" else None
+    best_j = best = None
+    for j, (a, w) in enumerate(zip(x, weights)):
+        if a and j not in taken:
+            val = w if p is None else Magnitude._normalized(w.rho, w.q, w.n + _vp(a, p))
+            if best is None or val > best:
+                best_j, best = j, val
+    if best is None:
+        return None, field.zero_magnitude()
+    if p is None:
+        return best_j, best
+    return best_j, Magnitude._normalized(best.rho, best.q, best.n - _vp(d, p))
 
-    Row i takes as pivot the coordinate j, not yet a pivot, where
-    |row_i[j]| * w_j is largest (the first such j on ties); every later
-    row then loses the multiple of row i that clears its coordinate j.
-    Returns the pivots and the pivot values |row_i[pivot_i]| * w_pivot_i,
-    which are the norms of the final rows.  One integer kernel serves every
-    field: over Q or Q(T) every nonzero rational has |c| = rho^0.  Rows of
-    rationals and constants of Q(T) come back as constants of Q(T).
-    """
-    constants = linalg._constant_matrix(rows)  # rows itself when rational
-    result = _eliminate_integer(field, weights, constants)
-    if constants is not rows:
-        rows[:] = map(linalg._lift, constants)
-    return result
+
+def _reduce(target: tuple, r: Sequence[int], j: int) -> tuple:
+    """The row t / d_t (``target``) minus the multiple of the row r / d that
+    vanishes at coordinate j, as (integers, denominator): t <- r_j t - t_j r
+    and d_t <- d_t r_j (d cancels), over the gcd of t and d_t (the sign
+    stays on d_t); ``target`` itself when t_j = 0."""
+    t, d_t = target
+    tj, rj = t[j], r[j]
+    if not tj:
+        return target
+    t = [rj * a - tj * b for a, b in zip(t, r)]
+    g = math.gcd(*t, d_t * rj)
+    return [a // g for a in t], d_t * rj // g
 
 
 def _eliminate_integer(field: ValuedField, weights: Sequence[Magnitude],
-                       rows: List[list]) -> tuple[List[int], List[Magnitude]]:
-    """``_eliminate`` fraction-free over Q_p, or with p = None over Q and
-    Q(T).  Each row is kept as r / d with integers r (``linalg._integer_row``);
-    the factor 1/|d| moves no pivot and is divided out of the norm once.
-    Row i clears coordinate j of a later row t / d_t by t <- r[j] t - t[j] r,
-    d_t <- d_t r[j], over the gcd of t and d_t (the sign stays on d_t)."""
-    p = field.prime if field.kind == "padic" else None
-    work = list(map(linalg._integer_row, rows))
+                       rows: List[tuple]) -> tuple[List[int], List[Magnitude]]:
+    """Orthogonal elimination under the weighted sup norm
+    max_j |row[j]| * weights[j], in place and in order, fraction-free over
+    every field.  Each row is one (integers, d) pair, the rational row
+    integers / d (``linalg._integer_row``), and stays one.
+
+    Row i takes as pivot the coordinate j, not yet a pivot, where
+    |r_i[j]| * w_j is largest (the first such j on ties; ``_weighted_max``,
+    where the factor 1/|d_i| moves no pivot); every later row then loses
+    the multiple of row i that clears its coordinate j (``_reduce``).
+    Returns the pivots and the pivot values, which are the norms of the
+    final rows."""
     pivots: List[int] = []
     norms: List[Magnitude] = []
-    for i, (r, d) in enumerate(work):
-        best_j = best = None
-        for j, (x, w) in enumerate(zip(r, weights)):
-            if x and j not in pivots:
-                val = w if p is None else Magnitude._normalized(
-                    w.rho, w.q, w.n + _vp(x, p))
-                if best is None or val > best:
-                    best_j, best = j, val
-        if best_j is None:
+    for i in range(len(rows)):
+        r, d = rows[i]
+        j, norm = _weighted_max(field, weights, r, d, pivots)
+        if j is None:
             raise PreconditionError(
                 f"flag vectors are linearly dependent at position {i}")
-        pivots.append(best_j)
-        norms.append(best if p is None else Magnitude._normalized(
-            best.rho, best.q, best.n - _vp(d, p)))
-        rj = r[best_j]
-        for k in range(i + 1, len(work)):
-            t, d_t = work[k]
-            tj = t[best_j]
-            if tj:
-                t = [rj * a - tj * b for a, b in zip(t, r)]
-                g = math.gcd(*t, d_t * rj)
-                work[k] = [a // g for a in t], d_t * rj // g
-    rows[:] = [[Fraction(a, d) for a in r] for r, d in work]
+        pivots.append(j)
+        norms.append(norm)
+        for k in range(i + 1, len(rows)):
+            rows[k] = _reduce(rows[k], r, j)
     return pivots, norms
 
 
-def _clear(target: list, row: list, j: int) -> list:
-    """target minus the multiple of row that vanishes at coordinate j."""
-    c = target[j]
-    if _is_zero(c):
-        return target
-    f = c / row[j]
-    return [a - f * b for a, b in zip(target, row)]
+def _integer_coordinates(space: NormedSpace, vectors: Sequence[Sequence]) -> tuple[
+        List[tuple], bool]:
+    """The coordinates of each vector (``space.coordinates``) as one
+    (integers, d) row, and whether any was a constant of Q(T), in which
+    case the results go back as such constants."""
+    coords = [space.coordinates(v) for v in vectors]
+    constants = linalg._constant_matrix(coords)  # coords itself when rational
+    return list(map(linalg._integer_row, constants)), constants is not coords
 
 
 def orthogonalize_flag(space: NormedSpace, vectors: Sequence[Sequence]) -> tuple[
@@ -273,10 +283,12 @@ def orthogonalize_flag(space: NormedSpace, vectors: Sequence[Sequence]) -> tuple
     flag is preserved; orthogonality holds because each g_i attains its
     norm on a pivot coordinate at which all later g_k vanish exactly and
     all earlier g_j (in any combination realizing the max) are dominated.
+    The coordinate rows are made (integers, d) pairs once and stay so up to
+    the basis product that gives the g_i.
     """
-    work = [space.coordinates(v) for v in vectors]
-    pivots, norms = _eliminate(space.field, space.weights, work)
-    return [space.from_coordinates(row) for row in work], norms, pivots
+    work, lift = _integer_coordinates(space, vectors)
+    pivots, norms = _eliminate_integer(space.field, space.weights, work)
+    return space._vectors(work, lift), norms, pivots
 
 
 def distance_to_subspace(space: NormedSpace, x: Sequence,
@@ -286,17 +298,19 @@ def distance_to_subspace(space: NormedSpace, x: Sequence,
     Returns (dist, w) with w in the subspace and norm(x - w) = dist,
     which is the least value of norm(x - w') over the subspace.  The
     subspace vectors are orthogonalized as a flag; the residual of x
-    after clearing every pivot coordinate is orthogonal to them.
+    after clearing every pivot coordinate is orthogonal to them, and dist
+    is its norm.  The coordinates of x and of the flag are made (integers,
+    d) rows once; the residual is cleared in integers (``_reduce``) and
+    leaves through one ``_mat_vec_integer``.
     """
     if not subspace_vectors:
         return space.norm(x), [space.field.zero()] * space.dim
-    residual = space.coordinates(x)
-    work = [space.coordinates(v) for v in subspace_vectors]
-    pivots, _ = _eliminate(space.field, space.weights, work)
-    for row, j in zip(work, pivots):
-        residual = _clear(residual, row, j)
-    dist = space._coordinate_norm(residual)
-    g = space.from_coordinates(residual)
+    (residual, *work), lift = _integer_coordinates(space, [x, *subspace_vectors])
+    pivots, _ = _eliminate_integer(space.field, space.weights, work)
+    for (r, _), j in zip(work, pivots):
+        residual = _reduce(residual, r, j)
+    dist = _weighted_max(space.field, space.weights, *residual)[1]
+    g = space._vectors([residual], lift)[0]
     return dist, [a - b for a, b in zip(x, g)]
 
 

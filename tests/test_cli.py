@@ -624,7 +624,7 @@ class TestSigmaSampleOracle:
 
     @staticmethod
     def oracle(space, points, n_max):
-        h = cli._metric_from_config({"space": space})
+        h, _ = cli._metric_from_config({"space": space}, n_max)
         rows = []
         for n in range(1, n_max + 1):
             for p in points:
@@ -837,6 +837,25 @@ class TestDegreeBound:
         assert obj["error"] == "precondition"
         assert "15 monomials" in obj["message"]
         assert "degree bound 10" in obj["message"]
+
+    @pytest.mark.parametrize("command,field", [
+        ("sigma-sample", "padic"),
+        ("extension-table", "padic"),
+        ("extend-trivial", "trivial"),
+    ])
+    def test_past_the_bound_builds_no_metric(self, tmp_path, capsys, monkeypatch,
+                                             command, field):
+        # P^120 has 121 degree-1 forms: the frame's length alone refuses
+        # degree 1, before the metric orthogonalizes the 121 x 121 frame
+        cfg = self.problem(tmp_path, field, 121)
+        built = []
+        monkeypatch.setattr(cli, "QuotientMetric", lambda *args: built.append(args))
+        code, out, err = run(capsys, [command, "--config", cfg, "--max-degree", "1"])
+        assert (code, out, built) == (3, "", [])
+        obj = json.loads(err)
+        assert obj["error"] == "precondition"
+        assert obj["message"] == ("degree 1 on P^120 has 121 monomials, "
+                                  "above the degree bound 120")
 
     @pytest.mark.parametrize("command,field", [
         ("sigma-sample", "padic"),

@@ -16,9 +16,10 @@ from ultranorm.metrics import (QuotientMetric, _change_frame, _GaussSpace, _SymP
                                _dual_norm, _times_form, gauss_attainment_point, metric_gap,
                                quotient_fiber_norm, sigma)
 from ultranorm.fields import Magnitude, RationalFunction, magnitude_max
-from ultranorm.sections import (Section, Subvariety, _polynomial_product, evaluation_row,
+from ultranorm.sections import (Section, Subvariety, _polynomial_product,
                                 monomial_basis, normalize_point)
 from ultranorm.spaces import distance_to_subspace, lift_constant, scalar_extension
+from test_sections import evaluation_row
 
 F = Fraction
 

@@ -10,12 +10,22 @@ import pytest
 
 from ultranorm import LaurentRationals, PadicRationals, TrivialRationals, linalg
 from ultranorm.fields import RationalFunction, _is_zero
-from ultranorm.sections import (Section, Subvariety, _polynomial_product, evaluation_row,
+from ultranorm.sections import (Section, Subvariety, _polynomial_product,
                                 integer_evaluation_row, monomial_basis,
                                 normalize_point, restriction_kernel, step_row)
 from ultranorm.spaces import PreconditionError
 
 F = Fraction
+
+
+def evaluation_row(n, point):
+    """The degree-n monomials of monomial_basis(len(point) - 1, n) at point
+    from ``integer_evaluation_row``: one Fraction per monomial, a constant
+    of Q(T) at a point of such."""
+    values = linalg._constants(point)
+    ints, d = integer_evaluation_row(n, values)
+    row = [Fraction(v, d) for v in ints]
+    return row if values is point else linalg._lift(row)
 
 
 def _evaluation_row_products(field, m, n, point):

@@ -18,7 +18,8 @@ from ultranorm import (LaurentRationals, Lattice, NormedSpace, PadicRationals,
                        scalar_extension)
 from ultranorm import spaces as spaces_module
 from ultranorm.fields import _vp
-from ultranorm.spaces import _clear, canonical_lattice_columns, lift_constant
+from ultranorm.metrics import QuotientMetric
+from ultranorm.spaces import canonical_lattice_columns, lift_constant
 
 
 def F(x, y=1):
@@ -196,9 +197,41 @@ class TestOrthogonalizeAgainstDistance:
         assert checked >= 15
 
 
+def _clear(target, row, j):
+    """target minus the multiple of row that vanishes at coordinate j, in
+    field arithmetic: the oracle of ``spaces._reduce``."""
+    c = target[j]
+    if c == 0:
+        return target
+    f = c / row[j]
+    return [a - f * b for a, b in zip(target, row)]
+
+
+def _field_norm(field, weights, coords):
+    """max_j |a_j| * w_j over field elements: the oracle of the weighted
+    max in integers (``spaces._weighted_max``)."""
+    best = field.zero_magnitude()
+    for a, w in zip(coords, weights):
+        if a != 0:
+            best = max(best, field.abs(a) * w)
+    return best
+
+
+def _eliminate_rows(field, weights, rows):
+    """``spaces._eliminate_integer`` on rows of rationals or constants of
+    Q(T), in place: each row made one (integers, d) pair, eliminated, and
+    written back entry by entry (constants as constants)."""
+    constants = linalg._constant_matrix(rows)
+    work = list(map(linalg._integer_row, constants))
+    result = spaces_module._eliminate_integer(field, weights, work)
+    out = [[Fraction(a, d) for a in r] for r, d in work]
+    rows[:] = out if constants is rows else map(linalg._lift, out)
+    return result
+
+
 def _eliminate_field(field, weights, rows):
-    """``_eliminate`` one field element at a time, over any exact field:
-    the oracle."""
+    """The orthogonal elimination one field element at a time, over any
+    exact field: the oracle."""
     pivots, norms = [], []
     for i, row in enumerate(rows):
         best_j, best_val = None, field.zero_magnitude()
@@ -219,9 +252,9 @@ def _eliminate_field(field, weights, rows):
 
 
 class TestIntegerElimination:
-    """``_eliminate`` on rational rows (the integer kernel) against the
-    field loop ``_eliminate_field``, the oracle: same pivots, norms, final
-    rows and errors."""
+    """``_eliminate_integer`` on rational rows (``_eliminate_rows``) against
+    the field loop ``_eliminate_field``, the oracle: same pivots, norms,
+    final rows and errors."""
 
     FIELDS = [PadicRationals(2), PadicRationals(3), PadicRationals(1000003),
               TrivialRationals()]
@@ -230,7 +263,7 @@ class TestIntegerElimination:
     def both(field, weights, rows):
         """(pivots, norms, rows) or the error text, from each route."""
         out = []
-        for eliminate in (spaces_module._eliminate, _eliminate_field):
+        for eliminate in (_eliminate_rows, _eliminate_field):
             work = [list(r) for r in rows]
             try:
                 pivots, norms = eliminate(field, weights, work)
@@ -291,33 +324,32 @@ class TestIntegerElimination:
         assert got == want == (f"flag vectors are linearly dependent at "
                                f"position {position}")
 
-    def test_rows_stay_primitive_one_fraction_per_entry(self, monkeypatch):
-        """Each final row t / d is built entry by entry from integers with
-        gcd(t, d) = 1: the kernel divides out the common factor at every
-        step, so its integers do not grow past the reduced form."""
+    def test_rows_stay_primitive_and_build_no_fraction(self, monkeypatch):
+        """Each final row t / d comes back as integers with gcd(t, d) = 1 and
+        the rational row's value: the kernel divides out the common factor
+        at every step, so its integers do not grow past the reduced form,
+        and it builds no Fraction."""
         rng = random.Random("eliminate/primitive")
         Q3 = PadicRationals(3)
         built = []
-
-        def fraction(a, d):
-            built.append((a, d))
-            return Fraction(a, d)
-
-        monkeypatch.setattr(spaces_module, "Fraction", fraction)
+        monkeypatch.setattr(spaces_module, "Fraction",
+                            lambda *args: built.append(args) or Fraction(*args))
         for _ in range(40):
             dim = rng.randint(2, 5)
             rows = [[self.entry(rng, False) for _ in range(dim)]
                     for _ in range(rng.randint(2, dim))]
-            built.clear()
+            work = [linalg._integer_row(r) for r in rows]
+            want = [list(r) for r in rows]
             try:
-                spaces_module._eliminate(Q3, [Q3.one_magnitude()] * dim, rows)
+                result = spaces_module._eliminate_integer(
+                    Q3, [Q3.one_magnitude()] * dim, work)
             except PreconditionError:
                 continue
-            assert len(built) == len(rows) * dim
-            for k in range(len(rows)):
-                chunk = built[k * dim:(k + 1) * dim]
-                assert len({d for _, d in chunk}) == 1
-                assert math.gcd(*(a for a, _ in chunk), chunk[0][1]) == 1
+            assert result == _eliminate_field(Q3, [Q3.one_magnitude()] * dim, want)
+            for (t, d), row in zip(work, want):
+                assert math.gcd(*t, d) == 1
+                assert [Fraction(a, d) for a in t] == row
+        assert not built
 
     def test_norm_divides_out_the_denominator(self):
         Q2 = PadicRationals(2)
@@ -365,12 +397,80 @@ class TestIntegerElimination:
     def test_constant_rows_take_the_integer_kernel(self, monkeypatch):
         ext, x, subspace, want = self.laurent_problem()
         lift = [[ext.field.from_rational(a) for a in v] for v in [*subspace, x]]
-        with monkeypatch.context() as m:
-            m.setattr(spaces_module, "_eliminate", _eliminate_field)
-            field_loop = distance_to_subspace(ext, lift[2], lift[:2])
+        calls = []
+        kernel = spaces_module._eliminate_integer
+        monkeypatch.setattr(spaces_module, "_eliminate_integer",
+                            lambda *args: calls.append(args) or kernel(*args))
         got = distance_to_subspace(ext, lift[2], lift[:2])
-        assert got == field_loop and got[0].q == want.q
+        assert got == TestConstantRoute.field_distance(ext, lift[2], lift[:2])
+        assert got[0].q == want.q and len(calls) == 1
         assert all(isinstance(a, RationalFunction) for a in got[1])
+
+
+class TestIntegerRoute:
+    """``orthogonalize_flag``, ``distance_to_subspace`` and ``norm`` keep
+    each coordinate row as (integers, d) from ``coordinates`` to the
+    result: against the field loops (``TestConstantRoute``, ``_field_norm``)
+    on Q_2, Q_3, Q_1000003, the trivial field, its Laurent extension and a
+    Gauss space, on coordinates whose integers share a power of p with
+    their denominator, and on dependent flags."""
+
+    @staticmethod
+    def space(name, rng):
+        if name == "trivial" or name == "laurent":
+            base = random_space(rng, TrivialRationals(), 3)
+            if name == "trivial":
+                return base, 2
+            P = choose_laurent_base([w.value() for w in base.weights] + [F(1)])
+            return scalar_extension(base, LaurentRationals(P)), 2
+        if name == "gauss":
+            h = QuotientMetric(random_space(rng, PadicRationals(3), 2))
+            return h.gauss_space(3), 3
+        p = int(name[1:])
+        field = PadicRationals(p)
+        if rng.random() < 0.5:
+            return weighted(field, [F(p) ** rng.randint(-2, 2) for _ in range(3)]), p
+        return random_space(rng, field, 3), p
+
+    @staticmethod
+    def vector(rng, space, p):
+        # (1/p^2, 3/p, p/5): the integers over d = 5 p^2 hold powers of p too
+        entries = [F(rng.randint(-9, 9) * p ** rng.randint(0, 2),
+                     rng.randint(1, 5) * p ** rng.randint(0, 3)) for _ in range(space.dim)]
+        return [space.field.element(x) for x in entries]
+
+    @pytest.mark.parametrize("name", ["Q2", "Q3", "Q1000003", "trivial", "laurent", "gauss"])
+    def test_routes_equal_the_field_loops(self, name):
+        rng = random.Random(f"integer-route/{name}")
+        checked = 0
+        for _ in range(12):
+            space, p = self.space(name, rng)
+            vectors = [self.vector(rng, space, p) for _ in range(space.dim)]
+            if linalg.rank(vectors) < space.dim:
+                continue
+            x, flag = vectors[-1], vectors[:-1]
+            got = orthogonalize_flag(space, vectors)
+            assert got == TestConstantRoute.field_orthogonalize(space, vectors)
+            dist = distance_to_subspace(space, x, flag)
+            assert dist == TestConstantRoute.field_distance(space, x, flag)
+            kind = RationalFunction if name == "laurent" else Fraction
+            assert TestConstantRoute.of_type(kind, got[0], [dist[1]])
+            for v in vectors + [[space.field.zero()] * space.dim]:
+                coords = loop_mat_vec(space.basis_inverse(), v)
+                assert space.norm(v) == _field_norm(space.field, space.weights, coords)
+            # the last vector a combination of the first two
+            dependent = vectors[:2] + [[F(2, p) * a - F(p, 3) * b
+                                        for a, b in zip(vectors[0], vectors[1])]]
+            errors = []
+            for route in (lambda: orthogonalize_flag(space, dependent),
+                          lambda: distance_to_subspace(space, x, dependent),
+                          lambda: TestConstantRoute.field_orthogonalize(space, dependent)):
+                with pytest.raises(PreconditionError) as info:
+                    route()
+                errors.append(str(info.value))
+            assert errors == ["flag vectors are linearly dependent at position 2"] * 3
+            checked += 1
+        assert checked >= 8
 
 
 class TestIntegerForms:
@@ -477,7 +577,8 @@ class TestConstantRoute:
         for row, j in zip(work, pivots):
             residual = _clear(residual, row, j)
         g = loop_mat_vec(space.basis, residual)
-        return space._coordinate_norm(residual), [a - b for a, b in zip(x, g)]
+        return (_field_norm(space.field, space.weights, residual),
+                [a - b for a, b in zip(x, g)])
 
     @staticmethod
     def of_type(kind, *nested):
@@ -534,7 +635,7 @@ class TestConstantRoute:
             assert self.of_type(RationalFunction, [rational.coordinates(v)])
             rows = [ext.coordinates(v)]
             work = [list(r) for r in rows]
-            assert (spaces_module._eliminate(K, ext.weights, rows)
+            assert (_eliminate_rows(K, ext.weights, rows)
                     == _eliminate_field(K, ext.weights, work))
             assert rows == work
 
