@@ -157,8 +157,9 @@ def extend_trivial_via_laurent(P: ExtensionProblem, n: int) -> Tuple[Section, Ma
     (iv) minimize the norm over the extension, (v) expand the result in
     an orthogonal basis whose initial segment spans the restriction
     kernel, drop the kernel coordinates, and assemble the answer over the
-    base field from the rational values of the rest.  Those are T-free by
-    construction: Q(T) holds constants only, so the descent cannot fail.
+    base field from the rest.  Those are T-free by construction: Q(T) holds
+    constants only, and the kernels return them as Fractions, so the
+    descent reads them directly and cannot fail.
     """
     field = P.field
     if field.kind != "trivial":
@@ -191,7 +192,7 @@ def extend_trivial_via_laurent(P: ExtensionProblem, n: int) -> Tuple[Section, Ma
     coords = linalg.mat_vec(g_inverse, s_prime)
     vec = [field.zero()] * dim
     for i in range(d, dim):
-        c = coords[i].value
+        c = coords[i]
         if c:
             vec = [a + c * b for a, b in zip(vec, g[i])]
     s = Section.from_vector(field, P.metric.m, n, vec)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 from operator import index
 from typing import Iterable, Optional, Union
 
@@ -456,7 +458,9 @@ def choose_laurent_base(values) -> int:
     a, b, i.e. when the prime support of r is {P}: when |num(r) den(r)| is
     a power of P.  So each ratio rules out at most one prime, and the walk
     over P = 2, 3, 5, ... strips each candidate from each ratio (``_vp``)
-    without factoring any of them.
+    without factoring any of them.  a / b and b / a share |num den|, so
+    each unordered pair of distinct values gives one, from the integer cross
+    products x = num(a) den(b) and y = num(b) den(a): x y / gcd(x, y)^2.
     """
     vals = []
     for v in values:
@@ -469,8 +473,9 @@ def choose_laurent_base(values) -> int:
         if v <= 0:
             raise ValueError("norm values must be positive")
         vals.append(v)
-    products = {abs(r.numerator * r.denominator) for r in (a / b for a in vals for b in vals)}
-    products.discard(1)
+    cross = ((a.numerator * b.denominator, b.numerator * a.denominator)
+             for a, b in combinations(set(vals), 2))
+    products = {x * y // gcd(x, y) ** 2 for x, y in cross}
     P = 2
     while not _is_prime(P) or any(x % P == 0 and P ** _vp(x, P) == x for x in products):
         P += 1

@@ -4,8 +4,8 @@ Two layers:
 
 * fraction-free kernels for rational matrices (``mat_vec``, ``rref``,
   ``rank`` and what is built on them); constants of Q(T), the Laurent
-  field's elements, are unwrapped into the same kernels
-  (``_constant_matrix``) and handed back as constants of Q(T), and
+  field's elements, are read as their rational values (``_constant_matrix``)
+  by the same kernels, which return Fractions over every field, and
 * integer routines (column Hermite normal form, kernels, intersections,
   Smith normal form, the adjugate and determinant of a square matrix) used
   by the lattice and adelic code and by the inverse of a rational basis.
@@ -20,7 +20,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence
 
-from .fields import RationalFunction, _constant_value, _is_zero
+from .fields import _constant_value
 
 Matrix = List[list]
 
@@ -30,12 +30,9 @@ def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
-    """a v; rational input (ints and Fractions) comes back as Fractions,
-    input of rationals and constants of Q(T) as constants of Q(T), both
-    from the integer kernel."""
-    rows, w = _constant_matrix(a), _constants(v)  # a and v themselves when rational
-    out = _mat_vec_integer(map(_integer_row, rows), *_integer_row(w))
-    return out if rows is a and w is v else _lift(out)
+    """a v as Fractions, from the integer kernel; entries may be rationals
+    or constants of Q(T)."""
+    return _mat_vec_integer(map(_integer_row, _constant_matrix(a)), *_integer_row(_constants(v)))
 
 
 def _mat_vec_integer(rows, w: Sequence[int], d_w: int) -> list:
@@ -60,11 +57,6 @@ def _constant_matrix(m: Sequence[Sequence]) -> Matrix:
     return m if all(map(_is_rational, m)) else list(map(_constants, m))
 
 
-def _lift(values: Sequence[Fraction]) -> list:
-    """Fractions as constants of Q(T)."""
-    return list(map(RationalFunction._of_constant, values))
-
-
 def _integer_row(row: Sequence) -> tuple[list, int]:
     """A rational row as (integers, d) with row = integers / d, where d is
     the lcm of its denominators."""
@@ -85,12 +77,9 @@ def transpose(a: Sequence[Sequence]) -> Matrix:
 
 
 def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form; returns (rref matrix, pivot columns).
-    Rational matrices (ints and Fractions) come back as Fractions, those
-    with a constant of Q(T) as constants of Q(T)."""
-    rows = _constant_matrix(m)
-    red, pivots = _rref_integer(rows)
-    return (red if rows is m else list(map(_lift, red))), pivots
+    """Reduced row-echelon form; returns (rref matrix, pivot columns), as
+    Fractions for entries that are rationals or constants of Q(T)."""
+    return _rref_integer(_constant_matrix(m))
 
 
 def _rref_integer(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
@@ -135,15 +124,6 @@ def _bareiss(a: List[list[int]]) -> list[int]:
     return pivots
 
 
-def _one(m: Sequence[Sequence]):
-    """The field's one (a Fraction for ints, not ``x / x``); None if m is 0."""
-    for row in m:
-        for x in row:
-            if not _is_zero(x):
-                return Fraction(1) if isinstance(x, int) else x / x
-    return None
-
-
 def rank(m: Sequence[Sequence]) -> int:
     """The rank, by ``_bareiss``; it builds no Fraction."""
     return len(_bareiss([_integer_row(row)[0] for row in _constant_matrix(m)]))
@@ -174,9 +154,7 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Optional[list]:
     red, pivots = rref(aug)
     if cols in pivots:
         return None
-    one = _one([*a, b])
-    zero = Fraction(0) if one is None else one - one
-    x = [zero] * cols
+    x = [Fraction(0)] * cols
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     return x
@@ -184,13 +162,11 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Optional[list]:
 
 def invert(a: Sequence[Sequence]) -> Matrix:
     """Inverse of a square matrix; raises ValueError if singular."""
-    n = len(a)
-    one = _one(a)
-    if one is None:
+    a = _constant_matrix(a)
+    if not any(map(any, a)):
         raise ValueError("singular matrix (zero)")
-    zero = one - one
-    aug = [list(a[i]) + [one if i == j else zero for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug)
+    n = len(a)
+    red, pivots = rref([list(row) + e for row, e in zip(a, identity(n))])
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     return [row[n:] for row in red]
@@ -226,19 +202,15 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[Optional[Matrix], int]:
 def kernel_basis(m: Sequence[Sequence]) -> Matrix:
     """Basis (list of vectors) of the right kernel of m."""
     cols = len(m[0]) if m else 0
-    one = _one(m)
-    if one is None:
-        return identity(cols)
     red, pivots = rref(m)
-    zero = one - one
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for f in free:
-        v = [zero] * cols
-        v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = zero - red[r][f]
-        basis.append(v)
+    for f in range(cols):
+        if f not in pivots:
+            v = [Fraction(0)] * cols
+            v[f] = Fraction(1)
+            for r, c in enumerate(pivots):
+                v[c] = -red[r][f]
+            basis.append(v)
     return basis
 
 

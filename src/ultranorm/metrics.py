@@ -10,7 +10,7 @@ those against the quotient metric, whose fibre norm is 1 / max_i |e_i(x)| / w_i
 over an orthogonal basis, on the monomials at x that the metric steps up one
 degree at a time; elimination is the test oracle.  Over Q(T) every frame entry
 and point coordinate is a constant, read as its rational value by the same
-integer kernels.
+integer kernels, which return Fractions over every field.
 """
 
 from __future__ import annotations
@@ -160,9 +160,9 @@ class _GaussSpace(NormedSpace):
     The basis is Sym^n of the frame, its inverse Sym^n of the frame inverse
     (column k is x^{e_k} in the frame coordinates): dense integer
     ``_SymPowers`` columns P_e / D_e.  The integer forms read them directly,
-    "basis" and "inverse" as rows over L = lcm(D_e); Fractions (constants of
-    Q(T) over a Laurent field) are built only for the public ``basis`` and
-    ``basis_inverse()``, which sigma, the lifts and the Laurent detour never read.
+    "basis" and "inverse" as rows over L = lcm(D_e); Fractions, over every
+    field, are built only for the public ``basis`` and ``basis_inverse()``,
+    which sigma, the lifts and the Laurent detour never read.
     """
 
     def __init__(self, metric: QuotientMetric, n: int):
@@ -182,11 +182,11 @@ class _GaussSpace(NormedSpace):
             self._inverse = linalg.transpose(self._fractions(self._subst.columns(self._n)[0]))
         return self._inverse
 
-    def _fractions(self, columns: List[tuple]) -> List[list]:
-        """Integer columns (integers, d) as Fractions, one zero object; Q(T): lifted."""
+    @staticmethod
+    def _fractions(columns: List[tuple]) -> List[list]:
+        """Integer columns (integers, d) as Fractions, one zero object."""
         zero = Fraction(0)
-        out = [[Fraction(v, d) if v else zero for v in c] for c, d in columns]
-        return list(map(linalg._lift, out)) if self._lifted() else out
+        return [[Fraction(v, d) if v else zero for v in c] for c, d in columns]
 
     def _integer_form(self, key: str) -> List[tuple]:
         """The rows of the frame columns ("basis") or of the substitution
@@ -197,12 +197,6 @@ class _GaussSpace(NormedSpace):
             self._integer[key] = [(row, L) for row in zip(*(
                 [x * (L // d) for x in P] for P, d in cols))]
         return self._integer[key]
-
-    def _lifted(self) -> bool:
-        return self.field.kind == "laurent"
-
-    def _lift_basis(self):
-        self._basis = self._inverse = self._columns = None  # lifted when read
 
 
 class _SymPowers:
@@ -278,7 +272,7 @@ def _linear_forms(field: ValuedField, rows: Sequence[Sequence]) -> List[Section]
 def _change_frame(sym: _SymPowers, s: Section) -> Section:
     """s with x_j replaced by the form f_j of ``sym``: the integer matrix of its
     columns P_e / D_e of degree deg(s), times the vector of s's coefficients
-    c_e / D_e (``linalg.mat_vec``, which keeps their type)."""
+    c_e / D_e (``linalg.mat_vec``), as Fractions."""
     nv = len(sym._factors)
     if s.num_vars != nv:
         raise PreconditionError("section/metric dimension mismatch")

@@ -120,16 +120,13 @@ class Section:
                                 {e: c * x for e, x in self.coeffs.items()})
 
     def __mul__(self, other: "Section") -> "Section":
-        """Rational coefficients run fraction-free: each factor is an integer
-        polynomial over the lcm of its denominators, and each product
-        coefficient builds one Fraction.  Q(T) multiplies field elements."""
+        """Fraction-free over every field: each factor is an integer
+        polynomial over the lcm of its denominators (constants of Q(T) read
+        as their rational values), and each product coefficient builds one
+        Fraction."""
         self._check(other, same_degree=False)
-        a, b = self.coeffs, other.coeffs
-        if linalg._is_rational(a.values()) and linalg._is_rational(b.values()):
-            (a, da), (b, db) = _integer_coeffs(a), _integer_coeffs(b)
-            out = {e: Fraction(v, da * db) for e, v in _polynomial_product(a, b).items()}
-        else:
-            out = _polynomial_product(a, b)
+        (a, da), (b, db) = _integer_coeffs(self.coeffs), _integer_coeffs(other.coeffs)
+        out = {e: Fraction(v, da * db) for e, v in _polynomial_product(a, b).items()}
         return Section._trusted(self.field, self.num_vars,
                                 self.degree + other.degree, out)
 
@@ -181,17 +178,16 @@ class Section:
 
 
 def _integer_coeffs(coeffs: Dict[Exponent, FieldElement]) -> tuple[dict, int]:
-    """Rational coefficients as (integer polynomial, d) with
-    coeffs = polynomial / d, d the lcm of the denominators."""
-    ints, d = linalg._integer_row(list(coeffs.values()))
+    """Coefficients (rationals or constants of Q(T)) as (integer polynomial,
+    d) with coeffs = polynomial / d, d the lcm of the denominators."""
+    ints, d = linalg._integer_row(linalg._constants(list(coeffs.values())))
     return dict(zip(coeffs, ints)), d
 
 
-def _polynomial_product(a: Dict[Exponent, FieldElement],
-                        b: Dict[Exponent, FieldElement]) -> dict:
-    """The product of two polynomials stored as exponent tuple ->
-    coefficient (integers, or any field elements); sums may be zero."""
-    out: Dict[Exponent, FieldElement] = {}
+def _polynomial_product(a: Dict[Exponent, int], b: Dict[Exponent, int]) -> dict:
+    """The product of two integer polynomials stored as exponent tuple ->
+    coefficient; sums may be zero."""
+    out: Dict[Exponent, int] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(map(add, e1, e2))
@@ -211,7 +207,7 @@ def normalize_point(field: ValuedField, coords: Sequence) -> List[FieldElement]:
     compare in integers: over Q_p by least p-adic valuation of their
     numerators over a common denominator; over the trivial field and Q(T),
     where every nonzero rational has the same size, the first nonzero one
-    is the pivot.  A Laurent field gets constants of Q(T) back."""
+    is the pivot.  The representative is Fractions over every field."""
     pt = linalg._integer_row(linalg._constants(coords))[0]
     nonzero = [i for i, x in enumerate(pt) if x]
     if not nonzero:
@@ -220,8 +216,7 @@ def normalize_point(field: ValuedField, coords: Sequence) -> List[FieldElement]:
         pivot = pt[max(nonzero, key=lambda i: -_vp(pt[i], field.prime))]  # the first maximum
     else:
         pivot = pt[nonzero[0]]
-    out = [Fraction(x, pivot) for x in pt]
-    return linalg._lift(out) if field.kind == "laurent" else out
+    return [Fraction(x, pivot) for x in pt]
 
 
 @dataclass
@@ -286,30 +281,25 @@ def step_row(row: list, a: Sequence, n: int, times=mul) -> list:
 
 def restriction_kernel(Y: Subvariety, n: int) -> List[List[FieldElement]]:
     """Basis (coefficient vectors over monomial_basis) of the degree-n
-    sections vanishing on Y."""
+    sections vanishing on Y, as Fractions over every field."""
     if n < 0:
         raise PreconditionError("degree must be non-negative")
     m = Y.num_vars - 1
     if Y.kind == "points":
         # the monomials at x = a / D times D^n: each row keeps its reduced
-        # echelon form, so the kernel is the same; a Laurent field gets
-        # constants of Q(T) back
-        ker = linalg.kernel_basis([integer_evaluation_row(n, pt)[0] for pt in Y.points])
-        return list(map(linalg._lift, ker)) if Y.field.kind == "laurent" else ker
+        # echelon form, so the kernel is the same
+        return linalg.kernel_basis([integer_evaluation_row(n, pt)[0] for pt in Y.points])
     # degree-n piece of the ideal: span of (form * degree-(n-1) monomials)
     if n == 0:
         return []
     basis_n = monomial_basis(m, n)
     index = {e: i for i, e in enumerate(basis_n)}
     vectors = []
-    field = Y.field
-    zero = field.zero()
-    for form in Y.linear_forms:
+    for form in map(linalg._constants, Y.linear_forms):
         for e in monomial_basis(m, n - 1):
-            vec = [zero] * len(basis_n)
-            for var in range(m + 1):
-                c = form[var]
-                if _is_zero(c):
+            vec = [Fraction(0)] * len(basis_n)
+            for var, c in enumerate(form):
+                if not c:
                     continue
                 e2 = list(e)
                 e2[var] += 1

@@ -32,7 +32,8 @@ class NormedSpace:
     ``basis`` is a square matrix (list of rows) over the field whose
     columns are the orthogonal vectors; ``weights[i]`` is the norm of
     column i.  The standard basis with unit weights gives the sup norm.
-    Entries are rationals or constants of Q(T).
+    Entries are rationals or constants of Q(T); every result built from
+    the integer forms (coordinates, vectors, the basis inverse) is Fractions.
     """
 
     field: ValuedField
@@ -49,8 +50,7 @@ class NormedSpace:
             raise PreconditionError("weights must be positive")
         self._inverse = None
         self._columns = None
-        # the basis as Fractions (itself when rational)
-        self._integer = {"rational": linalg._constant_matrix(self.basis)}
+        self._integer = {}
 
     # -- constructors ----------------------------------------------------
 
@@ -69,11 +69,10 @@ class NormedSpace:
 
     def basis_inverse(self) -> List[list]:
         """The inverse of the basis matrix, built once: one Fraction per
-        entry of ``_integer_form("inverse")``, made a constant of Q(T) over
-        a basis of such constants."""
+        entry of ``_integer_form("inverse")``."""
         if self._inverse is None:
-            inverse = [[Fraction(x, d) for x in ints] for ints, d in self._integer_form("inverse")]
-            self._inverse = list(map(linalg._lift, inverse)) if self._lifted() else inverse
+            self._inverse = [[Fraction(x, d) for x in ints]
+                             for ints, d in self._integer_form("inverse")]
         return self._inverse
 
     def _inverse_form(self, basis: List[list]) -> List[tuple]:
@@ -112,12 +111,9 @@ class NormedSpace:
         """The rows of the basis ("basis") or of its transpose ("columns")
         as (integers, d) pairs (``linalg._integer_row``), or the
         ``_inverse_form`` ("inverse"); built once per key from the basis as
-        Fractions, kept under the key "rational" (a Gauss space has its own,
-        from its integer columns)."""
+        Fractions (a Gauss space has its own, from its integer columns)."""
         if key not in self._integer:
-            if "rational" not in self._integer:
-                self._integer["rational"] = linalg._constant_matrix(self.basis)
-            basis = self._integer["rational"]
+            basis = linalg._constant_matrix(self.basis)
             if key == "inverse":
                 self._integer[key] = self._inverse_form(basis)
             else:
@@ -125,23 +121,11 @@ class NormedSpace:
                 self._integer[key] = list(map(linalg._integer_row, rows))
         return self._integer[key]
 
-    def _lifted(self) -> bool:
-        """Whether the basis holds constants of Q(T), not Fractions: then
-        the integer forms' results are handed back as such constants."""
-        return self._integer["rational"] is not self.basis
-
-    def _lift_basis(self):
-        """Make the basis constants of Q(T) after a move to a Laurent field;
-        the integer forms stay, and the Fraction basis is kept as "rational"."""
-        self._integer["rational"], self.basis = self.basis, lift_constant(self.basis)
-        self._inverse = self._columns = None
-
     def _times(self, key: str, v: Sequence) -> list:
         """The ``_integer_form`` rows times v, one integer dot product per
-        row; a constant of Q(T) in the basis or in v gives constants back."""
-        w = linalg._constants(v)
-        out = linalg._mat_vec_integer(self._integer_form(key), *linalg._integer_row(w))
-        return out if w is v and not self._lifted() else linalg._lift(out)
+        row, as Fractions."""
+        return linalg._mat_vec_integer(self._integer_form(key),
+                                       *linalg._integer_row(linalg._constants(v)))
 
     def coordinates(self, v: Sequence) -> list:
         if len(v) != self.dim:
@@ -155,16 +139,14 @@ class NormedSpace:
 
     def norm(self, v: Sequence) -> Magnitude:
         """max_i |a_i| * w_i over the orthogonal coordinates a of v."""
-        coords = linalg._integer_row(linalg._constants(self.coordinates(v)))
+        coords = linalg._integer_row(self.coordinates(v))
         return _weighted_max(self.field, self.weights, *coords)[1]
 
-    def _vectors(self, rows: List[tuple], lift: bool) -> List[list]:
+    def _vectors(self, rows: List[tuple]) -> List[list]:
         """The vectors with coordinates r / d for each (integers, d) row r:
-        one ``_mat_vec_integer`` per row over the "basis" integer form, as
-        constants of Q(T) when ``lift``."""
+        one ``_mat_vec_integer`` per row over the "basis" integer form."""
         form = self._integer_form("basis")
-        out = [linalg._mat_vec_integer(form, *row) for row in rows]
-        return [linalg._lift(v) for v in out] if lift else out
+        return [linalg._mat_vec_integer(form, *row) for row in rows]
 
     # -- value set ---------------------------------------------------------
 
@@ -260,14 +242,10 @@ def _eliminate_integer(field: ValuedField, weights: Sequence[Magnitude],
     return pivots, norms
 
 
-def _integer_coordinates(space: NormedSpace, vectors: Sequence[Sequence]) -> tuple[
-        List[tuple], bool]:
+def _integer_coordinates(space: NormedSpace, vectors: Sequence[Sequence]) -> List[tuple]:
     """The coordinates of each vector (``space.coordinates``) as one
-    (integers, d) row, and whether any was a constant of Q(T), in which
-    case the results go back as such constants."""
-    coords = [space.coordinates(v) for v in vectors]
-    constants = linalg._constant_matrix(coords)  # coords itself when rational
-    return list(map(linalg._integer_row, constants)), constants is not coords
+    (integers, d) row."""
+    return [linalg._integer_row(space.coordinates(v)) for v in vectors]
 
 
 def orthogonalize_flag(space: NormedSpace, vectors: Sequence[Sequence]) -> tuple[
@@ -286,9 +264,9 @@ def orthogonalize_flag(space: NormedSpace, vectors: Sequence[Sequence]) -> tuple
     The coordinate rows are made (integers, d) pairs once and stay so up to
     the basis product that gives the g_i.
     """
-    work, lift = _integer_coordinates(space, vectors)
+    work = _integer_coordinates(space, vectors)
     pivots, norms = _eliminate_integer(space.field, space.weights, work)
-    return space._vectors(work, lift), norms, pivots
+    return space._vectors(work), norms, pivots
 
 
 def distance_to_subspace(space: NormedSpace, x: Sequence,
@@ -305,13 +283,13 @@ def distance_to_subspace(space: NormedSpace, x: Sequence,
     """
     if not subspace_vectors:
         return space.norm(x), [space.field.zero()] * space.dim
-    (residual, *work), lift = _integer_coordinates(space, [x, *subspace_vectors])
+    residual, *work = _integer_coordinates(space, [x, *subspace_vectors])
     pivots, _ = _eliminate_integer(space.field, space.weights, work)
     for (r, _), j in zip(work, pivots):
         residual = _reduce(residual, r, j)
     dist = _weighted_max(space.field, space.weights, *residual)[1]
-    g = space._vectors([residual], lift)[0]
-    return dist, [a - b for a, b in zip(x, g)]
+    g = space._vectors([residual])[0]
+    return dist, [a - b for a, b in zip(linalg._constants(x), g)]
 
 
 # ----------------------------------------------------------------------
@@ -390,12 +368,11 @@ def scalar_extension(space: NormedSpace, target: ValuedField) -> NormedSpace:
         raise PreconditionError("scalar extension implemented from the trivial valuation")
     if target.kind != "laurent":
         raise PreconditionError("scalar extension target must be a Laurent field")
-    # the same integer forms, whose results now come back as constants of Q(T)
+    # the same basis and integer forms over the new field and value group
     extended = copy.copy(space)
     extended.field = target
     extended.weights = [Magnitude(target.rho, w.q, 0) for w in space.weights]
     extended._integer = {key: space._integer_form(key) for key in ("basis", "inverse", "columns")}
-    extended._lift_basis()
     return extended
 
 

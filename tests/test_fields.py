@@ -369,6 +369,21 @@ class TestChooseLaurentBase:
             mags = [TrivialRationals().magnitude(v) for v in values]
             assert choose_laurent_base(mags + [Magnitude.zero()]) == _choose_by_factoring(values)
 
+    def test_repeated_values_and_a_large_prime_squared(self):
+        # repeats give ratio 1, which rules out nothing; q^2 rules out q
+        # alone, found by stripping q, not by factoring q^2
+        q = 2 ** 61 - 1  # prime
+        values = [Fraction(v) for v in (1, 1, 2, 9, 9, q * q, q * q, 2 * q * q)]
+        assert choose_laurent_base(values) == 5
+        assert choose_laurent_base([Fraction(q * q), Fraction(1), Fraction(q * q)]) == 2
+        assert choose_laurent_base([Fraction(3, q * q)] * 4) == 2
+        rng = random.Random("laurent-base/repeats")
+        for _ in range(100):
+            values = [Fraction(rng.choice([1, 2, 3, 4, 9, 25]), rng.choice([1, 2, 3, 5]))
+                      for _ in range(rng.randint(1, 5))]
+            values += rng.sample(values, rng.randint(0, len(values)))
+            assert choose_laurent_base(values) == _choose_by_factoring(values)
+
     def test_frozen_examples(self):
         one = Fraction(1)
         assert choose_laurent_base([one]) == 2

@@ -269,7 +269,7 @@ class TestMatVecIntegerKernel:
     def test_non_constant_entries_are_refused(self):
         """T cannot be built, so no kernel meets it: the constructor and
         the Laurent field refuse it.  Constants of Q(T) come back as
-        constants, equal to the lifted rational result and to the field
+        Fractions, equal to the lifted rational result and to the field
         loops."""
         for make in (lambda: RationalFunction((Fraction(0), Fraction(1))),
                      lambda: RationalFunction.constant([0, 1])):
@@ -298,7 +298,37 @@ class TestMatVecIntegerKernel:
             if inverse is not None:
                 assert lg.invert(consts) == _lift(inverse)
             for out in (red, lg.kernel_basis(consts), lg.invert(consts) if inverse else []):
-                assert all(isinstance(x, RationalFunction) for row in out for x in row)
+                assert all(type(x) is Fraction for row in out for x in row)
+
+
+class TestZeroMatrices:
+    """A zero matrix over Q or Q(T): the kernel is the Fraction identity,
+    solve gives Fraction zeros, and invert refuses it as zero."""
+
+    ZEROS = ([[0, 0, 0], [0, 0, 0]], frac_matrix([[0, 0, 0]]),
+             [[RationalFunction.constant(0)] * 3] * 2)
+
+    @pytest.mark.parametrize("zero", ZEROS, ids=["int", "fraction", "laurent"])
+    def test_kernel_and_solve(self, zero):
+        ker = lg.kernel_basis(zero)
+        assert ker == lg.identity(3) and all(type(x) is Fraction for row in ker for x in row)
+        x = lg.solve(zero, [Fraction(0)] * len(zero))
+        assert x == [0, 0, 0] and all(type(a) is Fraction for a in x)
+        assert lg.solve(zero, [Fraction(0)] * (len(zero) - 1) + [Fraction(1)]) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_invert_refuses_zero(self, n):
+        for zero in ([[0] * n] * n, [[RationalFunction.constant(0)] * n] * n):
+            with pytest.raises(ValueError, match=r"^singular matrix \(zero\)$"):
+                lg.invert(zero)
+        if n > 1:
+            with pytest.raises(ValueError, match="^singular matrix$"):
+                lg.invert([[1] * n] * n)
+
+    def test_empty(self):
+        assert lg.kernel_basis([]) == [] and lg.rref([]) == ([], [])
+        with pytest.raises(ValueError, match=r"^singular matrix \(zero\)$"):
+            lg.invert([])
 
 
 class TestIntegerRoutines:
