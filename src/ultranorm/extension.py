@@ -24,9 +24,8 @@ from .fields import (LaurentRationals, Magnitude, RationalFunction, ValuedField,
                      choose_laurent_base, magnitude_max)
 from .metrics import QuotientMetric
 from .sections import Section, Subvariety, restriction_kernel
-from .spaces import (NormedSpace, PreconditionError, _eliminate_integer,
-                     distance_to_subspace, lift_constant, orthogonalize_flag,
-                     scalar_extension)
+from .spaces import (NormedSpace, PreconditionError, _complete_flag, _eliminate_integer,
+                     distance_to_subspace, lift_constant, scalar_extension)
 
 
 @dataclass
@@ -120,7 +119,7 @@ def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, 
     back-substitution, where the denominator of psi'_i cancels.
     """
     field = P.field
-    a, d_a = linalg._integer_row(linalg._constants(P._frame_power_of_l(n).to_vector()))
+    a, d_a = linalg._integer_row(P._frame_power_of_l(n).to_vector())
     # the monomials at x~_i as w / D^n kept by the metric
     rows = [P.metric._evaluation_row(n, pt) for pt in P.Y.points]
     # k points can impose fewer than k conditions (k > dim at low degree)
@@ -175,16 +174,14 @@ def extend_trivial_via_laurent(P: ExtensionProblem, n: int) -> Tuple[Section, Ma
 
     s0 = (P.representative ** n).to_vector()
     ker = restriction_kernel(P.Y, n)
-    s0_L = [RationalFunction.constant(x) for x in s0]
+    s0_L = [RationalFunction(x) for x in s0]
     ker_L = lift_constant(ker)
-    dist, minimizer = distance_to_subspace(NL, s0_L, ker_L)
-    s_prime = [a - b for a, b in zip(s0_L, minimizer)]
+    _, minimizer = distance_to_subspace(NL, s0_L, ker_L)
+    s_prime = [a - b for a, b in zip(s0, minimizer)]
 
     # orthogonal basis of the base space adapted to the kernel (kernel first)
     dim = N.dim
-    std = linalg.identity(dim, field.one(), field.zero())
-    flag = ker + [std[j] for j in linalg.extend_basis(ker, std, dim)]
-    g, g_norms, _ = orthogonalize_flag(N, flag)
+    g, _ = _complete_flag(N, ker)
     d = len(ker)
     # expand s' in the g basis over the extension; the frame is rational,
     # so its inverse is taken over Q

@@ -7,9 +7,9 @@ Three field flavours are supported:
 * ``TrivialRationals()`` -- the rationals with the trivial absolute value,
 * ``LaurentRationals(P)`` -- Q(T) with the T-adic absolute value
   |f| = (1/P)^ord_T(f) for a chosen prime P.  Its elements are the
-  constants of Q(T) (``RationalFunction``, one rational each), the only
-  ones the trivial-valuation detour builds, so every nonzero element has
-  |c| = (1/P)^0.
+  constants of Q(T), the only ones the trivial-valuation detour builds,
+  held as Fractions, so every nonzero element has |c| = (1/P)^0.  A
+  ``RationalFunction`` tags a rational as such a constant on input.
 
 Every magnitude is kept exactly as q * rho^n with q a positive rational
 and rho the uniformizer magnitude, so comparisons, products and powers
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import index
 from typing import Iterable, Optional, Union
 
 _Q0, _Q1 = Fraction(0), Fraction(1)  # shared, as Fractions are immutable
@@ -43,10 +42,11 @@ def _as_fraction(x) -> Fraction:
 
 
 def _is_zero(x) -> bool:
-    """Zero test for a field element: a rational or a constant of Q(T)."""
+    """Zero test for a field element: a rational, or a tagged constant of
+    Q(T) (``RationalFunction``) read as its value."""
     if isinstance(x, (int, Fraction)):
         return x == 0
-    return x.is_zero
+    return not x.value
 
 
 def _vp(x: Fraction, p: int) -> int:
@@ -225,19 +225,19 @@ def magnitude_max(values: Iterable[Magnitude]) -> Magnitude:
 
 
 # ----------------------------------------------------------------------
-# Constants of Q(T), the Laurent field's elements
+# Tagged constants of Q(T), an input form of the Laurent field's elements
 # ----------------------------------------------------------------------
 
 
 class RationalFunction:
-    """A constant of Q(T): one rational, ``value``.
+    """An input tag for a constant of Q(T): one rational, ``value``.
 
     The trivial-valuation detour extends scalars to a Laurent field, and
     the minimizer of a rational input stays rational, so every element of
     Q(T) that an operation builds is a constant; T itself is never built.
-    The field operations are Fraction arithmetic on ``value``, with ints,
-    Fractions and other constants as operands either side; a constant
-    equals, and hashes as, its rational value.
+    A Laurent field's elements are Fractions.  The tag has no operators
+    and no equality: ``ValuedField.element``, the kernels and ``Section``
+    read it as its rational value wherever one arrives.
     """
 
     __slots__ = ("value",)
@@ -245,67 +245,9 @@ class RationalFunction:
     def __init__(self, value):
         self.value = _as_fraction(value)
 
-    @classmethod
-    def _of_constant(cls, x: Fraction) -> "RationalFunction":
-        """The constant x (a Fraction), built without the coercion."""
-        f = object.__new__(cls)
-        f.value = x
-        return f
-
-    @classmethod
-    def constant(cls, x) -> "RationalFunction":
-        return cls(x)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.value
-
-    def __add__(self, other):
-        return RationalFunction._of_constant(self.value + _constant_value(other))
-
-    def __sub__(self, other):
-        return RationalFunction._of_constant(self.value - _constant_value(other))
-
-    def __neg__(self):
-        return RationalFunction._of_constant(-self.value)
-
-    def __mul__(self, other):
-        return RationalFunction._of_constant(self.value * _constant_value(other))
-
-    def __truediv__(self, other):
-        return RationalFunction._of_constant(self.value / _constant_value(other))
-
-    def __pow__(self, m: int):
-        return RationalFunction._of_constant(self.value ** index(m))
-
-    def __radd__(self, other):
-        return RationalFunction._of_constant(_constant_value(other) + self.value)
-
-    def __rmul__(self, other):
-        return RationalFunction._of_constant(_constant_value(other) * self.value)
-
-    def __rsub__(self, other):
-        return RationalFunction._of_constant(_constant_value(other) - self.value)
-
-    def __rtruediv__(self, other):
-        return RationalFunction._of_constant(_constant_value(other) / self.value)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        return str(self.value)
-
 
 def _constant_value(x) -> Fraction:
-    """x as a Fraction: a rational, or a constant of Q(T)."""
+    """x as a Fraction: a rational, or a tagged constant of Q(T)."""
     return x.value if isinstance(x, RationalFunction) else _as_fraction(x)
 
 
@@ -360,35 +302,30 @@ class ValuedField:
     def is_discrete_nontrivial(self) -> bool:
         return self.kind != "trivial"
 
-    def zero(self) -> FieldElement:
-        if self.kind == "laurent":
-            return RationalFunction(0)
-        return Fraction(0)
+    def zero(self) -> Fraction:
+        return _Q0
 
-    def one(self) -> FieldElement:
-        if self.kind == "laurent":
-            return RationalFunction(1)
-        return Fraction(1)
+    def one(self) -> Fraction:
+        return _Q1
 
-    def from_rational(self, x) -> FieldElement:
-        if self.kind == "laurent":
-            return RationalFunction(x)
+    def from_rational(self, x) -> Fraction:
         return _as_fraction(x)
 
-    def uniformizer(self) -> FieldElement:
+    def uniformizer(self) -> Fraction:
         """p over Q_p.  The trivial field has no uniformizer, and a Laurent
         field, which holds constants of Q(T) only, has no element T."""
         if self.kind == "padic":
             return Fraction(self.prime)
         raise ValueError(f"the {self.kind} field has no uniformizer element")
 
-    def element(self, x) -> FieldElement:
-        """Coerce x (rational, string, RationalFunction) into the field."""
+    def element(self, x) -> Fraction:
+        """Coerce x (rational, string, or over a Laurent field a tagged
+        constant of Q(T)) into the field, as a Fraction."""
         if isinstance(x, RationalFunction):
             if self.kind != "laurent":
                 raise TypeError("rational functions only live in Laurent fields")
-            return x
-        return self.from_rational(x)
+            return x.value
+        return _as_fraction(x)
 
     # -- the absolute value ----------------------------------------------
 

@@ -3,9 +3,10 @@
 Two layers:
 
 * fraction-free kernels for rational matrices (``mat_vec``, ``rref``,
-  ``rank`` and what is built on them); constants of Q(T), the Laurent
-  field's elements, are read as their rational values (``_constant_matrix``)
-  by the same kernels, which return Fractions over every field, and
+  ``rank`` and what is built on them); tagged constants of Q(T)
+  (``fields.RationalFunction``) are read as their rational values
+  (``_constant_matrix``) by the same kernels, which return Fractions over
+  every field, and
 * integer routines (column Hermite normal form, kernels, intersections,
   Smith normal form, the adjugate and determinant of a square matrix) used
   by the lattice and adelic code and by the inverse of a rational basis.
@@ -25,7 +26,8 @@ from .fields import _constant_value
 Matrix = List[list]
 
 
-def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
+def identity(n: int) -> Matrix:
+    one, zero = Fraction(1), Fraction(0)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 

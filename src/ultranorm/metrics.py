@@ -27,7 +27,7 @@ from . import linalg
 from .fields import Magnitude, ValuedField, _is_zero, _vp, magnitude_max
 from .sections import (Section, Subvariety, integer_evaluation_row, monomial_basis,
                        normalize_point, step_row)
-from .spaces import NormedSpace, PreconditionError, orthogonalize_flag
+from .spaces import NormedSpace, PreconditionError, _complete_flag
 
 
 @dataclass
@@ -114,7 +114,7 @@ class QuotientMetric:
         if s.num_vars != self.num_vars:
             raise PreconditionError("section/metric dimension mismatch")
         frame_value, value = self._frame_value(point), s.evaluate(point)
-        if _is_zero(value):
+        if not value:
             return self.field.zero_magnitude()
         return self.field.abs(value) / frame_value ** s.degree
 
@@ -142,16 +142,13 @@ class QuotientMetric:
         if Y.kind == "points":
             vals = [self.point_metric(s, pt) for pt in Y.points]
             return magnitude_max(vals) if vals else self.field.zero_magnitude()
-        forms, nv = Y.linear_forms, self.num_vars
         # complete the forms (as vectors in the degree-1 space) to a flag
-        std = linalg.identity(nv, self.field.one(), self.field.zero())
-        flag = forms + [std[j] for j in linalg.extend_basis(forms, std, nv)]
-        g, norms, _ = orthogonalize_flag(self.base, flag)
+        g, norms = _complete_flag(self.base, Y.linear_forms)
         # rewrite s in the g-coordinates: x = (G^T)^{-1} u, G^T has rows g_j
-        ones = [self.field.one_magnitude()] * nv
+        ones = [self.field.one_magnitude()] * self.num_vars
         u = _change_frame(_SymPowers(_linear_forms(self.field, linalg.invert(g)), ones), s)
         # on Y the first k frame coordinates vanish; Gauss norm of the rest
-        return _gauss_norm(self.field, u, norms, vanishing=len(forms))
+        return _gauss_norm(self.field, u, norms, vanishing=len(Y.linear_forms))
 
 
 class _GaussSpace(NormedSpace):
@@ -200,14 +197,14 @@ class _GaussSpace(NormedSpace):
 
 
 class _SymPowers:
-    """Sym^n of linear forms f_j = F_j / d_j (rationals or constants of Q(T)) with
+    """Sym^n of linear forms f_j = F_j / d_j (rationals) with
     weights w_j: column e = prod_j f_j^e_j = P_e / D_e, with P_e a dense integer
     list in monomial_basis order and D_e coprime to its content, is column
     e - delta_j of degree n - 1 times f_j (``_times_form``; weight times w_j),
     first j with e_j > 0: ``step_row`` blocks.  Keeps the last degree."""
 
     def __init__(self, forms: Sequence[Section], weights: Sequence[Magnitude]):
-        self._factors = [(*linalg._integer_row(linalg._constants(f.to_vector())), w)
+        self._factors = [(*linalg._integer_row(f.to_vector()), w)
                          for f, w in zip(forms, weights)]
         self._start = self._last = 0, [([1], 1, Magnitude.one(weights[0].rho))]
 
@@ -373,7 +370,7 @@ def gauss_attainment_point(h: QuotientMetric, s: Section) -> List[Fraction]:
     p = field.prime
     if p <= n:
         raise PreconditionError("need residue characteristic p > degree")
-    if h.base.basis != linalg.identity(nv, field.one(), field.zero()):
+    if h.base.basis != linalg.identity(nv):
         raise PreconditionError("attainment certificates require a diagonal metric")
     if any(w.q != 1 for w in h.base.weights):
         raise PreconditionError("weights must be powers of p")

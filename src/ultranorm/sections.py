@@ -16,7 +16,7 @@ from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fields import FieldElement, ValuedField, _is_zero, _vp
+from .fields import FieldElement, ValuedField, _constant_value, _vp
 from .spaces import PreconditionError
 
 Exponent = Tuple[int, ...]
@@ -42,7 +42,9 @@ def monomial_basis(m: int, n: int) -> List[Exponent]:
 
 @dataclass
 class Section:
-    """A degree-n homogeneous polynomial over the field, sparse."""
+    """A degree-n homogeneous polynomial over the field, sparse.  Its
+    coefficients are rationals: a tagged constant of Q(T) is read as its
+    value when the section is built, and so is a point in ``evaluate``."""
 
     field: ValuedField
     num_vars: int
@@ -55,7 +57,8 @@ class Section:
             e = tuple(int(x) for x in e)
             if len(e) != self.num_vars or sum(e) != self.degree or any(x < 0 for x in e):
                 raise PreconditionError(f"bad exponent {e} for degree {self.degree}")
-            if not _is_zero(c):
+            c = _constant_value(c)
+            if c:
                 clean[e] = c
         self.coeffs = clean
 
@@ -64,11 +67,12 @@ class Section:
     @classmethod
     def _trusted(cls, field: ValuedField, num_vars: int, degree: int,
                  coeffs: Dict[Exponent, FieldElement]) -> "Section":
-        """A section whose exponents are valid by construction (sums,
-        products and multiples of sections); only zeros are dropped."""
+        """A section whose exponents are valid and whose coefficients are
+        rationals by construction (sums, products and multiples of
+        sections); only zeros are dropped."""
         s = object.__new__(cls)
         s.field, s.num_vars, s.degree = field, num_vars, degree
-        s.coeffs = {e: c for e, c in coeffs.items() if not _is_zero(c)}
+        s.coeffs = {e: c for e, c in coeffs.items() if c}
         return s
 
     @classmethod
@@ -87,7 +91,7 @@ class Section:
         if len(vec) != len(basis):
             raise PreconditionError(f"vector has {len(vec)} entries, degree {n} on P^{m} "
                                     f"has {len(basis)} monomials")
-        return cls._trusted(field, m + 1, n, dict(zip(basis, vec)))
+        return cls._trusted(field, m + 1, n, dict(zip(basis, linalg._constants(vec))))
 
     def to_vector(self) -> List[FieldElement]:
         basis = monomial_basis(self.num_vars - 1, self.degree)
@@ -121,9 +125,8 @@ class Section:
 
     def __mul__(self, other: "Section") -> "Section":
         """Fraction-free over every field: each factor is an integer
-        polynomial over the lcm of its denominators (constants of Q(T) read
-        as their rational values), and each product coefficient builds one
-        Fraction."""
+        polynomial over the lcm of its denominators, and each product
+        coefficient builds one Fraction."""
         self._check(other, same_degree=False)
         (a, da), (b, db) = _integer_coeffs(self.coeffs), _integer_coeffs(other.coeffs)
         out = {e: Fraction(v, da * db) for e, v in _polynomial_product(a, b).items()}
@@ -159,6 +162,7 @@ class Section:
     def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
         if len(point) != self.num_vars:
             raise PreconditionError("point dimension mismatch")
+        point = linalg._constants(point)
         total = self.field.zero()
         for e, c in self.coeffs.items():
             term = c
@@ -178,9 +182,9 @@ class Section:
 
 
 def _integer_coeffs(coeffs: Dict[Exponent, FieldElement]) -> tuple[dict, int]:
-    """Coefficients (rationals or constants of Q(T)) as (integer polynomial,
-    d) with coeffs = polynomial / d, d the lcm of the denominators."""
-    ints, d = linalg._integer_row(linalg._constants(list(coeffs.values())))
+    """Rational coefficients as (integer polynomial, d) with coeffs =
+    polynomial / d, d the lcm of the denominators."""
+    ints, d = linalg._integer_row(list(coeffs.values()))
     return dict(zip(coeffs, ints)), d
 
 
@@ -295,7 +299,7 @@ def restriction_kernel(Y: Subvariety, n: int) -> List[List[FieldElement]]:
     basis_n = monomial_basis(m, n)
     index = {e: i for i, e in enumerate(basis_n)}
     vectors = []
-    for form in map(linalg._constants, Y.linear_forms):
+    for form in Y.linear_forms:
         for e in monomial_basis(m, n - 1):
             vec = [Fraction(0)] * len(basis_n)
             for var, c in enumerate(form):

@@ -21,8 +21,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import linalg
-from .fields import (Magnitude, PreconditionError, RationalFunction, ValuedField,
-                     _is_zero, _vp)
+from .fields import Magnitude, PreconditionError, RationalFunction, ValuedField, _vp
 
 
 @dataclass
@@ -57,11 +56,9 @@ class NormedSpace:
     @classmethod
     def standard(cls, field: ValuedField, dim: int,
                  weights: Optional[Sequence[Magnitude]] = None) -> "NormedSpace":
-        one, zero = field.one(), field.zero()
-        basis = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
         if weights is None:
             weights = [field.one_magnitude() for _ in range(dim)]
-        return cls(field, basis, list(weights))
+        return cls(field, linalg.identity(dim), list(weights))
 
     @property
     def dim(self) -> int:
@@ -269,6 +266,17 @@ def orthogonalize_flag(space: NormedSpace, vectors: Sequence[Sequence]) -> tuple
     return space._vectors(work), norms, pivots
 
 
+def _complete_flag(space: NormedSpace, rows: Sequence[Sequence]) -> tuple[
+        List[list], List[Magnitude]]:
+    """The independent ``rows`` completed to a basis by standard vectors
+    (``linalg.extend_basis``) and orthogonalized as a flag: the vectors of
+    ``orthogonalize_flag`` and their norms, the completion after the rows."""
+    std = linalg.identity(space.dim)
+    flag = list(rows) + [std[j] for j in linalg.extend_basis(rows, std, space.dim)]
+    g, norms, _ = orthogonalize_flag(space, flag)
+    return g, norms
+
+
 def distance_to_subspace(space: NormedSpace, x: Sequence,
                          subspace_vectors: Sequence[Sequence]) -> tuple[Magnitude, list]:
     """Exact distance from x to span(subspace_vectors) and a minimizer.
@@ -305,7 +313,6 @@ def quotient_norm(space: NormedSpace, surjection: Sequence[Sequence]) -> tuple[
     the r-dimensional ``space`` onto the target.  Returns the quotient
     NormedSpace together with norm-attaining lifts of its basis columns.
     """
-    field = space.field
     s = len(surjection)
     r = space.dim
     for i, row in enumerate(surjection):
@@ -317,13 +324,11 @@ def quotient_norm(space: NormedSpace, surjection: Sequence[Sequence]) -> tuple[
         raise PreconditionError("map is not surjective")
     ker = linalg.kernel_basis(surjection)
     d = len(ker)  # = r - s
-    # pick r - d = s standard vectors completing the kernel to a basis
-    std = linalg.identity(r, field.one(), field.zero())
-    complements = [std[j] for j in linalg.extend_basis(ker, std, r)]
-    g, norms, _ = orthogonalize_flag(space, list(ker) + complements)
+    # the kernel, then s standard vectors completing it to a basis
+    g, norms = _complete_flag(space, ker)
     lifts = g[d:]
     quot_basis = linalg.transpose([linalg.mat_vec(surjection, v) for v in lifts])
-    quot = NormedSpace(field, quot_basis, norms[d:])
+    quot = NormedSpace(space.field, quot_basis, norms[d:])
     return quot, lifts
 
 
@@ -334,13 +339,10 @@ def norm_attaining_lift(space: NormedSpace, surjection: Sequence[Sequence],
     """A lift v of target_vector with norm(v) equal to the quotient norm."""
     if quotient is None or lifts is None:
         quotient, lifts = quotient_norm(space, surjection)
-    coords = quotient.coordinates(target_vector)
-    field = space.field
-    out = [field.zero()] * space.dim
-    for c, g in zip(coords, lifts):
-        if _is_zero(c):
-            continue
-        out = [a + c * b for a, b in zip(out, g)]
+    out = [space.field.zero()] * space.dim
+    for c, g in zip(quotient.coordinates(target_vector), lifts):
+        if c:
+            out = [a + c * b for a, b in zip(out, g)]
     return out
 
 
@@ -377,8 +379,8 @@ def scalar_extension(space: NormedSpace, target: ValuedField) -> NormedSpace:
 
 
 def lift_constant(matrix: Sequence[Sequence[Fraction]]) -> List[list]:
-    """A rational matrix as a matrix of constants of Q(T)."""
-    return [[RationalFunction.constant(x) for x in row] for row in matrix]
+    """A rational matrix as a matrix of tagged constants of Q(T)."""
+    return [[RationalFunction(x) for x in row] for row in matrix]
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Over a Laurent field every kernel reads a constant of Q(T) as its rational
-value and returns Fractions: against the rational route, on constants, on
-mixed input and on the Laurent field's own elements.  Constants of Q(T) are
-built only where the field makes its elements (``ValuedField``,
-``spaces.lift_constant`` and the detour's scalar extension); a guard keeps the
-wrapper out of the kernel modules."""
+"""Over a Laurent field every kernel reads a tagged constant of Q(T) as its
+rational value and returns Fractions: against the rational route, on tags, on
+mixed input and on the Laurent field's own elements, which are Fractions.
+Tags are built only by ``spaces.lift_constant`` and the detour's scalar
+extension, and read by ``fields``; a guard keeps the tag an input tag with no
+operators, and out of every other module."""
 
 from __future__ import annotations
 
@@ -33,8 +33,8 @@ def fractions_only(x) -> bool:
 
 
 def mixed(rng, row):
-    """The row with each entry a Fraction, an int or a constant of Q(T)."""
-    pick = (lambda x: x, RationalFunction.constant,
+    """The row with each entry a Fraction, an int or a tagged constant of Q(T)."""
+    pick = (lambda x: x, RationalFunction,
             lambda x: x.numerator if x.denominator == 1 else x)
     return [rng.choice(pick)(x) for x in row]
 
@@ -101,6 +101,22 @@ class TestLaurentKernelsReturnFractions:
                         got = distance_to_subspace(space, inputs[-1], inputs[:-1])
                         assert got == want_dist and fractions_only(got[1])
 
+    @pytest.mark.parametrize("P", [3, 7])
+    def test_empty_subspace(self, P):
+        """The minimizer over the empty subspace is ``field.zero()`` in every
+        entry, a Fraction over a Laurent field too; the distance is the norm."""
+        rng = random.Random(f"laurent-fractions/empty/{P}")
+        K = LaurentRationals(P)
+        for dim in (1, 2, 3):
+            base = trivial_space(rng, dim)
+            ext = scalar_extension(base, K)
+            x = rationals(rng, 1, dim)[0]
+            for space in (ext, NormedSpace(K, lift_constant(base.basis), ext.weights)):
+                for v in (x, lift_constant([x])[0], mixed(rng, x)):
+                    dist, minimizer = distance_to_subspace(space, v, [])
+                    assert dist == ext.norm(x) and minimizer == [0] * dim
+                    assert fractions_only(minimizer)
+
     def test_sections(self):
         rng = random.Random("laurent-fractions/sections")
         K, Q = LaurentRationals(5), TrivialRationals()
@@ -151,13 +167,48 @@ def mentions(path: Path) -> set:
         node, (ast.FunctionDef, ast.ClassDef, ast.alias))}
 
 
+def _scopes_naming(tree: ast.Module, name: str) -> set:
+    """The top-level definitions whose body mentions ``name``, as "module"
+    for a mention outside every definition (an import or a statement)."""
+    scopes = set()
+    for node in tree.body:
+        if name in _names(node) or any(
+                isinstance(n, ast.alias) and name in (n.name, n.asname) for n in ast.walk(node)):
+            is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            scopes.add(node.name if is_def else "module")
+    return scopes
+
+
 class TestNoConstantRewrapping:
-    """The kernels' modules never build a constant of Q(T), and the lift
-    helpers that wrapped their results do not come back."""
+    """The tag is an input tag: it defines no dunder but ``__init__``, and
+    only ``fields``, ``spaces.lift_constant`` and the detour name it (the
+    package's ``__init__`` re-exports it).  The lift helpers that wrapped
+    kernel results do not come back."""
 
     @pytest.mark.parametrize("module", ["linalg", "metrics", "sections"])
     def test_kernel_modules_name_no_constant(self, module):
         assert mentions(SOURCE / f"{module}.py") & {"RationalFunction", "_of_constant"} == set()
+
+    def test_the_tag_defines_only_init(self):
+        tree = ast.parse((SOURCE / "fields.py").read_text(encoding="utf-8"))
+        (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef)
+                  and n.name == "RationalFunction"]
+        methods = [n.name for n in cls.body if isinstance(n, ast.FunctionDef)]
+        assert methods == ["__init__"]
+
+    def test_only_the_input_side_names_the_tag(self):
+        allowed = {"fields": None, "__init__": {"module"},
+                   "spaces": {"module", "lift_constant"},
+                   "extension": {"module", "extend_trivial_via_laurent"}}
+        for path in sorted(SOURCE.glob("*.py")):
+            scopes = _scopes_naming(ast.parse(path.read_text(encoding="utf-8")),
+                                    "RationalFunction")
+            if path.stem in allowed:
+                assert allowed[path.stem] is None or scopes <= allowed[path.stem], path.name
+            else:
+                assert scopes == set(), path.name
+        for path in sorted(SOURCE.glob("*.py")):
+            assert mentions(path) & {"_of_constant", "constant"} == set(), path.name
 
     def test_lift_helpers_stay_gone(self):
         for path in sorted(SOURCE.glob("*.py")):

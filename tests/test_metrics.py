@@ -353,7 +353,7 @@ class TestQuotientFiberNorm:
             weights = [K.magnitude(w.q, 1) for w in base.weights]
             N = NormedSpace(K, lift_constant(base.basis), weights)
             for _ in range(3):
-                pt = [RationalFunction.constant(x) for x in random_point(rng, 2)]
+                pt = [RationalFunction(x) for x in random_point(rng, 2)]
                 x = normalize_point(K, pt)
                 assert (quotient_fiber_norm(N, n, x)
                         == self.mat_vec_route(N, K, 1, n, x)
@@ -371,7 +371,7 @@ class TestQuotientFiberNorm:
             N = scalar_extension(base, K)
             assert N.integer_columns() == base.integer_columns()
             for _ in range(3):
-                pt = [RationalFunction.constant(x) for x in random_point(rng, 2)]
+                pt = [RationalFunction(x) for x in random_point(rng, 2)]
                 x = normalize_point(K, pt)
                 want = self.mat_vec_route(N, K, 1, n, x, loop_mat_vec)
                 assert want == self.elimination(N, K, 1, n, pt)
@@ -522,25 +522,25 @@ class TestDualNormKernel:
 
     @pytest.mark.parametrize("lifted", [True, False], ids=["rf_basis", "rational_basis"])
     def test_laurent_rows_take_the_order(self, lifted):
-        """Rows of constants of Q(T), read as integers over one denominator,
-        against the division oracle, whose |v| takes the T-order of each
-        value; a point holding T cannot be built."""
+        """Rows of tagged constants of Q(T), read as integers over one
+        denominator, against the division oracle on their values, whose |v|
+        takes the T-order of each value; a point holding T cannot be built."""
         rng = random.Random(f"dual-norm/laurent/{lifted}")
         K = LaurentRationals(5)
         assert_t_cannot_be_built(K)
         for dim in (1, 2, 3):
             for _ in range(8):
-                N = self.space(rng, K, dim)
+                N = rational = self.space(rng, K, dim)
                 if lifted:
                     N = NormedSpace(K, lift_constant(N.basis), N.weights)
                 row = [K.element(F(rng.randint(-4, 4), rng.randint(1, 3)))
                        for _ in range(dim)]
-                values = column_values(N, row)
-                if all(v.is_zero for v in values):
+                values = column_values(rational, row)
+                if not any(values):
                     continue
-                ints, d = linalg._integer_row(linalg._constants(row))
-                assert _dual_norm(N, ints, d) == division_oracle(
-                    N, [0 if v.is_zero else v for v in values])
+                tags = lift_constant([row])[0] if lifted else row
+                ints, d = linalg._integer_row(linalg._constants(tags))
+                assert _dual_norm(N, ints, d) == division_oracle(rational, values)
 
 
 class TestLocalFrameValue:
@@ -582,7 +582,7 @@ class TestLocalFrameValue:
             for space in (base, NormedSpace(K, lift_constant(base.basis), base.weights)):
                 h = QuotientMetric(space)
                 for _ in range(5):
-                    pt = [K.element(x) for x in random_point(rng, nv)]
+                    pt = [RationalFunction(x) for x in random_point(rng, nv)]
                     assert h.local_frame_value(pt) == self.evaluate_route(h, pt)
 
 
@@ -849,9 +849,9 @@ class TestGaussIntegerForms:
                 assert [(w.q, w.n) for w in NL.weights] == [(w.q, 0) for w in N.weights]
                 if not read_first:
                     assert (N._basis, N._inverse, N._columns) == (None, None, None)
-                assert NL.basis == lift_constant(N.basis)
-                assert NL.basis_inverse() == lift_constant(N.basis_inverse())
-                assert NL.columns() == lift_constant(N.columns())
+                assert NL.basis == N.basis
+                assert NL.basis_inverse() == N.basis_inverse()
+                assert NL.columns() == N.columns()
                 for rows in (NL.basis, NL.basis_inverse(), NL.columns()):
                     assert all(type(x) is F for row in rows for x in row)
                 assert all(type(x) is F for row in N.basis for x in row)

@@ -149,9 +149,9 @@ def _wide_section(rng, nv, degree):
 
 
 def _lift(s, field):
-    """A rational section with its coefficients as constants of Q(T)."""
+    """A rational section with its coefficients tagged as constants of Q(T)."""
     return Section(field, s.num_vars, s.degree,
-                   {e: RationalFunction.constant(c) for e, c in s.coeffs.items()})
+                   {e: RationalFunction(c) for e, c in s.coeffs.items()})
 
 
 class TestFractionFreeKernels:
@@ -191,9 +191,29 @@ class TestFractionFreeKernels:
             assert got == _lift(s * t, K)
             assert _lift(t, K) ** 3 == _lift(t ** 3, K)
         # constants of Q(T) take the integer kernel; the field loop is the oracle
-        x = Section(K, 2, 1, {(1, 0): RationalFunction.constant(F(-7, 3)),
-                              (0, 1): RationalFunction.constant(F(1, BIG + 1))})
+        x = Section(K, 2, 1, {(1, 0): RationalFunction(F(-7, 3)),
+                              (0, 1): RationalFunction(F(1, BIG + 1))})
         assert x * x == Section(K, 2, 2, _polynomial_product(x.coeffs, x.coeffs))
+
+    def test_tagged_coefficients_and_points_are_read_as_rationals(self):
+        """A section built from tagged constants of Q(T) equals its rational
+        version and holds Fractions; so does ``evaluate`` at a tagged point,
+        and a vector of tags through ``from_vector``."""
+        K = LaurentRationals(5)
+        rng = random.Random("sections/tags")
+        for _ in range(20):
+            nv, d = rng.randint(1, 3), rng.randint(0, 3)
+            s = Section(K, nv, d, _wide_section(rng, nv, d).coeffs)
+            tagged = _lift(s, K)
+            assert tagged == s and all(type(c) is F for c in tagged.coeffs.values())
+            vec = s.to_vector()
+            from_tags = Section.from_vector(K, nv - 1, d, [RationalFunction(c) for c in vec])
+            assert from_tags == s and all(type(c) is F for c in from_tags.coeffs.values())
+            pt = [_wide_rational(rng) for _ in range(nv)]
+            for section in (tagged, from_tags):
+                got = section.evaluate([RationalFunction(x) for x in pt])
+                assert type(got) is F and got == s.evaluate(pt)
+            assert (tagged + s) - s == s and tagged.scale(RationalFunction(F(2, 3))) == s.scale(F(2, 3))
 
     @pytest.mark.parametrize("field", [PadicRationals(3), TrivialRationals()],
                              ids=lambda K: K.kind)
@@ -247,11 +267,10 @@ class TestFractionFreeKernels:
         with pytest.raises(ValueError, match="^the laurent field has no uniformizer element$"):
             K.uniformizer()
         const = [F(1, 3), F(0), F(7, BIG)]
-        lifted = [RationalFunction.constant(x) for x in const]
+        lifted = [RationalFunction(x) for x in const]
         for n in range(4):
             got = evaluation_row(n, lifted)
-            assert got == _evaluation_row_products(K, 2, n, lifted) == [
-                RationalFunction.constant(x) for x in evaluation_row(n, const)]
+            assert got == _evaluation_row_products(K, 2, n, lifted) == evaluation_row(n, const)
             assert all(type(x) is F for x in got)
             assert integer_evaluation_row(n, lifted) == integer_evaluation_row(n, const)
         Y, Y_const = Subvariety(K, 3, points=[lifted]), Subvariety(K, 3, points=[const])
@@ -322,8 +341,7 @@ class TestNormalizePoint:
 
     def test_laurent_field_returns_field_elements(self):
         K = LaurentRationals(5)
-        coords = [RationalFunction.constant(F(0)), F(3), RationalFunction.constant(F(7, 25)),
-                  F(1, 2), 5]
+        coords = [RationalFunction(F(0)), F(3), RationalFunction(F(7, 25)), F(1, 2), 5]
         got = normalize_point(K, coords)
         assert got == normalize_by_magnitudes(K, coords)
         assert all(type(x) is F for x in got)
@@ -333,9 +351,9 @@ class TestNormalizePoint:
         for _ in range(100):
             coords = [_wide_rational(rng) * rng.choice([0, 1]) for _ in range(rng.randint(1, 4))]
             if any(coords):
-                lifted = [RationalFunction.constant(x) for x in coords]
-                assert normalize_point(K, lifted) == normalize_point(K, coords) == [
-                    RationalFunction.constant(x) for x in normalize_point(TrivialRationals(), coords)]
+                lifted = [RationalFunction(x) for x in coords]
+                assert (normalize_point(K, lifted) == normalize_point(K, coords)
+                        == normalize_point(TrivialRationals(), coords))
                 assert normalize_point(K, lifted) == normalize_by_magnitudes(K, lifted)
 
     @pytest.mark.parametrize("field", RATIONAL_FIELDS + [LaurentRationals(5)],

@@ -532,9 +532,10 @@ class TestIntegerForms:
         assert space.integer_columns() == base.integer_columns()
         for v in ([random_element(rng, K) for _ in range(3)],
                   [K.from_rational(F(rng.randint(-5, 5))) for _ in range(3)]):
-            assert space.coordinates(v) == loop_mat_vec(space.basis_inverse(), v)
-            assert space.from_coordinates(v) == loop_mat_vec(space.basis, v)
-            assert space.norm(v) == space.norm([x.value for x in v])
+            for w in (v, lift_constant([v])[0]):
+                assert space.coordinates(w) == loop_mat_vec(space.basis_inverse(), v)
+                assert space.from_coordinates(w) == loop_mat_vec(base.basis, v)
+                assert space.norm(w) == space.norm(v)
 
     def test_constant_basis_takes_the_base_forms(self):
         rng = random.Random("forms/laurent-constant")
@@ -595,39 +596,40 @@ class TestConstantRoute:
             assert ext.basis_inverse() == linalg.invert(lift_constant(base.basis))
             assert self.of_type(Fraction, ext.basis_inverse())
             for space, lifted in ((ext, True), (rational, False)):
-                vectors = [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
-                           for _ in range(dim)]
-                if lifted:
-                    vectors = lift_constant(vectors)
+                values = [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
+                          for _ in range(dim)]
+                vectors = lift_constant(values) if lifted else values
                 if linalg.rank(vectors) < dim:
                     continue
-                x, flag = vectors[-1], vectors[:rng.randint(0, dim - 1)]
-                for v in vectors:
+                k = rng.randint(0, dim - 1)
+                x, flag = vectors[-1], vectors[:k]
+                for v, w in zip(vectors, values):
                     got = (space.coordinates(v), space.from_coordinates(v),
                            linalg.mat_vec(space.basis, v))
-                    want = (loop_mat_vec(space.basis_inverse(), v),
-                            loop_mat_vec(space.basis, v), loop_mat_vec(space.basis, v))
+                    want = (loop_mat_vec(space.basis_inverse(), w),
+                            loop_mat_vec(space.basis, w), loop_mat_vec(space.basis, w))
                     assert got == want and self.of_type(Fraction, got)
                 got = orthogonalize_flag(space, vectors)
-                assert got == self.field_orthogonalize(space, vectors)
+                assert got == self.field_orthogonalize(space, values)
                 assert self.of_type(Fraction, got[0])
                 got = distance_to_subspace(space, x, flag)
-                assert got == self.field_distance(space, x, flag)
-                assert self.of_type(Fraction, [got[1]]) or not flag  # no flag: field.zero()
+                assert got == self.field_distance(space, values[-1], values[:k])
+                assert self.of_type(Fraction, [got[1]])
 
     @pytest.mark.parametrize("P", PRIMES)
     def test_mixed_and_non_constant_input(self, P):
-        """A Fraction matrix on a vector of constants gives Fractions; a
-        non-constant entry cannot be built."""
+        """A Fraction matrix on a vector of tagged constants gives
+        Fractions; a non-constant entry cannot be built."""
         rng = random.Random(f"constant-route/mixed/{P}")
         K = LaurentRationals(P)
         assert_t_cannot_be_built(K)
         for dim in (1, 2, 3):
             ext, rational, _ = self.spaces(rng, P, dim)
-            v = [K.from_rational(F(rng.randint(-6, 6), rng.randint(1, 4))) for _ in range(dim)]
+            w = [K.from_rational(F(rng.randint(-6, 6), rng.randint(1, 4))) for _ in range(dim)]
+            v = lift_constant([w])[0]
             got = linalg.mat_vec(rational.basis, v)
-            assert got == loop_mat_vec(rational.basis, v) and self.of_type(Fraction, [got])
-            assert rational.coordinates(v) == loop_mat_vec(rational.basis_inverse(), v)
+            assert got == loop_mat_vec(rational.basis, w) and self.of_type(Fraction, [got])
+            assert rational.coordinates(v) == loop_mat_vec(rational.basis_inverse(), w)
             assert self.of_type(Fraction, [rational.coordinates(v)])
             rows = [ext.coordinates(v)]
             work = [list(r) for r in rows]
