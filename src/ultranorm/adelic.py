@@ -288,9 +288,12 @@ def _enumerate(iphi0: List[List[int]],
         if best_box is None or size < best_box[0]:
             best_box = (size, box)
     if best_box[0] > BOX_BOUND:
-        raise PreconditionError(
-            f"the enumeration box holds {best_box[0]} points, more than the "
-            f"exact enumeration bound {BOX_BOUND}")
+        try:
+            count = str(best_box[0])
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            count = f"at least 2^{best_box[0].bit_length() - 1}"
+        raise PreconditionError(f"the enumeration box holds {count} points, more than the "
+                                f"exact enumeration bound {BOX_BOUND}")
     ranges = [range(-b, b + 1) for b in best_box[1]]
     out: List[Tuple[int, Tuple[int, ...]]] = []
     for coords in iter_product(*ranges):

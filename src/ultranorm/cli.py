@@ -250,7 +250,7 @@ def cmd_sigma_sample(args) -> str:
     for n in range(1, n_max + 1):
         for point, label in zip(points, labels):
             val = sigma(metric, n, point)
-            rows.append([n, label, val.q.numerator, val.q.denominator, val.n])
+            rows.append([n, label, val.num, val.den, val.n])
     header = ["degree", "point", "ratio_num", "ratio_den", "exponent"]
     if args.format == "json":
         return _json_text({"rows": [dict(zip(header, r)) for r in rows]})
@@ -275,7 +275,7 @@ def cmd_extension_table(args) -> str:
             approx = math.log(v) / n
         except OverflowError:  # past the float range
             approx = (math.log(v.numerator) - math.log(v.denominator)) / n
-        row = [n, r.q.numerator, r.q.denominator, r.n, f"{approx:.12g}"]
+        row = [n, r.num, r.den, r.n, f"{approx:.12g}"]
         if eps_flags is not None:
             row.append("yes" if eps_flags[i] else "no")
         rows.append(row)

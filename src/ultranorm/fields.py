@@ -11,9 +11,9 @@ Three field flavours are supported:
   held as Fractions, so every nonzero element has |c| = (1/P)^0.  A
   ``RationalFunction`` tags a rational as such a constant on input.
 
-Every magnitude is kept exactly as q * rho^n with q a positive rational
-and rho the uniformizer magnitude, so comparisons, products and powers
-never touch floating point.
+Every magnitude is kept exactly as (num / den) * rho^n in integers, rho the
+uniformizer magnitude, so products, quotients, powers and comparisons (the
+exponent gap first) never build a Fraction or touch floating point.
 """
 
 from __future__ import annotations
@@ -69,73 +69,83 @@ def _vp(x: Fraction, p: int) -> int:
     return sign * e
 
 
+def _sign_scaled(x: int, P: int, d: int, y: int) -> int:
+    """The sign of x * P^d - y for positive integers x, y and P >= 2 (any P
+    when d = 0), from bit lengths first: x P^d lies in [2^(bitlen x - 1 +
+    d (bitlen P - 1)), 2^(bitlen x + d bitlen P)), so only a y in that range
+    pays for the power.  d < 0 compares y P^-d with x."""
+    if d < 0:
+        return -_sign_scaled(y, P, -d, x)
+    lx, ly, lp = x.bit_length(), y.bit_length(), P.bit_length()
+    if lx - 1 + d * (lp - 1) >= ly:
+        return 1
+    if lx + d * lp < ly:
+        return -1
+    x *= P ** d
+    return (x > y) - (x < y)
+
+
 class Magnitude:
     """Exact non-negative value of an absolute value or norm.
 
-    Stored as q * rho^n (q > 0 rational, n integer) or as zero.  ``rho``
-    is the uniformizer magnitude of the owning field (None for the
-    trivial valuation, where n is pinned to 0).  When rho = 1/p the pair
-    is normalized so that q carries no factor of p.
+    Stored as (num / den) * rho^n, num and den coprime positive integers,
+    or as zero (0, 1, 0).  ``rho`` is the uniformizer magnitude of the
+    owning field (None for the trivial valuation, where n is pinned to 0).
+    When rho = 1/p, num and den carry no factor of p, so the triple is
+    unique.  ``q`` reads num / den as a Fraction.
     """
 
-    __slots__ = ("rho", "q", "n", "_value")
+    __slots__ = ("rho", "num", "den", "n")
 
     def __init__(self, rho: Optional[Fraction], q, n: int = 0):
-        self.rho = rho
         q = _as_fraction(q)
         if q < 0:
             raise ValueError("magnitude coefficient must be non-negative")
-        if q == 0:
-            self.q = _Q0
-            self.n = 0
+        num, den = q.numerator, q.denominator
+        if not num:
+            n = 0
+        elif rho is None:
+            if n != 0:
+                raise ValueError("trivial valuation admits no uniformizer power")
         else:
-            if rho is None:
-                if n != 0:
-                    raise ValueError("trivial valuation admits no uniformizer power")
-            else:
-                p = rho.denominator  # rho = 1/p with p prime
-                e = _vp(q, p)
-                if e:
-                    q = q / Fraction(p) ** e
-                n = n - e
-            self.q = q
-            self.n = n
-        self._value = None
+            p = rho.denominator  # rho = 1/p with p prime
+            e = _vp(q, p)
+            num, den, n = num // p ** max(e, 0), den // p ** max(-e, 0), n - e
+        self.rho, self.num, self.den, self.n = rho, num, den, n
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _normalized(cls, rho: Optional[Fraction], q: Fraction, n: int) -> "Magnitude":
-        """q * rho^n for a pair that is already normalized (q a Fraction
-        free of p, or zero with n = 0), built without re-checking."""
+    def _normalized(cls, rho: Optional[Fraction], num: int, den: int, n: int) -> "Magnitude":
+        """(num / den) * rho^n for a triple that is already normalized (coprime
+        and free of p, or (0, 1, 0)), built without re-checking."""
         m = object.__new__(cls)
-        m.rho, m.q, m.n, m._value = rho, q, n, None
+        m.rho, m.num, m.den, m.n = rho, num, den, n
         return m
 
     @classmethod
     def zero(cls, rho: Optional[Fraction] = None) -> "Magnitude":
-        return cls._normalized(rho, _Q0, 0)
+        return cls._normalized(rho, 0, 1, 0)
 
     @classmethod
     def one(cls, rho: Optional[Fraction] = None) -> "Magnitude":
-        return cls._normalized(rho, _Q1, 0)
+        return cls._normalized(rho, 1, 1, 0)
 
     # -- predicates ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.q == 0
+        return not self.num
+
+    @property
+    def q(self) -> Fraction:
+        """The coefficient num / den."""
+        return Fraction(self.num, self.den)
 
     def value(self) -> Fraction:
-        """The denoted rational value q * rho^n (exact)."""
-        if self._value is None:
-            if self.is_zero:
-                self._value = _Q0
-            elif self.rho is None:
-                self._value = self.q
-            else:
-                self._value = self.q * self.rho ** self.n
-        return self._value
+        """The denoted rational value (num / den) * rho^n (exact)."""
+        p = 1 if self.rho is None else self.rho.denominator
+        return Fraction(self.num * p ** max(-self.n, 0), self.den * p ** max(self.n, 0))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -144,28 +154,35 @@ class Magnitude:
         if self.rho is not other.rho and self.rho != other.rho:
             raise ValueError("magnitudes over different field profiles")
 
-    # products, quotients and powers of p-free rationals are p-free
+    # p-free coprime pairs stay so: one gcd per cross pair, no Fraction
 
     def __mul__(self, other: "Magnitude") -> "Magnitude":
         self._check_compat(other)
-        if self.is_zero or other.is_zero:
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a or not c:
             return Magnitude.zero(self.rho)
-        return Magnitude._normalized(self.rho, self.q * other.q, self.n + other.n)
+        g, h = gcd(a, d), gcd(c, b)
+        return Magnitude._normalized(self.rho, a // g * (c // h), b // h * (d // g),
+                                     self.n + other.n)
 
     def __truediv__(self, other: "Magnitude") -> "Magnitude":
         self._check_compat(other)
-        if other.is_zero:
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not c:
             raise ZeroDivisionError("division by zero magnitude")
-        if self.is_zero:
+        if not a:
             return Magnitude.zero(self.rho)
-        return Magnitude._normalized(self.rho, self.q / other.q, self.n - other.n)
+        g, h = gcd(a, c), gcd(b, d)
+        return Magnitude._normalized(self.rho, a // g * (d // h), b // h * (c // g),
+                                     self.n - other.n)
 
     def __pow__(self, m: int) -> "Magnitude":
         if self.is_zero:
             if m <= 0:
                 raise ZeroDivisionError("zero magnitude to a non-positive power")
             return Magnitude.zero(self.rho)
-        return Magnitude._normalized(self.rho, self.q ** m, self.n * m)
+        a, b = (self.num, self.den) if m >= 0 else (self.den, self.num)
+        return Magnitude._normalized(self.rho, a ** abs(m), b ** abs(m), self.n * m)
 
     # -- comparisons (total order on the denoted values) ---------------
 
@@ -173,37 +190,31 @@ class Magnitude:
         if not isinstance(other, Magnitude):
             return NotImplemented
         self._check_compat(other)
-        return self.q == other.q and self.n == other.n
+        return self.num == other.num and self.den == other.den and self.n == other.n
 
     def __hash__(self):
-        return hash((self.rho, self.q, self.n))
+        return hash((self.rho, self.num, self.den, self.n))
 
-    def _cross(self, other: "Magnitude") -> tuple[int, int]:
-        """Integers a, b in the order of the two values: with rho = 1/p
-        and M = max(n1, n2), q1 rho^n1 < q2 rho^n2 exactly when
-        num1 den2 p^(M - n1) < num2 den1 p^(M - n2)."""
+    def _sign(self, other: "Magnitude") -> int:
+        """The sign of self - other: with rho = 1/p, (a/b) rho^n1 against
+        (c/d) rho^n2 is a d p^(n2 - n1) against c b; zero is decided first."""
         self._check_compat(other)
-        a = self.q.numerator * other.q.denominator
-        b = other.q.numerator * self.q.denominator
-        if self.n < other.n:
-            a *= self.rho.denominator ** (other.n - self.n)
-        elif self.n > other.n:
-            b *= self.rho.denominator ** (self.n - other.n)
-        return a, b
+        if not self.num or not other.num:
+            return (self.num > 0) - (other.num > 0)
+        return _sign_scaled(self.num * other.den, 1 if self.rho is None else self.rho.denominator,
+                            other.n - self.n, other.num * self.den)
 
     def __lt__(self, other: "Magnitude") -> bool:
-        a, b = self._cross(other)
-        return a < b
+        return self._sign(other) < 0
 
     def __le__(self, other: "Magnitude") -> bool:
-        a, b = self._cross(other)
-        return a <= b
+        return self._sign(other) <= 0
 
     def __gt__(self, other: "Magnitude") -> bool:
-        return other < self
+        return self._sign(other) > 0
 
     def __ge__(self, other: "Magnitude") -> bool:
-        return other <= self
+        return self._sign(other) >= 0
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -338,7 +349,7 @@ class ValuedField:
         x = _as_fraction(x)
         if x == 0:
             return Magnitude.zero(self.rho)
-        return Magnitude._normalized(self.rho, _Q1, _vp(x, self.prime))
+        return Magnitude._normalized(self.rho, 1, 1, _vp(x, self.prime))
 
     def magnitude(self, q, n: int = 0) -> Magnitude:
         return Magnitude(self.rho, q, n)

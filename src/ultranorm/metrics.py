@@ -24,7 +24,7 @@ from operator import add, mul
 from typing import Dict, List, Optional, Sequence
 
 from . import linalg
-from .fields import Magnitude, ValuedField, _is_zero, _vp, magnitude_max
+from .fields import Magnitude, ValuedField, _is_zero, _sign_scaled, _vp, magnitude_max
 from .sections import (Section, Subvariety, integer_evaluation_row, monomial_basis,
                        normalize_point, step_row)
 from .spaces import NormedSpace, PreconditionError, _complete_flag
@@ -294,26 +294,25 @@ def _dual_norm(N: NormedSpace, w: Sequence, d_w: int = 1) -> Magnitude:
     w_i = q_i rho^n_i, a nonzero s_i = ints_i . w gives the value
     (1/q_i) rho^e_i, e_i = v_p(s_i) - v_p(d_i) - n_i (0 on a trivial
     field or Q(T), where every nonzero rational has |c| = 1).  Values
-    compare by one integer cross-multiplication with one power of p
-    (``Magnitude._cross``); the winner is shifted by v_p(d_w).
+    compare by one integer cross-multiplication, their exponent gap weighed
+    first (``fields._sign_scaled``); the winner is shifted by v_p(d_w).
     """
     field, cols = N.field, N.integer_columns()
     P, p = field.prime or 1, field.prime if field.kind == "padic" else None
     if "dual" not in N._integer:  # (v_p(d_i) + n_i, q_i) per column; d_i is p-adic only
-        N._integer["dual"] = [(wt.n + (_vp(cols[i][1], p) if p else 0), wt.q.numerator,
-                               wt.q.denominator) for i, wt in enumerate(N.weights)]
+        N._integer["dual"] = [(wt.n + (_vp(cols[i][1], p) if p else 0), wt.num, wt.den)
+                              for i, wt in enumerate(N.weights)]
     sums = (sum(map(mul, ints, w)) for ints, _ in cols)
     pairs = ((_vp(s, p) if p else 0, c) for s, c in zip(sums, N._integer["dual"]) if s)
     best = None
     for v, (k, a, b) in pairs:
-        e = v - k  # (b/a) rho^e beats (B/A) rho^E exactly when A b P^E > a B P^e
-        if best is None or (best[1] * b * P ** max(best[0] - e, 0)
-                            > a * best[2] * P ** max(e - best[0], 0)):
+        e = v - k  # (b/a) rho^e beats (B/A) rho^E exactly when A b P^(E - e) > a B
+        if best is None or _sign_scaled(best[1] * b, P, best[0] - e, a * best[2]) > 0:
             best = e, a, b
     if best is None:
         raise PreconditionError("evaluation functional vanishes identically")
     shift = _vp(d_w, p) if p else 0
-    return Magnitude._normalized(field.rho, Fraction(best[2], best[1]), best[0] - shift)
+    return Magnitude._normalized(field.rho, best[2], best[1], best[0] - shift)
 
 
 def quotient_fiber_norm(N: NormedSpace, n: int, point: Sequence,
@@ -372,7 +371,7 @@ def gauss_attainment_point(h: QuotientMetric, s: Section) -> List[Fraction]:
         raise PreconditionError("need residue characteristic p > degree")
     if h.base.basis != linalg.identity(nv):
         raise PreconditionError("attainment certificates require a diagonal metric")
-    if any(w.q != 1 for w in h.base.weights):
+    if any(w.num != 1 or w.den != 1 for w in h.base.weights):
         raise PreconditionError("weights must be powers of p")
     exps = [-w.n for w in h.base.weights]  # w = (1/p)^{w.n} = p^{-w.n}
     # change of variables x_i -> p^{e_i} x_i turns the metric orthonormal

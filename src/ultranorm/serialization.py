@@ -359,8 +359,12 @@ def _errors(instance: Any, schema: Dict[str, Any],
 def rational_to_str(x) -> str:
     """A rational, or a constant of Q(T), as NUM/DEN."""
     x = _constant_value(x)
+    return _ratio_to_str(x.numerator, x.denominator)
+
+
+def _ratio_to_str(num: int, den: int) -> str:
     try:
-        return f"{x.numerator}/{x.denominator}"
+        return f"{num}/{den}"
     except ValueError as exc:  # beyond Python's int-to-str digit limit
         raise PreconditionError("result too large to print: an integer exceeds "
                                 "the interpreter's decimal digit limit") from exc
@@ -385,7 +389,7 @@ def matrix_from_json(rows: Sequence[Sequence[str]]) -> List[List[Fraction]]:
 
 
 def magnitude_to_json(m: Magnitude) -> Dict[str, Any]:
-    return {"q": rational_to_str(m.q), "n": m.n}
+    return {"q": _ratio_to_str(m.num, m.den), "n": m.n}
 
 
 def magnitude_from_json(data: Dict[str, Any], field: ValuedField) -> Magnitude:
@@ -429,7 +433,7 @@ def space_from_json(data: Dict[str, Any], pointer: str = "") -> NormedSpace:
         except ValueError as exc:
             key = "q" if w["q"].startswith("-") else "n"
             raise SchemaViolation(f"{pointer}/weights/{i}/{key}", str(exc)) from exc
-        if weights[-1].q == 0:
+        if weights[-1].is_zero:
             raise SchemaViolation(f"{pointer}/weights/{i}/q", "weights must be positive")
     return NormedSpace(field, basis, weights)
 

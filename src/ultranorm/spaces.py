@@ -160,9 +160,9 @@ class NormedSpace:
         if self.field.is_discrete_nontrivial:
             # canonical normalization already strips the residue prime
             # from q, so cosets agree exactly when the q parts agree
-            reps: dict[Fraction, Magnitude] = {}
+            reps: dict[tuple, Magnitude] = {}
             for w in self.weights:
-                reps.setdefault(w.q, w)
+                reps.setdefault((w.num, w.den), w)
             return sorted(reps.values(), key=lambda m: (m.q, m.n))
         seen = [self.field.zero_magnitude()]
         for w in self.weights:
@@ -187,14 +187,14 @@ def _weighted_max(field: ValuedField, weights: Sequence[Magnitude], x: Sequence[
     best_j = best = None
     for j, (a, w) in enumerate(zip(x, weights)):
         if a and j not in taken:
-            val = w if p is None else Magnitude._normalized(w.rho, w.q, w.n + _vp(a, p))
+            val = w if p is None else Magnitude._normalized(w.rho, w.num, w.den, w.n + _vp(a, p))
             if best is None or val > best:
                 best_j, best = j, val
     if best is None:
         return None, field.zero_magnitude()
     if p is None:
         return best_j, best
-    return best_j, Magnitude._normalized(best.rho, best.q, best.n - _vp(d, p))
+    return best_j, Magnitude._normalized(best.rho, best.num, best.den, best.n - _vp(d, p))
 
 
 def _reduce(target: tuple, r: Sequence[int], j: int) -> tuple:
@@ -503,7 +503,7 @@ def lattice_from_norm(space: NormedSpace) -> Lattice:
         # the smallest m with (1/p)^m * w <= 1 is k - n for w = q p^(-n),
         # where k is the smallest integer with p^k >= q = a / b, found by
         # comparing integers: p^k b >= a, and a p^(1-k) <= b below k = 1
-        a, b = w.q.numerator, w.q.denominator
+        a, b = w.num, w.den
         k = 0
         while p ** k * b < a:
             k += 1

@@ -345,9 +345,30 @@ def _bound_cases() -> Dict[str, dict]:
     return cases
 
 
+def _extreme_weight_cases() -> Dict[str, dict]:
+    """The weight-exponent bound +-4096 over Q_1000003 on a dense P^2 frame, at the
+    degree bound: magnitudes whose exponents differ by about 10^5."""
+    space = _space(FIELDS["q1000003"], FRAMES["frame2"][0], [("1", 4096), ("1", -4096), ("2", 0)])
+    problem = {"space": space, "subvariety": {"points": POINTS[3]},
+               "representative": _representative(3)}
+    files = {"metric.json": {"space": space}, "points.json": {"points": POINTS[3]},
+             "problem.json": problem, "linear.json": dict(problem, subvariety={
+                 "linear": LINEAR[3]})}
+    runs = {
+        "sigma": ["sigma-sample", "--config", "metric.json", "--max-degree", "14",
+                  "--points", "points.json"],
+        "table": ["extension-table", "--config", "problem.json", "--max-degree", "14"],
+        "table-epsilon": ["extension-table", "--config", "problem.json", "--max-degree", "14",
+                          "--epsilon", "1/100"],
+        "table-linear": ["extension-table", "--config", "linear.json", "--max-degree", "6"],
+    }
+    return {f"extreme-weight/{name}": _case(argv, files) for name, argv in runs.items()}
+
+
 def cases() -> Dict[str, dict]:
     """Every case by name, in a fixed order."""
-    return {**_space_cases(), **_lattice_cases(), **_malformed_cases(), **_bound_cases()}
+    return {**_space_cases(), **_lattice_cases(), **_malformed_cases(), **_bound_cases(),
+            **_extreme_weight_cases()}
 
 
 def run_case(case: dict, directory: Path):

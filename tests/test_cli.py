@@ -435,6 +435,26 @@ class TestMalformedShapes:
         assert (code, out) == (3, "")
         assert "enumeration bound" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("command", ["lambda", "nakai"])
+    def test_unprintable_enumeration_box_exit_3(self, tmp_path, capsys, command):
+        """Weights p^+-4096 over Q_1000003 give a box of about 2^244887 points,
+        past the interpreter's int-to-str digit limit: the refusal names a
+        power of two below the size instead."""
+        place = {"field": {"type": "padic", "p": 1000003},
+                 "basis": [["1", "2/3", "0"], ["5", "-7", "1/2"], ["0", "1", "4"]],
+                 "weights": [{"q": "1", "n": 4096}, {"q": "1", "n": -4096},
+                             {"q": "2", "n": 0}]}
+        adelic = {"dim": 3, "places": {"1000003": place}, "arch_functionals": [
+            ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"]]}
+        cfg = write(tmp_path, "c.json", {"adelic": adelic} if command == "lambda"
+                    else {"degrees": {"1": adelic}})
+        code, out, err = run(capsys, [command, "--config", cfg])
+        assert (code, out) == (3, "")
+        obj = json.loads(err)
+        assert obj["error"] == "precondition"
+        assert obj["message"] == ("the enumeration box holds at least 2^244887 points, "
+                                  "more than the exact enumeration bound 100000")
+
     def test_long_basis_search_exit_3(self, tmp_path, capsys, monkeypatch):
         # the l^1 lattice: lambda_Q = 1, and lambda_Z = 3/2 needs a search
         import ultranorm.adelic as adelic

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ultranorm import (LaurentRationals, Magnitude, PadicRationals,
                        RationalFunction, TrivialRationals, ValuedField,
                        choose_laurent_base)
-from ultranorm.fields import _is_prime, _vp
+from ultranorm.fields import _is_prime, _sign_scaled, _vp
 
 SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
@@ -145,6 +145,122 @@ class TestMagnitudeFastPaths:
         assert_same(m, ref)
         assert_same(field.zero_magnitude(), Magnitude(field.rho, 0))
         assert_same(field.one_magnitude(), Magnitude(field.rho, 1))
+
+
+def powered_sign(x, P, d, y):
+    """The sign of x * P^d - y, with the power taken."""
+    t = Fraction(x) * Fraction(P) ** d
+    return (t > y) - (t < y)
+
+
+PRIMES = (2, 3, 1000003)
+
+
+class TestSignScaled:
+    """The exponent-first comparison against the powered one."""
+
+    @given(st.integers(1, 10 ** 40), st.sampled_from(PRIMES),
+           st.one_of(st.just(0), st.integers(1, 80), st.integers(-80, -1)),
+           st.integers(1, 10 ** 40))
+    @settings(max_examples=600)
+    def test_matches_powered_comparison(self, x, P, d, y):
+        assert _sign_scaled(x, P, d, y) == powered_sign(x, P, d, y)
+
+    @given(st.integers(1, 10 ** 30), st.sampled_from(PRIMES), st.integers(-30, 30),
+           st.integers(-3, 3))
+    @settings(max_examples=400)
+    def test_near_ties(self, x, P, d, k):
+        """y within a few units of x P^d, or exactly it (x = y P^-d for d < 0)."""
+        if d >= 0:
+            y = max(1, x * P ** d + k)
+            assert _sign_scaled(x, P, d, y) == powered_sign(x, P, d, y)
+        else:
+            z = max(1, x * P ** -d + k)
+            assert _sign_scaled(x * P ** -d, P, d, x) == 0
+            assert _sign_scaled(z, P, d, x) == powered_sign(z, P, d, x)
+
+    @pytest.mark.parametrize("P", PRIMES)
+    def test_bit_length_boundaries(self, P):
+        """x and y at the ends of their bit ranges, with bitlen y on either
+        side of both exits: bitlen x - 1 + d (bitlen P - 1) and
+        bitlen x + d bitlen P."""
+        lp = P.bit_length()
+        for lx in (1, 2, 5, 21):
+            for d in (0, 1, 2, 7):
+                low, high = lx - 1 + d * (lp - 1), lx + d * lp
+                for ly in {low - 1, low, low + 1, high - 1, high, high + 1} - {0, -1}:
+                    for x in (1 << (lx - 1), (1 << lx) - 1):
+                        for y in (1 << (ly - 1), (1 << ly) - 1):
+                            want = powered_sign(x, P, d, y)
+                            assert _sign_scaled(x, P, d, y) == want
+                            assert _sign_scaled(y, P, -d, x) == -want
+
+    def test_far_gaps_take_no_power(self):
+        """A gap of 10^12 exponents would need a power of 2 * 10^13 bits."""
+        assert _sign_scaled(1, 1000003, 10 ** 12, 10 ** 100) == 1
+        assert _sign_scaled(10 ** 100, 1000003, -10 ** 12, 1) == -1
+        assert _sign_scaled(1, 2, 10 ** 12, 7) == 1
+
+
+EXTREME = 4096 * 14  # a weight exponent at its bound, at the P^2 degree bound
+
+
+@st.composite
+def extreme_magnitudes(draw):
+    """Two magnitudes over Q_p whose exponents reach +-4096 * 14, the second
+    often within a few exponents of the first and with q carrying powers of p."""
+    rho = Fraction(1, draw(st.sampled_from(PRIMES)))
+    p = rho.denominator
+
+    def q():
+        return draw(st.one_of(st.just(Fraction(0)), st.builds(
+            lambda a, b, k: Fraction(a, b) * Fraction(p) ** k,
+            st.integers(1, 10 ** 12), st.integers(1, 10 ** 12), st.integers(-3, 3))))
+
+    n = draw(st.integers(-EXTREME, EXTREME))
+    m = draw(st.one_of(st.integers(-EXTREME, EXTREME), st.integers(n - 3, n + 3)))
+    return Magnitude(rho, q(), n), Magnitude(rho, q(), m)
+
+
+class TestMagnitudeAtExtremeExponents:
+    """Order, products, quotients, powers, equality and hashing at exponent
+    gaps near 10^5, against the Fraction oracle ``value()``."""
+
+    @given(extreme_magnitudes())
+    @settings(max_examples=150, deadline=None)
+    def test_order(self, pair):
+        a, b = pair
+        assert (a < b) == (a.value() < b.value())
+        assert (a <= b) == (a.value() <= b.value())
+        assert (a > b) == (a.value() > b.value())
+        assert (a >= b) == (a.value() >= b.value())
+
+    @given(extreme_magnitudes())
+    @settings(max_examples=150, deadline=None)
+    def test_product_and_quotient(self, pair):
+        a, b = pair
+        assert (a * b).value() == a.value() * b.value()
+        if not b.is_zero:
+            assert (a / b).value() == a.value() / b.value()
+
+    @given(extreme_magnitudes(), st.integers(-14, 14))
+    @settings(max_examples=150, deadline=None)
+    def test_power(self, pair, m):
+        a = pair[0]
+        a = Magnitude(a.rho, a.q, a.n % 8193 - 4096)  # |n m| stays within 4096 * 14
+        if not a.is_zero or m > 0:
+            assert (a ** m).value() == a.value() ** m
+
+    @given(extreme_magnitudes(), st.integers(-5, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_equality_and_hash(self, pair, k):
+        a, b = pair
+        p = a.rho.denominator
+        same = Magnitude(a.rho, a.q * Fraction(p) ** k, a.n + k)  # the value, written apart
+        assert same == a and hash(same) == hash(a)
+        assert (a == b) == (a.value() == b.value())
+        if a == b:
+            assert hash(a) == hash(b)
 
 
 class TestValuation:
