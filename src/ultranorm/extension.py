@@ -14,15 +14,15 @@ scalar extension, and decides the e^{n*eps} extension bound exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .fields import (LaurentRationals, Magnitude, RationalFunction, ValuedField,
                      choose_laurent_base, magnitude_max)
-from .metrics import QuotientMetric
+from .metrics import QuotientMetric, _SymPowers
 from .sections import Section, Subvariety, restriction_kernel
 from .spaces import (NormedSpace, PreconditionError, _complete_flag, _eliminate_integer,
                      distance_to_subspace, lift_constant, scalar_extension)
@@ -41,8 +41,7 @@ class ExtensionProblem:
             raise PreconditionError("representative/metric dimension mismatch")
         self._restricted_norm: Optional[Magnitude] = None
         self._ratio_cache: Dict[int, Magnitude] = {}
-        self._frame_l: Optional[Section] = None  # l in the frame coordinates
-        self._frame_power: Tuple[int, Optional[Section]] = (0, None)  # (k, l^k)
+        self._frame_l: Optional[_SymPowers] = None  # l in the frame coordinates
 
     @property
     def field(self) -> ValuedField:
@@ -57,24 +56,29 @@ class ExtensionProblem:
             self._restricted_norm = val
         return self._restricted_norm
 
-    def _frame_power_of_l(self, n: int) -> Section:
-        """l^n (n >= 1) in the frame coordinates, one product from l^(n-1) like
-        the one-degree Gauss cache; a lower degree restarts from l."""
+    @cached_property
+    def _frame_points(self) -> List[tuple]:
+        """The frame values B^T x~ at the points of Y, as integers up to one factor."""
+        return [tuple(linalg._integer_row(linalg.mat_vec(self.metric.base.columns(), pt))[0])
+                for pt in self.Y.points]
+
+    def _frame_power_of_l(self, n: int) -> tuple:
+        """l^n (n >= 1) in the frame coordinates as dense integers (P, D) with
+        l^n = P / D in monomial_basis order: ``_SymPowers`` of the one form l,
+        one ``_times_form`` step from l^(n-1); a lower degree restarts."""
         if self._frame_l is None:
-            self._frame_l = self.metric.to_frame_coordinates(self.representative)
-        k, power = self._frame_power if 0 < self._frame_power[0] <= n else (1, self._frame_l)
-        for _ in range(k, n):
-            power = power * self._frame_l
-        self._frame_power = n, power
-        return power
+            l = self.metric.to_frame_coordinates(self.representative)
+            self._frame_l = _SymPowers([l], [self.field.one_magnitude()])
+        return self._frame_l.columns(n)[0][0]
 
 
 def min_norm_lift(P: ExtensionProblem, n: int) -> Tuple[Section, Magnitude]:
     """The minimal-norm degree-n extension of l^n and the exact ratio
     ||s||_{h^n} / ||l||_{Y,h}^n.
 
-    A point set Y is handled on the dual side (``_dual_lift``); a linear
-    Y by the distance from l^n to the restriction kernel.
+    A point set Y is handled on the dual side (``_dual_lift``, one row
+    psi_i[e] = v_i^e per point; dependent points drop out); a linear Y by
+    the distance from l^n to the restriction kernel.
     """
     if n < 1:
         raise PreconditionError("degree must be >= 1")
@@ -98,48 +102,42 @@ def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, 
 
     In the orthogonal coordinates of N (the gauss space), l^n has the
     coordinates a of l^n rewritten in the frame, and the sections vanishing
-    on Y are the common kernel W of psi_i with psi_i[j] = e_j(x~_i).  The
-    quotient norm on the coordinates modulo W is the dual of the dual norm
-    (weights 1/w_j) on W^perp = span(psi_i) (Bosch-Guentzer-Remmert,
-    Non-Archimedean Analysis).  Orthogonal elimination of the independent
-    psi_i under the dual weights gives rows psi'_i with pivots p_i, and
+    on Y are the common kernel W of the psi_i, psi_i[e] = e(x~_i) for each
+    column e of N.  The quotient norm modulo W is the dual of the dual norm
+    (weights 1/w_e) on W^perp = span(psi_i) (Bosch-Guentzer-Remmert,
+    Non-Archimedean Analysis).  Orthogonal elimination of the psi_i under
+    the dual weights drops the rows of dependent points (as when k > dim)
+    and gives rows psi'_i with pivots p_i, and
 
         dist = max_i |psi'_i(a)| / ||psi'_i||*.
 
     Row i vanishes at the pivots of the rows before it, so c supported on
     the pivots with psi'_i(c) = psi'_i(a) comes from one back-substitution;
     it is the combination of the dual basis of the psi'_i, so its norm is
-    dist.  The lift is N.basis c.
+    dist, and the lift is the sum of c_p times the pivot columns of N.
 
-    Each psi_i is one (integers, L D^n) row: column j of N is P_j / d_j
-    (``N.integer_columns()``), L = lcm(d_j), and the kept monomials at x~_i
-    are w / D^n, so psi_i = (P_j . w) (L / d_j) / (L D^n).  The elimination
-    keeps that form, psi'_i(a) is one integer dot product with the integer
-    row of a, and Fractions are built only for dist and in the
-    back-substitution, where the denominator of psi'_i cancels.
+    Column e of N is prod_t f_t^e_t over the frame forms, so psi_i[e] = v_i^e
+    at the frame values v_i = B^T x~_i: the monomials that the metric steps
+    up one degree per call (``_evaluation_row``), one (integers, D^n) row
+    that may be scaled without moving dist or c.  Fractions are built only
+    for dist, the back-substitution and the lift.
     """
     field = P.field
-    a, d_a = linalg._integer_row(P._frame_power_of_l(n).to_vector())
-    # the monomials at x~_i as w / D^n kept by the metric
-    rows = [P.metric._evaluation_row(n, pt) for pt in P.Y.points]
-    # k points can impose fewer than k conditions (k > dim at low degree)
-    kept = linalg.extend_basis([], [r[0] for r in rows], N.dim)  # D^n moves no rank
-    cols = N.integer_columns()
-    L = lcm(*(d for _, d in cols))
-    cols = [(P_j, L // d) for P_j, d in cols]
-    psi = [([sum(map(mul, P_j, w)) * s for P_j, s in cols], L * dn)
-           for w, dn in (rows[i] for i in kept)]
+    a, d_a = P._frame_power_of_l(n)
+    psi = [P.metric._evaluation_row(n, v) for v in P._frame_points]
     dual_weights = [field.one_magnitude() / w for w in N.weights]
-    pivots, norms = _eliminate_integer(field, dual_weights, psi)
+    pivots, norms = _eliminate_integer(field, dual_weights, psi, drop=True)
     targets = [sum(map(mul, r, a)) for r, _ in psi]  # psi'_i(a) = target / (d_i d_a)
     dist = magnitude_max(field.abs(Fraction(t, d * d_a)) / norm
                          for t, (_, d), norm in zip(targets, psi, norms))
-    c = [Fraction(0)] * N.dim
+    c = {}
     for i in reversed(range(len(psi))):
         r, j = psi[i][0], pivots[i]
         acc = Fraction(targets[i], d_a) - sum(r[k] * c[k] for k in pivots[i + 1:])
         c[j] = acc / r[j]
-    return dist, N.from_coordinates(c)
+    cols = [N.integer_columns()[j] for j in pivots]  # the lift: sum of c_p P_p / D_p
+    w, d_w = linalg._integer_row([c[j] / d for j, (_, d) in zip(pivots, cols)])
+    return dist, [Fraction(sum(map(mul, w, e)), d_w) for e in zip(*(P_j for P_j, _ in cols))]
 
 
 def ratio_sequence(P: ExtensionProblem, n_max: int) -> List[Magnitude]:

@@ -98,7 +98,8 @@ class QuotientMetric:
 
     def _evaluation_row(self, n: int, point: Sequence) -> tuple:
         """The degree-n monomials at x = a / D as (integers, D^n), stepped up from the
-        last degree kept for x; a lower one restarts."""
+        last degree kept for x; a lower one restarts.  At the frame values
+        v = B^T x~ they are the values at x~ of the Gauss columns (v^e)."""
         pt = tuple(point)
         a, d, k, row = (self._rows.get(pt)
                         or (*linalg._integer_row(linalg._constants(pt)), 0, [1]))

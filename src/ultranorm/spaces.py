@@ -118,21 +118,13 @@ class NormedSpace:
                 self._integer[key] = list(map(linalg._integer_row, rows))
         return self._integer[key]
 
-    def _times(self, key: str, v: Sequence) -> list:
-        """The ``_integer_form`` rows times v, one integer dot product per
-        row, as Fractions."""
-        return linalg._mat_vec_integer(self._integer_form(key),
-                                       *linalg._integer_row(linalg._constants(v)))
-
     def coordinates(self, v: Sequence) -> list:
+        """The inverse rows times v, one integer dot product per row, as Fractions."""
         if len(v) != self.dim:
             raise PreconditionError(
                 f"vector has {len(v)} entries, the space has dimension {self.dim}")
-        return self._times("inverse", v)
-
-    def from_coordinates(self, a: Sequence) -> list:
-        """The vector basis a with coordinates a."""
-        return self._times("basis", a)
+        return linalg._mat_vec_integer(self._integer_form("inverse"),
+                                       *linalg._integer_row(linalg._constants(v)))
 
     def norm(self, v: Sequence) -> Magnitude:
         """max_i |a_i| * w_i over the orthogonal coordinates a of v."""
@@ -212,7 +204,7 @@ def _reduce(target: tuple, r: Sequence[int], j: int) -> tuple:
 
 
 def _eliminate_integer(field: ValuedField, weights: Sequence[Magnitude],
-                       rows: List[tuple]) -> tuple[List[int], List[Magnitude]]:
+                       rows: List[tuple], drop: bool = False) -> tuple[List[int], List[Magnitude]]:
     """Orthogonal elimination under the weighted sup norm
     max_j |row[j]| * weights[j], in place and in order, fraction-free over
     every field.  Each row is one (integers, d) pair, the rational row
@@ -222,20 +214,26 @@ def _eliminate_integer(field: ValuedField, weights: Sequence[Magnitude],
     |r_i[j]| * w_j is largest (the first such j on ties; ``_weighted_max``,
     where the factor 1/|d_i| moves no pivot); every later row then loses
     the multiple of row i that clears its coordinate j (``_reduce``).
-    Returns the pivots and the pivot values, which are the norms of the
-    final rows."""
+    A row that reduces to zero depends on the rows before it: it is an
+    error, or with ``drop`` it leaves ``rows``, so the rows kept are the
+    first independent ones in order.  Returns the pivots and the pivot
+    values, which are the norms of the final rows."""
     pivots: List[int] = []
     norms: List[Magnitude] = []
-    for i in range(len(rows)):
+    i = 0
+    while i < len(rows):
         r, d = rows[i]
         j, norm = _weighted_max(field, weights, r, d, pivots)
         if j is None:
-            raise PreconditionError(
-                f"flag vectors are linearly dependent at position {i}")
+            if not drop:
+                raise PreconditionError(f"flag vectors are linearly dependent at position {i}")
+            del rows[i]
+            continue
         pivots.append(j)
         norms.append(norm)
         for k in range(i + 1, len(rows)):
             rows[k] = _reduce(rows[k], r, j)
+        i += 1
     return pivots, norms
 
 

@@ -6,6 +6,7 @@ import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -19,7 +20,8 @@ from ultranorm import metrics
 from ultranorm.metrics import QuotientMetric, metric_gap, sigma
 from ultranorm.sections import (Section, Subvariety, integer_evaluation_row,
                                 restriction_kernel)
-from ultranorm.spaces import (PreconditionError, distance_to_subspace,
+from ultranorm.fields import magnitude_max
+from ultranorm.spaces import (PreconditionError, _eliminate_integer, distance_to_subspace,
                               scalar_extension)
 
 F = Fraction
@@ -136,9 +138,103 @@ def random_point_problem(rng, field, num_vars, npoints):
             return ExtensionProblem(h, Y, rep)
 
 
+def column_psi(N, n, point):
+    """psi at a point from the columns of N: each integer column dotted with
+    the degree-n monomials at the point, as Fractions."""
+    w, dn = integer_evaluation_row(n, point)
+    return [F(sum(map(mul, P_j, w)), d * dn) for P_j, d in N.integer_columns()]
+
+
+def column_dual_lift(P, n):
+    """The dual lift from column rows: ``linalg.extend_basis`` keeps the
+    points that raise the rank, their ``column_psi`` rows are eliminated
+    under the dual weights, and the lift is N.basis c (``linalg.mat_vec``).
+    Returns the final rows as Fractions, the section and the ratio."""
+    field, N = P.field, P.metric.gauss_space(n)
+    rows = [column_psi(N, n, pt) for pt in P.Y.points]
+    psi = [linalg._integer_row(rows[i]) for i in linalg.extend_basis([], rows, N.dim)]
+    dual = [field.one_magnitude() / w for w in N.weights]
+    pivots, norms = _eliminate_integer(field, dual, psi)
+    psi = [[F(x, d) for x in r] for r, d in psi]
+    l_n = (P.metric.to_frame_coordinates(P.representative) ** n).to_vector()
+    targets = [sum(map(mul, r, l_n)) for r in psi]
+    dist = magnitude_max(field.abs(t) / norm for t, norm in zip(targets, norms))
+    c = [F(0)] * N.dim
+    for i in reversed(range(len(psi))):
+        j = pivots[i]
+        c[j] = (targets[i] - sum(psi[i][k] * c[k] for k in pivots[i + 1:])) / psi[i][j]
+    section = Section.from_vector(field, P.metric.m, n, linalg.mat_vec(N.basis, c))
+    return psi, section, dist / P.restricted_norm() ** n
+
+
+def proportional(u, v):
+    """u = c v for one nonzero rational c."""
+    j = next(j for j, x in enumerate(v) if x)
+    c = u[j] / v[j]
+    return c != 0 and [c * x for x in v] == list(u)
+
+
 class TestDualLift:
     """The dual-side lift for point sets against the primal oracle: the
     distance from one lift of l^n to the restriction kernel."""
+
+    @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(3),
+                                       TrivialRationals(), LaurentRationals(5)],
+                             ids=lambda f: f"{f.kind}{f.prime or ''}")
+    def test_frame_value_rows_equal_the_column_rows(self, field):
+        # psi_i[e] = v_i^e at v_i = B^T x_i, against the columns of N dotted
+        # with the monomials at x_i, up to one factor per row; the first point
+        # is a zero of the first frame form, so one frame value is zero
+        rng = random.Random(f"dual-lift-rows/{field.kind}{field.prime}")
+        for num_vars in (2, 3):
+            for _ in range(3):
+                P = random_point_problem(rng, field, num_vars, 3)
+                h = P.metric
+                f0 = [h.base.basis[j][0] for j in range(num_vars)]
+                if num_vars == 2:
+                    zero = [f0[1], -f0[0]]
+                else:
+                    u = [F(rng.randint(-3, 3)) for _ in range(3)]
+                    zero = [f0[1] * u[2] - f0[2] * u[1], f0[2] * u[0] - f0[0] * u[2],
+                            f0[0] * u[1] - f0[1] * u[0]]
+                    if not any(zero):
+                        continue
+                assert h.frame_forms()[0].evaluate(zero) == 0
+                for i, x in enumerate([zero] + P.Y.points):
+                    v = [f.evaluate(x) for f in h.frame_forms()]
+                    assert i == 0 or proportional(P._frame_points[i - 1], v)
+                    for n in (1, 2, 3, 4):
+                        row, dn = h._evaluation_row(n, v)
+                        want = column_psi(h.gauss_space(n), n, x)
+                        assert proportional([F(r, dn) for r in row], want)
+
+    @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(3),
+                                       TrivialRationals(), LaurentRationals(5)],
+                             ids=lambda f: f"{f.kind}{f.prime or ''}")
+    def test_four_points_on_p1_keep_the_extend_basis_rows(self, field):
+        # k = 4 > dim = 2 at degree 1: the elimination drops the rows that
+        # extend_basis leaves out, keeps the others up to one factor each, and
+        # gives the section and ratio of the column rows
+        rng = random.Random(f"dual-lift-dependent/{field.kind}{field.prime}")
+        for _ in range(6):
+            P = random_point_problem(rng, field, 2, 4)
+            h, N = P.metric, P.metric.gauss_space(1)
+            want_rows, want_section, want_ratio = column_dual_lift(P, 1)
+            rows = [h._evaluation_row(1, v) for v in P._frame_points]
+            dual = [field.one_magnitude() / w for w in N.weights]
+            _eliminate_integer(field, dual, rows, drop=True)
+            assert len(rows) == len(want_rows) == N.dim
+            assert all(proportional([F(x, d) for x in r], want)
+                       for (r, d), want in zip(rows, want_rows))
+            assert min_norm_lift(P, 1) == (want_section, want_ratio)
+
+    def test_column_rows_give_the_same_lift_at_every_degree(self):
+        rng = random.Random("dual-lift-columns")
+        for field in (PadicRationals(3), TrivialRationals(), LaurentRationals(5)):
+            for num_vars, npoints in ((2, 4), (3, 5)):
+                P = random_point_problem(rng, field, num_vars, npoints)
+                for n in (1, 2, 3):
+                    assert min_norm_lift(P, n) == column_dual_lift(P, n)[1:]
 
     @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(3),
                                        TrivialRationals()],
@@ -163,9 +259,9 @@ class TestDualLift:
                                        TrivialRationals()],
                              ids=lambda f: f"{f.kind}{f.prime or ''}")
     def test_zero_coordinates_and_more_points_than_dim(self, field):
-        # psi from the integer columns and integer evaluation rows against
-        # the primal oracle, at points with zero coordinates and with more
-        # points than degree-n sections (k > dim)
+        # psi from the monomials at the frame values against the primal
+        # oracle, at points with zero coordinates and with more points than
+        # degree-n sections (k > dim)
         rng = random.Random(f"dual-lift-zeros/{field.kind}{field.prime}")
         point_sets = {
             2: [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)], [F(2), F(-3)], [F(1, 4), F(5)]],
@@ -208,8 +304,9 @@ class TestDualLift:
 
 
 class TestFramePowers:
-    """l^n in the frame coordinates, kept by the problem from one degree to
-    the next, against the direct power of the rewritten representative."""
+    """l^n in the frame coordinates as dense integers, kept by the problem
+    from one degree to the next, against the integer row of the direct power
+    of the rewritten representative."""
 
     @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(3),
                                        TrivialRationals()],
@@ -223,20 +320,28 @@ class TestFramePowers:
             P = random_point_problem(rng, field, num_vars, 2)
             l = P.metric.to_frame_coordinates(P.representative)
             for n in order:
-                assert P._frame_power_of_l(n) == l ** n
+                assert P._frame_power_of_l(n) == linalg._integer_row((l ** n).to_vector())
 
     def test_one_product_per_degree_in_order(self, monkeypatch):
         P = random_point_problem(random.Random("frame-powers/count"),
                                  PadicRationals(3), 3, 2)
-        products, real = [], Section.__mul__
-        monkeypatch.setattr(Section, "__mul__",
-                            lambda a, b: products.append(1) or real(a, b))
+        P.metric.to_frame_coordinates(P.representative)  # the substitution's own step
+        steps, depth, real = [], [], metrics._times_form
+
+        def counted(poly, form, n):  # one per product by l, not its inner blocks
+            steps.extend([] if depth else [n])
+            depth.append(n)
+            try:
+                return real(poly, form, n)
+            finally:
+                depth.pop()
+        monkeypatch.setattr(metrics, "_times_form", counted)
         for n in range(1, 7):
             P._frame_power_of_l(n)
-            assert len(products) == n - 1
-        P._frame_power_of_l(6)
-        P._frame_power_of_l(2)  # a lower degree restarts from l
-        assert len(products) == 6
+            assert len(steps) == n
+        P._frame_power_of_l(6)  # the same degree takes no step
+        P._frame_power_of_l(2)  # a lower degree restarts from degree 0
+        assert steps == [0, 1, 2, 3, 4, 5, 0, 1]
 
     def test_ratios_in_any_order_match_a_fresh_problem(self):
         rng = random.Random("frame-powers/ratios")
