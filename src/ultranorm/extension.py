@@ -125,8 +125,7 @@ def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, 
     field = P.field
     a, d_a = P._frame_power_of_l(n)
     psi = [P.metric._evaluation_row(n, v) for v in P._frame_points]
-    dual_weights = [field.one_magnitude() / w for w in N.weights]
-    pivots, norms = _eliminate_integer(field, dual_weights, psi, drop=True)
+    pivots, norms = _eliminate_integer(field, N.dual_weights(), psi, drop=True)
     targets = [sum(map(mul, r, a)) for r, _ in psi]  # psi'_i(a) = target / (d_i d_a)
     dist = magnitude_max(field.abs(Fraction(t, d * d_a)) / norm
                          for t, (_, d), norm in zip(targets, psi, norms))

@@ -17,17 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import product as iter_product
 from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence
 
 from . import linalg
-from .fields import Magnitude, ValuedField, _is_zero, _sign_scaled, _vp, magnitude_max
+from .fields import Magnitude, ValuedField, _is_zero, _vp, magnitude_max
 from .sections import (Section, Subvariety, integer_evaluation_row, monomial_basis,
                        normalize_point, step_row)
-from .spaces import NormedSpace, PreconditionError, _complete_flag
+from .spaces import NormedSpace, PreconditionError, _complete_flag, _weighted_max
 
 
 @dataclass
@@ -123,8 +122,10 @@ class QuotientMetric:
 
     def sup_norm(self, s: Section) -> Magnitude:
         """Sup of |s|_{h^n} over the projective space: the weighted Gauss
-        norm of s written in the orthogonal frame coordinates."""
-        return _gauss_norm(self.field, self.to_frame_coordinates(s), self.base.weights)
+        norm of s in the frame coordinates, the norm of the Gauss space."""
+        if s.num_vars != self.num_vars:
+            raise PreconditionError("section/metric dimension mismatch")
+        return self.gauss_space(s.degree).norm(s.to_vector())
 
     def gauss_space(self, n: int) -> NormedSpace:
         """The degree-n sup norm as a NormedSpace on the coefficient
@@ -139,17 +140,21 @@ class QuotientMetric:
     # -- restricted sup norms -------------------------------------------------
 
     def restricted_sup_norm(self, s: Section, Y: Subvariety) -> Magnitude:
-        """Sup of |s|_{h^n} over Y (finite point set or linear subspace)."""
+        """Sup of |s|_{h^n} over Y: the largest point metric on a point set; on a
+        linear Y, s in a flag frame whose first k forms cut out Y, weighted by Sym^n
+        of the flag norms (``spaces._weighted_max``) off the monomials in those k."""
         if Y.kind == "points":
             vals = [self.point_metric(s, pt) for pt in Y.points]
             return magnitude_max(vals) if vals else self.field.zero_magnitude()
         # complete the forms (as vectors in the degree-1 space) to a flag
         g, norms = _complete_flag(self.base, Y.linear_forms)
         # rewrite s in the g-coordinates: x = (G^T)^{-1} u, G^T has rows g_j
-        ones = [self.field.one_magnitude()] * self.num_vars
-        u = _change_frame(_SymPowers(_linear_forms(self.field, linalg.invert(g)), ones), s)
+        sym = _SymPowers(_linear_forms(self.field, linalg.invert(g)), norms)
+        u = linalg._integer_row(_change_frame(sym, s).to_vector())
         # on Y the first k frame coordinates vanish; Gauss norm of the rest
-        return _gauss_norm(self.field, u, norms, vanishing=len(Y.linear_forms))
+        k = len(Y.linear_forms)
+        taken = {i for i, e in enumerate(monomial_basis(self.m, s.degree)) if any(e[:k])}
+        return _weighted_max(self.field, sym.columns(s.degree)[1], *u, taken)[1]
 
 
 class _GaussSpace(NormedSpace):
@@ -249,15 +254,6 @@ def _times_form(P: list, F: Sequence[int], n: int) -> list:
     return out
 
 
-def _gauss_norm(field: ValuedField, u: Section, weights: Sequence[Magnitude],
-                vanishing: int = 0) -> Magnitude:
-    """The weighted Gauss norm max_e |u_e| prod_j weights_j^e_j over the
-    terms of u free of the first ``vanishing`` variables."""
-    return magnitude_max([field.zero_magnitude()] + [
-        reduce(mul, map(pow, weights, e), field.abs(c))
-        for e, c in u.coeffs.items() if not any(e[:vanishing])])
-
-
 def _linear_forms(field: ValuedField, rows: Sequence[Sequence]) -> List[Section]:
     """The degree-1 sections sum_i row[i] x_i, one per row."""
     nv = len(rows)
@@ -287,33 +283,22 @@ def _change_frame(sym: _SymPowers, s: Section) -> Section:
 
 
 def _dual_norm(N: NormedSpace, w: Sequence, d_w: int = 1) -> Magnitude:
-    """max_i |e_i(x)| / w_i, with e_i(x) basis column i of N applied to
-    the rational row w / d_w: the dual norm of that functional, as one
-    Magnitude.
-
-    With column i = ints_i / d_i (``N.integer_columns()``) and
-    w_i = q_i rho^n_i, a nonzero s_i = ints_i . w gives the value
-    (1/q_i) rho^e_i, e_i = v_p(s_i) - v_p(d_i) - n_i (0 on a trivial
-    field or Q(T), where every nonzero rational has |c| = 1).  Values
-    compare by one integer cross-multiplication, their exponent gap weighed
-    first (``fields._sign_scaled``); the winner is shifted by v_p(d_w).
-    """
+    """max_i |e_i(x)| / w_i, with e_i(x) basis column i of N applied to the
+    rational row w / d_w (the dual norm of that functional): with column i =
+    ints_i / d_i (``N.integer_columns()``), the weighted max of the sums
+    ints_i . w (``spaces._weighted_max``) under the column weights
+    1 / (|d_i| w_i), kept once per space, over |d_w|."""
     field, cols = N.field, N.integer_columns()
-    P, p = field.prime or 1, field.prime if field.kind == "padic" else None
-    if "dual" not in N._integer:  # (v_p(d_i) + n_i, q_i) per column; d_i is p-adic only
-        N._integer["dual"] = [(wt.n + (_vp(cols[i][1], p) if p else 0), wt.num, wt.den)
-                              for i, wt in enumerate(N.weights)]
-    sums = (sum(map(mul, ints, w)) for ints, _ in cols)
-    pairs = ((_vp(s, p) if p else 0, c) for s, c in zip(sums, N._integer["dual"]) if s)
-    best = None
-    for v, (k, a, b) in pairs:
-        e = v - k  # (b/a) rho^e beats (B/A) rho^E exactly when A b P^(E - e) > a B
-        if best is None or _sign_scaled(best[1] * b, P, best[0] - e, a * best[2]) > 0:
-            best = e, a, b
-    if best is None:
+    if "dual" not in N._integer:  # 1 / (|d_i| w_i) = (den_i / num_i) rho^(-n_i - v_p(d_i))
+        p = field.prime if field.kind == "padic" else None
+        N._integer["dual"] = [Magnitude._normalized(field.rho, wt.den, wt.num,
+                                                    -wt.n - (_vp(d, p) if p else 0))
+                              for (_, d), wt in zip(cols, N.weights)]
+    sums = [sum(map(mul, ints, w)) for ints, _ in cols]
+    j, value = _weighted_max(field, N._integer["dual"], sums, d_w)
+    if j is None:
         raise PreconditionError("evaluation functional vanishes identically")
-    shift = _vp(d_w, p) if p else 0
-    return Magnitude._normalized(field.rho, best[2], best[1], best[0] - shift)
+    return value
 
 
 def quotient_fiber_norm(N: NormedSpace, n: int, point: Sequence,

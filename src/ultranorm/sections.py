@@ -16,8 +16,8 @@ from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fields import FieldElement, ValuedField, _constant_value, _vp
-from .spaces import PreconditionError
+from .fields import FieldElement, ValuedField, _constant_value
+from .spaces import PreconditionError, _weighted_max
 
 Exponent = Tuple[int, ...]
 
@@ -207,20 +207,14 @@ def _polynomial_product(a: Dict[Exponent, int], b: Dict[Exponent, int]) -> dict:
 def normalize_point(field: ValuedField, coords: Sequence) -> List[FieldElement]:
     """Scale homogeneous coordinates so the first coordinate of maximal
     magnitude becomes exactly 1 (the canonical representative used in
-    all metric formulas).  The coordinates, rationals or constants of Q(T),
-    compare in integers: over Q_p by least p-adic valuation of their
-    numerators over a common denominator; over the trivial field and Q(T),
-    where every nonzero rational has the same size, the first nonzero one
-    is the pivot.  The representative is Fractions over every field."""
+    all metric formulas).  The pivot is the weighted max under unit weights
+    (``spaces._weighted_max``) of the coordinates, rationals or constants of
+    Q(T), as integers over a common denominator; the result is Fractions."""
     pt = linalg._integer_row(linalg._constants(coords))[0]
-    nonzero = [i for i, x in enumerate(pt) if x]
-    if not nonzero:
+    j = _weighted_max(field, [field.one_magnitude()] * len(pt), pt, 1)[0]
+    if j is None:
         raise PreconditionError("zero vector is not a projective point")
-    if field.kind == "padic":
-        pivot = pt[max(nonzero, key=lambda i: -_vp(pt[i], field.prime))]  # the first maximum
-    else:
-        pivot = pt[nonzero[0]]
-    return [Fraction(x, pivot) for x in pt]
+    return [Fraction(x, pt[j]) for x in pt]
 
 
 @dataclass

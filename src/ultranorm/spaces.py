@@ -8,8 +8,10 @@ norms, scalar extension, unit-ball lattices) is carried out in exact
 arithmetic.  The orthogonal elimination keeps each coordinate row as one
 (integers, d) pair, the rational row integers / d, from the coordinates to
 the result: the pivot and the norm come from valuations of integers
-(``_weighted_max``), each clearing step is one integer row operation over a
-gcd (``_reduce``), and Fractions are built only where a result leaves.
+(``_weighted_max``, the package's one weighted sup norm, which also gives
+``norm``, the Gauss and dual norms and point pivots), each clearing step is
+one integer row operation over a gcd (``_reduce``), and Fractions are built
+only where a result leaves.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import linalg
-from .fields import Magnitude, PreconditionError, RationalFunction, ValuedField, _vp
+from .fields import Magnitude, PreconditionError, RationalFunction, ValuedField, _sign_scaled, _vp
 
 
 @dataclass
@@ -131,6 +133,13 @@ class NormedSpace:
         coords = linalg._integer_row(self.coordinates(v))
         return _weighted_max(self.field, self.weights, *coords)[1]
 
+    def dual_weights(self) -> List[Magnitude]:
+        """The reciprocal weights 1 / w_i, the norms of the dual basis; built once."""
+        if "dual_weights" not in self._integer:
+            self._integer["dual_weights"] = [Magnitude._normalized(w.rho, w.den, w.num, -w.n)
+                                             for w in self.weights]
+        return self._integer["dual_weights"]
+
     def _vectors(self, rows: List[tuple]) -> List[list]:
         """The vectors with coordinates r / d for each (integers, d) row r:
         one ``_mat_vec_integer`` per row over the "basis" integer form."""
@@ -172,21 +181,22 @@ def _weighted_max(field: ValuedField, weights: Sequence[Magnitude], x: Sequence[
                   d: int, taken=()) -> tuple[Optional[int], Magnitude]:
     """The first j not in ``taken`` where |x_j| * w_j is largest, and
     max_j |x_j| * w_j / |d|, the weighted sup norm of the rational row
-    x / d off ``taken``; (None, 0) when that part of x is zero.  Over Q_p,
-    |x_j| / |d| = rho^(v_p(x_j) - v_p(d)); over Q and Q(T) every nonzero
-    rational has |c| = rho^0, so the value is w_j."""
-    p = field.prime if field.kind == "padic" else None
-    best_j = best = None
-    for j, (a, w) in enumerate(zip(x, weights)):
+    x / d off ``taken``; (None, 0) when that part of x is zero.  Each value
+    (num_j / den_j) rho^(n_j + v_p(x_j)), v_p read as 0 over Q and Q(T) where
+    every nonzero rational has |c| = rho^0, compares in integers, exponent gap
+    first (``fields._sign_scaled``); one Magnitude is built, the winner's."""
+    P, p = field.prime or 1, field.prime if field.kind == "padic" else None
+    best_j = None
+    for j, a in enumerate(x):
         if a and j not in taken:
-            val = w if p is None else Magnitude._normalized(w.rho, w.num, w.den, w.n + _vp(a, p))
-            if best is None or val > best:
-                best_j, best = j, val
-    if best is None:
+            w = weights[j]
+            e = w.n + _vp(a, p) if p else w.n
+            # (num/den) rho^e beats (A/B) rho^E exactly when num B P^(E - e) > A den
+            if best_j is None or _sign_scaled(w.num * B, P, E - e, A * w.den) > 0:
+                best_j, A, B, E = j, w.num, w.den, e
+    if best_j is None:
         return None, field.zero_magnitude()
-    if p is None:
-        return best_j, best
-    return best_j, Magnitude._normalized(best.rho, best.num, best.den, best.n - _vp(d, p))
+    return best_j, Magnitude._normalized(field.rho, A, B, E - _vp(d, p) if p else E)
 
 
 def _reduce(target: tuple, r: Sequence[int], j: int) -> tuple:
@@ -350,11 +360,9 @@ def dual_norm(space: NormedSpace) -> NormedSpace:
     A functional is a row vector phi acting by phi . v; the dual of an
     orthogonal basis is orthogonal with reciprocal weights.
     """
-    # the rows of basis^{-1} are the dual basis functionals; they are the
-    # basis columns of the dual space
-    dual_basis = linalg.transpose(space.basis_inverse())
-    weights = [space.field.one_magnitude() / w for w in space.weights]
-    return NormedSpace(space.field, dual_basis, weights)
+    # the rows of basis^{-1}, the dual basis functionals, are its basis columns
+    return NormedSpace(space.field, linalg.transpose(space.basis_inverse()),
+                       list(space.dual_weights()))
 
 
 def scalar_extension(space: NormedSpace, target: ValuedField) -> NormedSpace:

@@ -1,5 +1,6 @@
 """The library surface: every function, class and method in ``src/ultranorm``
-is reached from the CLI or from the acceptance criteria.
+is reached from the CLI or from the acceptance criteria, and every name a
+module imports is read in it.
 
 Reachability is by name through ``ast``: a definition is reached when a
 reached body mentions its name, as a variable or an attribute; importing a
@@ -104,3 +105,30 @@ def test_every_definition_is_reached_from_a_command_or_a_criterion():
 
 def test_every_allowed_accessor_is_defined_and_unreached():
     assert sorted(ALLOWED) == sorted(q for q in unreached() if q in ALLOWED)
+
+
+def unused_imports() -> List[str]:
+    """``module.name`` for each name that a source module imports (``from
+    __future__`` aside) but neither reads, as a variable or as the base of
+    an attribute, nor lists in ``__all__``: a stale import line still counts
+    toward the source size."""
+    out = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, read, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Assign) and
+                  any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                exported |= set(ast.literal_eval(node.value))
+        out += [f"{path.stem}.{name}" for name in sorted(imported - read - exported)]
+    return out
+
+
+def test_every_imported_name_is_read_or_exported():
+    assert unused_imports() == []
