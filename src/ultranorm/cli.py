@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from . import linalg, serialization as ser
 from .adelic import (AdelicSpace, NormedLattice, finite_unit_lattice,
                      graded_minima, lambda_Q, lambda_Z)
-from .extension import (ExtensionProblem, check_extension_theorem,
+from .extension import (ExtensionProblem, _check_representative, check_extension_theorem,
                         extend_trivial_via_laurent, min_norm_lift)
 from .fields import PadicRationals
 from .metrics import QuotientMetric, sigma
@@ -162,8 +162,8 @@ def _problem_from_config(data: Dict[str, Any], degree: int) -> tuple[ExtensionPr
         raise ConfigError("", "config requires 'subvariety' and 'representative'")
     Y = ser.subvariety_from_json(data["subvariety"], metric.field,
                                  metric.num_vars)
-    rep = ser.section_from_json(data["representative"], metric.field,
-                                "/representative")
+    rep = ser.section_from_json(data["representative"], metric.field, "/representative",
+                                lambda degree, nv: _check_representative(metric, degree, nv))
     return ExtensionProblem(metric, Y, rep), degree
 
 

@@ -35,10 +35,8 @@ class ExtensionProblem:
     representative: Section  # degree-1 section restricting to l
 
     def __post_init__(self):
-        if self.representative.degree != 1:
-            raise PreconditionError("representative must have degree 1")
-        if self.representative.num_vars != self.metric.num_vars:
-            raise PreconditionError("representative/metric dimension mismatch")
+        _check_representative(self.metric, self.representative.degree,
+                              self.representative.num_vars)
         self._restricted_norm: Optional[Magnitude] = None
         self._ratio_cache: Dict[int, Magnitude] = {}
         self._frame_l: Optional[_SymPowers] = None  # l in the frame coordinates
@@ -68,8 +66,17 @@ class ExtensionProblem:
         one ``_times_form`` step from l^(n-1); a lower degree restarts."""
         if self._frame_l is None:
             l = self.metric.to_frame_coordinates(self.representative)
-            self._frame_l = _SymPowers([l], [self.field.one_magnitude()])
+            self._frame_l = _SymPowers([(l.ints, l.den)], [self.field.one_magnitude()])
         return self._frame_l.columns(n)[0][0]
+
+
+def _check_representative(metric: QuotientMetric, degree: int, num_vars: int) -> None:
+    """Refuse a representative that is not a linear form in the metric's
+    variables; a config's is checked before its section is allocated."""
+    if degree != 1:
+        raise PreconditionError("representative must have degree 1")
+    if num_vars != metric.num_vars:
+        raise PreconditionError("representative/metric dimension mismatch")
 
 
 def min_norm_lift(P: ExtensionProblem, n: int) -> Tuple[Section, Magnitude]:
@@ -85,18 +92,17 @@ def min_norm_lift(P: ExtensionProblem, n: int) -> Tuple[Section, Magnitude]:
     restricted = P.restricted_norm()
     N = P.metric.gauss_space(n)
     if P.Y.kind == "points":
-        dist, vec = _dual_lift(P, N, n)
+        dist, s = _dual_lift(P, N, n)
     else:
         s0 = (P.representative ** n).to_vector()
         dist, minimizer = distance_to_subspace(N, s0, restriction_kernel(P.Y, n))
-        vec = [a - b for a, b in zip(s0, minimizer)]
-    s = Section.from_vector(P.field, P.metric.m, n, vec)
+        s = Section.from_vector(P.field, P.metric.m, n, [a - b for a, b in zip(s0, minimizer)])
     ratio = dist / restricted ** n
     P._ratio_cache[n] = ratio
     return s, ratio
 
 
-def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, list]:
+def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, Section]:
     """The distance from l^n to the degree-n sections vanishing on the
     points x~_i of Y, and a section restricting to l^n that attains it.
 
@@ -120,7 +126,8 @@ def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, 
     at the frame values v_i = B^T x~_i: the monomials that the metric steps
     up one degree per call (``_evaluation_row``), one (integers, D^n) row
     that may be scaled without moving dist or c.  Fractions are built only
-    for dist, the back-substitution and the lift.
+    for dist and the back-substitution; the lift is integers over one
+    denominator.
     """
     field = P.field
     a, d_a = P._frame_power_of_l(n)
@@ -136,7 +143,8 @@ def _dual_lift(P: ExtensionProblem, N: NormedSpace, n: int) -> Tuple[Magnitude, 
         c[j] = acc / r[j]
     cols = [N.integer_columns()[j] for j in pivots]  # the lift: sum of c_p P_p / D_p
     w, d_w = linalg._integer_row([c[j] / d for j, (_, d) in zip(pivots, cols)])
-    return dist, [Fraction(sum(map(mul, w, e)), d_w) for e in zip(*(P_j for P_j, _ in cols))]
+    lift = [sum(map(mul, w, e)) for e in zip(*(P_j for P_j, _ in cols))]
+    return dist, Section._dense(field, P.metric.num_vars, n, lift, d_w)
 
 
 def ratio_sequence(P: ExtensionProblem, n_max: int) -> List[Magnitude]:

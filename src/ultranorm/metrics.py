@@ -18,14 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import comb, gcd, lcm
-from operator import add, mul
+from math import gcd, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence
 
 from . import linalg
 from .fields import Magnitude, ValuedField, _is_zero, _vp, magnitude_max
-from .sections import (Section, Subvariety, integer_evaluation_row, monomial_basis,
-                       normalize_point, step_row)
+from .sections import (Section, Subvariety, _times_form, integer_evaluation_row,
+                       monomial_basis, normalize_point, step_row)
 from .spaces import NormedSpace, PreconditionError, _complete_flag, _weighted_max
 
 
@@ -40,14 +40,15 @@ class QuotientMetric:
     base: NormedSpace
 
     def __post_init__(self):
-        self._frame = _linear_forms(self.field, linalg.transpose(self.base.basis))
-        frame = _SymPowers(self._frame, self.base.weights)
-        # x = (B^T)^{-1} u; inverting here also rejects a singular basis
-        self._subst = _linear_forms(self.field, linalg.transpose(self.base.basis_inverse()))
+        # frame form i is basis column i; substitution form j, column j of B^-1
+        rows = self.base._integer_form("inverse")  # refuses a singular basis
+        L = lcm(*(d for _, d in rows))
+        subst = [(col, L) for col in zip(*([x * (L // d) for x in r] for r, d in rows))]
         self._gauss_cache: Dict[int, NormedSpace] = {}
         self._frame_values: Dict[tuple, Magnitude] = {}
         self._rows: Dict[tuple, tuple] = {}  # point -> (a, D, n, degree-n row of a)
-        self._sym = frame, _SymPowers(self._subst, [self.field.one_magnitude()] * self.num_vars)
+        self._sym = (_SymPowers(self.base.integer_columns(), self.base.weights),
+                     _SymPowers(subst, [self.field.one_magnitude()] * self.num_vars))
 
     @property
     def field(self) -> ValuedField:
@@ -65,12 +66,14 @@ class QuotientMetric:
 
     def frame_forms(self) -> List[Section]:
         """The orthogonal basis vectors of ``base`` as degree-1 sections."""
-        return self._frame
+        return [Section._dense(self.field, self.num_vars, 1, F, d)
+                for F, d, _ in self._sym[0]._factors]
 
     def substitution(self) -> List[Section]:
         """Degree-1 sections u_i -> expression of x_j in the frame
         coordinates: x = (B^T)^{-1} u where columns of B are the frame."""
-        return self._subst
+        return [Section._dense(self.field, self.num_vars, 1, F, d)
+                for F, d, _ in self._sym[1]._factors]
 
     def to_frame_coordinates(self, s: Section) -> Section:
         """Rewrite s as a polynomial in the frame linear forms: returns a
@@ -149,12 +152,12 @@ class QuotientMetric:
         # complete the forms (as vectors in the degree-1 space) to a flag
         g, norms = _complete_flag(self.base, Y.linear_forms)
         # rewrite s in the g-coordinates: x = (G^T)^{-1} u, G^T has rows g_j
-        sym = _SymPowers(_linear_forms(self.field, linalg.invert(g)), norms)
-        u = linalg._integer_row(_change_frame(sym, s).to_vector())
+        sym = _SymPowers(list(map(linalg._integer_row, linalg.invert(g))), norms)
+        u = _change_frame(sym, s)
         # on Y the first k frame coordinates vanish; Gauss norm of the rest
         k = len(Y.linear_forms)
         taken = {i for i, e in enumerate(monomial_basis(self.m, s.degree)) if any(e[:k])}
-        return _weighted_max(self.field, sym.columns(s.degree)[1], *u, taken)[1]
+        return _weighted_max(self.field, sym.columns(s.degree)[1], u.ints, u.den, taken)[1]
 
 
 class _GaussSpace(NormedSpace):
@@ -203,15 +206,17 @@ class _GaussSpace(NormedSpace):
 
 
 class _SymPowers:
-    """Sym^n of linear forms f_j = F_j / d_j (rationals) with
-    weights w_j: column e = prod_j f_j^e_j = P_e / D_e, with P_e a dense integer
-    list in monomial_basis order and D_e coprime to its content, is column
-    e - delta_j of degree n - 1 times f_j (``_times_form``; weight times w_j),
-    first j with e_j > 0: ``step_row`` blocks.  Keeps the last degree."""
+    """Sym^n of linear forms f_j = F_j / d_j, given as integer pairs (F_j, d_j)
+    over x_0..x_m, with weights w_j: column e = prod_j f_j^e_j = P_e / D_e, with
+    P_e a dense integer list in monomial_basis order and D_e coprime to its
+    content, is column e - delta_j of degree n - 1 times f_j (``_times_form``;
+    weight times w_j), first j with e_j > 0: ``step_row`` blocks.  Keeps the
+    last degree."""
 
-    def __init__(self, forms: Sequence[Section], weights: Sequence[Magnitude]):
-        self._factors = [(*linalg._integer_row(f.to_vector()), w)
-                         for f, w in zip(forms, weights)]
+    def __init__(self, forms: Sequence[tuple], weights: Sequence[Magnitude]):
+        gs = [gcd(d, *F) for F, d in forms]  # each (F_j, d_j) as ``linalg._integer_row``
+        self._factors = [([x // g for x in F], d // g, w)
+                         for (F, d), g, w in zip(forms, gs, weights)]
         self._start = self._last = 0, [([1], 1, Magnitude.one(weights[0].rho))]
 
     def columns(self, n: int) -> tuple[List[tuple], List[Magnitude]]:
@@ -232,49 +237,18 @@ class _SymPowers:
         return ([v // g for v in P] if g > 1 else P), D // g, w * wj
 
 
-def _times_form(P: list, F: Sequence[int], n: int) -> list:
-    """The dense integer polynomial P of degree n (monomial_basis order, in
-    len(F) variables) times the linear form sum_j F_j x_j, dense in degree
-    n + 1.  As in ``step_row``, x_0 keeps the order, and x_1..x_m act inside
-    each x_0 block: the block of degree k in x_1..x_m goes to block k + 1."""
-    f, rest = F[0], F[1:]
-    k = len(rest)
-    if k == 0:
-        return [f * P[0]]
-    if k == 1:  # each block is one monomial, and x_1 moves it one place on
-        return [f * a + rest[0] * b for a, b in zip(P + [0], [0] + P)]
-    out = [f * v for v in P] + [0] * comb(n + k, k - 1)
-    if any(rest):
-        start = 0
-        for deg in range(n + 1):
-            end = start + comb(deg + k - 1, k - 1)
-            block = _times_form(P[start:end], rest, deg)
-            out[end:end + len(block)] = map(add, out[end:end + len(block)], block)
-            start = end
-    return out
-
-
-def _linear_forms(field: ValuedField, rows: Sequence[Sequence]) -> List[Section]:
-    """The degree-1 sections sum_i row[i] x_i, one per row."""
-    nv = len(rows)
-    return [Section(field, nv, 1,
-                    {tuple(1 if k == i else 0 for k in range(nv)): row[i]
-                     for i in range(nv)})
-            for row in rows]
-
-
 def _change_frame(sym: _SymPowers, s: Section) -> Section:
-    """s with x_j replaced by the form f_j of ``sym``: the integer matrix of its
-    columns P_e / D_e of degree deg(s), times the vector of s's coefficients
-    c_e / D_e (``linalg.mat_vec``), as Fractions."""
+    """s with x_j replaced by the form f_j of ``sym``: sum_e c_e P_e / D_e over
+    its columns of degree deg(s), for s = c / den, in integers over
+    den * lcm(D_e); no Fraction is built."""
     nv = len(sym._factors)
     if s.num_vars != nv:
         raise PreconditionError("section/metric dimension mismatch")
     cols, _ = sym.columns(s.degree)
-    exps = monomial_basis(nv - 1, s.degree)
-    w = [s.coeffs.get(e, 0) / Fraction(D) for e, (_, D) in zip(exps, cols)]
-    vec = linalg.mat_vec(linalg.transpose([P for P, _ in cols]), w)
-    return Section._trusted(s.field, nv, s.degree, dict(zip(exps, vec)))
+    L = lcm(*(D for _, D in cols))
+    w = [c * (L // D) for c, (_, D) in zip(s.ints, cols)]
+    rows = zip(*(P for P, _ in cols))  # row k: coefficient k of every column
+    return Section._dense(s.field, nv, s.degree, [sum(map(mul, r, w)) for r in rows], s.den * L)
 
 
 # ----------------------------------------------------------------------

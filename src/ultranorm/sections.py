@@ -1,19 +1,21 @@
 """Homogeneous sections of O(n) on projective space, exactly.
 
 A section is a homogeneous polynomial of degree n in m+1 variables with
-coefficients in a valued field, stored sparsely as exponent-tuple ->
-coefficient.  Subvarieties are finite rational point sets or linear
-subspaces cut out by independent linear forms; restriction kernels are
-computed by exact linear algebra.
+rational coefficients, stored densely as one integer per monomial (in
+``monomial_basis`` order) over one denominator; a product by a linear form
+is one ``_times_form`` step on that list.  Subvarieties are finite rational
+point sets or linear subspaces cut out by independent linear forms;
+restriction kernels are computed by exact linear algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from operator import add, mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import comb, gcd, lcm
+from operator import add, mul, sub
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .fields import FieldElement, ValuedField, _constant_value
@@ -40,44 +42,43 @@ def monomial_basis(m: int, n: int) -> List[Exponent]:
     return out
 
 
-@dataclass
 class Section:
-    """A degree-n homogeneous polynomial over the field, sparse.  Its
-    coefficients are rationals: a tagged constant of Q(T) is read as its
+    """A degree-n homogeneous polynomial over the field, dense: ``ints``, one
+    integer per monomial in monomial_basis order, over one denominator
+    ``den`` > 0 coprime to them (FLINT's fmpq_poly layout), so coefficient k
+    is the rational ints[k] / den.  A tagged constant of Q(T) is read as its
     value when the section is built, and so is a point in ``evaluate``."""
 
-    field: ValuedField
-    num_vars: int
-    degree: int
-    coeffs: Dict[Exponent, FieldElement] = dc_field(default_factory=dict)
+    __slots__ = ("field", "num_vars", "degree", "ints", "den")
 
-    def __post_init__(self):
-        clean = {}
-        for e, c in self.coeffs.items():
+    def __init__(self, field: ValuedField, num_vars: int, degree: int,
+                 coeffs: Optional[Dict[Exponent, FieldElement]] = None):
+        index = {e: i for i, e in enumerate(monomial_basis(num_vars - 1, degree))}
+        vec = [Fraction(0)] * len(index)
+        for e, c in (coeffs or {}).items():
             e = tuple(int(x) for x in e)
-            if len(e) != self.num_vars or sum(e) != self.degree or any(x < 0 for x in e):
-                raise PreconditionError(f"bad exponent {e} for degree {self.degree}")
-            c = _constant_value(c)
-            if c:
-                clean[e] = c
-        self.coeffs = clean
+            if e not in index:
+                raise PreconditionError(f"bad exponent {e} for degree {degree}")
+            vec[index[e]] = _constant_value(c)
+        self.field, self.num_vars, self.degree = field, num_vars, degree
+        self.ints, self.den = linalg._integer_row(vec)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _trusted(cls, field: ValuedField, num_vars: int, degree: int,
-                 coeffs: Dict[Exponent, FieldElement]) -> "Section":
-        """A section whose exponents are valid and whose coefficients are
-        rationals by construction (sums, products and multiples of
-        sections); only zeros are dropped."""
+    def _dense(cls, field: ValuedField, num_vars: int, degree: int,
+               ints: list, den: int) -> "Section":
+        """The section ints / den (den > 0, ints in monomial_basis order),
+        trusted; reduced by gcd(den, ints), so a zero section has den 1."""
         s = object.__new__(cls)
         s.field, s.num_vars, s.degree = field, num_vars, degree
-        s.coeffs = {e: c for e, c in coeffs.items() if c}
+        g = gcd(den, *ints)
+        s.ints, s.den = ([v // g for v in ints], den // g) if g > 1 else (ints, den)
         return s
 
     @classmethod
     def zero(cls, field: ValuedField, num_vars: int, degree: int) -> "Section":
-        return cls(field, num_vars, degree, {})
+        return cls(field, num_vars, degree)
 
     @classmethod
     def monomial(cls, field: ValuedField, exponent: Sequence[int], coeff=1) -> "Section":
@@ -87,62 +88,73 @@ class Section:
     @classmethod
     def from_vector(cls, field: ValuedField, m: int, n: int,
                     vec: Sequence[FieldElement]) -> "Section":
-        basis = monomial_basis(m, n)
-        if len(vec) != len(basis):
+        if len(vec) != comb(m + n, m):
             raise PreconditionError(f"vector has {len(vec)} entries, degree {n} on P^{m} "
-                                    f"has {len(basis)} monomials")
-        return cls._trusted(field, m + 1, n, dict(zip(basis, linalg._constants(vec))))
+                                    f"has {comb(m + n, m)} monomials")
+        return cls._dense(field, m + 1, n, *linalg._integer_row(linalg._constants(vec)))
 
-    def to_vector(self) -> List[FieldElement]:
-        basis = monomial_basis(self.num_vars - 1, self.degree)
-        zero = self.field.zero()
-        return [self.coeffs.get(e, zero) for e in basis]
+    def to_vector(self) -> List[Fraction]:
+        return [Fraction(v, self.den) for v in self.ints]
+
+    @property
+    def coeffs(self) -> Mapping[Exponent, Fraction]:
+        """Read-only: exponent tuple -> nonzero coefficient."""
+        exps = monomial_basis(self.num_vars - 1, self.degree)
+        return MappingProxyType({e: Fraction(v, self.den) for e, v in zip(exps, self.ints) if v})
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.ints)
 
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: "Section") -> "Section":
-        self._check(other, same_degree=True)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, self.field.zero()) + c
-        return Section._trusted(self.field, self.num_vars, self.degree, out)
+        return self._combine(other, add)
 
     def __sub__(self, other: "Section") -> "Section":
+        return self._combine(other, sub)
+
+    def _combine(self, other: "Section", op) -> "Section":
+        """self op other over lcm of the denominators."""
         self._check(other, same_degree=True)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, self.field.zero()) - c
-        return Section._trusted(self.field, self.num_vars, self.degree, out)
+        L = lcm(self.den, other.den)
+        a, b = L // self.den, L // other.den
+        return Section._dense(self.field, self.num_vars, self.degree,
+                              [op(a * x, b * y) for x, y in zip(self.ints, other.ints)], L)
 
     def scale(self, c) -> "Section":
         c = self.field.element(c)
-        return Section._trusted(self.field, self.num_vars, self.degree,
-                                {e: c * x for e, x in self.coeffs.items()})
+        return Section._dense(self.field, self.num_vars, self.degree,
+                              [c.numerator * v for v in self.ints], c.denominator * self.den)
 
     def __mul__(self, other: "Section") -> "Section":
-        """Fraction-free over every field: each factor is an integer
-        polynomial over the lcm of its denominators, and each product
-        coefficient builds one Fraction."""
+        """One dense integer product over the product of the denominators:
+        ``_times_form`` when a factor is linear, else one index per pair of
+        nonzero monomials."""
         self._check(other, same_degree=False)
-        (a, da), (b, db) = _integer_coeffs(self.coeffs), _integer_coeffs(other.coeffs)
-        out = {e: Fraction(v, da * db) for e, v in _polynomial_product(a, b).items()}
-        return Section._trusted(self.field, self.num_vars,
-                                self.degree + other.degree, out)
+        if other.degree == 1:
+            ints = _times_form(self.ints, other.ints, self.degree)
+        elif self.degree == 1:
+            ints = _times_form(other.ints, self.ints, other.degree)
+        else:
+            m = self.num_vars - 1
+            index = {e: i for i, e in enumerate(monomial_basis(m, self.degree + other.degree))}
+            ints = [0] * len(index)
+            right = [(e, c) for e, c in zip(monomial_basis(m, other.degree), other.ints) if c]
+            for e1, c1 in zip(monomial_basis(m, self.degree), self.ints):
+                for e2, c2 in right if c1 else ():
+                    ints[index[tuple(map(add, e1, e2))]] += c1 * c2
+        return Section._dense(self.field, self.num_vars, self.degree + other.degree,
+                              ints, self.den * other.den)
 
     def __pow__(self, d: int) -> "Section":
+        """d - 1 products by self: a linear section's power is d - 1
+        ``_times_form`` steps."""
         if d < 0:
             raise PreconditionError("negative section power")
-        out = Section.monomial(self.field, (0,) * self.num_vars, 1)
-        base = self
-        while d:
-            if d & 1:
-                out = out * base
-            base = base * base
-            d >>= 1
+        out = self if d else Section.monomial(self.field, (0,) * self.num_vars)
+        for _ in range(d - 1):
+            out = out * self
         return out
 
     def _check(self, other: "Section", same_degree: bool):
@@ -155,48 +167,21 @@ class Section:
         if not isinstance(other, Section):
             return NotImplemented
         return (self.field == other.field and self.num_vars == other.num_vars
-                and self.degree == other.degree and self.coeffs == other.coeffs)
+                and self.degree == other.degree and self.den == other.den
+                and self.ints == other.ints)
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
+    def evaluate(self, point: Sequence[FieldElement]) -> Fraction:
+        """One integer dot product with ``integer_evaluation_row``."""
         if len(point) != self.num_vars:
             raise PreconditionError("point dimension mismatch")
-        point = linalg._constants(point)
-        total = self.field.zero()
-        for e, c in self.coeffs.items():
-            term = c
-            for x, k in zip(point, e):
-                for _ in range(k):
-                    term = term * x
-            total = total + term
-        return total
+        row, d = integer_evaluation_row(self.degree, point)
+        return Fraction(sum(map(mul, self.ints, row)), self.den * d)
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "Section(0)"
-        terms = []
-        for e in sorted(self.coeffs, reverse=True):
-            terms.append(f"{self.coeffs[e]}*x^{e}")
-        return "Section(" + " + ".join(terms) + ")"
-
-
-def _integer_coeffs(coeffs: Dict[Exponent, FieldElement]) -> tuple[dict, int]:
-    """Rational coefficients as (integer polynomial, d) with coeffs =
-    polynomial / d, d the lcm of the denominators."""
-    ints, d = linalg._integer_row(list(coeffs.values()))
-    return dict(zip(coeffs, ints)), d
-
-
-def _polynomial_product(a: Dict[Exponent, int], b: Dict[Exponent, int]) -> dict:
-    """The product of two integer polynomials stored as exponent tuple ->
-    coefficient; sums may be zero."""
-    out: Dict[Exponent, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-    return out
+        terms = " + ".join(f"{c}*x^{e}" for e, c in sorted(self.coeffs.items(), reverse=True))
+        return f"Section({terms or 0})"
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +260,28 @@ def step_row(row: list, a: Sequence, n: int, times=mul) -> list:
     monomials free of x_0..x_{j-1}; one ``times`` per monomial, no index map."""
     m = len(a) - 1
     return [times(x, v) for j, x in enumerate(a) for v in row[-comb(n + m - j, m - j):]]
+
+
+def _times_form(P: list, F: Sequence[int], n: int) -> list:
+    """The dense integer polynomial P of degree n (monomial_basis order, in
+    len(F) variables) times the linear form sum_j F_j x_j, dense in degree
+    n + 1.  As in ``step_row``, x_0 keeps the order, and x_1..x_m act inside
+    each x_0 block: the block of degree k in x_1..x_m goes to block k + 1."""
+    f, rest = F[0], F[1:]
+    k = len(rest)
+    if k == 0:
+        return [f * P[0]]
+    if k == 1:  # each block is one monomial, and x_1 moves it one place on
+        return [f * a + rest[0] * b for a, b in zip(P + [0], [0] + P)]
+    out = [f * v for v in P] + [0] * comb(n + k, k - 1)
+    if any(rest):
+        start = 0
+        for deg in range(n + 1):
+            end = start + comb(deg + k - 1, k - 1)
+            block = _times_form(P[start:end], rest, deg)
+            out[end:end + len(block)] = map(add, out[end:end + len(block)], block)
+            start = end
+    return out
 
 
 def restriction_kernel(Y: Subvariety, n: int) -> List[List[FieldElement]]:

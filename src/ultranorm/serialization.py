@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from numbers import Number
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .fields import Magnitude, ValuedField, _constant_value
 from .sections import Section, Subvariety
@@ -439,19 +439,21 @@ def space_from_json(data: Dict[str, Any], pointer: str = "") -> NormedSpace:
 
 
 def section_to_json(s: Section) -> Dict[str, Any]:
-    coeffs = {",".join(map(str, exp)): rational_to_str(s.coeffs[exp])
-              for exp in sorted(s.coeffs)}
-    return {"degree": s.degree, "variables": s.num_vars, "coeffs": coeffs}
+    coeffs = s.coeffs
+    return {"degree": s.degree, "variables": s.num_vars,
+            "coeffs": {",".join(map(str, e)): rational_to_str(coeffs[e]) for e in sorted(coeffs)}}
 
 
-def section_from_json(data: Dict[str, Any], field: ValuedField,
-                      pointer: str = "") -> Section:
-    """Decode a validated section; an exponent of the wrong arity or
-    degree is a SchemaViolation at ``pointer``/coeffs/KEY (where ``data``
-    sits)."""
+def section_from_json(data: Dict[str, Any], field: ValuedField, pointer: str = "",
+                      check: Optional[Callable[[int, int], None]] = None) -> Section:
+    """Decode a validated section; an exponent of the wrong arity or degree,
+    or one that an earlier key already names ("1,0" and "01,0"), is a
+    SchemaViolation at ``pointer``/coeffs/KEY (where ``data`` sits).
+    ``check(degree, variables)``, when given, runs once every key is read and
+    before the dense section, C(n + m, m) integers, is allocated."""
     num_vars = int(data["variables"])
     degree = int(data["degree"])
-    coeffs = {}
+    coeffs, keys = {}, {}
     for key, val in data["coeffs"].items():
         try:
             exp = tuple(int(e) for e in key.split(","))
@@ -463,7 +465,13 @@ def section_from_json(data: Dict[str, Any], field: ValuedField,
         if sum(exp) != degree:
             raise SchemaViolation(f"{pointer}/coeffs/{key}",
                                   f"exponent degree {sum(exp)} != {degree}")
+        if exp in keys:
+            raise SchemaViolation(f"{pointer}/coeffs/{key}",
+                                  f"exponent {key} repeats key {keys[exp]}")
+        keys[exp] = key
         coeffs[exp] = field.from_rational(rational_from_str(val))
+    if check:
+        check(degree, num_vars)
     return Section(field, num_vars, degree, coeffs)
 
 

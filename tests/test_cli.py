@@ -540,6 +540,44 @@ class TestMalformedShapes:
         assert obj["path"] == f"/representative/coeffs/{key}"
         assert obj["message"] == message
 
+    @pytest.mark.parametrize("command", ["extension-table", "extend-trivial"])
+    @pytest.mark.parametrize("coeffs,key,first", [
+        ({"1,0": "1", "0,1": "1", "01,0": "5"}, "01,0", "1,0"),
+        ({"01,0": "5", "0,1": "1", "1,0": "1"}, "1,0", "01,0"),
+    ], ids=["padded-last", "padded-first"])
+    def test_duplicate_exponent_exit_2(self, tmp_path, capsys, command, coeffs, key, first):
+        # "1,0" and "01,0" both name x_0: the later key is refused in either
+        # order, where one of the two coefficients used to win silently
+        space = dict(norm_json(), field={"type": "trivial"})
+        cfg = write(tmp_path, "c.json", {
+            "space": space,
+            "subvariety": {"points": [["1", "0"], ["1", "1"]]},
+            "representative": {"degree": 1, "variables": 2, "coeffs": coeffs},
+        })
+        code, out, err = run(capsys, [command, "--config", cfg])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "schema", "path": f"/representative/coeffs/{key}",
+                                   "message": f"exponent {key} repeats key {first}"}
+
+    @pytest.mark.parametrize("shape,message", [
+        ({"degree": 10 ** 9, "variables": 2}, "representative must have degree 1"),
+        ({"degree": 1, "variables": 10 ** 8}, "representative/metric dimension mismatch"),
+    ], ids=["degree", "variables"])
+    def test_representative_shape_refused_before_allocation(self, tmp_path, capsys,
+                                                            monkeypatch, shape, message):
+        # a dense section holds C(n + m, m) integers: the shape is checked first
+        def refuse(*args):
+            raise AssertionError("section allocated before its shape was checked")
+        monkeypatch.setattr(ser, "Section", refuse)
+        cfg = write(tmp_path, "c.json", {
+            "space": norm_json(),
+            "subvariety": {"points": [["1", "0"]]},
+            "representative": dict(shape, coeffs={}),
+        })
+        code, out, err = run(capsys, ["extension-table", "--config", cfg])
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "precondition", "message": message}
+
     # 5000 decimal digits is past the interpreter's default str-to-int limit
     LONG = "1" * 5000
     digit_limit = pytest.mark.skipif(

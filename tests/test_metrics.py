@@ -16,9 +16,9 @@ from ultranorm.metrics import (QuotientMetric, _change_frame, _GaussSpace, _SymP
                                _dual_norm, _times_form, gauss_attainment_point, metric_gap,
                                quotient_fiber_norm, sigma)
 from ultranorm.fields import Magnitude, RationalFunction, magnitude_max
-from ultranorm.sections import (Section, Subvariety, _polynomial_product,
-                                monomial_basis, normalize_point)
+from ultranorm.sections import Section, Subvariety, monomial_basis, normalize_point
 from ultranorm.spaces import distance_to_subspace, lift_constant, scalar_extension
+from dict_sections import polynomial_product
 from test_sections import evaluation_row
 from test_spaces import basis_times
 
@@ -169,7 +169,7 @@ class TestChangeFrame:
                     for e in rng.sample(exps, min(len(exps), 4))}))
                 sections += [Section.monomial(Q3, e) for e in exps]
             # one _SymPowers for every degree, in the order the sections come
-            sym = _SymPowers(forms, [Q3.one_magnitude()] * nv)
+            sym = _SymPowers([(f.ints, f.den) for f in forms], [Q3.one_magnitude()] * nv)
             got = [_change_frame(sym, s) for s in sections]
             assert got == _change_frame_products(forms, sections)
             assert all(s.degree == t.degree for s, t in zip(got, sections))
@@ -183,8 +183,9 @@ class TestChangeFrame:
         rational = Section(K, 2, 2, {(2, 0): F(1, 2), (1, 1): F(-3), (0, 2): F(5, 7)})
         lifted = Section(K, 2, 2, {e: K.element(c) for e, c in rational.coeffs.items()})
         ones = [K.one_magnitude()] * 2
-        want = _change_frame(_SymPowers(forms, ones), rational)
-        got = _change_frame(_SymPowers(forms, ones), lifted)
+        factors = [(f.ints, f.den) for f in forms]
+        want = _change_frame(_SymPowers(factors, ones), rational)
+        got = _change_frame(_SymPowers(factors, ones), lifted)
         assert got.coeffs == want.coeffs
         assert all(type(c) is F for c in got.coeffs.values())
         assert got == _change_frame_products(forms, [lifted])[0]
@@ -785,7 +786,7 @@ class TestGaussSpaceOracle:
 class TestGaussIntegerForms:
     """A Gauss space serves its integer forms from the dense ``_SymPowers``
     columns, with no Fraction basis: against its public basis and inverse,
-    an eager NormedSpace on that basis, and ``_polynomial_product``."""
+    an eager NormedSpace on that basis, and ``polynomial_product``."""
 
     @pytest.mark.parametrize("field", [PadicRationals(2), PadicRationals(3),
                                        PadicRationals(1000003), TrivialRationals(),
@@ -870,7 +871,7 @@ class TestGaussIntegerForms:
                         P = [0] * len(exps)
                     elif trial == 1:
                         form = [0] * nv
-                    want = _polynomial_product(dict(zip(exps, P)), dict(zip(linear, form)))
+                    want = polynomial_product(dict(zip(exps, P)), dict(zip(linear, form)))
                     assert _times_form(P, form, n) == [want.get(e, 0) for e in up]
 
 

@@ -132,3 +132,20 @@ def unused_imports() -> List[str]:
 
 def test_every_imported_name_is_read_or_exported():
     assert unused_imports() == []
+
+
+# A section is one integer list over one denominator: the dict product and
+# the dict-to-integers conversion it replaced live on only as the tests'
+# oracle (``dict_sections``), and must not come back as a second
+# representation of a form.
+RETIRED = {"_polynomial_product", "_integer_coeffs"}
+
+
+def test_no_retired_dict_kernel_is_defined_or_named():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {n.name for n in ast.walk(tree)
+                   if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        found += [f"{path.stem}.{name}" for name in sorted((defined | _names(tree)) & RETIRED)]
+    assert found == []

@@ -17,7 +17,7 @@ import pytest
 from ultranorm import (LaurentRationals, NormedSpace, PadicRationals, PreconditionError,
                        TrivialRationals, dual_norm, linalg)
 from ultranorm.fields import Magnitude, RationalFunction, _vp, magnitude_max
-from ultranorm.metrics import QuotientMetric, _change_frame, _linear_forms, _SymPowers
+from ultranorm.metrics import QuotientMetric, _change_frame, _SymPowers
 from ultranorm.sections import Section, Subvariety, monomial_basis, normalize_point
 from ultranorm.spaces import _complete_flag, _weighted_max
 
@@ -186,7 +186,8 @@ class TestSupNorms:
     def restricted_by_gauss_norm(h, s, Y):
         g, norms = _complete_flag(h.base, Y.linear_forms)
         ones = [h.field.one_magnitude()] * h.num_vars
-        u = _change_frame(_SymPowers(_linear_forms(h.field, linalg.invert(g)), ones), s)
+        forms = [Section.from_vector(h.field, h.m, 1, row) for row in linalg.invert(g)]
+        u = _change_frame(_SymPowers([(f.ints, f.den) for f in forms], ones), s)
         return gauss_norm(h.field, u, norms, vanishing=len(Y.linear_forms))
 
     @pytest.mark.parametrize("field", FIELDS, ids=IDS)
