@@ -6,18 +6,18 @@ by finitely many rational linear functionals.  The finite places cut out
 a Z-lattice; lambda_Q / lambda_Z are the smallest archimedean bounds
 admitting a Q-basis inside the lattice / a Z-basis of the lattice.  Both
 read one exact result per lattice, all in Python integers: an integral LLL
-reduction on the Gram matrix of the functionals, an enumeration box
-chosen by integer adjugates, then one enumeration of the short vectors up
-to the largest norm in the reduced basis.  On top sits the graded basis
-search for free bases of archimedean norm < 1.
-"""
+reduction on the Gram matrix of the functionals, the box of the first
+r-subset whose integer adjugate keeps it within BOX_BOUND, then one
+interval-pruned depth-first scan of the short vectors up to the largest
+norm in the reduced basis.  On top sits the graded basis search for free
+bases of archimedean norm < 1."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product as iter_product
+from itertools import combinations
 from math import comb, gcd, prod
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -27,7 +27,7 @@ from .fields import PadicRationals, _vp
 from .spaces import NormedSpace, PreconditionError
 
 RANK_BOUND = 8
-BOX_BOUND = 10 ** 5  # lattice points: about 5 s for lambda_Q and lambda_Z at rank 2
+BOX_BOUND = 10 ** 5  # lattice points: about 1 s for lambda_Q and lambda_Z at rank 2 or 8
 NODE_BOUND = 10 ** 5  # primitivity tests in one Z-basis search: about 5 s at rank 6
 SUBSET_BOUND = 10 ** 5  # r-subsets whose adjugate picks the box: about 8 s at rank 6
 
@@ -39,12 +39,7 @@ SUBSET_BOUND = 10 ** 5  # r-subsets whose adjugate picks the box: about 8 s at r
 
 def arch_norm(functionals: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Fraction:
     """max_j |<f_j, v>| over the defining functionals (exact)."""
-    best = Fraction(0)
-    for f in functionals:
-        val = abs(sum(a * b for a, b in zip(f, v)))
-        if val > best:
-            best = val
-    return best
+    return max((abs(sum(map(mul, f, v))) for f in functionals), default=Fraction(0))
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +92,7 @@ class NormedLattice:
         # the functionals in lattice coordinates as (integers, den), equal to
         # ``linalg._integer_matrix`` of their rational values
         funcs, d_f = linalg._integer_matrix(self.arch_functionals)
-        cols, d_c = linalg._integer_matrix(self.basis_columns)
+        cols, d_c = self._cols = linalg._integer_matrix(self.basis_columns)
         phi = [[sum(map(mul, f, c)) for c in cols] for f in funcs]
         g = gcd(d_f * d_c, *(x for row in phi for x in row))
         self._phi = ([[x // g for x in row] for row in phi], d_f * d_c // g)
@@ -133,9 +128,8 @@ class NormedLattice:
         return len(self.basis_columns[0]) if self.basis_columns else 0
 
     def vector(self, coords: Sequence[int]) -> List[Fraction]:
-        n = self.dim
-        return [sum(Fraction(c) * self.basis_columns[j][i]
-                    for j, c in enumerate(coords)) for i in range(n)]
+        cols, d = self._cols
+        return [Fraction(sum(map(mul, coords, row)), d) for row in zip(*cols)]
 
     def arch(self, v: Sequence[Fraction]) -> Fraction:
         return arch_norm(self.arch_functionals, v)
@@ -192,9 +186,8 @@ def check_localization(A: AdelicSpace, M: NormedLattice, p: int) -> bool:
     space = A.place(p)
     one = space.field.one_magnitude()
     # every lattice generator has p-norm <= 1
-    for col in M.basis_columns:
-        if space.norm(col) > one:
-            return False
+    if any(space.norm(col) > one for col in M.basis_columns):
+        return False
     # every unit-ball generator lies in M (x) Z_(p)
     from .spaces import lattice_from_norm
     ball = lattice_from_norm(space)
@@ -276,46 +269,54 @@ def _enumerate(iphi0: List[List[int]],
     red = _lll([[sum(map(mul, x, y)) for y in cols] for x in cols])
     iphi = [[sum(map(mul, row, v)) for v in red] for row in iphi0]
     ibound = max(abs(x) for row in iphi for x in row)
-    # the invertible row subset S giving the smallest box: |phi c| <=
-    # lambda_0 bounds |c_i| by ibound * sum_j |adj_ij| / |det| on S's rows
-    best_box = None
+    # the first invertible row subset S whose box is within the bound: |phi c|
+    # <= lambda_0 bounds |c_i| by ibound * sum_j |adj_ij| / |det| on S's rows;
+    # the least box over all subsets is taken only to word a refusal
+    least = None
     for subset in combinations(iphi, r):
         adj, det = linalg.adjugate(subset)
         if not det:
             continue
         box = [ibound * sum(map(abs, row)) // abs(det) for row in adj]
         size = prod(2 * b + 1 for b in box)
-        if best_box is None or size < best_box[0]:
-            best_box = (size, box)
-    if best_box[0] > BOX_BOUND:
+        if size <= BOX_BOUND:
+            break
+        least = size if least is None else min(least, size)
+    else:
         try:
-            count = str(best_box[0])
+            count = str(least)
         except ValueError:  # past the interpreter's int-to-str digit limit
-            count = f"at least 2^{best_box[0].bit_length() - 1}"
+            count = f"at least 2^{least.bit_length() - 1}"
         raise PreconditionError(f"the enumeration box holds {count} points, more than the "
                                 f"exact enumeration bound {BOX_BOUND}")
-    ranges = [range(-b, b + 1) for b in best_box[1]]
+    # depth first over the box: coordinate t takes the integer interval that
+    # keeps each row within limit[t], ibound plus the most that the later
+    # coordinates can add inside the box, so only the polytope's nodes are
+    # visited; the first nonzero coordinate is positive (one per +-pair)
+    cols = list(zip(*iphi))
+    limit = [[ibound + sum(abs(a) * b for a, b in zip(row[t + 1:], box[t + 1:]))
+              for row in iphi] for t in range(r)]
     out: List[Tuple[int, Tuple[int, ...]]] = []
-    for coords in iter_product(*ranges):
-        # one representative per +-pair
-        nz = next((c for c in coords if c != 0), 0)
-        if nz <= 0:
-            continue
-        val = 0
-        for row in iphi:
-            t = abs(sum(a * c for a, c in zip(row, coords)))
-            if t > ibound:
-                break
-            if t > val:
-                val = t
-        else:
-            orig = [sum(c * red[k][j] for k, c in enumerate(coords))
-                    for j in range(r)]
-            # canonical sign: first nonzero original coordinate positive
-            lead = next((c for c in orig if c != 0), 0)
-            if lead < 0:
-                orig = [-c for c in orig]
-            out.append((val, tuple(orig)))
+
+    def scan(t: int, s: List[int], orig: List[int], lead: bool) -> None:
+        lo, hi = -box[t] if lead else 0, box[t]
+        for a, x, m in zip(cols[t], s, limit[t]):
+            if a:
+                if a < 0:
+                    a, x = -a, -x
+                lo, hi = max(lo, -((m + x) // a)), min(hi, (m - x) // a)
+        for c in range(lo, hi + 1):
+            row_sums = [x + a * c for a, x in zip(cols[t], s)]
+            v = [x + c * y for x, y in zip(orig, red[t])]
+            if t + 1 < r:
+                scan(t + 1, row_sums, v, lead or c != 0)
+            elif lead or c:
+                # canonical sign: first nonzero original coordinate positive
+                if next(x for x in v if x) < 0:
+                    v = [-x for x in v]
+                out.append((max(map(abs, row_sums)), tuple(v)))
+
+    scan(0, [0] * len(iphi), [0] * r, False)
     # by norm (all over den, so on the integers), ties broken toward
     # sparser/smaller coordinate vectors; one Fraction per vector at the end
     out.sort(key=lambda t: (t[0], sum(map(abs, t[1])), t[1]))
@@ -403,18 +404,14 @@ def graded_minima(G: Dict[int, AdelicSpace],
             raise PreconditionError(f"graded family missing degree {n}")
     for n in range(1, n_max + 1):
         M = finite_unit_lattice(G[n])
-        lz, basis = lambda_Z(M, want_basis=True)
-        yield n, M, lz, basis
+        yield (n, M, *lambda_Z(M, want_basis=True))
 
 
 def nakai_basis_search(G: Dict[int, AdelicSpace], n: int):
     """A Z-basis of the degree-n finite-part lattice with all archimedean
     norms < 1, or None at this degree (decided exactly via lambda_Z)."""
-    M = finite_unit_lattice(G[n])
-    lz, basis = lambda_Z(M, want_basis=True)
-    if lz < 1:
-        return basis
-    return None
+    lz, basis = lambda_Z(finite_unit_lattice(G[n]), want_basis=True)
+    return basis if lz < 1 else None
 
 
 def nakai_first_success(G: Dict[int, AdelicSpace], n_max: int):

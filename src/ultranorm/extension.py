@@ -40,6 +40,7 @@ class ExtensionProblem:
         self._restricted_norm: Optional[Magnitude] = None
         self._ratio_cache: Dict[int, Magnitude] = {}
         self._frame_l: Optional[_SymPowers] = None  # l in the frame coordinates
+        self._power = self.representative  # the last linear-Y l^n; l^(n+1) is one product
 
     @property
     def field(self) -> ValuedField:
@@ -94,7 +95,9 @@ def min_norm_lift(P: ExtensionProblem, n: int) -> Tuple[Section, Magnitude]:
     if P.Y.kind == "points":
         dist, s = _dual_lift(P, N, n)
     else:
-        s0 = (P.representative ** n).to_vector()
+        last = P._power
+        P._power = last * P.representative if last.degree == n - 1 else P.representative ** n
+        s0 = P._power.to_vector()
         dist, minimizer = distance_to_subspace(N, s0, restriction_kernel(P.Y, n))
         s = Section.from_vector(P.field, P.metric.m, n, [a - b for a, b in zip(s0, minimizer)])
     ratio = dist / restricted ** n

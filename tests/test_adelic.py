@@ -176,6 +176,52 @@ def fraction_enumerate(phi0):
     return out
 
 
+def least_box(iphi0):
+    """(red, iphi, ibound, size, box): the LLL data of ``_enumerate`` and the
+    least adjugate box over every invertible r-subset of the reduced rows."""
+    r = len(iphi0[0])
+    cols = list(zip(*iphi0))
+    red = _lll([[sum(a * b for a, b in zip(x, y)) for y in cols] for x in cols])
+    iphi = [[sum(a * b for a, b in zip(row, v)) for v in red] for row in iphi0]
+    ibound = max(abs(x) for row in iphi for x in row)
+    best = None
+    for subset in itertools.combinations(iphi, r):
+        adj, d = lg.adjugate(subset)
+        if d:
+            box = [ibound * sum(map(abs, row)) // abs(d) for row in adj]
+            size = math.prod(2 * b + 1 for b in box)
+            if best is None or size < best[0]:
+                best = (size, box)
+    return red, iphi, ibound, best[0], best[1]
+
+
+def box_scan_enumerate(iphi0, den):
+    """The integer ``_enumerate`` that the pruned scan replaced, kept as its
+    oracle: the least box over every invertible r-subset, refused past
+    ``BOX_BOUND``, then every point of that box."""
+    r = len(iphi0[0])
+    if math.comb(len(iphi0), r) > adelic.SUBSET_BOUND:
+        raise PreconditionError(f"the box choice takes {math.comb(len(iphi0), r)} "
+                                f"adjugates of {r}-subsets, more than the subset "
+                                f"bound {adelic.SUBSET_BOUND}")
+    red, iphi, ibound, size, box = least_box(iphi0)
+    if size > adelic.BOX_BOUND:
+        raise PreconditionError(f"the enumeration box holds {size} points, more than "
+                                f"the exact enumeration bound {adelic.BOX_BOUND}")
+    out = []
+    for coords in itertools.product(*(range(-b, b + 1) for b in box)):
+        if next((c for c in coords if c != 0), 0) <= 0:
+            continue
+        val = max(abs(sum(a * c for a, c in zip(row, coords))) for row in iphi)
+        if val <= ibound:
+            orig = [sum(c * red[k][j] for k, c in enumerate(coords)) for j in range(r)]
+            if next(c for c in orig if c != 0) < 0:
+                orig = [-c for c in orig]
+            out.append((val, tuple(orig)))
+    out.sort(key=lambda t: (t[0], sum(map(abs, t[1])), t[1]))
+    return [(F(val, den), coords) for val, coords in out]
+
+
 def fraction_phi(cols, funcs):
     """The functionals in lattice coordinates as Fractions, the way
     ``NormedLattice`` formed them before its integer pair."""
@@ -595,6 +641,65 @@ class TestLambda:
             assert _enumerate(*lg._integer_matrix(phi)) == want
         assert refused >= min_refused
 
+    @staticmethod
+    def random_phi(rng, r, k):
+        """The integer functionals of a random lattice of rank r: a
+        non-identity basis and k functionals with zero entries."""
+        while True:
+            funcs = [[F(rng.choice((0, 0, 1, -1, 2, -2)), rng.choice((1, 1, 1, 2)))
+                      for _ in range(r)] for _ in range(k)]
+            cols = [[F(rng.randint(-2, 2), rng.choice((1, 1, 2, 3))) for _ in range(r)]
+                    for _ in range(r)]
+            if lg.rank(funcs) == r and lg.rank(cols) == r and any(
+                    cols[i][j] != (i == j) for i in range(r) for j in range(r)):
+                return NormedLattice(cols, funcs)._phi
+
+    def test_pruned_scan_matches_box_scan(self, monkeypatch):
+        # BOX_BOUND at each input's least box admits it with the oracle's list,
+        # and so does the default bound, whose first admissible box may be
+        # larger; one point less refuses it with the oracle's message.  The
+        # oracle scans its whole box, so inputs past 20000 points are only
+        # refused and admitted, not compared
+        rng = random.Random("pruned-scan")
+        compared = 0
+        for r, count in [(1, 40), (2, 40), (3, 40), (4, 40), (5, 40), (6, 12)]:
+            for _ in range(count):
+                iphi0, den = self.random_phi(rng, r, r + rng.randint(0, 3))
+                size = least_box(iphi0)[3]
+                monkeypatch.setattr(adelic, "BOX_BOUND", size - 1)
+                with pytest.raises(PreconditionError) as want:
+                    box_scan_enumerate(iphi0, den)
+                with pytest.raises(PreconditionError) as got:
+                    _enumerate(iphi0, den)
+                assert str(got.value) == str(want.value)
+                monkeypatch.setattr(adelic, "BOX_BOUND", size)
+                got = _enumerate(iphi0, den)
+                if size <= 20000:
+                    assert got == box_scan_enumerate(iphi0, den)
+                    compared += r == 6
+                monkeypatch.setattr(adelic, "BOX_BOUND", max(size, 10 ** 5))
+                assert _enumerate(iphi0, den) == got
+        assert compared >= 8
+
+    def test_box_choice_stops_at_the_first_subset_within_the_bound(self, monkeypatch):
+        # the first pair of rows gives a 5 x 5 box, the last pair a 3 x 3 one:
+        # the scan runs in the larger box and lists the same vectors
+        iphi0 = [[1, 0], [0, 1], [2, 0], [0, 2]]
+        red, _, ibound, size, _ = least_box(iphi0)
+        assert (red, ibound, size) == ([[1, 0], [0, 1]], 2, 9)
+        adjugates, real = [], lg.adjugate
+        monkeypatch.setattr(lg, "adjugate", lambda m: adjugates.append(list(m)) or real(m))
+        want = box_scan_enumerate(iphi0, 1)
+        adjugates.clear()
+        assert _enumerate(iphi0, 1) == want
+        assert adjugates == [[[1, 0], [0, 1]]]  # the first subset only
+        assert len(want) == 4  # (1, 0), (0, 1), (1, 1), (1, -1)
+        # a bound below the first box but at the least one goes on to it
+        monkeypatch.setattr(adelic, "BOX_BOUND", 9)
+        adjugates.clear()
+        assert _enumerate(iphi0, 1) == want
+        assert len(adjugates) == 6
+
     def test_integer_phi_matches_fraction_phi(self):
         rng = random.Random("phi")
         for _ in range(300):
@@ -612,6 +717,20 @@ class TestLambda:
             ints, den = M._phi
             assert M._phi == lg._integer_matrix(fraction_phi(cols, funcs))
             assert [[F(x, den) for x in row] for row in ints] == fraction_phi(cols, funcs)
+
+    def test_vector_matches_the_fraction_combination(self):
+        rng = random.Random("vector")
+        for _ in range(200):
+            r = rng.randint(1, 5)
+            while True:
+                cols = [[F(rng.randint(-3, 3), rng.choice((1, 1, 2, 5))) for _ in range(r)]
+                        for _ in range(r)]
+                if lg.rank(cols) == r:
+                    break
+            M = NormedLattice(cols, [[F(int(i == j)) for j in range(r)] for i in range(r)])
+            c = tuple(rng.randint(-5, 5) for _ in range(r))
+            assert M.vector(c) == [sum(F(x) * col[i] for x, col in zip(c, cols))
+                                   for i in range(r)]
 
     def test_unimodular_search_at_the_node_bound_and_one_past(self, monkeypatch):
         # nodes: (2, 0) is refused, (0, 1) taken, (1, 0) completes the basis

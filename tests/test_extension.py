@@ -354,6 +354,40 @@ class TestFramePowers:
                 assert (section, ratio) == fresh[n]
 
 
+class TestLinearPowers:
+    """l^n of a linear-Y lift, kept by the problem from one degree to the
+    next, against ``representative ** n``."""
+
+    @staticmethod
+    def problem():
+        # P^2 over Q_3 with a non-diagonal frame, Y the line x0 + 2 x1 = x2
+        K = PadicRationals(3)
+        basis = [[F(1), F(2, 3), F(0)], [F(5), F(-7), F(1, 2)], [F(0), F(1), F(4)]]
+        weights = [K.magnitude(F(3, 5), 1), K.magnitude(F(7, 4), -2), K.magnitude(F(1))]
+        return ExtensionProblem(QuotientMetric(NormedSpace(K, basis, weights)),
+                                Subvariety(K, 3, linear_forms=[[F(1), F(2), F(-1)]]),
+                                Section.from_vector(K, 2, 1, [F(1), F(0), F(0)]))
+
+    def test_one_product_per_degree_in_order(self, monkeypatch):
+        P = self.problem()
+        want = {n: P.representative ** n for n in range(1, 9)}
+        products, real = [], Section.__mul__
+        monkeypatch.setattr(Section, "__mul__",
+                            lambda a, b: products.append(a.degree) or real(a, b))
+        for n in range(1, 9):
+            min_norm_lift(P, n)
+            assert P._power == want[n]
+        assert products == list(range(1, 8))  # 7 products, not the 28 of l ** n
+        min_norm_lift(P, 3)  # a lower degree restarts: l ** 3 is two products
+        assert products[7:] == [1, 2] and P._power == want[3]
+
+    def test_lifts_in_any_order_match_a_fresh_problem(self):
+        P = self.problem()
+        fresh = {n: min_norm_lift(self.problem(), n) for n in range(1, 5)}
+        for n in (4, 2, 2, 1, 3, 4):
+            assert min_norm_lift(P, n) == fresh[n]
+
+
 class TestPointRows:
     """The degree-n monomials the metric keeps per point, stepped from the
     last degree asked, against a fresh metric and ``integer_evaluation_row``."""
